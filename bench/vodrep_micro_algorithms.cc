@@ -1,8 +1,11 @@
 // E9 / Section 4 complexity claims: google-benchmark microbenchmarks of the
 // replication and placement algorithms across catalogue sizes, validating
 // the asymptotic claims (Adams O(M + N*C log M), Zipf-interval O(M log M),
-// SLF placement, and the brute-force optimal used by the tests).
+// SLF placement in M and in N, and the brute-force optimal used by the
+// tests), plus the edge prefix cache's eviction cost in M.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "src/core/adams_replication.h"
 #include "src/core/bounds.h"
@@ -10,6 +13,7 @@
 #include "src/core/round_robin_placement.h"
 #include "src/core/slf_placement.h"
 #include "src/core/zipf_interval_replication.h"
+#include "src/sim/prefix_cache_policy.h"
 #include "src/workload/popularity.h"
 #include "src/workload/sampler.h"
 #include "src/workload/trace.h"
@@ -80,6 +84,28 @@ void BM_SlfPlacement(benchmark::State& state) {
 }
 BENCHMARK(BM_SlfPlacement)->Range(64, 8192)->Complexity();
 
+// The server-count axis BM_SlfPlacement holds fixed: one (load, index) sort
+// per round of N replicas makes placement O(R log N) at a fixed catalogue.
+void BM_SlfPlacementServers(benchmark::State& state) {
+  constexpr std::size_t kVideos = 16384;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto popularity = zipf_popularity(kVideos, kTheta);
+  const AdamsReplication adams;
+  const auto plan = adams.replicate(popularity, n, budget_for(kVideos));
+  const std::size_t capacity = (budget_for(kVideos) + n - 1) / n;
+  const SmallestLoadFirstPlacement slf;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(slf.place(plan, popularity, n, capacity));
+  }
+  state.SetComplexityN(static_cast<benchmark::IterationCount>(n));
+}
+BENCHMARK(BM_SlfPlacementServers)
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Complexity();
+
 void BM_RoundRobinPlacement(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto popularity = zipf_popularity(m, kTheta);
@@ -127,6 +153,32 @@ void BM_AliasSamplerBuild(benchmark::State& state) {
   state.SetComplexityN(static_cast<benchmark::IterationCount>(m));
 }
 BENCHMARK(BM_AliasSamplerBuild)->Range(64, 65536)->Complexity(benchmark::oN);
+
+// Edge prefix cache under a Zipf request stream, sized to a tenth of the
+// catalogue so most misses evict.  Victim selection is O(1), so the time per
+// request should stay flat in M.  Arg 1 picks the policy: 0 LRU, 1 LFU.
+void BM_PrefixCacheEviction(benchmark::State& state) {
+  constexpr std::size_t kRequests = 1 << 16;
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto policy = state.range(1) == 0 ? CacheEvictionPolicy::kLru
+                                          : CacheEvictionPolicy::kLfu;
+  const DiscreteSampler sampler(zipf_popularity(m, kTheta));
+  Rng rng(11);
+  std::vector<std::size_t> requests(kRequests);
+  for (std::size_t& video : requests) video = sampler.sample(rng);
+  PrefixCache cache(policy, static_cast<double>(m / 10),
+                    std::vector<double>(m, 1.0));
+  for (auto _ : state) {
+    for (const std::size_t video : requests) {
+      if (!cache.lookup(video)) cache.insert(video);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<benchmark::IterationCount>(kRequests));
+}
+BENCHMARK(BM_PrefixCacheEviction)
+    ->ArgsProduct({{1000, 10000, 100000}, {0, 1}})
+    ->ArgNames({"M", "lfu"});
 
 }  // namespace
 

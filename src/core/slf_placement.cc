@@ -1,22 +1,14 @@
 #include "src/core/slf_placement.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
+#include <utility>
 
 #include "src/audit/audit.h"
 #include "src/util/check.h"
 #include "src/util/error.h"
 
 namespace vodrep {
-namespace {
-
-struct PendingReplica {
-  std::size_t video;
-  double weight;
-};
-
-}  // namespace
 
 Layout SmallestLoadFirstPlacement::place(
     const ReplicationPlan& plan, const std::vector<double>& popularity,
@@ -35,74 +27,64 @@ Layout SmallestLoadFirstPlacement::place_traced(
   Layout layout;
   layout.assignment.resize(plan.replicas.size());
 
-  // Steps 1-2 of Algorithm 1: all replicas, grouped by video, groups in
-  // non-increasing weight order.
-  std::deque<PendingReplica> pending;
-  for (std::size_t video : videos_by_weight(plan, popularity)) {
-    for (std::size_t k = 0; k < plan.replicas[video]; ++k) {
-      pending.push_back(PendingReplica{video, weights[video]});
-    }
-  }
-
+  // Storage needs no tracking: a round gives a server at most one replica,
+  // so after the ceil(R / N) rounds it holds at most that many, and
+  // check_placement_inputs ensures R <= N * C (Eq. 4).
   std::vector<double> loads(num_servers, 0.0);
-  std::vector<std::size_t> stored(num_servers, 0);
+  // hosting[s] is the last video placed on server s.  A video's replicas
+  // are placed one after another, so while placing video v, hosting[s] == v
+  // exactly when s already holds a replica of v (Eq. 6).
+  std::vector<std::size_t> hosting(num_servers,
+                                   std::numeric_limits<std::size_t>::max());
 
-  auto hosts = [&](std::size_t server, std::size_t video) {
-    const auto& servers = layout.assignment[video];
-    return std::find(servers.begin(), servers.end(), server) != servers.end();
-  };
+  // The servers sorted by (round-start load, index), and a circular list of
+  // the positions not yet used this round; slot N is the list's head.
+  std::vector<std::pair<double, std::size_t>> order(num_servers);
+  std::vector<std::size_t> next_open(num_servers + 1);
+  const std::size_t head = num_servers;
 
-  std::size_t round = 0;
-  while (!pending.empty()) {
-    const std::size_t take = std::min<std::size_t>(num_servers, pending.size());
-    std::vector<bool> used_this_round(num_servers, false);
-    std::deque<PendingReplica> deferred;
-    std::size_t placed_this_round = 0;
-
-    for (std::size_t n = 0; n < take; ++n) {
-      const PendingReplica replica = pending.front();
-      pending.pop_front();
-
-      // Least-loaded feasible server among those unused this round; ties go
-      // to the lowest server index for determinism.
-      std::size_t best = num_servers;
-      double best_load = std::numeric_limits<double>::infinity();
-      for (std::size_t s = 0; s < num_servers; ++s) {
-        if (used_this_round[s] || stored[s] >= capacity_per_server ||
-            hosts(s, replica.video)) {
-          continue;
-        }
-        if (loads[s] < best_load) {
-          best_load = loads[s];
-          best = s;
-        }
+  // Steps 1-2 of Algorithm 1: all replicas, grouped by video, groups in
+  // non-increasing weight order; each round takes the next N of them.
+  std::size_t placed = 0;
+  for (std::size_t video : videos_by_weight(plan, popularity)) {
+    for (std::size_t k = 0; k < plan.replicas[video]; ++k, ++placed) {
+      if (placed % num_servers == 0) {
+        // A server's load changes only when it receives a replica, and then
+        // it is out of the round.  So the servers still open keep their
+        // round-start loads, and the first open entry of this order that
+        // does not host the video is the least-loaded feasible server, ties
+        // to the lowest index.
+        for (std::size_t s = 0; s < num_servers; ++s) order[s] = {loads[s], s};
+        std::sort(order.begin(), order.end());
+        for (std::size_t p = 0; p < head; ++p) next_open[p] = p + 1;
+        next_open[head] = 0;
       }
-      if (best == num_servers) {
-        deferred.push_back(replica);  // retried at the head of the next round
-        continue;
+      // At most the k servers holding this video's earlier replicas are
+      // skipped.
+      std::size_t prev = head;
+      std::size_t pos = next_open[head];
+      while (pos != head && hosting[order[pos].second] == video) {
+        prev = pos;
+        pos = next_open[pos];
       }
-      used_this_round[best] = true;
-      ++stored[best];
-      loads[best] += replica.weight;
-      layout.assignment[replica.video].push_back(best);
-      ++placed_this_round;
+      if (pos == head) {
+        // Unreachable while r_i <= N (check_placement_inputs): a video spans
+        // at most two rounds, its remainder first in the second, so an open
+        // server without it always remains.  Hence the paper's deferral of a
+        // blocked replica to the next round never triggers.
+        throw InfeasibleError(
+            "slf placement: no feasible server for the remaining replicas");
+      }
+      next_open[prev] = next_open[pos];
+      const std::size_t best = order[pos].second;
+      hosting[best] = video;
+      loads[best] += weights[video];
+      layout.assignment[video].push_back(best);
       if (steps != nullptr) {
-        steps->push_back(
-            Step{replica.video, best, replica.weight, loads[best], round});
+        steps->push_back(Step{video, best, weights[video], loads[best],
+                              placed / num_servers});
       }
     }
-
-    if (placed_this_round == 0) {
-      // Every candidate replica was infeasible on every server: the
-      // distinctness constraint cannot be satisfied with remaining storage.
-      throw InfeasibleError(
-          "slf placement: no feasible server for the remaining replicas");
-    }
-    // Deferred replicas are the heaviest remaining; keep them at the front.
-    for (auto it = deferred.rbegin(); it != deferred.rend(); ++it) {
-      pending.push_front(*it);
-    }
-    ++round;
   }
 #if VODREP_CONTRACTS_ENABLED
   {

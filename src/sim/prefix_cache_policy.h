@@ -22,9 +22,10 @@
 // the policy reproduces ReplicatedPolicy decision-for-decision, reasons
 // included (asserted by tests/prefix_cache_test.cc).
 //
-// The cache itself (PrefixCache) is deterministic by construction: victim
-// selection is an O(M) scan over flat vectors keyed by a monotone access
-// tick — no pointer- or hash-ordered iteration anywhere (the vodrep_lint
+// The cache itself (PrefixCache) is deterministic by construction: resident
+// entries sit in intrusive lists over flat uint32 index arrays, kept in
+// eviction order on every lookup, insert and eviction, so victim selection
+// is O(1) — no pointer- or hash-ordered iteration anywhere (the vodrep_lint
 // determinism rules apply to this file).
 #pragma once
 
@@ -67,23 +68,49 @@ class PrefixCache {
   void insert(std::size_t video);
 
   [[nodiscard]] bool resident(std::size_t video) const {
-    return resident_[video] != 0;
+    return bucket_of_[video] != kNil;
   }
   [[nodiscard]] double used_bytes() const { return stats_.used_bytes; }
   [[nodiscard]] const CacheTierStats& stats() const { return stats_; }
 
  private:
-  /// Deterministic victim: LRU = smallest last-touch tick; LFU = smallest
-  /// (frequency, last-touch tick).  Ticks are unique, so there are no ties.
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// The resident entries with one eviction key (LRU: 1; LFU: frequency),
+  /// least recently touched first.  Buckets form a list by ascending key.
+  struct Bucket {
+    std::uint64_t key = 0;
+    std::uint32_t head = kNil;  ///< least recently touched entry
+    std::uint32_t tail = kNil;  ///< most recently touched entry
+    std::uint32_t prev = kNil;  ///< bucket with the next smaller key
+    std::uint32_t next = kNil;  ///< bucket with the next larger key
+  };
+
+  /// Deterministic victim: LRU = least recently touched; LFU = least
+  /// frequently touched, the least recently touched of those.  Every touch
+  /// is a distinct moment, so there are no ties.  Returns M when empty.
   [[nodiscard]] std::size_t pick_victim() const;
+  /// The bucket with `key`, created right after `after` (kNil: at the
+  /// front) if absent.  `after` must be kNil or have a key <= `key`, and
+  /// the bucket following it a key >= `key`.
+  std::uint32_t bucket_after(std::uint32_t after, std::uint64_t key);
+  void push_back(std::uint32_t bucket, std::uint32_t video);
+  /// Removes a resident entry, releasing its bucket if that empties it.
+  void unlink(std::uint32_t video);
+  [[nodiscard]] std::uint64_t key(std::uint32_t video) const {
+    return policy_ == CacheEvictionPolicy::kLfu ? freq_[video] : 1;
+  }
 
   CacheEvictionPolicy policy_;
   double capacity_bytes_ = 0.0;
   std::vector<double> entry_bytes_;
-  std::vector<std::uint8_t> resident_;
-  std::vector<std::uint64_t> freq_;        ///< touches since insertion
-  std::vector<std::uint64_t> last_touch_;  ///< access tick of last touch
-  std::uint64_t tick_ = 0;                 ///< monotone access counter
+  std::vector<std::uint64_t> freq_;       ///< touches since insertion
+  std::vector<std::uint32_t> bucket_of_;  ///< kNil when not resident
+  std::vector<std::uint32_t> prev_;       ///< older entry in the bucket
+  std::vector<std::uint32_t> next_;       ///< newer entry in the bucket
+  std::vector<Bucket> buckets_;
+  std::vector<std::uint32_t> free_buckets_;
+  std::uint32_t first_bucket_ = kNil;  ///< smallest key: holds the victim
   CacheTierStats stats_;
 };
 

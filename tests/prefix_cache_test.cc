@@ -1,7 +1,9 @@
 // Contracts of the edge-prefix-cache tier (DESIGN.md §9):
 //
 //   * PrefixCache is deterministic — scripted access sequences produce
-//     exact residency, eviction, and counter traces for both LRU and LFU;
+//     exact residency, eviction, and counter traces for both LRU and LFU,
+//     and random sequences match the O(M) victim scan it replaced after
+//     every operation, used bytes bit-equal;
 //   * a zero-capacity PrefixCachePolicy replays ReplicatedPolicy
 //     decision-for-decision over random worlds, every counter (typed
 //     rejection reasons included) and float bit-identical, and exposes no
@@ -12,7 +14,10 @@
 //     sums to the rejected total.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -24,6 +29,7 @@
 #include "src/util/rng.h"
 #include "src/util/units.h"
 #include "src/workload/popularity.h"
+#include "src/workload/sampler.h"
 #include "src/workload/trace.h"
 
 namespace vodrep {
@@ -97,6 +103,181 @@ TEST(PrefixCacheTest, OversizedEntryIsNeverAdmitted) {
   EXPECT_EQ(cache.stats().evictions, 0u);
   EXPECT_EQ(cache.stats().insertions, 1u);
   EXPECT_EQ(cache.used_bytes(), 100.0);
+}
+
+/// The O(M) victim scan PrefixCache used before its eviction-order lists,
+/// kept verbatim as the oracle for the differential test below.
+class ScanCache {
+ public:
+  ScanCache(CacheEvictionPolicy policy, double capacity_bytes,
+            std::vector<double> entry_bytes)
+      : policy_(policy),
+        capacity_bytes_(capacity_bytes),
+        entry_bytes_(std::move(entry_bytes)),
+        resident_(entry_bytes_.size(), 0),
+        freq_(entry_bytes_.size(), 0),
+        last_touch_(entry_bytes_.size(), 0) {}
+
+  bool lookup(std::size_t video) {
+    ++tick_;
+    if (resident_[video] != 0) {
+      ++freq_[video];
+      last_touch_[video] = tick_;
+      ++stats_.hits;
+      return true;
+    }
+    ++stats_.misses;
+    return false;
+  }
+
+  void insert(std::size_t video) {
+    if (resident_[video] != 0) return;
+    const double bytes = entry_bytes_[video];
+    if (bytes > capacity_bytes_) return;
+    while (stats_.used_bytes + bytes > capacity_bytes_) {
+      const std::size_t victim = pick_victim();
+      if (victim == resident_.size()) {
+        stats_.used_bytes = 0.0;
+        break;
+      }
+      resident_[victim] = 0;
+      stats_.used_bytes -= entry_bytes_[victim];
+      ++stats_.evictions;
+    }
+    ++tick_;
+    resident_[video] = 1;
+    freq_[video] = 1;
+    last_touch_[video] = tick_;
+    stats_.used_bytes += bytes;
+    ++stats_.insertions;
+  }
+
+  bool resident(std::size_t video) const { return resident_[video] != 0; }
+  const CacheTierStats& stats() const { return stats_; }
+
+ private:
+  std::size_t pick_victim() const {
+    std::size_t victim = resident_.size();
+    for (std::size_t i = 0; i < resident_.size(); ++i) {
+      if (resident_[i] == 0) continue;
+      if (victim == resident_.size()) {
+        victim = i;
+        continue;
+      }
+      if (policy_ == CacheEvictionPolicy::kLru) {
+        if (last_touch_[i] < last_touch_[victim]) victim = i;
+      } else {
+        if (freq_[i] < freq_[victim] ||
+            (freq_[i] == freq_[victim] &&
+             last_touch_[i] < last_touch_[victim])) {
+          victim = i;
+        }
+      }
+    }
+    return victim;
+  }
+
+  CacheEvictionPolicy policy_;
+  double capacity_bytes_;
+  std::vector<double> entry_bytes_;
+  std::vector<std::uint8_t> resident_;
+  std::vector<std::uint64_t> freq_;
+  std::vector<std::uint64_t> last_touch_;
+  std::uint64_t tick_ = 0;
+  CacheTierStats stats_;
+};
+
+std::uint64_t bits(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+void expect_same_state(const PrefixCache& actual, const ScanCache& expected,
+                       std::size_t num_videos) {
+  for (std::size_t v = 0; v < num_videos; ++v) {
+    ASSERT_EQ(actual.resident(v), expected.resident(v)) << "video " << v;
+  }
+  const CacheTierStats& a = actual.stats();
+  const CacheTierStats& e = expected.stats();
+  ASSERT_EQ(a.hits, e.hits);
+  ASSERT_EQ(a.misses, e.misses);
+  ASSERT_EQ(a.evictions, e.evictions);
+  ASSERT_EQ(a.insertions, e.insertions);
+  ASSERT_EQ(bits(a.used_bytes), bits(e.used_bytes));
+  ASSERT_EQ(bits(actual.used_bytes()), bits(e.used_bytes));
+}
+
+TEST(PrefixCacheTest, MatchesScanOracleOnRandomSequences) {
+  Rng rng(0xCAC4E);
+  std::uint64_t evictions = 0;
+  std::uint64_t oversized = 0;
+  std::uint64_t top_frequency_run = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto policy = trial % 2 == 0 ? CacheEvictionPolicy::kLru
+                                       : CacheEvictionPolicy::kLfu;
+    const std::size_t m = 1 + rng.uniform_index(120);
+    // Mixed sizes with awkward binary fractions, so eviction leaves rounding
+    // residue in used_bytes.
+    std::vector<double> entry_bytes(m);
+    double catalogue = 0.0;
+    for (double& bytes : entry_bytes) {
+      bytes = rng.uniform(0.1, 100.0);
+      catalogue += bytes;
+    }
+    // From about one entry up to most of the catalogue.
+    const double capacity =
+        rng.bernoulli(0.2) ? rng.uniform(0.1, 100.0)
+                           : rng.uniform(0.05, 0.9) * catalogue;
+    // Some entries can never fit.
+    for (double& bytes : entry_bytes) {
+      if (rng.bernoulli(0.05)) bytes = capacity * rng.uniform(1.0001, 3.0);
+    }
+    SCOPED_TRACE(testing::Message()
+                 << "trial " << trial << " M=" << m << " capacity=" << capacity
+                 << (policy == CacheEvictionPolicy::kLru ? " LRU" : " LFU"));
+
+    PrefixCache actual(policy, capacity, entry_bytes);
+    ScanCache expected(policy, capacity, entry_bytes);
+    const auto popularity = zipf_popularity(m, rng.uniform(0.0, 1.2));
+    const DiscreteSampler sampler(popularity);
+    const std::size_t ops = 200 + rng.uniform_index(1200);
+    for (std::size_t op = 0; op < ops; ++op) {
+      const std::size_t video = sampler.sample(rng);
+      if (rng.bernoulli(0.02)) {
+        // A long run of hits on one entry drives its frequency far above
+        // the rest.
+        const std::size_t run = 20 + rng.uniform_index(300);
+        for (std::size_t k = 0; k < run; ++k) {
+          ASSERT_EQ(actual.lookup(video), expected.lookup(video));
+        }
+        if (expected.resident(video)) {
+          top_frequency_run = std::max<std::uint64_t>(top_frequency_run, run);
+        }
+      } else if (rng.bernoulli(0.05)) {
+        // An insert without a preceding lookup, possibly of a resident entry.
+        actual.insert(video);
+        expected.insert(video);
+      } else {
+        // The policy's own pattern: lookup, then insert on a miss.
+        const bool hit = expected.lookup(video);
+        ASSERT_EQ(actual.lookup(video), hit);
+        if (!hit) {
+          actual.insert(video);
+          expected.insert(video);
+        }
+      }
+      expect_same_state(actual, expected, m);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    evictions += expected.stats().evictions;
+    for (std::size_t v = 0; v < m; ++v) {
+      if (entry_bytes[v] > capacity) ++oversized;
+    }
+  }
+  EXPECT_GT(evictions, 10000u);
+  EXPECT_GT(oversized, 0u);
+  EXPECT_GT(top_frequency_run, 100u);
 }
 
 struct World {

@@ -3,13 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <deque>
+#include <limits>
 #include <map>
 #include <set>
 
 #include "src/core/adams_replication.h"
 #include "src/core/bounds.h"
+#include "src/core/classification_replication.h"
 #include "src/core/objective.h"
 #include "src/core/round_robin_placement.h"
+#include "src/core/uniform_replication.h"
 #include "src/core/zipf_interval_replication.h"
 #include "src/util/error.h"
 #include "src/util/rng.h"
@@ -168,6 +174,241 @@ TEST(SlfPlacement, DeterministicAcrossCalls) {
   const Layout a = slf.place(plan, popularity, 8, 10);
   const Layout b = slf.place(plan, popularity, 8, 10);
   EXPECT_EQ(a.assignment, b.assignment);
+}
+
+// ---------------------------------------------------------------------------
+// Differential tier: the per-round server order against the O(N) scan per
+// replica it replaced, kept here verbatim as the oracle.
+
+using Step = SmallestLoadFirstPlacement::Step;
+
+Layout scan_slf(const ReplicationPlan& plan,
+                const std::vector<double>& popularity,
+                std::size_t num_servers, std::size_t capacity_per_server,
+                std::vector<Step>* steps) {
+  struct PendingReplica {
+    std::size_t video;
+    double weight;
+  };
+  check_placement_inputs(plan, popularity, num_servers, capacity_per_server);
+
+  const std::vector<double> weights = plan.weights(popularity);
+  Layout layout;
+  layout.assignment.resize(plan.replicas.size());
+
+  std::deque<PendingReplica> pending;
+  for (std::size_t video : videos_by_weight(plan, popularity)) {
+    for (std::size_t k = 0; k < plan.replicas[video]; ++k) {
+      pending.push_back(PendingReplica{video, weights[video]});
+    }
+  }
+
+  std::vector<double> loads(num_servers, 0.0);
+  std::vector<std::size_t> stored(num_servers, 0);
+
+  auto hosts = [&](std::size_t server, std::size_t video) {
+    const auto& servers = layout.assignment[video];
+    return std::find(servers.begin(), servers.end(), server) != servers.end();
+  };
+
+  std::size_t round = 0;
+  while (!pending.empty()) {
+    const std::size_t take = std::min<std::size_t>(num_servers, pending.size());
+    std::vector<bool> used_this_round(num_servers, false);
+    std::deque<PendingReplica> deferred;
+    std::size_t placed_this_round = 0;
+
+    for (std::size_t n = 0; n < take; ++n) {
+      const PendingReplica replica = pending.front();
+      pending.pop_front();
+
+      std::size_t best = num_servers;
+      double best_load = std::numeric_limits<double>::infinity();
+      for (std::size_t s = 0; s < num_servers; ++s) {
+        if (used_this_round[s] || stored[s] >= capacity_per_server ||
+            hosts(s, replica.video)) {
+          continue;
+        }
+        if (loads[s] < best_load) {
+          best_load = loads[s];
+          best = s;
+        }
+      }
+      if (best == num_servers) {
+        deferred.push_back(replica);
+        continue;
+      }
+      used_this_round[best] = true;
+      ++stored[best];
+      loads[best] += replica.weight;
+      layout.assignment[replica.video].push_back(best);
+      ++placed_this_round;
+      if (steps != nullptr) {
+        steps->push_back(
+            Step{replica.video, best, replica.weight, loads[best], round});
+      }
+    }
+
+    if (placed_this_round == 0) {
+      throw InfeasibleError(
+          "slf placement: no feasible server for the remaining replicas");
+    }
+    for (auto it = deferred.rbegin(); it != deferred.rend(); ++it) {
+      pending.push_front(*it);
+    }
+    ++round;
+  }
+  return layout;
+}
+
+struct Outcome {
+  bool infeasible = false;
+  Layout layout;
+  std::vector<Step> steps;
+};
+
+template <typename Place>
+Outcome run_placement(Place place) {
+  Outcome outcome;
+  try {
+    outcome.layout = place(&outcome.steps);
+  } catch (const InfeasibleError&) {
+    outcome.infeasible = true;
+    outcome.steps.clear();
+  }
+  return outcome;
+}
+
+std::uint64_t bits(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+/// Places with both sides and expects identical layouts, identical step
+/// streams (floats bit-equal) and identical InfeasibleError verdicts.
+/// Returns the oracle's run.
+Outcome expect_same_as_scan(const ReplicationPlan& plan,
+                            const std::vector<double>& popularity,
+                            std::size_t num_servers, std::size_t capacity) {
+  const SmallestLoadFirstPlacement slf;
+  Outcome expected = run_placement([&](std::vector<Step>* steps) {
+    return scan_slf(plan, popularity, num_servers, capacity, steps);
+  });
+  const Outcome actual = run_placement([&](std::vector<Step>* steps) {
+    return slf.place_traced(plan, popularity, num_servers, capacity, steps);
+  });
+  EXPECT_EQ(actual.infeasible, expected.infeasible);
+  EXPECT_EQ(actual.layout.assignment, expected.layout.assignment);
+  EXPECT_EQ(actual.steps.size(), expected.steps.size());
+  for (std::size_t k = 0;
+       k < std::min(actual.steps.size(), expected.steps.size()); ++k) {
+    const Step& a = actual.steps[k];
+    const Step& e = expected.steps[k];
+    const bool same = a.video == e.video && a.server == e.server &&
+                      bits(a.weight) == bits(e.weight) &&
+                      bits(a.server_load_after) == bits(e.server_load_after) &&
+                      a.round == e.round;
+    EXPECT_TRUE(same) << "step " << k << ": video " << a.video << "/"
+                      << e.video << " server " << a.server << "/" << e.server
+                      << " round " << a.round << "/" << e.round;
+    if (!same) break;
+  }
+  if (!expected.infeasible) {
+    EXPECT_EQ(slf.place(plan, popularity, num_servers, capacity).assignment,
+              expected.layout.assignment);
+  }
+  return expected;
+}
+
+/// True when some round other than the last placed fewer than N replicas,
+/// i.e. the distinctness rule deferred a replica to the next round.
+bool deferred_a_replica(const std::vector<Step>& steps,
+                        std::size_t num_servers) {
+  std::vector<std::size_t> per_round;
+  for (const Step& step : steps) {
+    per_round.resize(step.round + 1, 0);
+    ++per_round[step.round];
+  }
+  for (std::size_t r = 0; r + 1 < per_round.size(); ++r) {
+    if (per_round[r] < num_servers) return true;
+  }
+  return false;
+}
+
+TEST(SlfPlacementDifferential, MatchesScanOnRandomWorlds) {
+  const AdamsReplication adams;
+  const ZipfIntervalReplication zipf;
+  const ClassificationReplication classification;
+  const UniformReplication uniform;
+  const ReplicationPolicy* policies[] = {&adams, &zipf, &classification,
+                                         &uniform};
+  Rng rng(0x51F0);
+  std::size_t worlds = 0;
+  std::size_t infeasible = 0;
+  std::size_t deferring = 0;
+  std::size_t full_replication = 0;
+  for (int trial = 0; trial < 2400; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(24);
+    // One world in four is small and adversarial: M within 2 of N, so the
+    // distinctness rule keeps blocking the least-loaded server.
+    const bool adversarial = trial % 4 == 3;
+    std::size_t m = 1 + rng.uniform_index(200);
+    if (adversarial) m = std::max<std::size_t>(n + rng.uniform_index(5), 3) - 2;
+    // Uniform popularity makes every load tie.
+    const double theta = rng.bernoulli(0.25) ? 0.0 : rng.uniform(0.0, 1.2);
+    const auto popularity = zipf_popularity(m, theta);
+
+    ReplicationPlan plan;
+    if (adversarial && rng.bernoulli(0.5)) {
+      // Hand-made counts, about a third of the videos at r_i = N.
+      plan.replicas.resize(m);
+      for (std::size_t& r : plan.replicas) {
+        r = rng.bernoulli(0.33) ? n : 1 + rng.uniform_index(n);
+      }
+    } else {
+      const std::size_t budget = m + rng.uniform_index(m * (n - 1) + 1);
+      try {
+        plan = policies[trial % 4]->replicate(popularity, n, budget);
+      } catch (const InvalidArgumentError&) {
+        continue;
+      } catch (const InfeasibleError&) {
+        continue;
+      }
+    }
+    // ceil(R/N) + {0, 1, 2} leaves little slack; ceil(R/N) - 1 must throw
+    // InfeasibleError on both sides.
+    const std::size_t total = plan.total_replicas();
+    const std::size_t capacity = (total + n - 1) / n + rng.uniform_index(4) - 1;
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " M=" << m
+                                    << " N=" << n << " R=" << total
+                                    << " C=" << capacity);
+    ++worlds;
+    const Outcome expected = expect_same_as_scan(plan, popularity, n, capacity);
+    if (testing::Test::HasFailure()) return;
+    if (expected.infeasible) ++infeasible;
+    if (deferred_a_replica(expected.steps, n)) ++deferring;
+    if (std::find(plan.replicas.begin(), plan.replicas.end(), n) !=
+        plan.replicas.end()) {
+      ++full_replication;
+    }
+  }
+  EXPECT_GE(worlds, 2000u);
+  EXPECT_GT(infeasible, 0u);
+  EXPECT_GT(full_replication, 0u);
+  // The oracle never deferred a replica: with r_i <= N and the storage
+  // pre-check, every full round places one replica on every server.
+  // SmallestLoadFirstPlacement relies on this and has no deferral queue.
+  EXPECT_EQ(deferring, 0u);
+}
+
+TEST(SlfPlacementDifferential, MatchesScanAtCatalogueScale) {
+  const std::size_t m = 100000;
+  const std::size_t n = 256;
+  const auto popularity = zipf_popularity(m, 0.75);
+  const auto plan = AdamsReplication().replicate(popularity, n, m * 6 / 5);
+  const std::size_t capacity = (plan.total_replicas() + n - 1) / n;
+  EXPECT_FALSE(expect_same_as_scan(plan, popularity, n, capacity).infeasible);
 }
 
 }  // namespace
