@@ -18,7 +18,8 @@
 #include "src/core/striping.h"
 #include "src/exp/runner.h"
 #include "src/exp/scenario.h"
-#include "src/sim/striped_simulator.h"
+#include "src/sim/sharded_engine.h"
+#include "src/sim/striped_policy.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -84,9 +85,8 @@ int main(int argc, char** argv) {
         Rng rng(runner.base_seed ^ (0x9e3779b97f4a7c15ULL * (run + 1)));
         const RequestTrace trace =
             generate_trace(rng, scenario.trace_spec(rate));
-        SimEngine engine(config);
-        StripedPolicy policy(wide, config);
-        sim_wide.add(engine.run(policy, trace).rejection_rate());
+        sim_wide.add(
+            simulate(StripedPolicy(wide, config), trace).rejection_rate());
       }
       const CellStats sim_replica =
           run_cell(replica_layout, config, scenario.trace_spec(rate), runner);

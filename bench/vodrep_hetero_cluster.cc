@@ -12,7 +12,8 @@
 #include "src/core/pipeline.h"
 #include "src/hetero/hetero_cluster.h"
 #include "src/hetero/hetero_placement.h"
-#include "src/sim/simulator.h"
+#include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -103,9 +104,7 @@ int main(int argc, char** argv) {
         spec.popularity = popularity;
         const RequestTrace trace = generate_trace(rng, spec);
         auto replay = [&](const Layout& layout) {
-          SimEngine engine(config);
-          ReplicatedPolicy policy(layout, config);
-          return engine.run(policy, trace);
+          return simulate(ReplicatedPolicy(layout, config), trace);
         };
         const SimResult rb = replay(blind);
         const SimResult rw = replay(weighted);

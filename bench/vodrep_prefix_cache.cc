@@ -9,7 +9,7 @@
 //       prefix (LRU and LFU eviction are both measured).
 //
 // Both configurations replay the same Poisson/Zipf traces through the
-// unified SimEngine; every layout passes a LayoutAuditor check before it is
+// same simulate(); every layout passes a LayoutAuditor check before it is
 // simulated, and every run's rejected_by_reason breakdown is asserted to
 // sum exactly to its rejected count (the cache path adds the
 // cache_miss_origin_busy reason).  The last stdout line is a JSON record
@@ -27,6 +27,7 @@
 #include "src/obs/json_lite.h"
 #include "src/sim/prefix_cache_policy.h"
 #include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
 #include "src/util/cli.h"
 #include "src/util/error.h"
 #include "src/util/rng.h"
@@ -142,18 +143,16 @@ int main(int argc, char** argv) {
         const RequestTrace trace =
             generate_trace(rng, scenario.trace_spec(rate));
 
-        SimEngine full_engine(config);
-        ReplicatedPolicy full_policy(full_layout, config);
-        const SimResult full = full_engine.run(full_policy, trace);
+        const SimResult full =
+            simulate(ReplicatedPolicy(full_layout, config), trace);
         require_reasons_reconcile(full);
 
         SimResult cached[2];
         const PrefixCacheOptions* options[2] = {&lru_options, &lfu_options};
         for (int which = 0; which < 2; ++which) {
-          SimEngine engine(config);
           PrefixCachePolicy policy(origin_layout, config, *options[which]);
           const auto start = std::chrono::steady_clock::now();
-          cached[which] = engine.run(policy, trace);
+          cached[which] = simulate(policy, trace);
           const auto stop = std::chrono::steady_clock::now();
           cache_seconds +=
               std::chrono::duration<double>(stop - start).count();

@@ -38,8 +38,8 @@
 #include "src/core/pipeline.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/sim/replicated_policy.h"
 #include "src/sim/sharded_engine.h"
-#include "src/sim/simulator.h"
 #include "src/util/cli.h"
 #include "src/util/error.h"
 #include "src/util/stats.h"
@@ -344,8 +344,15 @@ int main(int argc, char** argv) {
 
     const RunStats seed_stats = time_replays(
         [&] { return seed_simulate(layout, config, trace); }, reps);
-    const RunStats engine_stats = time_replays(
-        [&] { return simulate(layout, config, trace); }, reps);
+    // The engine is driven directly, exactly as the no-obs copy below, so
+    // the overhead guard compares the same construction and call sequence
+    // and prices only the hooks.
+    const auto engine_replay = [&] {
+      SimEngine engine(config);
+      ReplicatedPolicy policy(layout, config);
+      return engine.run(policy, trace);
+    };
+    const RunStats engine_stats = time_replays(engine_replay, reps);
     require_same(seed_stats.result, engine_stats.result);
     const double speedup =
         engine_stats.events_per_sec / seed_stats.events_per_sec;
@@ -391,8 +398,7 @@ int main(int argc, char** argv) {
                                           min_total_sec, max_reps));
       obs_off_eps = std::max(
           obs_off_eps,
-          best_events_per_sec([&] { return simulate(layout, config, trace); },
-                              min_total_sec, max_reps));
+          best_events_per_sec(engine_replay, min_total_sec, max_reps));
       if (obs_off_eps >= 0.97 * noobs_eps) break;
     }
     {
@@ -411,7 +417,7 @@ int main(int argc, char** argv) {
               << (guard_pass ? "PASS" : "FAIL") << "\n\n";
 
     // --- shards axis: sharded engine events/sec vs shard count S ----------
-    // Each point replays the identical trace through simulate_sharded and
+    // Each point replays the identical trace through simulate() and
     // requires the merged result equal to the monolithic engine's before it
     // counts — the scaling curve is only worth recording if the sharded
     // replay is still the same simulation.  hardware_threads says how much
@@ -434,11 +440,14 @@ int main(int argc, char** argv) {
     shard_table.set_precision(3);
     for (const std::size_t num_shards : shard_counts) {
       ThreadPool shard_pool(num_shards);
-      ShardedSimOptions shard_options;
+      SimOptions shard_options;
       shard_options.num_shards = num_shards;
       shard_options.pool = num_shards > 1 ? &shard_pool : nullptr;
       const RunStats stats = time_replays(
-          [&] { return simulate_sharded(layout, config, trace, shard_options); },
+          [&] {
+            return simulate(ReplicatedPolicy(layout, config), trace,
+                            shard_options);
+          },
           reps);
       require_same(engine_stats.result, stats.result);
       ShardsPoint point;
@@ -470,11 +479,11 @@ int main(int argc, char** argv) {
     const std::size_t trace_shards =
         std::min<std::size_t>(4, shard_counts.back());
     ThreadPool trace_pool(trace_shards);
-    ShardedSimOptions trace_options;
+    SimOptions trace_options;
     trace_options.num_shards = trace_shards;
     trace_options.pool = trace_shards > 1 ? &trace_pool : nullptr;
     const auto sharded_replay = [&] {
-      return simulate_sharded(layout, config, trace, trace_options);
+      return simulate(ReplicatedPolicy(layout, config), trace, trace_options);
     };
     double trace_off_eps = 0.0;
     double trace_on_eps = 0.0;

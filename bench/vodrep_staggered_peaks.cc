@@ -16,7 +16,8 @@
 #include "src/core/pipeline.h"
 #include "src/exp/scenario.h"
 #include "src/online/provisioner.h"
-#include "src/sim/simulator.h"
+#include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -134,9 +135,7 @@ int main(int argc, char** argv) {
             /*staggered=*/true);
         Rng rng2 = rng.split(1);
         auto replay = [&](const RequestTrace& trace) {
-          SimEngine engine(config);
-          ReplicatedPolicy policy(layout, config);
-          return engine.run(policy, trace);
+          return simulate(ReplicatedPolicy(layout, config), trace);
         };
         aligned_reject.add(
             replay(generate_multiclass_trace(rng, aligned)).rejection_rate());

@@ -17,8 +17,10 @@
 #include "src/core/pipeline.h"
 #include "src/core/striping.h"
 #include "src/exp/scenario.h"
-#include "src/sim/hybrid_simulator.h"
-#include "src/sim/striped_simulator.h"
+#include "src/sim/hybrid_policy.h"
+#include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
+#include "src/sim/striped_policy.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -126,37 +128,27 @@ int main(int argc, char** argv) {
       Table table(std::move(headers));
       table.set_precision(2);
       for (double rate : arrival_rate_sweep(scenario, points, 0.2, 1.1)) {
-        // All five organizations replay through the same SimEngine; only
+        // All five organizations replay through the same simulate(); only
         // the StoragePolicy differs.
         const SweepPoint k8 = run_config(
             scenario, rate, runs, seed, [&](const RequestTrace& t) {
-              SimEngine engine(base);
-              StripedPolicy policy(wide, base);
-              return engine.run(policy, t);
+              return simulate(StripedPolicy(wide, base), t);
             });
         const SweepPoint k4 = run_config(
             scenario, rate, runs, seed, [&](const RequestTrace& t) {
-              SimEngine engine(base);
-              StripedPolicy policy(narrow4, base);
-              return engine.run(policy, t);
+              return simulate(StripedPolicy(narrow4, base), t);
             });
         const SweepPoint k2 = run_config(
             scenario, rate, runs, seed, [&](const RequestTrace& t) {
-              SimEngine engine(base);
-              StripedPolicy policy(narrow2, base);
-              return engine.run(policy, t);
+              return simulate(StripedPolicy(narrow2, base), t);
             });
         const SweepPoint hyb = run_config(
             scenario, rate, runs, seed, [&](const RequestTrace& t) {
-              SimEngine engine(base);
-              HybridPolicy policy(hybrid, base);
-              return engine.run(policy, t);
+              return simulate(HybridPolicy(hybrid, base), t);
             });
         const SweepPoint rep = run_config(
             scenario, rate, runs, seed, [&](const RequestTrace& t) {
-              SimEngine engine(base);
-              ReplicatedPolicy policy(replica_layout, base);
-              return engine.run(policy, t);
+              return simulate(ReplicatedPolicy(replica_layout, base), t);
             });
         std::vector<Table::Cell> row{rate, 100.0 * k8.reject.mean(),
                                      100.0 * k4.reject.mean(),

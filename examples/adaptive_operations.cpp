@@ -10,7 +10,8 @@
 #include <iostream>
 
 #include "src/online/controller.h"
-#include "src/sim/simulator.h"
+#include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
 #include "src/util/rng.h"
 #include "src/util/table.h"
 #include "src/util/units.h"
@@ -57,9 +58,8 @@ int main() {
       const RequestTrace trace = generate_trace(rng, spec);
 
       // Serve today's peak on the currently deployed layout.
-      SimEngine engine(sim);
-      ReplicatedPolicy policy(controller.layout(), sim);
-      const SimResult result = engine.run(policy, trace);
+      const SimResult result =
+          simulate(ReplicatedPolicy(controller.layout(), sim), trace);
 
       // Close the loop: learn, decide, and (maybe) migrate overnight.
       controller.observe_epoch(trace.video_counts(kVideos));

@@ -13,6 +13,8 @@
 
 #include "src/core/pipeline.h"
 #include "src/exp/scenario.h"
+#include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
 #include "src/util/table.h"
@@ -67,9 +69,7 @@ int main(int argc, char** argv) {
     Table table({"config", "backbone_Gbps", "reject%", "redirected%"});
     table.set_precision(2);
     auto replay = [&](const SimConfig& config) {
-      SimEngine engine(config);
-      ReplicatedPolicy policy(layout, config);
-      return engine.run(policy, trace);
+      return simulate(ReplicatedPolicy(layout, config), trace);
     };
     {
       const SimResult base = replay(scenario.sim_config());

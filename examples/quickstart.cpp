@@ -11,6 +11,8 @@
 #include "src/core/objective.h"
 #include "src/core/pipeline.h"
 #include "src/exp/scenario.h"
+#include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
 #include "src/util/rng.h"
 #include "src/workload/trace.h"
 
@@ -41,12 +43,11 @@ int main() {
     std::cout << "generated " << trace.size()
               << " requests over 90 minutes\n";
 
-    // 4. Replay through the engine and report.  `ReplicatedPolicy` is the
-    //    paper's whole-replica organization; striped and hybrid policies
-    //    plug into the same engine.
-    SimEngine engine(scenario.sim_config());
-    ReplicatedPolicy policy(provisioned.layout, scenario.sim_config());
-    const SimResult result = engine.run(policy, trace);
+    // 4. Replay through the simulator and report.  `ReplicatedPolicy` is
+    //    the paper's whole-replica organization; striped and hybrid
+    //    policies plug into the same simulate() call.
+    const SimResult result = simulate(
+        ReplicatedPolicy(provisioned.layout, scenario.sim_config()), trace);
     std::cout << "rejection rate: " << 100.0 * result.rejection_rate()
               << " %\n"
               << "time-averaged load imbalance (Eq. 2): "

@@ -8,6 +8,8 @@
 #include "src/obs/metrics.h"
 #include "src/obs/timeseries.h"
 #include "src/obs/trace.h"
+#include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
 #include "src/util/error.h"
 #include "src/util/rng.h"
 #include "src/workload/trace.h"
@@ -35,10 +37,10 @@ CellStats run_cell(const Layout& layout, const SimConfig& config,
   auto one_run = [&](std::size_t run) {
     Rng rng(options.base_seed ^ (0x9e3779b97f4a7c15ULL * (run + 1)));
     const RequestTrace trace = generate_trace(rng, spec);
-    SimEngine engine(config);
-    ReplicatedPolicy policy(layout, config);
-    if (run == 0 && timeline != nullptr) engine.attach_timeline(timeline.get());
-    results[run] = engine.run(policy, trace);
+    SimOptions sim_options;
+    if (run == 0) sim_options.timeline = timeline.get();
+    results[run] =
+        simulate(ReplicatedPolicy(layout, config), trace, sim_options);
   };
 
   if (pool != nullptr) {

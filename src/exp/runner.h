@@ -15,7 +15,7 @@
 #include "src/core/layout.h"
 #include "src/exp/scenario.h"
 #include "src/obs/timeseries.h"
-#include "src/sim/simulator.h"
+#include "src/sim/engine.h"
 #include "src/util/stats.h"
 #include "src/util/thread_pool.h"
 

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "src/core/model.h"
-#include "src/sim/simulator.h"
+#include "src/sim/engine.h"
 #include "src/workload/trace.h"
 
 namespace vodrep {

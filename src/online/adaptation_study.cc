@@ -5,7 +5,8 @@
 #include "src/core/pipeline.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/sim/simulator.h"
+#include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
 #include "src/util/rng.h"
 #include "src/util/units.h"
 #include "src/workload/popularity.h"
@@ -79,14 +80,13 @@ Table run_adaptation_study(const AdaptationStudyConfig& config,
     // into the study timeline: epoch e lands at global times
     // [e*duration, (e+1)*duration) via the collector's time offset.
     auto replay = [&](const Layout& layout, bool on_timeline) {
-      SimEngine engine(sim);
-      ReplicatedPolicy policy(layout, sim);
+      SimOptions options;
       if (on_timeline && timeline != nullptr) {
         timeline->set_time_offset(static_cast<double>(epoch) *
                                   config.duration_sec);
-        engine.attach_timeline(timeline);
+        options.timeline = timeline;
       }
-      return engine.run(policy, trace);
+      return simulate(ReplicatedPolicy(layout, sim), trace, options);
     };
     const SimResult static_result = replay(static_layout, false);
     const SimResult adaptive_result = replay(controller.layout(), true);

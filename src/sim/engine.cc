@@ -107,6 +107,12 @@ SimResult SimEngine::run(StoragePolicy& policy, const RequestTrace& trace) {
   return out;
 }
 
+void SimEngine::attach_timeline(obs::TimeseriesCollector* timeline) {
+  require(timeline == nullptr || timeline->num_servers() == servers_.size(),
+          "SimEngine: timeline collector sized for a different server count");
+  timeline_ = timeline;
+}
+
 void SimEngine::begin_stepping(StoragePolicy& policy) {
   require(!ran_, "SimEngine: one engine instance replays one trace");
   ran_ = true;

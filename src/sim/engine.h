@@ -26,11 +26,16 @@
 // Policies MUST route every bandwidth mutation through the engine's
 // admit/release/fail so the incremental state stays consistent; the engine
 // exposes servers() read-only.
+//
+// Callers replay a trace through simulate() (src/sim/sharded_engine.h),
+// which builds the engine from the policy's own SimConfig and, at more
+// than one shard, asks the policy for its partition (StoragePolicy::shard).
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/obs/event_log.h"
@@ -38,6 +43,7 @@
 #include "src/sim/dispatcher.h"  // RedirectMode / BatchingMode
 #include "src/sim/event_heap.h"
 #include "src/sim/server.h"
+#include "src/sim/shard_plan.h"
 #include "src/util/stats.h"
 #include "src/workload/trace.h"
 
@@ -273,10 +279,10 @@ class SimEngine {
   /// Attaches a fixed-interval load-timeline collector / per-request event
   /// log for the run.  Both are optional and borrowed (must outlive run());
   /// when absent the hot path pays one pointer test per event.  Attach
-  /// before run().
-  void attach_timeline(obs::TimeseriesCollector* timeline) {
-    timeline_ = timeline;
-  }
+  /// before run().  The collector must be built for this engine's server
+  /// count (InvalidArgumentError otherwise): every sample copies all N
+  /// utilizations into it.
+  void attach_timeline(obs::TimeseriesCollector* timeline);
   void attach_event_log(obs::EventLog* event_log) { event_log_ = event_log; }
 
   /// Attaches a per-run load-segment log: integrate_to appends one
@@ -353,17 +359,24 @@ class SimEngine {
   SimResult result_;
 };
 
+struct PolicyShards;
+
 /// How one storage organization maps requests to bandwidth reservations.
 /// Implementations keep per-stream records, reserve and free bandwidth only
 /// through the engine, and schedule/cancel departures for the streams they
-/// open.  See DESIGN.md ("Simulation engine") for how to add a new
-/// organization.
+/// open.  A new organization is one subclass: the four replay hooks below
+/// plus its shard hook, after which simulate() runs it monolithically or
+/// sharded with no other change (DESIGN.md, "Simulation engine").
 class StoragePolicy {
  public:
-  StoragePolicy() = default;
+  /// The config is copied, so a temporary (e.g. `scenario.sim_config()`)
+  /// is safe to pass; simulate() builds the engine from this copy.
+  explicit StoragePolicy(const SimConfig& config) : config_(config) {}
   StoragePolicy(const StoragePolicy&) = delete;
   StoragePolicy& operator=(const StoragePolicy&) = delete;
   virtual ~StoragePolicy() = default;
+
+  [[nodiscard]] const SimConfig& config() const { return config_; }
 
   /// Called once by SimEngine::run before the replay; the policy keeps the
   /// engine pointer for the duration of the run.
@@ -390,6 +403,26 @@ class StoragePolicy {
   [[nodiscard]] virtual const CacheTierStats* cache_stats() const {
     return nullptr;
   }
+
+  /// The shard hook: partitions `trace` into `num_shards` shards whose
+  /// replays touch disjoint server sets (the closure rules are listed in
+  /// src/sim/shard_plan.h) and returns the plan together with one fresh,
+  /// unbound policy per shard, routed picks installed, ready to replay
+  /// plan.sub_traces[s].  Throws a named InvalidArgumentError when this
+  /// configuration cannot shard.  simulate() calls it once per run at more
+  /// than one shard and never at one.
+  [[nodiscard]] virtual PolicyShards shard(const RequestTrace& trace,
+                                           std::size_t num_shards) const = 0;
+
+ protected:
+  const SimConfig config_;
+};
+
+/// One policy's partition of a trace (StoragePolicy::shard).
+struct PolicyShards {
+  ShardPlan plan;
+  /// policies[s] replays plan.sub_traces[s]; size plan.num_shards.
+  std::vector<std::unique_ptr<StoragePolicy>> policies;
 };
 
 }  // namespace vodrep

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 
+#include "src/sim/replicated_policy.h"
 #include "src/util/check.h"
 #include "src/util/error.h"
 #include "src/util/units.h"
@@ -178,8 +180,9 @@ void PrefixCache::insert(std::size_t video) {
 PrefixCachePolicy::PrefixCachePolicy(const Layout& layout,
                                      const SimConfig& config,
                                      const PrefixCacheOptions& options)
-    : layout_(layout),
-      config_(config),
+    : StoragePolicy(config),
+      layout_(layout),
+      options_(options),
       cache_enabled_(options.capacity_bytes > 0.0),
       prefix_fraction_(
           resolve_fractions(options, layout.assignment.size())),
@@ -290,6 +293,34 @@ std::size_t PrefixCachePolicy::on_crash(std::size_t server) {
   const std::size_t disrupted = engine_->fail(server);
   dispatcher_.on_server_failed(server);
   return disrupted;
+}
+
+PolicyShards PrefixCachePolicy::shard(const RequestTrace& trace,
+                                      std::size_t num_shards) const {
+  PolicyShards out;
+  if (cache_enabled_) {
+    require_shardable_redirect(config_.redirect, num_shards);
+    // A live edge cache couples every video (capacity eviction) and its
+    // residency depends on origin admissions: fuse the whole cluster into
+    // one component.  The padding shards stay idle but the run still takes
+    // the sharded merge path, so invariance holds by construction.
+    const std::size_t n = config_.num_servers;
+    UnionFind uf(n);
+    for (std::size_t s = 1; s < n; ++s) uf.merge(0, s);
+    const std::vector<std::size_t> anchor(layout_.num_videos(), 0);
+    out.plan = component_plan(uf, n, anchor, trace, num_shards);
+  } else {
+    out.plan = holder_shard_plan(layout_, config_, trace, num_shards);
+  }
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    auto policy =
+        std::make_unique<PrefixCachePolicy>(layout_, config_, options_);
+    if (out.plan.is_routed()) {
+      policy->set_routed_picks(out.plan.routed_pick_indices[s]);
+    }
+    out.policies.push_back(std::move(policy));
+  }
+  return out;
 }
 
 }  // namespace vodrep

@@ -139,6 +139,10 @@ class PrefixCachePolicy final : public StoragePolicy {
   void on_departure(std::size_t stream) override;
   std::size_t on_crash(std::size_t server) override;
   [[nodiscard]] const CacheTierStats* cache_stats() const override;
+  /// A live tier fuses every server into one component; a disabled tier
+  /// shards by the replicated rules (holder_shard_plan).
+  [[nodiscard]] PolicyShards shard(const RequestTrace& trace,
+                                   std::size_t num_shards) const override;
 
   /// Routed sub-trace replay (sharded simulation).  Only valid with the
   /// cache tier disabled: with a live cache a prefix hit that ends inside
@@ -163,7 +167,7 @@ class PrefixCachePolicy final : public StoragePolicy {
                                           bool cache_hit) const;
 
   const Layout& layout_;
-  const SimConfig config_;
+  const PrefixCacheOptions options_;
   const bool cache_enabled_;
   std::vector<double> prefix_fraction_;  ///< size M, each in (0, 1]
   Dispatcher dispatcher_;

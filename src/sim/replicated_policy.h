@@ -25,6 +25,9 @@ class ReplicatedPolicy final : public StoragePolicy {
   PolicyDecision dispatch(const Request& request) override;
   void on_departure(std::size_t stream) override;
   std::size_t on_crash(std::size_t server) override;
+  /// Partitions by holder_shard_plan.
+  [[nodiscard]] PolicyShards shard(const RequestTrace& trace,
+                                   std::size_t num_shards) const override;
 
   /// Installs a precomputed holder-pick sequence for a routed sub-trace
   /// replay (sharded simulation; see Dispatcher::set_routed_picks).
@@ -41,10 +44,18 @@ class ReplicatedPolicy final : public StoragePolicy {
   };
 
   const Layout& layout_;
-  const SimConfig config_;
   Dispatcher dispatcher_;
   SimEngine* engine_ = nullptr;
   std::vector<Stream> streams_;
 };
+
+/// The replicated organization's shard rules (src/sim/shard_plan.h), shared
+/// with PrefixCachePolicy's disabled tier: kNone routes per server through
+/// a round-robin pre-pass that records every pick; kOtherHolders co-shards
+/// each video's holders; kBackboneProxy throws at more than one shard.
+[[nodiscard]] ShardPlan holder_shard_plan(const Layout& layout,
+                                          const SimConfig& config,
+                                          const RequestTrace& trace,
+                                          std::size_t num_shards);
 
 }  // namespace vodrep

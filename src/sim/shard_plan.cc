@@ -1,42 +1,13 @@
 #include "src/sim/shard_plan.h"
 
-#include <algorithm>
-
 #include "src/util/error.h"
 
 namespace vodrep {
-namespace {
 
-/// Plain union-find with path halving; merge order is deterministic (the
-/// callers iterate videos and group members in index order).
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    for (std::size_t i = 0; i < n; ++i) parent_[i] = i;
-  }
-
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-
-  void merge(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
-/// Assigns connected components to shards and routes the trace by video.
-/// Components are numbered in order of their smallest server id and placed
-/// greedily on the least-loaded shard (by server count, ties to the lowest
-/// shard id) — deterministic, so the whole plan is a pure function of its
-/// inputs.  `anchor_server_of_video[v]` is any server of v's component.
 ShardPlan component_plan(UnionFind& uf, std::size_t num_servers,
                          const std::vector<std::size_t>& anchor_server_of_video,
                          const RequestTrace& trace, std::size_t num_shards) {
+  require(num_shards >= 1, "shard plan: need at least one shard");
   ShardPlan plan;
   plan.num_shards = num_shards;
 
@@ -84,130 +55,12 @@ ShardPlan component_plan(UnionFind& uf, std::size_t num_servers,
   return plan;
 }
 
-void require_shardable_redirect(const SimConfig& config,
-                                std::size_t num_shards) {
+void require_shardable_redirect(RedirectMode redirect, std::size_t num_shards) {
   require(num_shards >= 1, "shard plan: need at least one shard");
-  require(config.redirect != RedirectMode::kBackboneProxy || num_shards == 1,
+  require(redirect != RedirectMode::kBackboneProxy || num_shards == 1,
           "sharded simulation: RedirectMode::kBackboneProxy proxies streams "
           "through arbitrary non-holders under a shared backbone budget, "
           "coupling every server — run with --sim-shards 1");
-}
-
-}  // namespace
-
-ShardPlan make_replicated_shard_plan(const Layout& layout,
-                                     const SimConfig& config,
-                                     const RequestTrace& trace,
-                                     std::size_t num_shards) {
-  require_shardable_redirect(config, num_shards);
-  const std::size_t n = config.num_servers;
-
-  if (config.redirect == RedirectMode::kOtherHolders) {
-    // Redirect retries read every holder's live load: co-shard holders.
-    UnionFind uf(n);
-    std::vector<std::size_t> anchor(layout.num_videos(), 0);
-    for (std::size_t v = 0; v < layout.num_videos(); ++v) {
-      const auto& holders = layout.assignment[v];
-      require(!holders.empty(), "shard plan: video has no replica");
-      anchor[v] = holders[0];
-      for (std::size_t k = 1; k < holders.size(); ++k) {
-        uf.merge(holders[0], holders[k]);
-      }
-    }
-    return component_plan(uf, n, anchor, trace, num_shards);
-  }
-
-  // kNone: per-server granularity.  Replay the unconditional round-robin
-  // advance in a sequential pre-pass and route each request to the shard
-  // owning its picked holder, recording the pick for the shard's
-  // dispatcher to replay verbatim.
-  ShardPlan plan;
-  plan.num_shards = num_shards;
-  plan.shard_of_server.resize(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    plan.shard_of_server[s] = static_cast<std::uint32_t>(s % num_shards);
-  }
-  plan.sub_traces.resize(num_shards);
-  for (RequestTrace& sub : plan.sub_traces) sub.horizon = trace.horizon;
-  plan.routed_pick_indices.resize(num_shards);
-  plan.shard_of_request.reserve(trace.size());
-  std::vector<std::size_t> rr(layout.num_videos(), 0);
-  for (const Request& request : trace.requests) {
-    require(request.video < layout.num_videos(),
-            "shard plan: request video out of range");
-    const auto& holders = layout.assignment[request.video];
-    require(!holders.empty(), "shard plan: video has no replica");
-    const std::size_t pick_index = rr[request.video] % holders.size();
-    ++rr[request.video];
-    const std::uint32_t shard = plan.shard_of_server[holders[pick_index]];
-    plan.shard_of_request.push_back(shard);
-    plan.sub_traces[shard].requests.push_back(request);
-    plan.routed_pick_indices[shard].push_back(
-        static_cast<std::uint32_t>(pick_index));
-  }
-  return plan;
-}
-
-ShardPlan make_striped_shard_plan(const StripedLayout& layout,
-                                  const SimConfig& config,
-                                  const RequestTrace& trace,
-                                  std::size_t num_shards) {
-  require(num_shards >= 1, "shard plan: need at least one shard");
-  const std::size_t n = config.num_servers;
-  UnionFind uf(n);
-  std::vector<std::size_t> anchor(layout.groups.size(), 0);
-  for (std::size_t v = 0; v < layout.groups.size(); ++v) {
-    const auto& group = layout.groups[v];
-    require(!group.empty(), "shard plan: empty stripe group");
-    anchor[v] = group[0];
-    for (std::size_t k = 1; k < group.size(); ++k) {
-      uf.merge(group[0], group[k]);
-    }
-  }
-  return component_plan(uf, n, anchor, trace, num_shards);
-}
-
-ShardPlan make_hybrid_shard_plan(const HybridLayout& layout,
-                                 const SimConfig& config,
-                                 const RequestTrace& trace,
-                                 std::size_t num_shards) {
-  require(num_shards >= 1, "shard plan: need at least one shard");
-  const std::size_t n = config.num_servers;
-  UnionFind uf(n);
-  std::vector<std::size_t> anchor(layout.groups.size(), 0);
-  for (std::size_t v = 0; v < layout.groups.size(); ++v) {
-    const auto& copies = layout.groups[v];
-    require(!copies.empty() && !copies[0].empty(),
-            "shard plan: video has no stripe-group copy");
-    anchor[v] = copies[0][0];
-    // The per-video rotation couples every copy: union all members.
-    for (const auto& group : copies) {
-      for (const std::size_t member : group) {
-        uf.merge(anchor[v], member);
-      }
-    }
-  }
-  return component_plan(uf, n, anchor, trace, num_shards);
-}
-
-ShardPlan make_prefix_cache_shard_plan(const Layout& layout,
-                                       const SimConfig& config,
-                                       bool cache_enabled,
-                                       const RequestTrace& trace,
-                                       std::size_t num_shards) {
-  if (!cache_enabled) {
-    return make_replicated_shard_plan(layout, config, trace, num_shards);
-  }
-  require_shardable_redirect(config, num_shards);
-  // A live edge cache couples every video (capacity eviction) and its
-  // residency depends on origin admissions: fuse the whole cluster into
-  // one component.  The padding shards stay idle but the run still takes
-  // the sharded merge path, so invariance holds by construction.
-  const std::size_t n = config.num_servers;
-  UnionFind uf(n);
-  for (std::size_t s = 1; s < n; ++s) uf.merge(0, s);
-  std::vector<std::size_t> anchor(layout.num_videos(), 0);
-  return component_plan(uf, n, anchor, trace, num_shards);
 }
 
 }  // namespace vodrep

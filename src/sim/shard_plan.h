@@ -8,7 +8,8 @@
 // the target servers' state, every counter is a per-shard sum, and the
 // per-server float accumulators see the same operations in the same order.
 //
-// The partitioning rule depends on what a dispatch decision reads:
+// Which servers must share a shard depends on what a dispatch decision
+// reads, so each StoragePolicy owns its rule (StoragePolicy::shard):
 //
 //   * ReplicatedPolicy, RedirectMode::kNone — per-SERVER granularity.  The
 //     dispatcher's round-robin advance is unconditional (it precedes the
@@ -30,9 +31,11 @@
 //     Unshardable: requesting more than one shard throws a named error.
 //   * StripedPolicy / HybridPolicy — a stream reserves bitrate/k on every
 //     stripe-group member atomically, so groups that share a server must be
-//     co-sharded: connected components over stripe-group membership.
-//     (Aligned striping with k | N yields N/k independent components; the
-//     staggered wrap-around layout is one component and stays serial.)
+//     co-sharded: connected components over stripe-group membership (for
+//     hybrid, over every copy of a video: the per-video group rotation
+//     couples them).  Aligned striping with k | N yields N/k independent
+//     components; the staggered wrap-around layout is one component and
+//     stays serial.
 //   * PrefixCachePolicy with a live cache tier — the shared edge cache
 //     couples every video through capacity eviction, and cache residency
 //     depends on origin admissions; all servers fuse into one component
@@ -40,21 +43,21 @@
 //     shards).  With capacity 0 the policy replays ReplicatedPolicy and
 //     shards by its rules.
 //
-// Every shard runs with the full server vector and the full failure
-// schedule; foreign servers simply never see traffic, so their state stays
-// exactly zero and merged sums are exact.  Components are assigned to
-// shards deterministically (greedy least-loaded in discovery order), so the
-// plan — and therefore the merged result — is a pure function of
-// (layout, config, trace, S).
+// This file holds the organization-independent pieces those rules share:
+// the plan itself, a union-find over servers, and the packing of its
+// components onto shards.  Every shard runs with the full server vector and
+// the full failure schedule; foreign servers simply never see traffic, so
+// their state stays exactly zero and merged sums are exact.  Components are
+// assigned to shards deterministically (greedy least-loaded in discovery
+// order), so the plan — and therefore the merged result — is a pure
+// function of (layout, config, trace, S).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "src/core/layout.h"
-#include "src/core/striping.h"
-#include "src/sim/engine.h"
+#include "src/sim/dispatcher.h"  // RedirectMode
 #include "src/workload/trace.h"
 
 namespace vodrep {
@@ -87,33 +90,41 @@ struct ShardPlan {
   [[nodiscard]] bool is_routed() const { return !routed_pick_indices.empty(); }
 };
 
-/// Plan for ReplicatedPolicy.  kNone → per-server granularity with routed
-/// picks; kOtherHolders → holder components; kBackboneProxy → throws for
-/// num_shards > 1 (named error: the backbone couples every server).
-[[nodiscard]] ShardPlan make_replicated_shard_plan(const Layout& layout,
-                                                   const SimConfig& config,
-                                                   const RequestTrace& trace,
-                                                   std::size_t num_shards);
+/// Plain union-find over server ids with path halving.  The merge order is
+/// irrelevant to the plan: component_plan numbers components by their
+/// smallest server id, not by root.
+class UnionFind {
+ public:
+  explicit UnionFind(std::size_t n) : parent_(n) {
+    for (std::size_t i = 0; i < n; ++i) parent_[i] = i;
+  }
 
-/// Plan for StripedPolicy: components over stripe-group membership.
-[[nodiscard]] ShardPlan make_striped_shard_plan(const StripedLayout& layout,
-                                                const SimConfig& config,
-                                                const RequestTrace& trace,
-                                                std::size_t num_shards);
+  std::size_t find(std::size_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];
+      x = parent_[x];
+    }
+    return x;
+  }
 
-/// Plan for HybridPolicy: components over all stripe-group copies (the
-/// per-video group rotation couples every copy of a video).
-[[nodiscard]] ShardPlan make_hybrid_shard_plan(const HybridLayout& layout,
-                                               const SimConfig& config,
-                                               const RequestTrace& trace,
-                                               std::size_t num_shards);
+  void merge(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
 
-/// Plan for PrefixCachePolicy: with a live cache tier every server fuses
-/// into one component; with the tier disabled, ReplicatedPolicy rules.
-[[nodiscard]] ShardPlan make_prefix_cache_shard_plan(const Layout& layout,
-                                                     const SimConfig& config,
-                                                     bool cache_enabled,
-                                                     const RequestTrace& trace,
-                                                     std::size_t num_shards);
+ private:
+  std::vector<std::size_t> parent_;
+};
+
+/// Assigns the connected components of `uf` to shards and routes the trace
+/// by video.  Components are numbered in order of their smallest server id
+/// and placed greedily on the least-loaded shard (by server count, ties to
+/// the lowest shard id).  `anchor_server_of_video[v]` is any server of v's
+/// component.
+[[nodiscard]] ShardPlan component_plan(
+    UnionFind& uf, std::size_t num_servers,
+    const std::vector<std::size_t>& anchor_server_of_video,
+    const RequestTrace& trace, std::size_t num_shards);
+
+/// Throws the named error for RedirectMode::kBackboneProxy at more than one
+/// shard (the shared backbone couples every server), and for zero shards.
+void require_shardable_redirect(RedirectMode redirect, std::size_t num_shards);
 
 }  // namespace vodrep

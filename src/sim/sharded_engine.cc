@@ -2,19 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "src/obs/clock.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profile.h"
 #include "src/obs/trace.h"
-#include "src/sim/hybrid_policy.h"
 #include "src/sim/replicated_policy.h"
-#include "src/sim/striped_policy.h"
 #include "src/util/error.h"
 
 namespace vodrep {
@@ -84,11 +80,6 @@ void merge_load_segments(const std::vector<std::vector<LoadSegment>>& logs,
 
 namespace {
 
-/// Builds one shard's policy (with routed picks installed for routed
-/// plans); called serially during setup.
-using ShardPolicyFactory =
-    std::function<std::unique_ptr<StoragePolicy>(std::size_t)>;
-
 /// Merges the per-shard event logs into the caller's log by walking the
 /// plan's global request order with one cursor per shard.  A shard log
 /// keeps the first `capacity` records of its own sub-trace, so a record it
@@ -107,25 +98,25 @@ void merge_event_logs(const ShardPlan& plan,
   }
 }
 
+/// Replays the policy's partition and merges the shards; `config` is the
+/// caller's policy config (every shard policy carries a copy of it).
 SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
-                      const ShardPlan& plan, const ShardPolicyFactory& factory,
-                      const ShardedSimOptions& options,
-                      obs::TimeseriesCollector* timeline,
-                      obs::EventLog* event_log) {
+                      const PolicyShards& shards, const SimOptions& options) {
   VODREP_TRACE_SCOPE("sim.run_sharded");
+  const ShardPlan& plan = shards.plan;
   const std::size_t num_shards = plan.num_shards;
+  obs::TimeseriesCollector* const timeline = options.timeline;
+  obs::EventLog* const event_log = options.event_log;
 
   // Per-shard replay state.  Every engine gets the full config (all servers,
   // the full failure schedule): foreign servers never see traffic, so their
   // contributions stay exactly zero, while the globally correct failed()
   // flags keep rejection attribution exact.
   std::vector<std::unique_ptr<SimEngine>> engines;
-  std::vector<std::unique_ptr<StoragePolicy>> policies;
   std::vector<std::unique_ptr<obs::TimeseriesCollector>> shard_timelines;
   std::vector<std::unique_ptr<obs::EventLog>> shard_logs;
   std::vector<std::vector<LoadSegment>> segment_logs(num_shards);
   engines.reserve(num_shards);
-  policies.reserve(num_shards);
   {
     // "setup" covers everything up to the first epoch: input validation
     // (is_well_formed is an O(n) trace scan — it must not leak out of the
@@ -133,6 +124,12 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
     // collector plumbing.
     VODREP_PROFILE_PHASE("setup");
     require(trace.is_well_formed(), "run_sharded: malformed trace");
+    require(num_shards == options.num_shards &&
+                plan.sub_traces.size() == num_shards &&
+                shards.policies.size() == num_shards &&
+                plan.shard_of_server.size() == config.num_servers &&
+                plan.shard_of_request.size() == trace.size(),
+            "run_sharded: StoragePolicy::shard returned a malformed plan");
     if (timeline != nullptr) {
       require(timeline->size() == 0 && timeline->downsample_factor() == 1 &&
                   timeline->time_offset() == 0.0,
@@ -143,10 +140,12 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
               "run_sharded: attach a freshly constructed event log");
     }
     for (std::size_t s = 0; s < num_shards; ++s) {
-      engines.push_back(std::make_unique<SimEngine>(config));
-      policies.push_back(factory(s));
+      engines.push_back(
+          std::make_unique<SimEngine>(shards.policies[s]->config()));
       engines[s]->attach_segment_log(&segment_logs[s]);
       if (timeline != nullptr) {
+        // Cloned from the caller's collector, so a collector sized for the
+        // wrong server count fails attach_timeline here as it does at S=1.
         obs::TimeseriesConfig ts_config;
         ts_config.interval_sec = timeline->interval_sec();
         ts_config.max_samples = timeline->max_samples();
@@ -159,7 +158,7 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
             std::make_unique<obs::EventLog>(event_log->capacity()));
         engines[s]->attach_event_log(shard_logs[s].get());
       }
-      engines[s]->begin_stepping(*policies[s]);
+      engines[s]->begin_stepping(*shards.policies[s]);
     }
   }
 
@@ -197,7 +196,7 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
       const std::uint64_t cpu_start =
           account_cpu ? obs::thread_cpu_now_ns() : 0;
       SimEngine& engine = *engines[s];
-      StoragePolicy& policy = *policies[s];
+      StoragePolicy& policy = *shards.policies[s];
       const std::vector<Request>& requests = plan.sub_traces[s].requests;
       std::size_t& cur = next_request[s];
       while (cur < requests.size() &&
@@ -235,7 +234,7 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
   std::vector<SimResult> results;
   results.reserve(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    results.push_back(engines[s]->finish_stepping(*policies[s],
+    results.push_back(engines[s]->finish_stepping(*shards.policies[s],
                                                   trace.horizon));
   }
   out.total_requests = trace.size();
@@ -326,7 +325,7 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
     registry.gauge("sim.mean_imbalance_eq2").set(out.mean_imbalance_eq2);
     registry.gauge("sim.mean_utilization").set(out.mean_utilization());
     bool has_cache = false;
-    for (const auto& policy : policies) {
+    for (const auto& policy : shards.policies) {
       if (policy->cache_stats() != nullptr) has_cache = true;
     }
     if (has_cache) {
@@ -341,7 +340,6 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
   // destruction at return would otherwise land between "finish" closing and
   // the caller's root phase closing, outside every named child.
   engines.clear();
-  policies.clear();
   shard_timelines.clear();
   shard_logs.clear();
   segment_logs.clear();
@@ -350,152 +348,53 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
 
 }  // namespace
 
+SimResult simulate(StoragePolicy& policy, const RequestTrace& trace,
+                   const SimOptions& options) {
+  if (options.num_shards <= 1) {
+    require(options.num_shards == 1, "simulate: need >= 1 shard");
+    SimEngine engine(policy.config());
+    engine.attach_timeline(options.timeline);
+    engine.attach_event_log(options.event_log);
+    return engine.run(policy, trace);
+  }
+  VODREP_PROFILE_PHASE("sim.sharded");
+  // The plan and shard policies are destroyed inside the "teardown" child
+  // phase rather than at scope exit: freeing the sub-trace copies is real,
+  // workload-proportional time that would otherwise land between children
+  // and break the phase forest's >= 95% wall-coverage contract
+  // (tests/report_test.cc).
+  PolicyShards shards;
+  {
+    VODREP_PROFILE_PHASE("plan");
+    shards = policy.shard(trace, options.num_shards);
+  }
+  SimResult out = run_sharded(policy.config(), trace, shards, options);
+  {
+    VODREP_PROFILE_PHASE("teardown");
+    shards = PolicyShards{};
+  }
+  return out;
+}
+
 SimResult simulate_sharded(const Layout& layout, const SimConfig& config,
-                           const RequestTrace& trace,
-                           const ShardedSimOptions& options,
+                           const RequestTrace& trace, const SimOptions& options,
                            obs::TimeseriesCollector* timeline,
                            obs::EventLog* event_log) {
-  if (options.num_shards <= 1) {
-    require(options.num_shards == 1, "simulate_sharded: need >= 1 shard");
-    SimEngine engine(config);
-    if (timeline != nullptr) engine.attach_timeline(timeline);
-    if (event_log != nullptr) engine.attach_event_log(event_log);
-    ReplicatedPolicy policy(layout, config);
-    return engine.run(policy, trace);
-  }
-  VODREP_PROFILE_PHASE("sim.sharded");
-  // The plan is destroyed inside the "teardown" child phase rather than at
-  // scope exit: freeing the sub-trace copies is real, workload-proportional
-  // time that would otherwise land between children and break the phase
-  // forest's >= 95% wall-coverage contract (tests/report_test.cc).
-  ShardPlan plan;
-  {
-    VODREP_PROFILE_PHASE("plan");
-    plan = make_replicated_shard_plan(layout, config, trace, options.num_shards);
-  }
-  const ShardPolicyFactory factory = [&](std::size_t shard) {
-    auto policy = std::make_unique<ReplicatedPolicy>(layout, config);
-    if (plan.is_routed()) {
-      policy->set_routed_picks(plan.routed_pick_indices[shard]);
-    }
-    return std::unique_ptr<StoragePolicy>(std::move(policy));
-  };
-  SimResult out = run_sharded(config, trace, plan, factory, options, timeline,
-                              event_log);
-  {
-    VODREP_PROFILE_PHASE("teardown");
-    plan = ShardPlan{};
-  }
-  return out;
-}
-
-SimResult simulate_sharded_striped(const StripedLayout& layout,
-                                   const SimConfig& config,
-                                   const RequestTrace& trace,
-                                   const ShardedSimOptions& options,
-                                   obs::TimeseriesCollector* timeline,
-                                   obs::EventLog* event_log) {
-  if (options.num_shards <= 1) {
-    require(options.num_shards == 1,
-            "simulate_sharded_striped: need >= 1 shard");
-    SimEngine engine(config);
-    if (timeline != nullptr) engine.attach_timeline(timeline);
-    if (event_log != nullptr) engine.attach_event_log(event_log);
-    StripedPolicy policy(layout, config);
-    return engine.run(policy, trace);
-  }
-  VODREP_PROFILE_PHASE("sim.sharded");
-  ShardPlan plan;
-  {
-    VODREP_PROFILE_PHASE("plan");
-    plan = make_striped_shard_plan(layout, config, trace, options.num_shards);
-  }
-  const ShardPolicyFactory factory = [&](std::size_t) {
-    return std::unique_ptr<StoragePolicy>(
-        std::make_unique<StripedPolicy>(layout, config));
-  };
-  SimResult out = run_sharded(config, trace, plan, factory, options, timeline,
-                              event_log);
-  {
-    VODREP_PROFILE_PHASE("teardown");
-    plan = ShardPlan{};
-  }
-  return out;
-}
-
-SimResult simulate_sharded_hybrid(const HybridLayout& layout,
-                                  const SimConfig& config,
-                                  const RequestTrace& trace,
-                                  const ShardedSimOptions& options,
-                                  obs::TimeseriesCollector* timeline,
-                                  obs::EventLog* event_log) {
-  if (options.num_shards <= 1) {
-    require(options.num_shards == 1,
-            "simulate_sharded_hybrid: need >= 1 shard");
-    SimEngine engine(config);
-    if (timeline != nullptr) engine.attach_timeline(timeline);
-    if (event_log != nullptr) engine.attach_event_log(event_log);
-    HybridPolicy policy(layout, config);
-    return engine.run(policy, trace);
-  }
-  VODREP_PROFILE_PHASE("sim.sharded");
-  ShardPlan plan;
-  {
-    VODREP_PROFILE_PHASE("plan");
-    plan = make_hybrid_shard_plan(layout, config, trace, options.num_shards);
-  }
-  const ShardPolicyFactory factory = [&](std::size_t) {
-    return std::unique_ptr<StoragePolicy>(
-        std::make_unique<HybridPolicy>(layout, config));
-  };
-  SimResult out = run_sharded(config, trace, plan, factory, options, timeline,
-                              event_log);
-  {
-    VODREP_PROFILE_PHASE("teardown");
-    plan = ShardPlan{};
-  }
-  return out;
+  return simulate(ReplicatedPolicy(layout, config), trace,
+                  {options.num_shards, options.merge_epoch_sec, options.pool,
+                   timeline, event_log});
 }
 
 SimResult simulate_sharded_prefix_cache(const Layout& layout,
                                         const SimConfig& config,
                                         const PrefixCacheOptions& cache_options,
                                         const RequestTrace& trace,
-                                        const ShardedSimOptions& options,
+                                        const SimOptions& options,
                                         obs::TimeseriesCollector* timeline,
                                         obs::EventLog* event_log) {
-  if (options.num_shards <= 1) {
-    require(options.num_shards == 1,
-            "simulate_sharded_prefix_cache: need >= 1 shard");
-    SimEngine engine(config);
-    if (timeline != nullptr) engine.attach_timeline(timeline);
-    if (event_log != nullptr) engine.attach_event_log(event_log);
-    PrefixCachePolicy policy(layout, config, cache_options);
-    return engine.run(policy, trace);
-  }
-  const bool cache_enabled = cache_options.capacity_bytes > 0.0;
-  VODREP_PROFILE_PHASE("sim.sharded");
-  ShardPlan plan;
-  {
-    VODREP_PROFILE_PHASE("plan");
-    plan = make_prefix_cache_shard_plan(layout, config, cache_enabled, trace,
-                                        options.num_shards);
-  }
-  const ShardPolicyFactory factory = [&](std::size_t shard) {
-    auto policy =
-        std::make_unique<PrefixCachePolicy>(layout, config, cache_options);
-    if (plan.is_routed()) {
-      policy->set_routed_picks(plan.routed_pick_indices[shard]);
-    }
-    return std::unique_ptr<StoragePolicy>(std::move(policy));
-  };
-  SimResult out = run_sharded(config, trace, plan, factory, options, timeline,
-                              event_log);
-  {
-    VODREP_PROFILE_PHASE("teardown");
-    plan = ShardPlan{};
-  }
-  return out;
+  return simulate(PrefixCachePolicy(layout, config, cache_options), trace,
+                  {options.num_shards, options.merge_epoch_sec, options.pool,
+                   timeline, event_log});
 }
 
 }  // namespace vodrep

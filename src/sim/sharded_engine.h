@@ -1,7 +1,10 @@
-// Sharded simulation runner: replays one trace as S independent SimEngines
-// over a ShardPlan's routed sub-traces (src/sim/shard_plan.h), optionally in
-// parallel on a ThreadPool, and merges the per-shard state into one
-// SimResult that is invariant in S.
+// The simulation front door: simulate(policy, trace, options) replays a
+// trace through any StoragePolicy.  At one shard (the default) it is a
+// plain SimEngine::run of the caller's policy.  At S > 1 it asks the policy
+// for its partition (StoragePolicy::shard), replays the S routed
+// sub-traces on independent SimEngines, optionally in parallel on a
+// ThreadPool, and merges the per-shard state into one SimResult that is
+// invariant in S.
 //
 // Invariance argument, by result field:
 //
@@ -30,8 +33,8 @@
 //     the plan's global request order with per-shard cursors, so kept and
 //     dropped records match the monolithic log exactly).
 //
-// With num_shards == 1 the entry points bypass the plan/merge machinery
-// entirely and call SimEngine::run — bit-identical to the monolithic path,
+// With num_shards == 1 simulate() bypasses the plan/merge machinery
+// entirely and calls SimEngine::run — bit-identical to the monolithic path,
 // metrics export included (asserted by tests/sim_differential_test.cc and
 // tests/sim_shard_invariance_test.cc).
 #pragma once
@@ -40,19 +43,17 @@
 #include <vector>
 
 #include "src/core/layout.h"
-#include "src/core/striping.h"
 #include "src/obs/event_log.h"
 #include "src/obs/timeseries.h"
 #include "src/sim/engine.h"
 #include "src/sim/prefix_cache_policy.h"
-#include "src/sim/shard_plan.h"
 #include "src/util/stats.h"
 #include "src/util/thread_pool.h"
 #include "src/workload/trace.h"
 
 namespace vodrep {
 
-struct ShardedSimOptions {
+struct SimOptions {
   /// Number of shard engines; 1 = the monolithic SimEngine::run path.
   std::size_t num_shards = 1;
   /// Segment-log merge cadence in simulated seconds; 0 picks horizon / 8.
@@ -62,7 +63,16 @@ struct ShardedSimOptions {
   /// the shards inline on the calling thread.  Results are identical either
   /// way — the pool only changes wall-clock time.
   ThreadPool* pool = nullptr;
+  /// Optional, borrowed load timeline and per-request event log (see
+  /// SimEngine::attach_timeline).  At one shard the engine records into
+  /// them directly; at S > 1 they must be freshly constructed, because the
+  /// merge fills them once at the end of the run.
+  obs::TimeseriesCollector* timeline = nullptr;
+  obs::EventLog* event_log = nullptr;
 };
+
+/// Kept only for benchmark/vodrep_benchmark.cc; use SimOptions.
+using ShardedSimOptions = SimOptions;
 
 /// Merged global Eq. 2/3 accumulators rebuilt from per-shard segment logs.
 struct MergedLoadMetrics {
@@ -83,37 +93,39 @@ void merge_load_segments(const std::vector<std::vector<LoadSegment>>& logs,
                          double epoch_start, std::size_t num_servers,
                          MergedLoadMetrics& into);
 
-/// Sharded counterpart of simulate() (replicated organization).  The plan
-/// is built internally per RedirectMode; kBackboneProxy with num_shards > 1
-/// throws the shard_plan named error.  `timeline` / `event_log` must be
-/// freshly constructed when attached (the merge fills them once).
+/// Replays `trace` through `policy` on an engine built from
+/// policy.config().  At one shard the caller's policy is run in place; at
+/// more, the policy is only asked for its partition (StoragePolicy::shard)
+/// and the per-shard policies replay.  Configurations that cannot shard
+/// (e.g. RedirectMode::kBackboneProxy) throw a named InvalidArgumentError
+/// at S > 1.  Deterministic: the trace fixes all randomness, and the result
+/// is invariant in the shard count and the pool.
+[[nodiscard]] SimResult simulate(StoragePolicy& policy,
+                                 const RequestTrace& trace,
+                                 const SimOptions& options = {});
+
+/// Accepts a temporary, so `simulate(StripedPolicy(layout, config), trace)`
+/// stays one line.
+[[nodiscard]] inline SimResult simulate(StoragePolicy&& policy,
+                                        const RequestTrace& trace,
+                                        const SimOptions& options = {}) {
+  return simulate(policy, trace, options);
+}
+
+/// Kept only for benchmark/vodrep_benchmark.cc; forwards to simulate() with
+/// a ReplicatedPolicy.
 [[nodiscard]] SimResult simulate_sharded(
     const Layout& layout, const SimConfig& config, const RequestTrace& trace,
-    const ShardedSimOptions& options,
+    const SimOptions& options,
     obs::TimeseriesCollector* timeline = nullptr,
     obs::EventLog* event_log = nullptr);
 
-/// Sharded striped-organization run (stripe-group components).
-[[nodiscard]] SimResult simulate_sharded_striped(
-    const StripedLayout& layout, const SimConfig& config,
-    const RequestTrace& trace, const ShardedSimOptions& options,
-    obs::TimeseriesCollector* timeline = nullptr,
-    obs::EventLog* event_log = nullptr);
-
-/// Sharded hybrid-organization run (all-copies components).
-[[nodiscard]] SimResult simulate_sharded_hybrid(
-    const HybridLayout& layout, const SimConfig& config,
-    const RequestTrace& trace, const ShardedSimOptions& options,
-    obs::TimeseriesCollector* timeline = nullptr,
-    obs::EventLog* event_log = nullptr);
-
-/// Sharded replicated + edge-prefix-cache run.  A live cache tier fuses
-/// every server into one component (the extra shards idle but the merge
-/// path still runs); capacity 0 shards by the replicated rules.
+/// Kept only for benchmark/vodrep_benchmark.cc; forwards to simulate() with
+/// a PrefixCachePolicy.
 [[nodiscard]] SimResult simulate_sharded_prefix_cache(
     const Layout& layout, const SimConfig& config,
     const PrefixCacheOptions& cache_options, const RequestTrace& trace,
-    const ShardedSimOptions& options,
+    const SimOptions& options,
     obs::TimeseriesCollector* timeline = nullptr,
     obs::EventLog* event_log = nullptr);
 

@@ -1,6 +1,7 @@
 #include "src/sim/striped_policy.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "src/util/error.h"
 
@@ -8,7 +9,7 @@ namespace vodrep {
 
 StripedPolicy::StripedPolicy(const StripedLayout& layout,
                              const SimConfig& config)
-    : layout_(layout), config_(config) {
+    : StoragePolicy(config), layout_(layout) {
   config.require_replication_extensions_unset("striped");
   layout.validate(config.num_servers);
 }
@@ -92,6 +93,26 @@ std::size_t StripedPolicy::on_crash(std::size_t server) {
     }
   }
   return disrupted;
+}
+
+PolicyShards StripedPolicy::shard(const RequestTrace& trace,
+                                  std::size_t num_shards) const {
+  UnionFind uf(config_.num_servers);
+  std::vector<std::size_t> anchor(layout_.groups.size(), 0);
+  for (std::size_t v = 0; v < layout_.groups.size(); ++v) {
+    const auto& group = layout_.groups[v];
+    require(!group.empty(), "shard plan: empty stripe group");
+    anchor[v] = group[0];
+    for (std::size_t k = 1; k < group.size(); ++k) {
+      uf.merge(group[0], group[k]);
+    }
+  }
+  PolicyShards out{
+      component_plan(uf, config_.num_servers, anchor, trace, num_shards), {}};
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    out.policies.push_back(std::make_unique<StripedPolicy>(layout_, config_));
+  }
+  return out;
 }
 
 }  // namespace vodrep

@@ -27,6 +27,9 @@ class StripedPolicy final : public StoragePolicy {
   PolicyDecision dispatch(const Request& request) override;
   void on_departure(std::size_t stream) override;
   std::size_t on_crash(std::size_t server) override;
+  /// Co-shards the members of every stripe group.
+  [[nodiscard]] PolicyShards shard(const RequestTrace& trace,
+                                   std::size_t num_shards) const override;
 
  private:
   /// One active striped stream and its cancellable departure.
@@ -39,7 +42,6 @@ class StripedPolicy final : public StoragePolicy {
   [[nodiscard]] double share_of(std::size_t video) const;
 
   const StripedLayout& layout_;
-  const SimConfig config_;
   SimEngine* engine_ = nullptr;
   std::vector<Stream> streams_;
 };

@@ -280,10 +280,11 @@ TEST(MetricsMerge, AdversarialTraceMatchesMonolithic) {
   const SimResult mono = engine.run(policy, trace);
   EXPECT_EQ(mono.rejected, 1u);  // the t=2.5 request on the full server 0
 
-  ShardedSimOptions options;
+  SimOptions options;
   options.num_shards = 2;
   options.merge_epoch_sec = 2.5;  // boundary lands exactly on an arrival
-  const SimResult sharded = simulate_sharded(layout, config, trace, options);
+  const SimResult sharded =
+      simulate(ReplicatedPolicy(layout, config), trace, options);
   EXPECT_EQ(mono.total_requests, sharded.total_requests);
   EXPECT_EQ(mono.rejected, sharded.rejected);
   EXPECT_EQ(mono.rejected_by_reason, sharded.rejected_by_reason);
@@ -316,10 +317,11 @@ TEST(MetricsMerge, CrashExactlyOnEpochBoundaryMatchesMonolithic) {
   const SimResult mono = engine.run(policy, trace);
   EXPECT_EQ(mono.disrupted, 1u);
 
-  ShardedSimOptions options;
+  SimOptions options;
   options.num_shards = 2;
   options.merge_epoch_sec = 2.5;
-  const SimResult sharded = simulate_sharded(layout, config, trace, options);
+  const SimResult sharded =
+      simulate(ReplicatedPolicy(layout, config), trace, options);
   EXPECT_EQ(mono.rejected, sharded.rejected);
   EXPECT_EQ(mono.rejected_by_reason, sharded.rejected_by_reason);
   EXPECT_EQ(mono.disrupted, sharded.disrupted);

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "src/sim/dispatcher.h"
-#include "src/sim/simulator.h"
+#include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
 #include "src/util/error.h"
 #include "src/util/units.h"
 
@@ -134,7 +135,7 @@ TEST(Batching, SimulatorCountsBatchedAndRejectsNothingShareable) {
   for (int i = 0; i < 10; ++i) {
     trace.requests.push_back(Request{10.0 * i, 0});
   }
-  const SimResult result = simulate(layout, config, trace);
+  const SimResult result = simulate(ReplicatedPolicy(layout, config), trace);
   EXPECT_EQ(result.rejected, 0u);
   EXPECT_EQ(result.batched, 9u);  // one real stream, nine joins
   EXPECT_EQ(result.served_per_server[0], 1u);
@@ -151,7 +152,7 @@ TEST(Batching, DisabledWindowNeverBatches) {
   RequestTrace trace;
   trace.horizon = 100.0;
   trace.requests = {Request{0.0, 0}, Request{1.0, 0}};
-  const SimResult result = simulate(layout, config, trace);
+  const SimResult result = simulate(ReplicatedPolicy(layout, config), trace);
   EXPECT_EQ(result.batched, 0u);
   EXPECT_EQ(result.rejected, 1u);
 }
@@ -173,8 +174,8 @@ TEST(Batching, WiderWindowNeverIncreasesRejections) {
     trace.requests.push_back(
         Request{13.0 * i, static_cast<std::size_t>(i % 2)});
   }
-  const SimResult r_narrow = simulate(layout, narrow, trace);
-  const SimResult r_wide = simulate(layout, wide, trace);
+  const SimResult r_narrow = simulate(ReplicatedPolicy(layout, narrow), trace);
+  const SimResult r_wide = simulate(ReplicatedPolicy(layout, wide), trace);
   EXPECT_LE(r_wide.rejected, r_narrow.rejected);
   EXPECT_GE(r_wide.batched, r_narrow.batched);
 }
@@ -235,7 +236,7 @@ TEST(Patching, SimulatorReleasesPatchAfterPrefix) {
   // a third join at t=50 patches for 50 s and must fit — it would not if
   // the first patch still held its slot.
   trace.requests = {Request{0.0, 0}, Request{20.0, 0}, Request{50.0, 0}};
-  const SimResult result = simulate(layout, config, trace);
+  const SimResult result = simulate(ReplicatedPolicy(layout, config), trace);
   EXPECT_EQ(result.rejected, 0u);
   EXPECT_EQ(result.batched, 2u);
 }
@@ -257,9 +258,9 @@ TEST(Patching, CostsSitBetweenNoBatchingAndPiggyback) {
   piggy.batching_window_sec = 120.0;
   SimConfig patch = piggy;
   patch.batching_mode = BatchingMode::kPatching;
-  const SimResult none = simulate(layout, base, trace);
-  const SimResult piggyback = simulate(layout, piggy, trace);
-  const SimResult patching = simulate(layout, patch, trace);
+  const SimResult none = simulate(ReplicatedPolicy(layout, base), trace);
+  const SimResult piggyback = simulate(ReplicatedPolicy(layout, piggy), trace);
+  const SimResult patching = simulate(ReplicatedPolicy(layout, patch), trace);
   EXPECT_LE(piggyback.rejected, patching.rejected);
   EXPECT_LE(patching.rejected, none.rejected);
 }

@@ -10,9 +10,10 @@
 
 #include "src/core/pipeline.h"
 #include "src/core/striping.h"
-#include "src/sim/hybrid_simulator.h"
-#include "src/sim/simulator.h"
-#include "src/sim/striped_simulator.h"
+#include "src/sim/hybrid_policy.h"
+#include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
+#include "src/sim/striped_policy.h"
 #include "src/util/error.h"
 #include "src/util/rng.h"
 #include "src/util/units.h"
@@ -139,7 +140,8 @@ TEST(Fuzz, ReplicationSimulatorSurvivesRandomWorlds) {
     const Layout layout =
         placement->place(plan, world.popularity, world.num_servers, capacity);
     ASSERT_NO_THROW(layout.validate(plan, world.num_servers, capacity));
-    const SimResult result = simulate(layout, world.config, world.trace);
+    const SimResult result =
+        simulate(ReplicatedPolicy(layout, world.config), world.trace);
     check_invariants(world, result, "replication", trial);
     // Replication-specific accounting: every request is a plain admission
     // (one served stream), a rejection, or a batched join; patching joins
@@ -167,7 +169,7 @@ TEST(Fuzz, StripedSimulatorSurvivesRandomWorlds) {
     const StripedLayout layout =
         make_striped_layout(world.num_videos, world.num_servers, width);
     const SimResult result =
-        simulate_striped(layout, world.config, world.trace);
+        simulate(StripedPolicy(layout, world.config), world.trace);
     check_invariants(world, result, "striped", trial);
     EXPECT_EQ(result.batched, 0u);
     EXPECT_EQ(result.redirected, 0u);
@@ -187,28 +189,28 @@ TEST(Fuzz, StripedAndHybridRejectReplicationOnlyConfig) {
 
   SimConfig redirecting = config;
   redirecting.redirect = RedirectMode::kOtherHolders;
-  EXPECT_THROW((void)simulate_striped(striped, redirecting, trace),
+  EXPECT_THROW((void)simulate(StripedPolicy(striped, redirecting), trace),
                InvalidArgumentError);
-  EXPECT_THROW((void)simulate_hybrid(hybrid, redirecting, trace),
+  EXPECT_THROW((void)simulate(HybridPolicy(hybrid, redirecting), trace),
                InvalidArgumentError);
 
   SimConfig proxying = config;
   proxying.backbone_bps = units::mbps(10);
-  EXPECT_THROW((void)simulate_striped(striped, proxying, trace),
+  EXPECT_THROW((void)simulate(StripedPolicy(striped, proxying), trace),
                InvalidArgumentError);
-  EXPECT_THROW((void)simulate_hybrid(hybrid, proxying, trace),
+  EXPECT_THROW((void)simulate(HybridPolicy(hybrid, proxying), trace),
                InvalidArgumentError);
 
   SimConfig batching = config;
   batching.batching_window_sec = 60.0;
-  EXPECT_THROW((void)simulate_striped(striped, batching, trace),
+  EXPECT_THROW((void)simulate(StripedPolicy(striped, batching), trace),
                InvalidArgumentError);
-  EXPECT_THROW((void)simulate_hybrid(hybrid, batching, trace),
+  EXPECT_THROW((void)simulate(HybridPolicy(hybrid, batching), trace),
                InvalidArgumentError);
 
   // The clean config is accepted by both.
-  EXPECT_NO_THROW((void)simulate_striped(striped, config, trace));
-  EXPECT_NO_THROW((void)simulate_hybrid(hybrid, config, trace));
+  EXPECT_NO_THROW((void)simulate(StripedPolicy(striped, config), trace));
+  EXPECT_NO_THROW((void)simulate(HybridPolicy(hybrid, config), trace));
 }
 
 TEST(Fuzz, HybridSimulatorSurvivesRandomWorlds) {
@@ -222,7 +224,7 @@ TEST(Fuzz, HybridSimulatorSurvivesRandomWorlds) {
     const HybridLayout layout = make_hybrid_layout(
         world.num_videos, world.num_servers, width, replicas);
     const SimResult result =
-        simulate_hybrid(layout, world.config, world.trace);
+        simulate(HybridPolicy(layout, world.config), world.trace);
     check_invariants(world, result, "hybrid", trial);
   }
 }

@@ -1,12 +1,13 @@
 #include "src/hetero/hetero_cluster.h"
 #include "src/hetero/hetero_placement.h"
+#include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
 
 #include <gtest/gtest.h>
 
 #include "src/core/adams_replication.h"
 #include "src/core/best_fit_placement.h"
 #include "src/core/slf_placement.h"
-#include "src/sim/simulator.h"
 #include "src/util/error.h"
 #include "src/util/units.h"
 #include "src/workload/popularity.h"
@@ -145,7 +146,7 @@ TEST(HeteroSimulator, PerServerBandwidthHonored) {
   // server 1 (4 Mb/s).
   trace.requests = {Request{0.0, 0}, Request{1.0, 0}, Request{2.0, 1},
                     Request{3.0, 1}};
-  const SimResult result = simulate(layout, config, trace);
+  const SimResult result = simulate(ReplicatedPolicy(layout, config), trace);
   EXPECT_EQ(result.rejected, 1u);
   EXPECT_EQ(result.served_per_server[0], 2u);
   EXPECT_EQ(result.served_per_server[1], 1u);
@@ -165,7 +166,7 @@ TEST(HeteroSimulator, ImbalanceUsesUtilization) {
   RequestTrace trace;
   trace.horizon = 50.0;
   trace.requests = {Request{0.0, 0}, Request{0.0, 1}};
-  const SimResult result = simulate(layout, config, trace);
+  const SimResult result = simulate(ReplicatedPolicy(layout, config), trace);
   // Utilizations 0.5 and 1.0: Eq. 2 = (1.0 - 0.75) / 0.75 = 1/3.
   EXPECT_NEAR(result.mean_imbalance_eq2, 1.0 / 3.0, 1e-9);
 }

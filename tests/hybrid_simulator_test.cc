@@ -1,7 +1,8 @@
-#include "src/sim/hybrid_simulator.h"
+#include "src/sim/hybrid_policy.h"
 
 #include <gtest/gtest.h>
 
+#include "src/sim/sharded_engine.h"
 #include "src/util/error.h"
 #include "src/util/units.h"
 
@@ -54,8 +55,9 @@ TEST(HybridSimulator, RoundRobinAcrossGroupCopies) {
   for (int i = 0; i < 4; ++i) {
     requests.push_back(Request{static_cast<double>(i), 0});
   }
-  const SimResult result = simulate_hybrid(layout, config_of(4, 100 * kRate),
-                                           trace_of(requests, 50.0));
+  const SimResult result = simulate(
+      HybridPolicy(layout, config_of(4, 100 * kRate)),
+      trace_of(requests, 50.0));
   EXPECT_EQ(result.rejected, 0u);
   // RR alternates the two copies: each server participates in two streams.
   for (std::size_t served : result.served_per_server) EXPECT_EQ(served, 2u);
@@ -68,7 +70,7 @@ TEST(HybridSimulator, FailureKillsOnlyTheTouchedCopy) {
   // Two streams, one per copy, both started before the crash.
   std::vector<Request> requests{Request{0.0, 0}, Request{1.0, 0}};
   const SimResult result =
-      simulate_hybrid(layout, config, trace_of(requests, 50.0));
+      simulate(HybridPolicy(layout, config), trace_of(requests, 50.0));
   EXPECT_EQ(result.disrupted, 1u);  // only the copy-0 stream dies
 }
 
@@ -82,7 +84,7 @@ TEST(HybridSimulator, VideoSurvivesViaOtherCopy) {
   std::vector<Request> requests;
   for (int i = 0; i < 6; ++i) requests.push_back(Request{10.0 + i, 0});
   const SimResult result =
-      simulate_hybrid(layout, config, trace_of(requests, 50.0));
+      simulate(HybridPolicy(layout, config), trace_of(requests, 50.0));
   EXPECT_EQ(result.rejected, 3u);
 }
 
@@ -94,7 +96,7 @@ TEST(HybridSimulator, SharesAccountedOnAllGroupMembers) {
   std::vector<Request> requests{Request{0.0, 0}, Request{1.0, 0},
                                 Request{2.0, 0}};
   const SimResult result =
-      simulate_hybrid(layout, config, trace_of(requests, 50.0));
+      simulate(HybridPolicy(layout, config), trace_of(requests, 50.0));
   // Stream 1 -> copy 0, stream 2 -> copy 1, stream 3 -> copy 0 again: full.
   EXPECT_EQ(result.rejected, 1u);
 }
@@ -106,13 +108,13 @@ TEST(HybridSimulator, DegeneratesToReplicationWhenWidthIsOne) {
   std::vector<Request> requests{Request{0.0, 0}, Request{1.0, 0},
                                 Request{2.0, 0}};
   const SimResult result =
-      simulate_hybrid(layout, config, trace_of(requests, 50.0));
+      simulate(HybridPolicy(layout, config), trace_of(requests, 50.0));
   EXPECT_EQ(result.rejected, 1u);  // two servers hold one stream each
 }
 
 TEST(HybridSimulator, RejectsMalformedInput) {
   const HybridLayout layout = make_hybrid_layout(1, 4, 2, 2);
-  EXPECT_THROW((void)simulate_hybrid(layout, config_of(4, kRate),
+  EXPECT_THROW((void)simulate(HybridPolicy(layout, config_of(4, kRate)),
                                      trace_of({Request{1.0, 5}}, 50.0)),
                InvalidArgumentError);
 }

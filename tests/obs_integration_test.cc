@@ -12,7 +12,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/online/controller.h"
-#include "src/sim/simulator.h"
+#include "src/sim/replicated_policy.h"
 #include "src/util/rng.h"
 #include "src/util/units.h"
 #include "src/workload/popularity.h"

@@ -15,7 +15,8 @@
 #include "src/core/slf_placement.h"
 #include "src/core/uniform_replication.h"
 #include "src/core/zipf_interval_replication.h"
-#include "src/sim/simulator.h"
+#include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
 #include "src/util/rng.h"
 #include "src/workload/popularity.h"
 
@@ -231,7 +232,7 @@ TEST(Property, SimulatedServerSharesMatchExpectedLoads) {
     spec.popularity = popularity;
     Rng trace_rng = rng.split(static_cast<std::uint64_t>(trial));
     const RequestTrace trace = generate_trace(trace_rng, spec);
-    const SimResult result = simulate(layout, config, trace);
+    const SimResult result = simulate(ReplicatedPolicy(layout, config), trace);
     ASSERT_EQ(result.rejected, 0u);
 
     const auto total = static_cast<double>(trace.size());

@@ -17,9 +17,10 @@
 #include "src/core/layout.h"
 #include "src/core/striping.h"
 #include "src/obs/event_log.h"
-#include "src/sim/hybrid_simulator.h"
-#include "src/sim/simulator.h"
-#include "src/sim/striped_simulator.h"
+#include "src/sim/hybrid_policy.h"
+#include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
+#include "src/sim/striped_policy.h"
 #include "src/util/rng.h"
 #include "src/util/units.h"
 #include "src/workload/popularity.h"
@@ -78,7 +79,7 @@ TEST(RejectionAttributionTest, ReplicatedAllHoldersCrashedIsNoReplicaAlive) {
   Layout layout;
   layout.assignment = {{0}};  // video 0 only on the server that crashes
   const RequestTrace trace = two_request_trace(5.0, 20.0);
-  const SimResult result = simulate(layout, config, trace);
+  const SimResult result = simulate(ReplicatedPolicy(layout, config), trace);
   EXPECT_EQ(result.rejected, 1u);
   EXPECT_EQ(result.disrupted, 1u);  // the t=5 stream dies in the crash
   EXPECT_EQ(reason_count(result, obs::RejectReason::kNoReplicaAlive), 1u);
@@ -92,7 +93,7 @@ TEST(RejectionAttributionTest, ReplicatedFullServerIsNoBandwidth) {
   Layout layout;
   layout.assignment = {{0}};
   const RequestTrace trace = two_request_trace(1.0, 2.0);
-  const SimResult result = simulate(layout, config, trace);
+  const SimResult result = simulate(ReplicatedPolicy(layout, config), trace);
   EXPECT_EQ(result.rejected, 1u);
   EXPECT_EQ(reason_count(result, obs::RejectReason::kNoBandwidth), 1u);
   expect_attribution_consistent(result, /*failures_injected=*/false);
@@ -110,7 +111,7 @@ TEST(RejectionAttributionTest,
   trace.requests.push_back(Request{5.0, 1, 1.0});   // fills server 1
   trace.requests.push_back(Request{20.0, 0, 1.0});  // RR pick 0 crashed, 1 full
   trace.horizon = 200.0;
-  const SimResult result = simulate(layout, config, trace);
+  const SimResult result = simulate(ReplicatedPolicy(layout, config), trace);
   EXPECT_EQ(result.rejected, 1u);
   EXPECT_EQ(reason_count(result, obs::RejectReason::kNoBandwidth), 1u);
   EXPECT_EQ(reason_count(result, obs::RejectReason::kNoReplicaAlive), 0u);
@@ -122,7 +123,7 @@ TEST(RejectionAttributionTest, StripedCrashedMemberIsStripeUnavailable) {
   config.failures.push_back(ServerFailure{10.0, 1});
   const StripedLayout layout = make_striped_layout(1, 2, 2);  // group {0,1}
   const RequestTrace trace = two_request_trace(5.0, 20.0);
-  const SimResult result = simulate_striped(layout, config, trace);
+  const SimResult result = simulate(StripedPolicy(layout, config), trace);
   EXPECT_EQ(result.rejected, 1u);
   EXPECT_EQ(reason_count(result, obs::RejectReason::kStripeUnavailable), 1u);
   expect_attribution_consistent(result, /*failures_injected=*/true);
@@ -134,7 +135,7 @@ TEST(RejectionAttributionTest, StripedFullGroupIsNoBandwidth) {
   const SimConfig config = base_config(2, 0.5);
   const StripedLayout layout = make_striped_layout(1, 2, 2);
   const RequestTrace trace = two_request_trace(1.0, 2.0);
-  const SimResult result = simulate_striped(layout, config, trace);
+  const SimResult result = simulate(StripedPolicy(layout, config), trace);
   EXPECT_EQ(result.rejected, 1u);
   EXPECT_EQ(reason_count(result, obs::RejectReason::kNoBandwidth), 1u);
   expect_attribution_consistent(result, /*failures_injected=*/false);
@@ -147,7 +148,7 @@ TEST(RejectionAttributionTest, HybridCrashedMemberIsStripeUnavailable) {
   // crashed server (static RR has no other copy to try).
   const HybridLayout layout = make_hybrid_layout(1, 2, 2, 1);
   const RequestTrace trace = two_request_trace(5.0, 20.0);
-  const SimResult result = simulate_hybrid(layout, config, trace);
+  const SimResult result = simulate(HybridPolicy(layout, config), trace);
   EXPECT_EQ(result.rejected, 1u);
   EXPECT_EQ(reason_count(result, obs::RejectReason::kStripeUnavailable), 1u);
   expect_attribution_consistent(result, /*failures_injected=*/true);
@@ -157,7 +158,7 @@ TEST(RejectionAttributionTest, HybridFullGroupIsNoBandwidth) {
   const SimConfig config = base_config(2, 0.5);
   const HybridLayout layout = make_hybrid_layout(1, 2, 2, 1);
   const RequestTrace trace = two_request_trace(1.0, 2.0);
-  const SimResult result = simulate_hybrid(layout, config, trace);
+  const SimResult result = simulate(HybridPolicy(layout, config), trace);
   EXPECT_EQ(result.rejected, 1u);
   EXPECT_EQ(reason_count(result, obs::RejectReason::kNoBandwidth), 1u);
   expect_attribution_consistent(result, /*failures_injected=*/false);
@@ -246,7 +247,8 @@ TEST(RejectionAttributionTest, RandomWorldsSumExactlyAcrossOrganizations) {
       const World world = random_world(rng, /*replication_extensions=*/true);
       const Layout layout =
           random_layout(rng, world.num_videos, world.num_servers);
-      const SimResult result = simulate(layout, world.config, world.trace);
+      const SimResult result =
+          simulate(ReplicatedPolicy(layout, world.config), world.trace);
       expect_attribution_consistent(result, !world.config.failures.empty());
       total_rejections += result.rejected;
     }
@@ -256,7 +258,7 @@ TEST(RejectionAttributionTest, RandomWorldsSumExactlyAcrossOrganizations) {
       const StripedLayout layout =
           make_striped_layout(world.num_videos, world.num_servers, width);
       const SimResult result =
-          simulate_striped(layout, world.config, world.trace);
+          simulate(StripedPolicy(layout, world.config), world.trace);
       expect_attribution_consistent(result, !world.config.failures.empty());
       total_rejections += result.rejected;
     }
@@ -268,7 +270,7 @@ TEST(RejectionAttributionTest, RandomWorldsSumExactlyAcrossOrganizations) {
       const HybridLayout layout = make_hybrid_layout(
           world.num_videos, world.num_servers, width, replicas);
       const SimResult result =
-          simulate_hybrid(layout, world.config, world.trace);
+          simulate(HybridPolicy(layout, world.config), world.trace);
       expect_attribution_consistent(result, !world.config.failures.empty());
       total_rejections += result.rejected;
     }

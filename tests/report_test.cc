@@ -287,10 +287,11 @@ TEST(RunReportProfileTest, ShardedRunProfileAccountsEngineWallTime) {
   const RequestTrace trace = generate_trace(rng, spec);
 
   ThreadPool pool(2);
-  ShardedSimOptions options;
+  SimOptions options;
   options.num_shards = 4;
   options.pool = &pool;
-  const SimResult result = simulate_sharded(layout, config, trace, options);
+  const SimResult result =
+      simulate(ReplicatedPolicy(layout, config), trace, options);
   profiler.set_enabled(false);
 
   const obs::ProfileSnapshot snap = profiler.snapshot();

@@ -15,9 +15,10 @@
 
 #include "src/core/objective.h"
 #include "src/core/striping.h"
-#include "src/sim/hybrid_simulator.h"
-#include "src/sim/simulator.h"
-#include "src/sim/striped_simulator.h"
+#include "src/sim/hybrid_policy.h"
+#include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
+#include "src/sim/striped_policy.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/units.h"
@@ -213,7 +214,7 @@ struct SeedStripedDeparture {
   }
 };
 
-SimResult seed_simulate_striped(const StripedLayout& layout,
+SimResult seed_striped_simulate(const StripedLayout& layout,
                                 const SimConfig& config,
                                 const RequestTrace& trace) {
   config.validate();
@@ -343,7 +344,7 @@ struct SeedHybridDeparture {
   }
 };
 
-SimResult seed_simulate_hybrid(const HybridLayout& layout,
+SimResult seed_hybrid_simulate(const HybridLayout& layout,
                                const SimConfig& config,
                                const RequestTrace& trace) {
   config.validate();
@@ -592,7 +593,8 @@ TEST(SimDifferential, EngineReproducesSeedReplicationSimulator) {
     const Layout layout =
         random_layout(rng, world.num_videos, world.num_servers);
     const SimResult seed = seed_simulate(layout, world.config, world.trace);
-    const SimResult engine = simulate(layout, world.config, world.trace);
+    const SimResult engine =
+        simulate(ReplicatedPolicy(layout, world.config), world.trace);
     expect_same_result(seed, engine);
   }
 }
@@ -606,9 +608,9 @@ TEST(SimDifferential, EngineReproducesSeedStripedSimulator) {
     const StripedLayout layout =
         make_striped_layout(world.num_videos, world.num_servers, width);
     const SimResult seed =
-        seed_simulate_striped(layout, world.config, world.trace);
+        seed_striped_simulate(layout, world.config, world.trace);
     const SimResult engine =
-        simulate_striped(layout, world.config, world.trace);
+        simulate(StripedPolicy(layout, world.config), world.trace);
     expect_same_result(seed, engine);
   }
 }
@@ -624,9 +626,9 @@ TEST(SimDifferential, EngineReproducesSeedHybridSimulator) {
     const HybridLayout layout = make_hybrid_layout(
         world.num_videos, world.num_servers, width, replicas);
     const SimResult seed =
-        seed_simulate_hybrid(layout, world.config, world.trace);
+        seed_hybrid_simulate(layout, world.config, world.trace);
     const SimResult engine =
-        simulate_hybrid(layout, world.config, world.trace);
+        simulate(HybridPolicy(layout, world.config), world.trace);
     expect_same_result(seed, engine);
   }
 }

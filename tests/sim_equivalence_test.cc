@@ -17,9 +17,10 @@
 #include <vector>
 
 #include "src/core/striping.h"
-#include "src/sim/hybrid_simulator.h"
-#include "src/sim/simulator.h"
-#include "src/sim/striped_simulator.h"
+#include "src/sim/hybrid_policy.h"
+#include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
+#include "src/sim/striped_policy.h"
 #include "src/util/rng.h"
 #include "src/util/units.h"
 #include "src/workload/popularity.h"
@@ -115,9 +116,9 @@ TEST(SimEquivalence, StripeWidthOneEqualsSingleReplicaReplication) {
       replicated.assignment[v] = striped.groups[v];
     }
     const SimResult via_striping =
-        simulate_striped(striped, world.config, world.trace);
+        simulate(StripedPolicy(striped, world.config), world.trace);
     const SimResult via_replication =
-        simulate(replicated, world.config, world.trace);
+        simulate(ReplicatedPolicy(replicated, world.config), world.trace);
     expect_equivalent(via_striping, via_replication);
   }
 }
@@ -141,9 +142,9 @@ TEST(SimEquivalence, HybridWidthOneEqualsReplicationWithSameHolders) {
       }
     }
     const SimResult via_hybrid =
-        simulate_hybrid(hybrid, world.config, world.trace);
+        simulate(HybridPolicy(hybrid, world.config), world.trace);
     const SimResult via_replication =
-        simulate(replicated, world.config, world.trace);
+        simulate(ReplicatedPolicy(replicated, world.config), world.trace);
     expect_equivalent(via_hybrid, via_replication);
   }
 }
@@ -173,7 +174,8 @@ TEST(SimEquivalence, PoliciesCopyTheirConfigSoTemporariesAreSafe) {
   StripedPolicy policy_s(striped, make_config());
   const SimResult via_striped = engine_s.run(policy_s, world.trace);
 
-  const SimResult reference = simulate(replicated, world.config, world.trace);
+  const SimResult reference =
+      simulate(ReplicatedPolicy(replicated, world.config), world.trace);
   expect_equivalent(via_temporary, reference);
   expect_equivalent(via_striped, reference);
 }

@@ -272,10 +272,12 @@ TEST(ShardInvariance, ReplicatedRandomWorlds) {
                    std::to_string(shards));
       obs::TimeseriesCollector timeline(timeline_config(), world.num_servers);
       obs::EventLog log(kEventLogCapacity);
-      ShardedSimOptions options;
+      SimOptions options;
       options.num_shards = shards;
-      const SimResult sharded = simulate_sharded(
-          layout, world.config, world.trace, options, &timeline, &log);
+      options.timeline = &timeline;
+      options.event_log = &log;
+      const SimResult sharded = simulate(
+          ReplicatedPolicy(layout, world.config), world.trace, options);
       expect_equivalent(mono, sharded);
       expect_timelines_equivalent(mono_timeline, timeline);
       expect_event_logs_identical(mono_log, log);
@@ -315,10 +317,12 @@ TEST(ShardInvariance, StripedRandomWorlds) {
                    std::to_string(shards));
       obs::TimeseriesCollector timeline(timeline_config(), world.num_servers);
       obs::EventLog log(kEventLogCapacity);
-      ShardedSimOptions options;
+      SimOptions options;
       options.num_shards = shards;
-      const SimResult sharded = simulate_sharded_striped(
-          layout, world.config, world.trace, options, &timeline, &log);
+      options.timeline = &timeline;
+      options.event_log = &log;
+      const SimResult sharded = simulate(
+          StripedPolicy(layout, world.config), world.trace, options);
       expect_equivalent(mono, sharded);
       expect_timelines_equivalent(mono_timeline, timeline);
       expect_event_logs_identical(mono_log, log);
@@ -364,10 +368,12 @@ TEST(ShardInvariance, HybridRandomWorlds) {
                    std::to_string(shards));
       obs::TimeseriesCollector timeline(timeline_config(), world.num_servers);
       obs::EventLog log(kEventLogCapacity);
-      ShardedSimOptions options;
+      SimOptions options;
       options.num_shards = shards;
-      const SimResult sharded = simulate_sharded_hybrid(
-          layout, world.config, world.trace, options, &timeline, &log);
+      options.timeline = &timeline;
+      options.event_log = &log;
+      const SimResult sharded = simulate(
+          HybridPolicy(layout, world.config), world.trace, options);
       expect_equivalent(mono, sharded);
       expect_timelines_equivalent(mono_timeline, timeline);
       expect_event_logs_identical(mono_log, log);
@@ -400,10 +406,12 @@ TEST(ShardInvariance, PrefixCacheRandomWorlds) {
                    std::to_string(shards));
       obs::TimeseriesCollector timeline(timeline_config(), world.num_servers);
       obs::EventLog log(kEventLogCapacity);
-      ShardedSimOptions options;
+      SimOptions options;
       options.num_shards = shards;
-      const SimResult sharded = simulate_sharded_prefix_cache(
-          layout, world.config, cache, world.trace, options, &timeline, &log);
+      options.timeline = &timeline;
+      options.event_log = &log;
+      const SimResult sharded = simulate(
+          PrefixCachePolicy(layout, world.config, cache), world.trace, options);
       expect_equivalent(mono, sharded);
       expect_timelines_equivalent(mono_timeline, timeline);
       expect_event_logs_identical(mono_log, log);
@@ -420,14 +428,14 @@ TEST(ShardInvariance, MergeEpochCadenceIsIrrelevant) {
   const World world = random_world(rng, /*allow_extensions=*/true);
   const Layout layout =
       random_layout(rng, world.num_videos, world.num_servers, 3);
-  ShardedSimOptions options;
+  SimOptions options;
   options.num_shards = 4;
   const SimResult base =
-      simulate_sharded(layout, world.config, world.trace, options);
+      simulate(ReplicatedPolicy(layout, world.config), world.trace, options);
   for (const double epoch : {1.0, 7.3, 50.0, 1e9}) {
     options.merge_epoch_sec = epoch;
     const SimResult other =
-        simulate_sharded(layout, world.config, world.trace, options);
+        simulate(ReplicatedPolicy(layout, world.config), world.trace, options);
     expect_equivalent(base, other);
   }
 }
@@ -443,10 +451,10 @@ TEST(ShardInvariance, MoreShardsThanServersIsFine) {
   ReplicatedPolicy policy(layout, world.config);
   const SimResult mono = run_monolithic(policy, world.config, world.trace,
                                         nullptr, nullptr);
-  ShardedSimOptions options;
+  SimOptions options;
   options.num_shards = 8;  // 5 shards own no server at all
   const SimResult sharded =
-      simulate_sharded(layout, world.config, world.trace, options);
+      simulate(ReplicatedPolicy(layout, world.config), world.trace, options);
   expect_equivalent(mono, sharded);
 }
 
@@ -457,14 +465,15 @@ TEST(ShardInvariance, BackboneProxyThrowsNamedErrorAtMultipleShards) {
   world.config.backbone_bps = units::mbps(50.0);
   const Layout layout =
       random_layout(rng, world.num_videos, world.num_servers, 3);
-  ShardedSimOptions options;
+  SimOptions options;
   options.num_shards = 2;
-  EXPECT_THROW(simulate_sharded(layout, world.config, world.trace, options),
-               InvalidArgumentError);
+  EXPECT_THROW(
+      simulate(ReplicatedPolicy(layout, world.config), world.trace, options),
+      InvalidArgumentError);
   // S == 1 takes the monolithic path and must keep working.
   options.num_shards = 1;
   const SimResult result =
-      simulate_sharded(layout, world.config, world.trace, options);
+      simulate(ReplicatedPolicy(layout, world.config), world.trace, options);
   EXPECT_EQ(result.total_requests, world.trace.size());
 }
 
@@ -484,33 +493,156 @@ TEST(ShardInvariance, LiveCacheRejectsRoutedReplay) {
   EXPECT_THROW(policy.set_routed_picks({0}), InvalidArgumentError);
 }
 
+/// Checks that a shard hook's result partitions `trace` over `num_shards`
+/// shards and is closed: every server that `reach(request, pick)` says the
+/// request's dispatch can touch is owned by the request's shard.  `pick` is
+/// the routed holder index for routed plans and -1 otherwise.
+template <typename Reach>
+void expect_closed_partition(const PolicyShards& shards,
+                             const RequestTrace& trace,
+                             std::size_t num_servers, std::size_t num_shards,
+                             const Reach& reach) {
+  const ShardPlan& plan = shards.plan;
+  ASSERT_EQ(plan.num_shards, num_shards);
+  ASSERT_EQ(plan.sub_traces.size(), num_shards);
+  ASSERT_EQ(plan.shard_of_request.size(), trace.size());
+  ASSERT_EQ(plan.shard_of_server.size(), num_servers);
+  ASSERT_EQ(shards.policies.size(), num_shards);
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    EXPECT_NE(shards.policies[s], nullptr);
+    EXPECT_TRUE(plan.sub_traces[s].is_well_formed());
+    EXPECT_EQ(plan.sub_traces[s].horizon, trace.horizon);
+    if (plan.is_routed()) {
+      EXPECT_EQ(plan.routed_pick_indices[s].size(), plan.sub_traces[s].size());
+    }
+    total += plan.sub_traces[s].size();
+  }
+  EXPECT_EQ(total, trace.size());
+  // The routed sub-traces preserve the global order restricted to each
+  // shard: replaying shard_of_request must reproduce every sub-trace.
+  std::vector<std::size_t> cursor(num_shards, 0);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const std::uint32_t s = plan.shard_of_request[i];
+    ASSERT_LT(s, num_shards);
+    ASSERT_LT(cursor[s], plan.sub_traces[s].size());
+    EXPECT_EQ(trace.requests[i], plan.sub_traces[s].requests[cursor[s]]);
+    const std::int64_t pick =
+        plan.is_routed() ? std::int64_t{plan.routed_pick_indices[s][cursor[s]]}
+                         : -1;
+    for (const std::size_t server : reach(trace.requests[i], pick)) {
+      EXPECT_EQ(plan.shard_of_server[server], s)
+          << "request " << i << " reaches server " << server;
+    }
+    ++cursor[s];
+  }
+}
+
 TEST(ShardInvariance, PlanPartitionsTheTrace) {
   Rng rng(0x5eed0008);
   const World world = random_world(rng, /*allow_extensions=*/true);
   const Layout layout =
       random_layout(rng, world.num_videos, world.num_servers, 4);
+  const std::size_t n = world.num_servers;
+  const std::size_t m = world.num_videos;
+  SimConfig strict = world.config;
+  strict.redirect = RedirectMode::kNone;
+  SimConfig redirecting = world.config;
+  redirecting.redirect = RedirectMode::kOtherHolders;
+  // Striping and hybrid reject the replication-only fields; their layouts
+  // live on 8 servers.
+  SimConfig plain = strict;
+  plain.batching_window_sec = 0.0;
+  plain.num_servers = 8;
+  plain.per_server_bandwidth_bps.clear();
+  plain.failures.clear();
+
+  // kNone replays the round-robin pick, and only the picked holder is
+  // touched; every other rule may touch each server named here.
+  std::vector<std::size_t> rr;
+  const auto routed_pick = [&](const Request& request, std::int64_t pick) {
+    const auto& holders = layout.assignment[request.video];
+    const std::size_t expected = rr[request.video]++ % holders.size();
+    EXPECT_EQ(pick, static_cast<std::int64_t>(expected));
+    return std::vector<std::size_t>{holders[expected]};
+  };
+  const auto all_holders = [&](const Request& request, std::int64_t pick) {
+    EXPECT_EQ(pick, -1);
+    return layout.assignment[request.video];
+  };
+  std::vector<std::size_t> all_servers(n);
+  std::iota(all_servers.begin(), all_servers.end(), 0);
+  const auto every_server = [&](const Request&, std::int64_t pick) {
+    EXPECT_EQ(pick, -1);
+    return all_servers;
+  };
+  const auto stripe_group = [](const StripedLayout& striped) {
+    return [&striped](const Request& request, std::int64_t pick) {
+      EXPECT_EQ(pick, -1);
+      return striped.groups[request.video];
+    };
+  };
+  const HybridLayout hybrid = make_hybrid_layout(m, 8, 2, 2);
+  const auto all_copies = [&](const Request& request, std::int64_t pick) {
+    EXPECT_EQ(pick, -1);
+    std::vector<std::size_t> members;
+    for (const auto& group : hybrid.groups[request.video]) {
+      members.insert(members.end(), group.begin(), group.end());
+    }
+    return members;
+  };
+  const StripedLayout aligned = aligned_striped_layout(m, 8, 2);
+  const StripedLayout staggered = make_striped_layout(m, 8, 3);
+  PrefixCacheOptions no_cache;
+  PrefixCacheOptions live_cache;
+  live_cache.capacity_bytes = 5e9;
+
   for (const std::size_t shards : kShardCounts) {
-    const ShardPlan plan =
-        make_replicated_shard_plan(layout, world.config, world.trace, shards);
-    ASSERT_EQ(plan.shard_of_request.size(), world.trace.size());
-    ASSERT_EQ(plan.shard_of_server.size(), world.num_servers);
-    std::size_t total = 0;
-    for (std::size_t s = 0; s < plan.num_shards; ++s) {
-      EXPECT_TRUE(plan.sub_traces[s].is_well_formed());
-      EXPECT_EQ(plan.sub_traces[s].horizon, world.trace.horizon);
-      total += plan.sub_traces[s].size();
-    }
-    EXPECT_EQ(total, world.trace.size());
-    // The routed sub-traces preserve the global order restricted to each
-    // shard: replaying shard_of_request must reproduce every sub-trace.
-    std::vector<std::size_t> cursor(plan.num_shards, 0);
-    for (std::size_t i = 0; i < world.trace.size(); ++i) {
-      const std::uint32_t s = plan.shard_of_request[i];
-      ASSERT_LT(cursor[s], plan.sub_traces[s].size());
-      EXPECT_EQ(world.trace.requests[i],
-                plan.sub_traces[s].requests[cursor[s]]);
-      ++cursor[s];
-    }
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    rr.assign(m, 0);
+    expect_closed_partition(
+        ReplicatedPolicy(layout, strict).shard(world.trace, shards),
+        world.trace, n, shards, routed_pick);
+    expect_closed_partition(
+        ReplicatedPolicy(layout, redirecting).shard(world.trace, shards),
+        world.trace, n, shards, all_holders);
+    rr.assign(m, 0);
+    expect_closed_partition(
+        PrefixCachePolicy(layout, strict, no_cache).shard(world.trace, shards),
+        world.trace, n, shards, routed_pick);
+    expect_closed_partition(PrefixCachePolicy(layout, strict, live_cache)
+                                .shard(world.trace, shards),
+                            world.trace, n, shards, every_server);
+    expect_closed_partition(
+        StripedPolicy(aligned, plain).shard(world.trace, shards), world.trace,
+        8, shards, stripe_group(aligned));
+    expect_closed_partition(
+        StripedPolicy(staggered, plain).shard(world.trace, shards),
+        world.trace, 8, shards, stripe_group(staggered));
+    expect_closed_partition(
+        HybridPolicy(hybrid, plain).shard(world.trace, shards), world.trace,
+        8, shards, all_copies);
+  }
+}
+
+TEST(ShardInvariance, TimelineSizedForAnotherServerCountIsRejected) {
+  // Every sample copies all N utilizations into the collector, so one
+  // built for fewer servers would be written past its end.
+  Rng rng(0x5eed0009);
+  const World world = random_world(rng, /*allow_extensions=*/false);
+  const Layout layout =
+      random_layout(rng, world.num_videos, world.num_servers, 3);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    obs::TimeseriesCollector timeline(timeline_config(),
+                                      world.num_servers - 1);
+    SimOptions options;
+    options.num_shards = shards;
+    options.timeline = &timeline;
+    EXPECT_THROW(
+        (void)simulate(ReplicatedPolicy(layout, world.config), world.trace,
+                       options),
+        InvalidArgumentError);
   }
 }
 
@@ -539,11 +671,11 @@ TEST(ShardedEngineThreads, ReplicatedMatchesMonolithicOnAPool) {
     ReplicatedPolicy policy(layout, world.config);
     const SimResult mono = run_monolithic(policy, world.config, world.trace,
                                           nullptr, nullptr);
-    ShardedSimOptions options;
+    SimOptions options;
     options.num_shards = 4;
     options.pool = &pool;
     const SimResult sharded =
-        simulate_sharded(layout, world.config, world.trace, options);
+        simulate(ReplicatedPolicy(layout, world.config), world.trace, options);
     expect_equivalent(mono, sharded);
   }
 }
@@ -562,20 +694,20 @@ TEST(ShardedEngineThreads, StripedAndHybridMatchMonolithicOnAPool) {
   StripedPolicy striped_policy(striped, world.config);
   const SimResult striped_mono = run_monolithic(
       striped_policy, world.config, world.trace, nullptr, nullptr);
-  ShardedSimOptions options;
+  SimOptions options;
   options.num_shards = 4;
   options.pool = &pool;
   expect_equivalent(striped_mono,
-                    simulate_sharded_striped(striped, world.config,
-                                             world.trace, options));
+                    simulate(StripedPolicy(striped, world.config),
+                             world.trace, options));
 
   const HybridLayout hybrid = aligned_hybrid_layout(world.num_videos, 8, 2, 2);
   HybridPolicy hybrid_policy(hybrid, world.config);
   const SimResult hybrid_mono = run_monolithic(
       hybrid_policy, world.config, world.trace, nullptr, nullptr);
   expect_equivalent(hybrid_mono,
-                    simulate_sharded_hybrid(hybrid, world.config, world.trace,
-                                            options));
+                    simulate(HybridPolicy(hybrid, world.config), world.trace,
+                             options));
 }
 
 TEST(ShardedEngineThreads, TimelineAndEventLogMergeUnderThreads) {
@@ -592,12 +724,13 @@ TEST(ShardedEngineThreads, TimelineAndEventLogMergeUnderThreads) {
                                         &mono_timeline, &mono_log);
   obs::TimeseriesCollector timeline(timeline_config(), world.num_servers);
   obs::EventLog log(kEventLogCapacity);
-  ShardedSimOptions options;
+  SimOptions options;
   options.num_shards = 4;
   options.pool = &pool;
-  const SimResult sharded = simulate_sharded(layout, world.config,
-                                             world.trace, options, &timeline,
-                                             &log);
+  options.timeline = &timeline;
+  options.event_log = &log;
+  const SimResult sharded =
+      simulate(ReplicatedPolicy(layout, world.config), world.trace, options);
   expect_equivalent(mono, sharded);
   expect_timelines_equivalent(mono_timeline, timeline);
   expect_event_logs_identical(mono_log, log);

@@ -1,9 +1,10 @@
-#include "src/sim/simulator.h"
+#include "src/sim/sharded_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
 
+#include "src/sim/replicated_policy.h"
 #include "src/util/error.h"
 #include "src/util/units.h"
 
@@ -33,7 +34,7 @@ TEST(Simulator, EmptyTraceYieldsNoActivity) {
   Layout layout;
   layout.assignment = {{0}};
   const SimResult result =
-      simulate(layout, basic_config(), trace_of({}, 50.0));
+      simulate(ReplicatedPolicy(layout, basic_config()), trace_of({}, 50.0));
   EXPECT_EQ(result.total_requests, 0u);
   EXPECT_EQ(result.rejected, 0u);
   EXPECT_DOUBLE_EQ(result.rejection_rate(), 0.0);
@@ -45,7 +46,7 @@ TEST(Simulator, AdmitsWithinCapacity) {
   layout.assignment = {{0}};
   // Two streams on a 2-stream server: both admitted.
   const SimResult result = simulate(
-      layout, basic_config(1),
+      ReplicatedPolicy(layout, basic_config(1)),
       trace_of({Request{1.0, 0}, Request{2.0, 0}}, 50.0));
   EXPECT_EQ(result.total_requests, 2u);
   EXPECT_EQ(result.rejected, 0u);
@@ -57,7 +58,7 @@ TEST(Simulator, RejectsBeyondCapacity) {
   layout.assignment = {{0}};
   // Three overlapping streams on a 2-stream server: the third is rejected.
   const SimResult result = simulate(
-      layout, basic_config(1),
+      ReplicatedPolicy(layout, basic_config(1)),
       trace_of({Request{1.0, 0}, Request{2.0, 0}, Request{3.0, 0}}, 50.0));
   EXPECT_EQ(result.rejected, 1u);
   EXPECT_NEAR(result.rejection_rate(), 1.0 / 3.0, 1e-12);
@@ -70,7 +71,7 @@ TEST(Simulator, DeparturesFreeCapacity) {
   // is admitted again.
   SimConfig config = basic_config(1, 2 * kRate, 10.0);
   const SimResult result = simulate(
-      layout, config,
+      ReplicatedPolicy(layout, config),
       trace_of({Request{1.0, 0}, Request{2.0, 0}, Request{20.0, 0}}, 50.0));
   EXPECT_EQ(result.rejected, 0u);
 }
@@ -83,7 +84,8 @@ TEST(Simulator, RoundRobinSplitsLoadAcrossReplicas) {
     requests.push_back(Request{static_cast<double>(i), 0});
   }
   SimConfig config = basic_config(2, 20 * kRate, 1000.0);
-  const SimResult result = simulate(layout, config, trace_of(requests, 100.0));
+  const SimResult result =
+      simulate(ReplicatedPolicy(layout, config), trace_of(requests, 100.0));
   EXPECT_EQ(result.served_per_server[0], 5u);
   EXPECT_EQ(result.served_per_server[1], 5u);
 }
@@ -99,7 +101,8 @@ TEST(Simulator, ImbalanceIsZeroForSymmetricLoad) {
     requests.push_back(Request{static_cast<double>(i), 0});
   }
   SimConfig config = basic_config(2, 100 * kRate, 1000.0);
-  const SimResult result = simulate(layout, config, trace_of(requests, 50.0));
+  const SimResult result =
+      simulate(ReplicatedPolicy(layout, config), trace_of(requests, 50.0));
   EXPECT_NEAR(result.mean_imbalance_eq2, 0.0, 1e-9);
 }
 
@@ -109,7 +112,8 @@ TEST(Simulator, ImbalanceDetectsSkewedLayout) {
   layout.assignment = {{0}};
   SimConfig config = basic_config(2, 100 * kRate, 1000.0);
   const SimResult result = simulate(
-      layout, config, trace_of({Request{0.0, 0}, Request{1.0, 0}}, 50.0));
+      ReplicatedPolicy(layout, config),
+      trace_of({Request{0.0, 0}, Request{1.0, 0}}, 50.0));
   EXPECT_NEAR(result.mean_imbalance_eq2, 1.0, 1e-6);
   EXPECT_NEAR(result.peak_imbalance_eq2, 1.0, 1e-9);
 }
@@ -122,7 +126,8 @@ TEST(Simulator, CapacityNormalizedImbalanceMatchesHandComputation) {
   layout.assignment = {{0}};
   SimConfig config = basic_config(2, 100 * kRate, 1000.0);
   const SimResult result = simulate(
-      layout, config, trace_of({Request{0.0, 0}, Request{1.0, 0}}, 41.0));
+      ReplicatedPolicy(layout, config),
+      trace_of({Request{0.0, 0}, Request{1.0, 0}}, 41.0));
   // 1 unit at 0.5/100 + 40 units at 1/100, over 41 units.
   EXPECT_NEAR(result.mean_imbalance_capacity, (0.005 + 40 * 0.01) / 41.0,
               1e-9);
@@ -138,8 +143,10 @@ TEST(Simulator, CapacityNormalizedImbalanceGrowsWithLoadUnlikeEq2) {
   std::vector<Request> light{Request{0.0, 0}};
   std::vector<Request> heavy;
   for (int i = 0; i < 20; ++i) heavy.push_back(Request{0.0, 0});
-  const SimResult r_light = simulate(layout, config, trace_of(light, 50.0));
-  const SimResult r_heavy = simulate(layout, config, trace_of(heavy, 50.0));
+  const SimResult r_light =
+      simulate(ReplicatedPolicy(layout, config), trace_of(light, 50.0));
+  const SimResult r_heavy =
+      simulate(ReplicatedPolicy(layout, config), trace_of(heavy, 50.0));
   EXPECT_NEAR(r_light.mean_imbalance_eq2, r_heavy.mean_imbalance_eq2, 1e-9);
   EXPECT_GT(r_heavy.mean_imbalance_capacity,
             5.0 * r_light.mean_imbalance_capacity);
@@ -151,8 +158,8 @@ TEST(Simulator, UtilizationMatchesHandComputation) {
   // One stream of duration 10 on a 2-stream server over a 40-unit window:
   // busy integral = rate * 10, capacity integral = 2 * rate * 40 -> 0.125.
   SimConfig config = basic_config(1, 2 * kRate, 10.0);
-  const SimResult result =
-      simulate(layout, config, trace_of({Request{0.0, 0}}, 40.0));
+  const SimResult result = simulate(
+      ReplicatedPolicy(layout, config), trace_of({Request{0.0, 0}}, 40.0));
   EXPECT_NEAR(result.utilization_per_server[0], 0.125, 1e-9);
 }
 
@@ -165,7 +172,8 @@ TEST(Simulator, ConservationServedPlusRejectedEqualsTotal) {
         Request{static_cast<double>(i) * 0.4, static_cast<std::size_t>(i % 3)});
   }
   SimConfig config = basic_config(2, 5 * kRate, 30.0);
-  const SimResult result = simulate(layout, config, trace_of(requests, 90.0));
+  const SimResult result =
+      simulate(ReplicatedPolicy(layout, config), trace_of(requests, 90.0));
   const std::size_t served = std::accumulate(
       result.served_per_server.begin(), result.served_per_server.end(),
       std::size_t{0});
@@ -189,9 +197,9 @@ TEST(Simulator, RedirectionReducesRejections) {
   redirect.redirect = RedirectMode::kOtherHolders;
   redirect.backbone_bps = units::gbps(1);
   const SimResult r_strict =
-      simulate(layout, strict, trace_of(requests, 50.0));
+      simulate(ReplicatedPolicy(layout, strict), trace_of(requests, 50.0));
   const SimResult r_redirect =
-      simulate(layout, redirect, trace_of(requests, 50.0));
+      simulate(ReplicatedPolicy(layout, redirect), trace_of(requests, 50.0));
   EXPECT_GT(r_strict.rejected, r_redirect.rejected);
   EXPECT_GT(r_redirect.redirected, 0u);
 }
@@ -206,12 +214,13 @@ TEST(Simulator, AbandonedStreamsReleaseBandwidthEarly) {
   RequestTrace trace;
   trace.horizon = 50.0;
   trace.requests = {Request{0.0, 0, 0.1}, Request{15.0, 0, 1.0}};
-  const SimResult result = simulate(layout, config, trace);
+  const SimResult result = simulate(ReplicatedPolicy(layout, config), trace);
   EXPECT_EQ(result.rejected, 0u);
 
   RequestTrace full = trace;
   full.requests[0].watch_fraction = 1.0;
-  const SimResult result_full = simulate(layout, config, full);
+  const SimResult result_full =
+      simulate(ReplicatedPolicy(layout, config), full);
   EXPECT_EQ(result_full.rejected, 1u);
 }
 
@@ -221,7 +230,7 @@ TEST(Simulator, FailureDisruptsOnlyLocalStreams) {
   SimConfig config = basic_config(2, 100 * kRate, 1000.0);
   config.failures = {ServerFailure{5.0, 0}};
   const SimResult result = simulate(
-      layout, config,
+      ReplicatedPolicy(layout, config),
       trace_of({Request{0.0, 0}, Request{1.0, 1}, Request{2.0, 0}}, 50.0));
   EXPECT_EQ(result.disrupted, 2u);  // the two streams on server 0
   EXPECT_EQ(result.rejected, 0u);
@@ -237,7 +246,8 @@ TEST(Simulator, FailedServerRejectsItsShareOfRequests) {
   std::vector<Request> requests;
   for (int i = 0; i < 4; ++i) requests.push_back(Request{2.0 + i, 0});
   for (int i = 0; i < 4; ++i) requests.push_back(Request{6.0 + i, 1});
-  const SimResult result = simulate(layout, config, trace_of(requests, 50.0));
+  const SimResult result =
+      simulate(ReplicatedPolicy(layout, config), trace_of(requests, 50.0));
   EXPECT_EQ(result.rejected, 4u + 2u);  // all of video 0, RR half of video 1
 }
 
@@ -249,7 +259,8 @@ TEST(Simulator, RedirectionRecoversFailedServerTraffic) {
   config.failures = {ServerFailure{1.0, 0}};
   std::vector<Request> requests;
   for (int i = 0; i < 6; ++i) requests.push_back(Request{2.0 + i, 0});
-  const SimResult result = simulate(layout, config, trace_of(requests, 50.0));
+  const SimResult result =
+      simulate(ReplicatedPolicy(layout, config), trace_of(requests, 50.0));
   EXPECT_EQ(result.rejected, 0u);
   EXPECT_EQ(result.redirected, 3u);  // the RR picks of the dead server
 }
@@ -261,8 +272,8 @@ TEST(Simulator, ProxyRequiresALivingHolder) {
   config.redirect = RedirectMode::kBackboneProxy;
   config.backbone_bps = units::gbps(10);
   config.failures = {ServerFailure{1.0, 0}};
-  const SimResult result =
-      simulate(layout, config, trace_of({Request{2.0, 0}}, 50.0));
+  const SimResult result = simulate(
+      ReplicatedPolicy(layout, config), trace_of({Request{2.0, 0}}, 50.0));
   // Servers 1 and 2 have idle links, but the only copy of the data died
   // with server 0.
   EXPECT_EQ(result.rejected, 1u);
@@ -273,15 +284,16 @@ TEST(Simulator, UnsortedFailuresRejected) {
   layout.assignment = {{0}};
   SimConfig config = basic_config(2);
   config.failures = {ServerFailure{5.0, 0}, ServerFailure{1.0, 1}};
-  EXPECT_THROW((void)simulate(layout, config, trace_of({}, 50.0)),
-               InvalidArgumentError);
+  EXPECT_THROW(
+      (void)simulate(ReplicatedPolicy(layout, config), trace_of({}, 50.0)),
+      InvalidArgumentError);
 }
 
 TEST(Simulator, RejectsMalformedTrace) {
   Layout layout;
   layout.assignment = {{0}};
   RequestTrace bad = trace_of({Request{5.0, 0}, Request{1.0, 0}}, 50.0);
-  EXPECT_THROW((void)simulate(layout, basic_config(1), bad),
+  EXPECT_THROW((void)simulate(ReplicatedPolicy(layout, basic_config(1)), bad),
                InvalidArgumentError);
 }
 

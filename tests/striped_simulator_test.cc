@@ -1,7 +1,8 @@
-#include "src/sim/striped_simulator.h"
+#include "src/sim/striped_policy.h"
 
 #include <gtest/gtest.h>
 
+#include "src/sim/sharded_engine.h"
 #include "src/util/error.h"
 #include "src/util/units.h"
 
@@ -30,7 +31,7 @@ RequestTrace trace_of(std::vector<Request> requests, double horizon) {
 TEST(StripedSimulator, AdmitsAndSplitsShares) {
   const StripedLayout layout = make_striped_layout(1, 4, 4);
   const SimResult result =
-      simulate_striped(layout, config_of(4, 2 * kRate),
+      simulate(StripedPolicy(layout, config_of(4, 2 * kRate)),
                        trace_of({Request{1.0, 0}}, 50.0));
   EXPECT_EQ(result.rejected, 0u);
   // Every server participated in the single stream.
@@ -47,8 +48,8 @@ TEST(StripedSimulator, WideStripingPoolsClusterBandwidth) {
     requests.push_back(Request{static_cast<double>(i), static_cast<std::size_t>(i % 3)});
   }
   requests.push_back(Request{10.0, 0});  // fifth concurrent stream
-  const SimResult result = simulate_striped(layout, config_of(2, 2 * kRate),
-                                            trace_of(requests, 50.0));
+  const SimResult result = simulate(
+      StripedPolicy(layout, config_of(2, 2 * kRate)), trace_of(requests, 50.0));
   EXPECT_EQ(result.rejected, 1u);
 }
 
@@ -59,8 +60,9 @@ TEST(StripedSimulator, PerfectBalanceUnderWideStriping) {
     requests.push_back(Request{static_cast<double>(i),
                                static_cast<std::size_t>(i % 5)});
   }
-  const SimResult result = simulate_striped(layout, config_of(4, 100 * kRate),
-                                            trace_of(requests, 50.0));
+  const SimResult result = simulate(
+      StripedPolicy(layout, config_of(4, 100 * kRate)),
+      trace_of(requests, 50.0));
   EXPECT_NEAR(result.mean_imbalance_eq2, 0.0, 1e-9);
   EXPECT_NEAR(result.peak_imbalance_eq2, 0.0, 1e-9);
 }
@@ -69,8 +71,8 @@ TEST(StripedSimulator, DeparturesFreeAllShares) {
   const StripedLayout layout = make_striped_layout(1, 2, 2);
   // Duration 10: both capacity slots cycle.
   SimConfig config = config_of(2, kRate, 10.0);
-  const SimResult result = simulate_striped(
-      layout, config,
+  const SimResult result = simulate(
+      StripedPolicy(layout, config),
       trace_of({Request{0.0, 0}, Request{1.0, 0}, Request{20.0, 0}}, 50.0));
   // Capacity is kRate per server, shares kRate/2: two concurrent fit.
   EXPECT_EQ(result.rejected, 0u);
@@ -83,7 +85,7 @@ TEST(StripedSimulator, FailureKillsEveryCoupledStream) {
   std::vector<Request> requests{Request{0.0, 0}, Request{1.0, 1},
                                 Request{2.0, 0}};
   const SimResult result =
-      simulate_striped(layout, config, trace_of(requests, 50.0));
+      simulate(StripedPolicy(layout, config), trace_of(requests, 50.0));
   // Wide striping: every active stream touches server 2.
   EXPECT_EQ(result.disrupted, 3u);
 }
@@ -95,7 +97,7 @@ TEST(StripedSimulator, FailureMakesCoupledVideosUnavailable) {
   config.failures = {ServerFailure{5.0, 0}};
   std::vector<Request> requests{Request{10.0, 0}, Request{11.0, 1}};
   const SimResult result =
-      simulate_striped(layout, config, trace_of(requests, 50.0));
+      simulate(StripedPolicy(layout, config), trace_of(requests, 50.0));
   // Video 0 is unavailable after the crash; video 1 unaffected.
   EXPECT_EQ(result.rejected, 1u);
   EXPECT_EQ(result.disrupted, 0u);
@@ -109,21 +111,23 @@ TEST(StripedSimulator, NarrowStripingLimitsFailureBlastRadius) {
   for (int i = 0; i < 8; ++i) {
     requests.push_back(Request{0.1 * i, static_cast<std::size_t>(i % 8)});
   }
-  const SimResult wide = simulate_striped(
-      make_striped_layout(8, n, n), config, trace_of(requests, 50.0));
-  const SimResult narrow = simulate_striped(
-      make_striped_layout(8, n, 2), config, trace_of(requests, 50.0));
+  const SimResult wide = simulate(
+      StripedPolicy(make_striped_layout(8, n, n), config),
+      trace_of(requests, 50.0));
+  const SimResult narrow = simulate(
+      StripedPolicy(make_striped_layout(8, n, 2), config),
+      trace_of(requests, 50.0));
   EXPECT_GT(wide.disrupted, narrow.disrupted);
 }
 
 TEST(StripedSimulator, RejectsMalformedInput) {
   const StripedLayout layout = make_striped_layout(1, 2, 2);
   RequestTrace bad = trace_of({Request{5.0, 0}, Request{1.0, 0}}, 50.0);
-  EXPECT_THROW((void)simulate_striped(layout, config_of(2, kRate), bad),
+  EXPECT_THROW((void)simulate(StripedPolicy(layout, config_of(2, kRate)), bad),
                InvalidArgumentError);
   RequestTrace out_of_range = trace_of({Request{1.0, 7}}, 50.0);
   EXPECT_THROW(
-      (void)simulate_striped(layout, config_of(2, kRate), out_of_range),
+      (void)simulate(StripedPolicy(layout, config_of(2, kRate)), out_of_range),
       InvalidArgumentError);
 }
 
@@ -133,8 +137,8 @@ TEST(StripedSimulator, UtilizationAccountsShares) {
   // of two servers with capacity 2*kRate: utilization = (kRate/2 * 10) /
   // (2*kRate * 40) = 0.0625.
   SimConfig config = config_of(2, 2 * kRate, 10.0);
-  const SimResult result =
-      simulate_striped(layout, config, trace_of({Request{0.0, 0}}, 40.0));
+  const SimResult result = simulate(
+      StripedPolicy(layout, config), trace_of({Request{0.0, 0}}, 40.0));
   EXPECT_NEAR(result.utilization_per_server[0], 0.0625, 1e-9);
   EXPECT_NEAR(result.utilization_per_server[1], 0.0625, 1e-9);
 }

@@ -37,7 +37,6 @@
 #include "src/sim/replicated_policy.h"
 #include "src/sim/run_report.h"
 #include "src/sim/sharded_engine.h"
-#include "src/sim/simulator.h"
 #include "src/util/cli.h"
 #include "src/util/error.h"
 #include "src/util/rng.h"
@@ -176,34 +175,41 @@ PrefixCacheOptions make_cache_options(const CliFlags& flags) {
   return options;
 }
 
-// Runs the evaluate/report simulation: the plain replicated organization,
-// or — under --prefix-cache — the same origin cluster fronted by an edge
-// prefix-cache tier.  --sim-shards 1 (the default) is the monolithic
-// SimEngine, bit-identical to prior releases; larger values run the sharded
-// engine across that many worker threads.  The sharded replay is proven
-// invariant in the shard count (tests/sim_shard_invariance_test.cc), so the
-// flag is purely a throughput knob on multicore machines.
+// The storage organization to simulate: the plain replicated one, or —
+// under --prefix-cache — the same origin cluster fronted by an edge
+// prefix-cache tier.
+std::unique_ptr<StoragePolicy> make_policy(const CliFlags& flags,
+                                           const Layout& layout,
+                                           const SimConfig& config) {
+  if (flags.get_bool("prefix-cache")) {
+    return std::make_unique<PrefixCachePolicy>(layout, config,
+                                               make_cache_options(flags));
+  }
+  return std::make_unique<ReplicatedPolicy>(layout, config);
+}
+
+// Runs the evaluate/report simulation of make_policy's organization.
+// --sim-shards 1 (the default) is the monolithic SimEngine, bit-identical
+// to prior releases; larger values run the sharded engine across that many
+// worker threads.  The sharded replay is proven invariant in the shard
+// count (tests/sim_shard_invariance_test.cc), so the flag is purely a
+// throughput knob on multicore machines.
 SimResult run_sim(const CliFlags& flags, const Layout& layout,
                   const SimConfig& config, const RequestTrace& trace,
                   obs::TimeseriesCollector* timeline,
                   obs::EventLog* event_log) {
   const long long shards_flag = flags.get_int("sim-shards");
   require(shards_flag >= 1, "--sim-shards must be >= 1");
-  const auto shards = static_cast<std::size_t>(shards_flag);
-  ShardedSimOptions options;
-  options.num_shards = shards;
+  SimOptions options;
+  options.num_shards = static_cast<std::size_t>(shards_flag);
+  options.timeline = timeline;
+  options.event_log = event_log;
   std::unique_ptr<ThreadPool> pool;
-  if (shards > 1) {
-    pool = std::make_unique<ThreadPool>(shards);
+  if (options.num_shards > 1) {
+    pool = std::make_unique<ThreadPool>(options.num_shards);
     options.pool = pool.get();
   }
-  if (flags.get_bool("prefix-cache")) {
-    return simulate_sharded_prefix_cache(layout, config,
-                                         make_cache_options(flags), trace,
-                                         options, timeline, event_log);
-  }
-  return simulate_sharded(layout, config, trace, options, timeline,
-                          event_log);
+  return simulate(*make_policy(flags, layout, config), trace, options);
 }
 
 void print_cache_summary(const CliFlags& flags, const SimResult& result) {
@@ -584,10 +590,11 @@ int run(int argc, char** argv) {
               "adaptive controller replans the origin layout but the edge "
               "tier's residency would carry across replans; drop one");
       require(flags.get_int("sim-shards") <= 1,
-              "--sim-shards does not compose with --online-epochs: the "
-              "adaptive controller replans the layout between epochs, which "
-              "re-couples servers across shard boundaries; run the online "
-              "path with --sim-shards 1");
+              "--sim-shards does not compose with --online-epochs yet: the "
+              "sharded merge fills only a freshly constructed timeline and "
+              "event log, while the online path appends every epoch into one "
+              "time-offset timeline and event log; run the online path with "
+              "--sim-shards 1");
       // Multi-epoch online path: the adaptive controller re-provisions
       // between epochs; each replan lands on the timeline as an annotation
       // at its (global-time) epoch boundary.
@@ -601,14 +608,11 @@ int run(int argc, char** argv) {
       controller.set_timeline(&timeline);
       for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
         const RequestTrace trace = generate_trace(rng, spec);
-        SimEngine engine(sim);
-        ReplicatedPolicy policy(controller.layout(), sim);
         const double offset = static_cast<double>(epoch) * horizon;
         timeline.set_time_offset(offset);
         event_log.set_time_offset(offset);
-        engine.attach_timeline(&timeline);
-        engine.attach_event_log(&event_log);
-        results.push_back(engine.run(policy, trace));
+        results.push_back(run_sim(flags, controller.layout(), sim, trace,
+                                  &timeline, &event_log));
         controller.observe_epoch(trace.video_counts(popularity.size()));
         (void)controller.adapt(static_cast<double>(epoch + 1) * horizon);
       }
