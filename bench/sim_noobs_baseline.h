@@ -25,6 +25,7 @@
 #include "src/sim/engine.h"  // SimConfig / SimResult / PolicyDecision
 #include "src/sim/event_heap.h"
 #include "src/sim/server.h"
+#include "src/sim/stream_table.h"
 #include "src/util/stats.h"
 #include "src/workload/trace.h"
 
@@ -114,7 +115,7 @@ class NoObsReplicatedPolicy final : public NoObsPolicy {
   const SimConfig config_;
   Dispatcher dispatcher_;
   NoObsSimEngine* engine_ = nullptr;
-  std::vector<Stream> streams_;
+  StreamTable<Stream> streams_;
 };
 
 }  // namespace vodrep::noobs

@@ -32,18 +32,19 @@ PolicyDecision NoObsReplicatedPolicy::dispatch(const Request& request) {
   outcome.batched = decision->batched;
   if (decision->reserves_bandwidth()) {
     engine_->admit(decision->server, bitrate);
-    streams_.push_back(Stream{decision->server, decision->via_backbone});
     const double held_sec =
         decision->batched ? decision->patch_duration_sec
                           : request.watch_fraction * config_.video_duration_sec;
-    engine_->schedule_departure(request.arrival_time + held_sec,
-                                streams_.size() - 1);
+    engine_->schedule_departure(
+        request.arrival_time + held_sec,
+        streams_.open(Stream{decision->server, decision->via_backbone}));
   }
   return outcome;
 }
 
 void NoObsReplicatedPolicy::on_departure(std::size_t stream) {
-  const Stream& record = streams_[stream];
+  const Stream record = streams_[stream];
+  streams_.close(stream);
   if (!engine_->server(record.server).failed()) {
     engine_->release(record.server, config_.stream_bitrate_bps);
   }

@@ -145,16 +145,10 @@ SimResult SimEngine::finish_stepping(StoragePolicy& policy, double horizon) {
 void SimEngine::step_request(StoragePolicy& policy, const Request& request,
                              obs::Histogram* dispatch_hist) {
   advance_events(policy, request.arrival_time);
-  PolicyDecision decision;
-  if (dispatch_hist != nullptr) {
-    const std::uint64_t start_ns = obs::TraceRecorder::now_ns();
-    decision = policy.dispatch(request);
-    dispatch_hist->observe(
-        static_cast<double>(obs::TraceRecorder::now_ns() - start_ns) /
-        1000.0);
-  } else {
-    decision = policy.dispatch(request);
-  }
+  const PolicyDecision decision =
+      dispatch_hist != nullptr
+          ? timed_dispatch(policy, request, *dispatch_hist)
+          : policy.dispatch(request);
   ++requests_dispatched_;
   if (!decision.admitted) {
     ++result_.rejected;
@@ -170,25 +164,38 @@ void SimEngine::step_request(StoragePolicy& policy, const Request& request,
     if (decision.redirected) ++result_.redirected;
     if (decision.via_backbone) ++result_.proxied;
   }
-  if (event_log_ != nullptr) {
-    obs::RequestRecord record;
-    record.arrival_time = request.arrival_time;
-    record.video = static_cast<std::uint32_t>(request.video);
-    record.server = decision.server;
-    if (!decision.admitted) {
-      record.outcome = obs::RequestOutcome::kRejected;
-      record.reason = decision.reject_reason;
-    } else if (decision.batched) {
-      record.outcome = obs::RequestOutcome::kBatched;
-    } else if (decision.via_backbone) {
-      record.outcome = obs::RequestOutcome::kProxied;
-    } else if (decision.redirected) {
-      record.outcome = obs::RequestOutcome::kRedirected;
-    } else {
-      record.outcome = obs::RequestOutcome::kServed;
-    }
-    event_log_->record(record);
+  if (event_log_ != nullptr) log_request(request, decision);
+}
+
+PolicyDecision SimEngine::timed_dispatch(StoragePolicy& policy,
+                                         const Request& request,
+                                         obs::Histogram& dispatch_hist) {
+  const std::uint64_t start_ns = obs::TraceRecorder::now_ns();
+  const PolicyDecision decision = policy.dispatch(request);
+  dispatch_hist.observe(
+      static_cast<double>(obs::TraceRecorder::now_ns() - start_ns) / 1000.0);
+  return decision;
+}
+
+void SimEngine::log_request(const Request& request,
+                            const PolicyDecision& decision) {
+  obs::RequestRecord record;
+  record.arrival_time = request.arrival_time;
+  record.video = static_cast<std::uint32_t>(request.video);
+  record.server = decision.server;
+  if (!decision.admitted) {
+    record.outcome = obs::RequestOutcome::kRejected;
+    record.reason = decision.reject_reason;
+  } else if (decision.batched) {
+    record.outcome = obs::RequestOutcome::kBatched;
+  } else if (decision.via_backbone) {
+    record.outcome = obs::RequestOutcome::kProxied;
+  } else if (decision.redirected) {
+    record.outcome = obs::RequestOutcome::kRedirected;
+  } else {
+    record.outcome = obs::RequestOutcome::kServed;
   }
+  event_log_->record(record);
 }
 
 SimResult SimEngine::finalize(double horizon) {
@@ -343,13 +350,14 @@ void SimEngine::integrate_to(double t) {
   imbalance_cv_.add(cv, dt);
   imbalance_capacity_.add(std::max(0.0, max - mean), dt);
   peak_eq2_ = std::max(peak_eq2_, eq2);
-  if (segment_log_ != nullptr) {
-    // The (post-flush) accumulators held these values over [now_, t); the
-    // sharded merge sweeps these spans chronologically across shards.
-    segment_log_->push_back(
-        {t, utilization_sum_, utilization_sumsq_, max});
-  }
+  if (segment_log_ != nullptr) log_segment(t, max);
   now_ = t;
+}
+
+void SimEngine::log_segment(double t, double max) {
+  // The (post-flush) accumulators held these values over [now_, t); the
+  // sharded merge sweeps these spans chronologically across shards.
+  segment_log_->push_back({t, utilization_sum_, utilization_sumsq_, max});
 }
 
 void SimEngine::sample_timeline_to(double t) {

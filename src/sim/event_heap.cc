@@ -1,15 +1,25 @@
 #include "src/sim/event_heap.h"
 
+#include <algorithm>
+
 #include "src/util/error.h"
 
 namespace vodrep {
 
 double EventHeap::min_time() const {
-  require(!heap_.empty(), "EventHeap::min_time: empty heap");
-  return nodes_[heap_.front()].time;
+  require(!empty(), "EventHeap::min_time: empty heap");
+  if (lane_.empty()) return nodes_[heap_.front()].time;
+  const double lane_time = lane_[lane_.front()].time;
+  return heap_.empty() ? lane_time
+                       : std::min(lane_time, nodes_[heap_.front()].time);
 }
 
 EventHeap::Id EventHeap::push(double time, std::size_t payload) {
+  const std::uint64_t seq = next_seq_++;
+  if (lane_.empty() || time >= lane_tail_time_) {
+    lane_tail_time_ = time;
+    return kLaneBit | lane_.open(LaneEvent{time, seq, payload});
+  }
   Id id;
   if (free_ids_.empty()) {
     id = nodes_.size();
@@ -20,7 +30,7 @@ EventHeap::Id EventHeap::push(double time, std::size_t payload) {
   }
   Node& node = nodes_[id];
   node.time = time;
-  node.seq = next_seq_++;
+  node.seq = seq;
   node.payload = payload;
   heap_.push_back(id);
   node.pos = heap_.size() - 1;
@@ -29,37 +39,39 @@ EventHeap::Id EventHeap::push(double time, std::size_t payload) {
 }
 
 EventHeap::Event EventHeap::pop_min() {
-  require(!heap_.empty(), "EventHeap::pop_min: empty heap");
+  require(!empty(), "EventHeap::pop_min: empty heap");
+  if (!lane_.empty() && (heap_.empty() || lane_pops_first())) {
+    const StreamTable<LaneEvent>::Id head = lane_.front();
+    const LaneEvent& event = lane_[head];
+    const Event out{event.time, event.payload};
+    lane_.close(head);
+    return out;
+  }
   const std::size_t top = heap_.front();
   const Event event{nodes_[top].time, nodes_[top].payload};
-  nodes_[top].pos = kUnplaced;
-  free_ids_.push_back(top);
-  const std::size_t last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    place(0, last);
-    sift_down(0);
-  }
+  remove_at(0);
   return event;
 }
 
 void EventHeap::cancel(Id id) {
   require(active(id), "EventHeap::cancel: event is not scheduled");
-  const std::size_t pos = nodes_[id].pos;
-  nodes_[id].pos = kUnplaced;
-  free_ids_.push_back(id);
-  const std::size_t last = heap_.back();
-  heap_.pop_back();
-  if (pos < heap_.size()) {
-    place(pos, last);
-    // The replacement may violate the heap property in either direction.
-    sift_up(pos);
-    sift_down(pos);
+  if ((id & kLaneBit) != 0) {
+    lane_.close(id & ~kLaneBit);
+  } else {
+    remove_at(nodes_[id].pos);
   }
 }
 
 bool EventHeap::active(Id id) const {
+  if ((id & kLaneBit) != 0) return lane_.is_open(id & ~kLaneBit);
   return id < nodes_.size() && nodes_[id].pos != kUnplaced;
+}
+
+bool EventHeap::lane_pops_first() const {
+  const LaneEvent& lane = lane_[lane_.front()];
+  const Node& top = nodes_[heap_.front()];
+  if (lane.time != top.time) return lane.time < top.time;
+  return lane.seq < top.seq;
 }
 
 bool EventHeap::before(std::size_t node_a, std::size_t node_b) const {
@@ -72,6 +84,20 @@ bool EventHeap::before(std::size_t node_a, std::size_t node_b) const {
 void EventHeap::place(std::size_t pos, std::size_t node) {
   heap_[pos] = node;
   nodes_[node].pos = pos;
+}
+
+void EventHeap::remove_at(std::size_t pos) {
+  const std::size_t id = heap_[pos];
+  nodes_[id].pos = kUnplaced;
+  free_ids_.push_back(id);
+  const std::size_t last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
+    place(pos, last);
+    // The replacement may violate the heap property in either direction.
+    sift_up(pos);
+    sift_down(pos);
+  }
 }
 
 void EventHeap::sift_up(std::size_t pos) {

@@ -14,6 +14,7 @@
 
 #include "src/core/striping.h"
 #include "src/sim/engine.h"
+#include "src/sim/stream_table.h"
 
 namespace vodrep {
 
@@ -38,7 +39,6 @@ class HybridPolicy final : public StoragePolicy {
     std::size_t video = 0;
     std::size_t group = 0;
     EventHeap::Id departure = 0;
-    bool alive = false;
   };
 
   [[nodiscard]] const std::vector<std::size_t>& group_of(
@@ -48,7 +48,7 @@ class HybridPolicy final : public StoragePolicy {
 
   const HybridLayout& layout_;
   SimEngine* engine_ = nullptr;
-  std::vector<Stream> streams_;
+  StreamTable<Stream> streams_;
   std::vector<std::size_t> rr_counter_;  ///< per-video group rotation
 };
 

@@ -37,6 +37,7 @@
 #include "src/core/layout.h"
 #include "src/sim/dispatcher.h"
 #include "src/sim/engine.h"
+#include "src/sim/stream_table.h"
 #include "src/util/error.h"
 
 namespace vodrep {
@@ -173,7 +174,7 @@ class PrefixCachePolicy final : public StoragePolicy {
   Dispatcher dispatcher_;
   PrefixCache cache_;
   SimEngine* engine_ = nullptr;
-  std::vector<Stream> streams_;
+  StreamTable<Stream> streams_;
 };
 
 }  // namespace vodrep

@@ -49,20 +49,21 @@ PolicyDecision ReplicatedPolicy::dispatch(const Request& request) {
   outcome.batched = decision->batched;
   if (decision->reserves_bandwidth()) {
     engine_->admit(decision->server, bitrate);
-    streams_.push_back(Stream{decision->server, decision->via_backbone});
     // A patching join holds its catch-up stream for the missed prefix only;
     // a full stream holds its bandwidth for the watched fraction.
     const double held_sec =
         decision->batched ? decision->patch_duration_sec
                           : request.watch_fraction * config_.video_duration_sec;
-    engine_->schedule_departure(request.arrival_time + held_sec,
-                                streams_.size() - 1);
+    engine_->schedule_departure(
+        request.arrival_time + held_sec,
+        streams_.open(Stream{decision->server, decision->via_backbone}));
   }
   return outcome;
 }
 
 void ReplicatedPolicy::on_departure(std::size_t stream) {
-  const Stream& record = streams_[stream];
+  const Stream record = streams_[stream];
+  streams_.close(stream);
   // Streams on a crashed server were already dropped by the crash; their
   // departures still fire but release nothing.
   if (!engine_->server(record.server).failed()) {

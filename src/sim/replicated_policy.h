@@ -12,6 +12,7 @@
 #include "src/core/layout.h"
 #include "src/sim/dispatcher.h"
 #include "src/sim/engine.h"
+#include "src/sim/stream_table.h"
 
 namespace vodrep {
 
@@ -46,7 +47,7 @@ class ReplicatedPolicy final : public StoragePolicy {
   const Layout& layout_;
   Dispatcher dispatcher_;
   SimEngine* engine_ = nullptr;
-  std::vector<Stream> streams_;
+  StreamTable<Stream> streams_;
 };
 
 /// The replicated organization's shard rules (src/sim/shard_plan.h), shared

@@ -133,7 +133,8 @@ SimResult aggregate_results(const std::vector<SimResult>& results) {
   for (std::size_t i = 1; i < results.size(); ++i) {
     const SimResult& r = results[i];
     require(r.utilization_per_server.size() ==
-                total.utilization_per_server.size(),
+                    total.utilization_per_server.size() &&
+                r.served_per_server.size() == total.served_per_server.size(),
             "aggregate_results: server count mismatch");
     total.total_requests += r.total_requests;
     total.rejected += r.rejected;

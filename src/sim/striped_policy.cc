@@ -49,10 +49,10 @@ PolicyDecision StripedPolicy::dispatch(const Request& request) {
     return rejected;
   }
   for (std::size_t s : group) engine_->admit(s, share);
-  streams_.push_back(Stream{request.video, 0, true});
-  streams_.back().departure = engine_->schedule_departure(
+  const auto stream = streams_.open(Stream{request.video, 0});
+  streams_[stream].departure = engine_->schedule_departure(
       request.arrival_time + request.watch_fraction * config_.video_duration_sec,
-      streams_.size() - 1);
+      stream);
   PolicyDecision outcome;
   outcome.admitted = true;
   outcome.server = static_cast<std::int32_t>(group.front());
@@ -60,29 +60,23 @@ PolicyDecision StripedPolicy::dispatch(const Request& request) {
 }
 
 void StripedPolicy::on_departure(std::size_t stream) {
-  Stream& record = streams_[stream];
-  record.alive = false;
-  // An alive stream's group never contains a failed server: the crash that
+  const std::size_t video = streams_[stream].video;
+  streams_.close(stream);
+  // An open stream's group never contains a failed server: the crash that
   // failed a member cancelled every affected departure.
-  const double share = share_of(record.video);
-  for (std::size_t s : layout_.groups[record.video]) {
-    engine_->release(s, share);
-  }
+  const double share = share_of(video);
+  for (std::size_t s : layout_.groups[video]) engine_->release(s, share);
 }
 
 std::size_t StripedPolicy::on_crash(std::size_t server) {
   (void)engine_->fail(server);
   // Every stream whose stripe group contains the failed server dies; its
   // shares on the surviving members free up immediately and its departure
-  // never fires.
+  // never fires.  Only the open streams are walked, in admission order.
   std::size_t disrupted = 0;
-  for (Stream& record : streams_) {
-    if (!record.alive) continue;
+  streams_.for_each_open([&](std::size_t stream, const Stream& record) {
     const auto& group = layout_.groups[record.video];
-    if (std::find(group.begin(), group.end(), server) == group.end()) {
-      continue;
-    }
-    record.alive = false;
+    if (std::find(group.begin(), group.end(), server) == group.end()) return;
     ++disrupted;
     engine_->cancel_departure(record.departure);
     const double share = share_of(record.video);
@@ -91,7 +85,8 @@ std::size_t StripedPolicy::on_crash(std::size_t server) {
         engine_->release(s, share);
       }
     }
-  }
+    streams_.close(stream);
+  });
   return disrupted;
 }
 

@@ -8,10 +8,10 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "src/core/striping.h"
 #include "src/sim/engine.h"
+#include "src/sim/stream_table.h"
 
 namespace vodrep {
 
@@ -36,14 +36,13 @@ class StripedPolicy final : public StoragePolicy {
   struct Stream {
     std::size_t video = 0;
     EventHeap::Id departure = 0;
-    bool alive = false;
   };
 
   [[nodiscard]] double share_of(std::size_t video) const;
 
   const StripedLayout& layout_;
   SimEngine* engine_ = nullptr;
-  std::vector<Stream> streams_;
+  StreamTable<Stream> streams_;
 };
 
 }  // namespace vodrep

@@ -395,6 +395,13 @@ TEST(AggregateResultsTest, RejectsEmptyAndMismatchedInputs) {
   b.utilization_per_server = {0.1, 0.2};
   const std::vector<SimResult> mismatched = {a, b};
   EXPECT_THROW(aggregate_results(mismatched), InvalidArgumentError);
+  // Equal utilization sizes do not excuse a served-count mismatch: the
+  // served tally is indexed by the first epoch's server count.
+  a.served_per_server = {3, 4};
+  a.utilization_per_server = {0.1, 0.2};
+  b.served_per_server = {5};
+  const std::vector<SimResult> served_mismatch = {a, b};
+  EXPECT_THROW(aggregate_results(served_mismatch), InvalidArgumentError);
 }
 
 }  // namespace

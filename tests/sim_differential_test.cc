@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <queue>
 #include <vector>
 
@@ -514,7 +515,11 @@ struct World {
 
 /// Random worlds spanning redirects, batching modes, injected failures,
 /// heterogeneous links, and abandonment — same envelope as the fuzz suite.
-World random_world(Rng& rng, bool replication_extensions) {
+/// A long-horizon world runs 8–20 video durations, so streams retire and
+/// new ones reuse their records many times over, and always injects its
+/// crashes after the first streams have retired.
+World random_world(Rng& rng, bool replication_extensions,
+                   bool long_horizon = false) {
   World world;
   world.num_videos = 5 + rng.uniform_index(40);
   world.num_servers = 2 + rng.uniform_index(9);
@@ -545,12 +550,16 @@ World random_world(Rng& rng, bool replication_extensions) {
     }
   }
 
-  const double horizon = rng.uniform(200.0, 3000.0);
-  if (rng.bernoulli(0.5)) {
+  const double duration = world.config.video_duration_sec;
+  const double horizon = long_horizon ? duration * rng.uniform(8.0, 20.0)
+                                      : rng.uniform(200.0, 3000.0);
+  if (long_horizon || rng.bernoulli(0.5)) {
     const std::size_t crashes = 1 + rng.uniform_index(2);
-    double t = 0.0;
+    // A stream admitted at t=0 departs by `duration` at the latest.
+    double t = long_horizon ? duration : 0.0;
+    const double window = horizon - t;
     for (std::size_t k = 0; k < crashes; ++k) {
-      t += rng.uniform(1.0, horizon / 2.0);
+      t += rng.uniform(1.0, window / 2.0);
       world.config.failures.push_back(ServerFailure{
           t, static_cast<std::size_t>(rng.uniform_index(world.num_servers))});
     }
@@ -585,52 +594,83 @@ Layout random_layout(Rng& rng, std::size_t num_videos,
   return layout;
 }
 
-TEST(SimDifferential, EngineReproducesSeedReplicationSimulator) {
-  Rng rng(0xD1FF1);
-  for (int trial = 0; trial < 60; ++trial) {
+void check_replicated(std::uint64_t seed, int trials, bool long_horizon) {
+  Rng rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
     SCOPED_TRACE(testing::Message() << "trial " << trial);
-    const World world = random_world(rng, /*replication_extensions=*/true);
+    const World world =
+        random_world(rng, /*replication_extensions=*/true, long_horizon);
     const Layout layout =
         random_layout(rng, world.num_videos, world.num_servers);
-    const SimResult seed = seed_simulate(layout, world.config, world.trace);
+    const SimResult seed_result =
+        seed_simulate(layout, world.config, world.trace);
     const SimResult engine =
         simulate(ReplicatedPolicy(layout, world.config), world.trace);
-    expect_same_result(seed, engine);
+    expect_same_result(seed_result, engine);
   }
 }
 
-TEST(SimDifferential, EngineReproducesSeedStripedSimulator) {
-  Rng rng(0xD1FF2);
-  for (int trial = 0; trial < 40; ++trial) {
+void check_striped(std::uint64_t seed, int trials, bool long_horizon) {
+  Rng rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
     SCOPED_TRACE(testing::Message() << "trial " << trial);
-    const World world = random_world(rng, /*replication_extensions=*/false);
+    const World world =
+        random_world(rng, /*replication_extensions=*/false, long_horizon);
     const std::size_t width = 1 + rng.uniform_index(world.num_servers);
     const StripedLayout layout =
         make_striped_layout(world.num_videos, world.num_servers, width);
-    const SimResult seed =
+    const SimResult seed_result =
         seed_striped_simulate(layout, world.config, world.trace);
     const SimResult engine =
         simulate(StripedPolicy(layout, world.config), world.trace);
-    expect_same_result(seed, engine);
+    expect_same_result(seed_result, engine);
   }
 }
 
-TEST(SimDifferential, EngineReproducesSeedHybridSimulator) {
-  Rng rng(0xD1FF3);
-  for (int trial = 0; trial < 40; ++trial) {
+void check_hybrid(std::uint64_t seed, int trials, bool long_horizon) {
+  Rng rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
     SCOPED_TRACE(testing::Message() << "trial " << trial);
-    const World world = random_world(rng, /*replication_extensions=*/false);
+    const World world =
+        random_world(rng, /*replication_extensions=*/false, long_horizon);
     const std::size_t width = 1 + rng.uniform_index(world.num_servers);
     const std::size_t replicas =
         1 + rng.uniform_index(world.num_servers / width);
     const HybridLayout layout = make_hybrid_layout(
         world.num_videos, world.num_servers, width, replicas);
-    const SimResult seed =
+    const SimResult seed_result =
         seed_hybrid_simulate(layout, world.config, world.trace);
     const SimResult engine =
         simulate(HybridPolicy(layout, world.config), world.trace);
-    expect_same_result(seed, engine);
+    expect_same_result(seed_result, engine);
   }
+}
+
+TEST(SimDifferential, EngineReproducesSeedReplicationSimulator) {
+  check_replicated(0xD1FF1, 60, /*long_horizon=*/false);
+}
+
+TEST(SimDifferential, EngineReproducesSeedStripedSimulator) {
+  check_striped(0xD1FF2, 40, /*long_horizon=*/false);
+}
+
+TEST(SimDifferential, EngineReproducesSeedHybridSimulator) {
+  check_hybrid(0xD1FF3, 40, /*long_horizon=*/false);
+}
+
+// Horizons of many video durations: departures fire throughout, so the
+// stream tables retire and reuse their records and the crashes walk only
+// the live span.
+TEST(SimDifferential, LongHorizonReplicationMatchesSeed) {
+  check_replicated(0xD1FF4, 20, /*long_horizon=*/true);
+}
+
+TEST(SimDifferential, LongHorizonStripedMatchesSeed) {
+  check_striped(0xD1FF5, 20, /*long_horizon=*/true);
+}
+
+TEST(SimDifferential, LongHorizonHybridMatchesSeed) {
+  check_hybrid(0xD1FF6, 20, /*long_horizon=*/true);
 }
 
 }  // namespace
