@@ -12,9 +12,7 @@
 // same simulate(); every layout passes a LayoutAuditor check before it is
 // simulated, and every run's rejected_by_reason breakdown is asserted to
 // sum exactly to its rejected count (the cache path adds the
-// cache_miss_origin_busy reason).  The last stdout line is a JSON record
-// (tools/run_benches.sh wires it into BENCH_cache.json with the
-// cache_events_per_sec rate key).
+// cache_miss_origin_busy reason).  The last stdout line is a JSON record.
 #include <chrono>
 #include <cstdlib>
 #include <iostream>

@@ -10,15 +10,16 @@
 // count is the same; moves/sec = iterations / wall time.
 //
 // The bench also guards the observability layer (src/obs): a third section
-// re-times the library in-place path against `anneal_noobs` below — a
-// verbatim copy of the engine's in-place Metropolis loop with the
-// VODREP_TRACE_SCOPE lines deleted, i.e. what the loop compiles to without
-// the obs layer — and FAILS (exit 1) if running with obs compiled in but
-// runtime-disabled costs more than 3% moves/sec.
+// re-times the library in-place path against anneal_without_hooks
+// (bench/obs_baseline.h), the library's own annealer compiled a second
+// time with its trace scopes compiled out, which must reach the same best
+// cost, move counts and temperature steps.  It FAILS (exit 1) if running
+// with obs compiled in but runtime-disabled costs more than 3% moves/sec.
+// The two sides are timed in alternation (time_paired).
 //
-// The last stdout line is machine-readable JSON for tracking the perf
-// trajectory across PRs.
+// The last stdout line is machine-readable JSON.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -26,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/obs_baseline.h"
 #include "src/anneal/parallel_tempering.h"
 #include "src/core/incremental_state.h"
 #include "src/core/sa_solver.h"
@@ -196,85 +198,6 @@ class BaselineSaProblem {
   SaSolverOptions options_;
 };
 
-/// The library's in-place Metropolis loop with the obs layer compiled out:
-/// a verbatim copy of anneal()'s InPlaceAnnealProblem path minus the two
-/// VODREP_TRACE_SCOPE lines.  (The metrics_enabled() branch inside
-/// ScalableSaProblem::delta_cost is shared by every pass, so the guard
-/// isolates exactly what VODREP_TRACE adds to the engine loop.)  Kept in
-/// sync with src/anneal/annealer.h by the same verbatim-copy policy as
-/// BaselineSaProblem above.
-AnnealResult<ScalableSolution> anneal_noobs(const ScalableSaProblem& problem,
-                                            Rng& rng,
-                                            const AnnealOptions& options) {
-  const auto schedule = geometric_cooling(0.95);
-  AnnealResult<ScalableSolution> result;
-  ScalableSolution initial_state = problem.initial(rng);
-  double current_cost = problem.cost(initial_state);
-  result.best_cost = current_cost;
-  auto chain = problem.make_scratch(std::move(initial_state));
-
-  auto metropolis_step = [&](double temperature) {
-    if (!problem.propose(chain, rng)) {
-      ++result.moves_noop;
-      return false;
-    }
-    ++result.moves_proposed;
-    const double delta = problem.delta_cost(chain);
-    if (delta <= 0.0 || rng.uniform() < std::exp(-delta / temperature)) {
-      problem.commit(chain);
-      current_cost += delta;
-      if (current_cost < result.best_cost) {
-        // Deferred-best path: the scratch journals its own best mark in
-        // commit(); extract_best materializes it once after the loop.
-        result.best_cost = current_cost;
-      }
-      return true;
-    }
-    problem.revert(chain);
-    return false;
-  };
-
-  double temperature = options.initial_temperature;
-  std::size_t stall = 0;
-  std::size_t trajectory_stride = 1;
-  CoolingStepInfo info;
-  while (temperature > options.final_temperature &&
-         result.temperature_steps < options.max_temperature_steps) {
-    std::size_t accepted = 0;
-    const double best_before = result.best_cost;
-    for (std::size_t m = 0; m < options.moves_per_temperature; ++m) {
-      if (metropolis_step(temperature)) ++accepted;
-    }
-    result.moves_accepted += accepted;
-    const std::size_t step_index = result.temperature_steps++;
-    if (step_index % trajectory_stride == 0) {
-      if (options.trajectory_max_samples != 0 &&
-          result.trajectory.size() >= options.trajectory_max_samples) {
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < result.trajectory.size(); i += 2) {
-          result.trajectory[kept++] = result.trajectory[i];
-        }
-        result.trajectory.resize(kept);
-        trajectory_stride *= 2;
-      }
-      if (step_index % trajectory_stride == 0) {
-        result.trajectory.emplace_back(temperature, result.best_cost);
-      }
-    }
-    stall = result.best_cost < best_before ? 0 : stall + 1;
-    if (options.stall_steps != 0 && stall >= options.stall_steps) break;
-    info.step = result.temperature_steps;
-    info.moves = options.moves_per_temperature;
-    info.accepted = accepted;
-    info.best_cost = result.best_cost;
-    info.current_cost = current_cost;
-    temperature = schedule->next(temperature, info);
-  }
-  result.final_temperature = temperature;
-  result.best_state = problem.extract_best(chain);
-  return result;
-}
-
 struct RunStats {
   double seconds = 0.0;
   double moves_per_sec = 0.0;
@@ -283,31 +206,9 @@ struct RunStats {
   std::size_t moves_noop = 0;
 };
 
-/// Best-of-N moves/sec for one annealing pass: repeats `run` (which returns
-/// the AnnealResult of one full deterministic anneal) until the cumulative
-/// wall time exceeds `min_total_sec` or `max_reps` runs, and rates the pass
-/// by its fastest repetition.  Max-of-reps approximates the noise-free
-/// speed, which the <3% overhead guard needs to stay deterministic on
-/// shared CI machines.
-template <typename RunFn>
-double best_moves_per_sec(RunFn&& run, const AnnealOptions& options,
-                          double min_total_sec, std::size_t max_reps) {
-  double best_seconds = 1e300;
-  double total = 0.0;
-  for (std::size_t rep = 0; rep < max_reps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    const auto result = run();
-    const auto stop = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(stop - start).count();
-    // Consume the result so the anneal cannot be optimized away.
-    if (result.temperature_steps == 0) std::abort();
-    best_seconds = std::min(best_seconds, seconds);
-    total += seconds;
-    if (total >= min_total_sec && rep >= 2) break;
-  }
-  const double iterations = static_cast<double>(
-      options.max_temperature_steps * options.moves_per_temperature);
-  return iterations / std::max(best_seconds, 1e-12);
+/// Aborts on an empty result, so a timed anneal cannot be optimized away.
+void keep_live(const AnnealResult<ScalableSolution>& result) {
+  if (result.temperature_steps == 0) std::abort();
 }
 
 /// Best-of-`reps` headline timing (the run is deterministic in the seed, so
@@ -412,47 +313,65 @@ int main(int argc, char** argv) {
               << "in-place path: " << inc_stats.moves_noop << ")\n\n";
 
     // --- obs overhead guard: compiled-in-but-disabled must stay <3% ---
-    // Best-of-k per pass, and up to three whole measurement rounds: the
-    // guard compares two near-identical hot loops, so a single scheduling
-    // hiccup on a shared machine used to trip it (~3.04% vs 3%).  Each
-    // retry keeps the best observation per pass, which only converges
-    // toward the noise-free speeds.
-    const double min_total_sec = quick ? 0.1 : 0.8;
+    // Best-of-reps per side over up to three measurement rounds: the guard
+    // compares two near-identical hot loops, so each round adds samples
+    // and the verdict stops at the first round that passes.
+    const double min_total_sec = quick ? 0.2 : 1.6;
     const std::size_t max_reps = quick ? 25 : 9;
-    const auto time_pass = [&](auto&& run) {
-      return best_moves_per_sec(run, options.anneal, min_total_sec, max_reps);
+    const double iterations = static_cast<double>(
+        options.anneal.max_temperature_steps *
+        options.anneal.moves_per_temperature);
+    const auto moves_per_sec = [&](double seconds) {
+      return iterations / std::max(seconds, 1e-12);
+    };
+    const auto hookless_run = [&] {
+      Rng rng(seed);
+      return anneal_without_hooks(incremental, rng, options.anneal);
+    };
+    const auto library_run = [&] {
+      Rng rng(seed);
+      return anneal(incremental, rng, options.anneal);
     };
     obs::set_metrics_enabled(false);
     obs::TraceRecorder::global().set_enabled(false);
-    double noobs_mps = 0.0;
-    double obs_off_mps = 0.0;
-    for (int round = 0; round < 3; ++round) {
-      noobs_mps = std::max(noobs_mps, time_pass([&] {
-                             Rng rng(seed);
-                             return anneal_noobs(incremental, rng,
-                                                 options.anneal);
-                           }));
-      obs_off_mps = std::max(obs_off_mps, time_pass([&] {
-                               Rng rng(seed);
-                               return anneal(incremental, rng, options.anneal);
-                             }));
-      if (obs_off_mps >= 0.97 * noobs_mps) break;
+    {
+      const auto hookless = hookless_run();
+      const auto library = library_run();
+      require(hookless.best_cost == library.best_cost &&
+                  hookless.moves_proposed == library.moves_proposed &&
+                  hookless.moves_accepted == library.moves_accepted &&
+                  hookless.moves_noop == library.moves_noop &&
+                  hookless.temperature_steps == library.temperature_steps,
+              "sa_hotpath: the hook-free build diverged from the library");
     }
+    std::array<double, 2> hook_seconds = {1e300, 1e300};
+    const auto guard_passes = [&] {
+      return moves_per_sec(hook_seconds[1]) >=
+             0.97 * moves_per_sec(hook_seconds[0]);
+    };
+    for (int round = 0; round < 3; ++round) {
+      time_paired([&] { keep_live(hookless_run()); },
+                  [&] { keep_live(library_run()); }, min_total_sec, max_reps,
+                  hook_seconds);
+      if (guard_passes()) break;
+    }
+    const double hookless_mps = moves_per_sec(hook_seconds[0]);
+    const double obs_off_mps = moves_per_sec(hook_seconds[1]);
     obs::set_metrics_enabled(true);
     obs::TraceRecorder::global().set_enabled(true);
-    const double obs_on_mps = time_pass([&] {
-      Rng rng(seed);
-      return anneal(incremental, rng, options.anneal);
-    });
+    const double obs_on_mps =
+        run_annealer(incremental, problem, options.anneal, seed, max_reps)
+            .moves_per_sec;
     obs::set_metrics_enabled(false);
     obs::TraceRecorder::global().set_enabled(false);
     obs::TraceRecorder::global().clear();
 
-    const double off_overhead_pct = 100.0 * (1.0 - obs_off_mps / noobs_mps);
-    const double on_overhead_pct = 100.0 * (1.0 - obs_on_mps / noobs_mps);
-    const bool guard_pass = obs_off_mps >= 0.97 * noobs_mps;
+    const double off_overhead_pct =
+        100.0 * (1.0 - obs_off_mps / hookless_mps);
+    const double on_overhead_pct = 100.0 * (1.0 - obs_on_mps / hookless_mps);
+    const bool guard_pass = guard_passes();
     std::cout << "obs overhead on the in-place path (best-of-reps):\n"
-              << "  compiled out:           " << noobs_mps << " moves/s\n"
+              << "  compiled out:           " << hookless_mps << " moves/s\n"
               << "  compiled in, disabled:  " << obs_off_mps << " moves/s  ("
               << off_overhead_pct << " % overhead)\n"
               << "  enabled:                " << obs_on_mps << " moves/s  ("
@@ -573,7 +492,7 @@ int main(int argc, char** argv) {
               << ",\"copy_objective\":" << copy_stats.objective
               << ",\"incremental_objective\":" << inc_stats.objective
               << ",\"incremental_noop_moves\":" << inc_stats.moves_noop
-              << ",\"noobs_moves_per_sec\":" << noobs_mps
+              << ",\"hookless_moves_per_sec\":" << hookless_mps
               << ",\"obs_off_moves_per_sec\":" << obs_off_mps
               << ",\"obs_on_moves_per_sec\":" << obs_on_mps
               << ",\"obs_off_overhead_pct\":" << off_overhead_pct

@@ -10,20 +10,19 @@
 // benchmark asserts that they produce the same SimResult before reporting.
 //
 // The benchmark also carries the engine's observability-overhead guard
-// (the vodrep_sa_hotpath precedent): NoObsSimEngine/NoObsReplicatedPolicy
-// (bench/sim_noobs_baseline.h) are the engine's event loop and policy
-// copied verbatim with every obs hook removed, compiled in separate TUs
-// that mirror the library's own engine/policy split so both sides pay
-// identical virtual dispatch.  The engine with obs compiled in but
-// disabled must stay within 3% of the copy or the benchmark exits
-// non-zero.  A second guard prices the *enabled* TraceRecorder on the
-// sharded engine: with every shard worker recording into its own
-// per-thread lane, the widest-S replay must stay within 10% of the
-// trace-disabled one.
+// (the vodrep_sa_hotpath precedent): replay_without_hooks
+// (bench/obs_baseline.h) runs the library's own engine and replicated
+// policy compiled a second time with every obs hook compiled out, and must
+// return exactly the library's SimResult.  The engine with obs compiled in
+// but disabled must stay within 3% of it or the benchmark exits non-zero.
+// A second guard prices the *enabled* TraceRecorder on the sharded engine:
+// with every shard worker recording into its own per-thread lane, the
+// widest-S replay must stay within 10% of the trace-disabled one.  Both
+// guards time their two sides in alternation (time_paired).
 //
-// The last stdout line is machine-readable JSON for tracking the perf
-// trajectory across PRs.
+// The last stdout line is machine-readable JSON.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -33,7 +32,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench/sim_noobs_baseline.h"
+#include "bench/obs_baseline.h"
 #include "src/core/objective.h"
 #include "src/core/pipeline.h"
 #include "src/obs/metrics.h"
@@ -249,6 +248,11 @@ RunStats time_replays(Fn&& replay, std::size_t reps) {
   return stats;
 }
 
+/// Aborts on an empty result, so a timed replay cannot be optimized away.
+void keep_live(const SimResult& result) {
+  if (result.total_requests == 0) std::abort();
+}
+
 void require_same(const SimResult& seed, const SimResult& engine) {
   require(seed.rejected == engine.rejected &&
               seed.redirected == engine.redirected &&
@@ -257,31 +261,6 @@ void require_same(const SimResult& seed, const SimResult& engine) {
               seed.disrupted == engine.disrupted &&
               seed.served_per_server == engine.served_per_server,
           "sim_hotpath: engine diverged from the seed simulator");
-}
-
-/// Best-of-N events/sec for one replay path: repeats until the cumulative
-/// wall time exceeds `min_total_sec` or `max_reps` runs, rating the path by
-/// its fastest repetition (max-of-reps approximates the noise-free speed
-/// the <3% overhead guard needs on shared CI machines).
-template <typename Fn>
-double best_events_per_sec(Fn&& replay, double min_total_sec,
-                           std::size_t max_reps) {
-  double best_seconds = 1e300;
-  double total = 0.0;
-  std::size_t events = 0;
-  for (std::size_t rep = 0; rep < max_reps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    const SimResult result = replay();
-    const auto stop = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(stop - start).count();
-    if (result.total_requests == 0) std::abort();  // keep the replay live
-    events = result.total_requests +
-             (result.total_requests - result.rejected);
-    best_seconds = std::min(best_seconds, seconds);
-    total += seconds;
-    if (total >= min_total_sec && rep >= 2) break;
-  }
-  return static_cast<double>(events) / std::max(best_seconds, 1e-12);
 }
 
 }  // namespace
@@ -344,9 +323,9 @@ int main(int argc, char** argv) {
 
     const RunStats seed_stats = time_replays(
         [&] { return seed_simulate(layout, config, trace); }, reps);
-    // The engine is driven directly, exactly as the no-obs copy below, so
-    // the overhead guard compares the same construction and call sequence
-    // and prices only the hooks.
+    // The engine is driven directly, exactly as replay_without_hooks drives
+    // its hook-free build, so the overhead guard compares the same
+    // construction and call sequence and prices only the hooks.
     const auto engine_replay = [&] {
       SimEngine engine(config);
       ReplicatedPolicy policy(layout, config);
@@ -369,48 +348,47 @@ int main(int argc, char** argv) {
     std::cout << "\nspeedup: " << speedup << "x  (results verified equal)\n\n";
 
     // --- obs overhead guard: compiled-in-but-disabled must stay <3% ---
-    // NoObsSimEngine is the hook-free baseline; the engine runs with obs
-    // compiled in, globally disabled, and no timeline/event-log attached
-    // (the default), so the guard prices exactly the dormant hooks.
-    // Quick mode's replays finish in well under a millisecond, so the guard
-    // needs many repetitions before best-of-reps converges; the full
-    // configuration amortizes scheduler noise over ~30 ms replays instead.
-    const double min_total_sec = quick ? 0.5 : 1.0;
+    // The baseline is the same engine and policy source built without
+    // hooks; the library runs with obs compiled in, globally disabled, and
+    // no timeline/event-log attached (the default), so the guard prices
+    // exactly the dormant hooks.  Quick mode's replays finish in about a
+    // millisecond, so the guard needs many repetitions before best-of-reps
+    // converges; the full configuration amortizes scheduler noise over
+    // ~30 ms replays instead.
+    require(replay_without_hooks(layout, config, trace) ==
+                engine_stats.result,
+            "sim_hotpath: the hook-free build diverged from the library");
+    const double min_total_sec = quick ? 1.0 : 2.0;
     const std::size_t max_reps = quick ? 4000 : 8;
+    const auto events_per_sec = [&](double seconds) {
+      return static_cast<double>(engine_stats.events / reps) /
+             std::max(seconds, 1e-12);
+    };
     obs::set_metrics_enabled(false);
     obs::TraceRecorder::global().set_enabled(false);
-    // Several measurement rounds, keeping each path's fastest round: a
-    // single round can still catch a scheduler hiccup on one path only,
-    // which reads as phantom overhead.  Stop as soon as the guard passes.
-    // Quick mode's sub-millisecond replays are the noisiest, so it gets
-    // twice the rounds before the verdict counts.
-    double noobs_eps = 0.0;
-    double obs_off_eps = 0.0;
+    // Several measurement rounds, each side keeping its fastest rep over
+    // all of them; stop as soon as the guard passes.  Quick mode's
+    // sub-millisecond replays are the noisiest, so it gets twice the
+    // rounds before the verdict counts.
     const int guard_rounds = quick ? 6 : 3;
+    std::array<double, 2> hook_seconds = {1e300, 1e300};
+    const auto guard_passes = [&] {
+      return events_per_sec(hook_seconds[1]) >=
+             0.97 * events_per_sec(hook_seconds[0]);
+    };
     for (int round = 0; round < guard_rounds; ++round) {
-      noobs_eps = std::max(noobs_eps, best_events_per_sec(
-                                          [&] {
-                                            noobs::NoObsSimEngine engine(config);
-                                            noobs::NoObsReplicatedPolicy policy(
-                                                layout, config);
-                                            return engine.run(policy, trace);
-                                          },
-                                          min_total_sec, max_reps));
-      obs_off_eps = std::max(
-          obs_off_eps,
-          best_events_per_sec(engine_replay, min_total_sec, max_reps));
-      if (obs_off_eps >= 0.97 * noobs_eps) break;
+      time_paired(
+          [&] { keep_live(replay_without_hooks(layout, config, trace)); },
+          [&] { keep_live(engine_replay()); }, min_total_sec, max_reps,
+          hook_seconds);
+      if (guard_passes()) break;
     }
-    {
-      // Sanity: the no-obs copy must replay to the identical result.
-      noobs::NoObsSimEngine engine(config);
-      noobs::NoObsReplicatedPolicy policy(layout, config);
-      require_same(engine.run(policy, trace), engine_stats.result);
-    }
-    const double off_overhead_pct = 100.0 * (1.0 - obs_off_eps / noobs_eps);
-    const bool guard_pass = obs_off_eps >= 0.97 * noobs_eps;
+    const double hookless_eps = events_per_sec(hook_seconds[0]);
+    const double obs_off_eps = events_per_sec(hook_seconds[1]);
+    const double off_overhead_pct = 100.0 * (1.0 - obs_off_eps / hookless_eps);
+    const bool guard_pass = guard_passes();
     std::cout << "obs overhead on the engine event loop (best-of-reps):\n"
-              << "  hooks compiled out:     " << noobs_eps << " events/s\n"
+              << "  hooks compiled out:     " << hookless_eps << " events/s\n"
               << "  compiled in, disabled:  " << obs_off_eps << " events/s  ("
               << off_overhead_pct << " % overhead)\n"
               << "  guard (<3% disabled):   "
@@ -485,27 +463,31 @@ int main(int argc, char** argv) {
     const auto sharded_replay = [&] {
       return simulate(ReplicatedPolicy(layout, config), trace, trace_options);
     };
-    double trace_off_eps = 0.0;
-    double trace_on_eps = 0.0;
+    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+    recorder.clear();  // disabled since the guard above
+    std::array<double, 2> trace_seconds = {1e300, 1e300};
+    const auto trace_guard_passes = [&] {
+      return events_per_sec(trace_seconds[1]) >=
+             0.90 * events_per_sec(trace_seconds[0]);
+    };
     for (int round = 0; round < guard_rounds; ++round) {
-      obs::TraceRecorder::global().set_enabled(false);
-      obs::TraceRecorder::global().clear();
-      trace_off_eps = std::max(
-          trace_off_eps,
-          best_events_per_sec(sharded_replay, min_total_sec, max_reps));
-      obs::TraceRecorder::global().set_enabled(true);
-      trace_on_eps = std::max(
-          trace_on_eps,
-          best_events_per_sec(sharded_replay, min_total_sec, max_reps));
-      obs::TraceRecorder::global().set_enabled(false);
-      if (trace_on_eps >= 0.90 * trace_off_eps) break;
+      time_paired(
+          [&] { keep_live(sharded_replay()); },
+          [&] {
+            recorder.set_enabled(true);
+            keep_live(sharded_replay());
+            recorder.set_enabled(false);
+          },
+          min_total_sec, max_reps, trace_seconds);
+      if (trace_guard_passes()) break;
     }
-    const std::uint64_t trace_events_recorded =
-        obs::TraceRecorder::global().events_recorded();
-    obs::TraceRecorder::global().clear();
+    const double trace_off_eps = events_per_sec(trace_seconds[0]);
+    const double trace_on_eps = events_per_sec(trace_seconds[1]);
+    const std::uint64_t trace_events_recorded = recorder.events_recorded();
+    recorder.clear();
     const double trace_overhead_pct =
         100.0 * (1.0 - trace_on_eps / trace_off_eps);
-    const bool trace_guard_pass = trace_on_eps >= 0.90 * trace_off_eps;
+    const bool trace_guard_pass = trace_guard_passes();
     std::cout << "trace overhead on the sharded engine (S=" << trace_shards
               << ", best-of-reps):\n"
               << "  trace disabled:         " << trace_off_eps
@@ -525,7 +507,7 @@ int main(int argc, char** argv) {
               << ",\"engine_events_per_sec\":" << engine_stats.events_per_sec
               << ",\"speedup\":" << speedup
               << ",\"rejection_rate\":" << engine_stats.result.rejection_rate()
-              << ",\"noobs_events_per_sec\":" << noobs_eps
+              << ",\"hookless_events_per_sec\":" << hookless_eps
               << ",\"obs_off_events_per_sec\":" << obs_off_eps
               << ",\"obs_off_overhead_pct\":" << off_overhead_pct
               << ",\"obs_guard_pass\":" << (guard_pass ? "true" : "false")

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "src/anneal/schedule.h"
+#include "src/obs/hooks.h"
 #include "src/obs/trace.h"
 #include "src/util/error.h"
 #include "src/util/rng.h"
@@ -210,6 +211,26 @@ struct AnnealStorage<P, true> {
 };
 
 }  // namespace detail
+
+/// Copies a finished chain result's counters into a per-chain stats entry.
+template <typename State>
+[[nodiscard]] AnnealChainStats chain_stats_of(const AnnealResult<State>& r,
+                                              std::size_t swaps_accepted = 0) {
+  AnnealChainStats stats;
+  stats.best_cost = r.best_cost;
+  stats.final_temperature = r.final_temperature;
+  stats.temperature_steps = r.temperature_steps;
+  stats.moves_proposed = r.moves_proposed;
+  stats.moves_accepted = r.moves_accepted;
+  stats.moves_noop = r.moves_noop;
+  stats.swaps_accepted = swaps_accepted;
+  stats.trajectory = r.trajectory;
+  return stats;
+}
+
+// The chain and the functions that run it carry trace scopes, so they live
+// in the hook-free build's namespace (src/obs/hooks.h).
+VODREP_OBS_HOOKS_NS_BEGIN
 
 /// One resumable Metropolis chain.  Construction consumes `rng` exactly as
 /// the classic one-shot engine did (initial solution, then calibration when
@@ -425,22 +446,6 @@ class AnnealChain {
   CoolingStepInfo info_;
 };
 
-/// Copies a finished chain result's counters into a per-chain stats entry.
-template <typename State>
-[[nodiscard]] AnnealChainStats chain_stats_of(const AnnealResult<State>& r,
-                                              std::size_t swaps_accepted = 0) {
-  AnnealChainStats stats;
-  stats.best_cost = r.best_cost;
-  stats.final_temperature = r.final_temperature;
-  stats.temperature_steps = r.temperature_steps;
-  stats.moves_proposed = r.moves_proposed;
-  stats.moves_accepted = r.moves_accepted;
-  stats.moves_noop = r.moves_noop;
-  stats.swaps_accepted = swaps_accepted;
-  stats.trajectory = r.trajectory;
-  return stats;
-}
-
 /// Runs simulated annealing and returns the best state encountered.
 /// Deterministic given `rng`'s seed.  Problems satisfying
 /// InPlaceAnnealProblem are driven through the allocation-free
@@ -521,5 +526,7 @@ template <AnnealProblem P>
   return anneal_multichain(problem, base_seed, chains, options, *schedule,
                            pool);
 }
+
+VODREP_OBS_HOOKS_NS_END
 
 }  // namespace vodrep

@@ -108,6 +108,9 @@ class ExchangeLedger {
   std::size_t accepts_ VODREP_GUARDED_BY(mutex_) = 0;
 };
 
+// Drives AnnealChain, so it lives in the hook-free build's namespace too.
+VODREP_OBS_HOOKS_NS_BEGIN
+
 /// Runs options.chains tempering chains (on `pool` when provided) and
 /// returns the deterministic reduction: minimum best cost, ties to the
 /// lowest chain index.  Top-level move counters aggregate across chains;
@@ -241,5 +244,7 @@ template <AnnealProblem P>
   return anneal_parallel_tempering(problem, base_seed, options, *schedule,
                                    pool);
 }
+
+VODREP_OBS_HOOKS_NS_END
 
 }  // namespace vodrep

@@ -152,10 +152,12 @@ void IncrementalState::push_replica(std::uint32_t video, std::uint32_t server,
     if (count == kInlineReplicas) {
       // Crossing the strip boundary: the whole set moves to the heap (the
       // vectors keep their capacity across spill/un-spill round trips).
-      servers.assign(&replica_server_[base],
-                     &replica_server_[base + kInlineReplicas]);
-      positions.assign(&replica_pos_[base],
-                       &replica_pos_[base + kInlineReplicas]);
+      // Pointers come from data(): for the last video the strip end is
+      // size(), where operator[] is out of range.
+      const std::uint32_t* strip_servers = replica_server_.data() + base;
+      const std::uint32_t* strip_pos = replica_pos_.data() + base;
+      servers.assign(strip_servers, strip_servers + kInlineReplicas);
+      positions.assign(strip_pos, strip_pos + kInlineReplicas);
     }
     servers.push_back(server);
     positions.push_back(pos);

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/hooks.h"
 #include "src/util/thread_annotations.h"
 
 namespace vodrep::obs {
@@ -130,6 +131,11 @@ class ProfilePhase {
 #endif
 
 /// Declares a ProfilePhase covering the rest of the enclosing block.
+/// Compiled out in the hook-free build (src/obs/hooks.h).
+#if defined(VODREP_NO_OBS_HOOKS)
+#define VODREP_PROFILE_PHASE(name) static_cast<void>(0)
+#else
 #define VODREP_PROFILE_PHASE(name) \
   ::vodrep::obs::ProfilePhase VODREP_OBS_CONCAT_(vodrep_profile_phase_, \
                                                  __LINE__)(name)
+#endif

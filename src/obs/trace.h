@@ -5,10 +5,9 @@
 // (ui.perfetto.dev).  Two independent switches keep instrumented hot paths
 // free when observability is off:
 //
-//   * compile time — VODREP_TRACE (CMake option, default ON) controls
-//     whether VODREP_TRACE_SCOPE expands to a ScopedTimer at all; with the
-//     option off the macro is a no-op statement and the instrumented code
-//     carries zero trace overhead by construction;
+//   * compile time — VODREP_TRACE_SCOPE expands to a ScopedTimer except in
+//     the hook-free build (VODREP_NO_OBS_HOOKS, src/obs/hooks.h), where it
+//     is a no-op statement;
 //   * run time — TraceRecorder::set_enabled.  A disarmed ScopedTimer costs
 //     one relaxed atomic load and touches neither the clock nor the event
 //     buffer, so the recorder performs zero allocations on the hot path
@@ -40,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/hooks.h"
 #include "src/util/thread_annotations.h"
 
 namespace vodrep::obs {
@@ -172,17 +172,16 @@ class ScopedTimer {
 }  // namespace vodrep::obs
 
 // VODREP_TRACE_SCOPE("name"): declares a ScopedTimer covering the rest of
-// the enclosing block.  Compiled out entirely when VODREP_TRACE is not
-// defined (CMake -DVODREP_TRACE=OFF).
+// the enclosing block.  Compiled out in the hook-free build.
 #ifndef VODREP_OBS_CONCAT_
 #define VODREP_OBS_CONCAT_IMPL_(a, b) a##b
 #define VODREP_OBS_CONCAT_(a, b) VODREP_OBS_CONCAT_IMPL_(a, b)
 #endif
 
-#if defined(VODREP_TRACE)
+#if defined(VODREP_NO_OBS_HOOKS)
+#define VODREP_TRACE_SCOPE(name) static_cast<void>(0)
+#else
 #define VODREP_TRACE_SCOPE(name) \
   ::vodrep::obs::ScopedTimer VODREP_OBS_CONCAT_(vodrep_trace_scope_, \
                                                 __LINE__)(name)
-#else
-#define VODREP_TRACE_SCOPE(name) static_cast<void>(0)
 #endif

@@ -11,69 +11,17 @@
 
 namespace vodrep {
 
-void SimConfig::validate() const {
-  require(num_servers >= 1, "SimConfig: need at least one server");
-  require(bandwidth_bps_per_server > 0.0, "SimConfig: bad server bandwidth");
-  if (!per_server_bandwidth_bps.empty()) {
-    require(per_server_bandwidth_bps.size() == num_servers,
-            "SimConfig: per-server bandwidth size mismatch");
-    for (double b : per_server_bandwidth_bps) {
-      require(b > 0.0, "SimConfig: bad per-server bandwidth");
-    }
-  }
-  require(stream_bitrate_bps > 0.0, "SimConfig: bad stream bit rate");
-  require(video_duration_sec > 0.0, "SimConfig: bad video duration");
-  if (redirect != RedirectMode::kNone) {
-    require(backbone_bps >= 0.0, "SimConfig: negative backbone bandwidth");
-  }
-  require(batching_window_sec >= 0.0, "SimConfig: negative batching window");
-  double prev_time = 0.0;
-  for (const ServerFailure& failure : failures) {
-    require(failure.server < num_servers,
-            "SimConfig: failure server out of range");
-    require(failure.time >= prev_time,
-            "SimConfig: failures must be sorted by time");
-    prev_time = failure.time;
-  }
+VODREP_OBS_HOOKS_NS_BEGIN
+
+namespace {
+
+[[gnu::cold]] obs::Histogram& dispatch_histogram() {
+  return obs::metrics().histogram(
+      "sim.dispatch_us",
+      {0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0});
 }
 
-void SimConfig::require_replication_extensions_unset(
-    const char* organization) const {
-  require(redirect == RedirectMode::kNone, [&] {
-    return std::string(organization) +
-           " simulation has no replica choice to redirect between; unset "
-           "SimConfig::redirect";
-  });
-  require(backbone_bps == 0.0, [&] {
-    return std::string(organization) +
-           " simulation cannot proxy streams; unset SimConfig::backbone_bps";
-  });
-  require(batching_window_sec == 0.0, [&] {
-    return std::string(organization) +
-           " simulation does not support stream sharing; unset "
-           "SimConfig::batching_window_sec";
-  });
-}
-
-double SimResult::rejection_rate() const {
-  return total_requests == 0
-             ? 0.0
-             : static_cast<double>(rejected) / static_cast<double>(total_requests);
-}
-
-double SimResult::cache_hit_ratio() const {
-  const std::uint64_t total = cache_hits + cache_misses;
-  return total == 0
-             ? 0.0
-             : static_cast<double>(cache_hits) / static_cast<double>(total);
-}
-
-double SimResult::mean_utilization() const {
-  if (utilization_per_server.empty()) return 0.0;
-  double sum = 0.0;
-  for (double u : utilization_per_server) sum += u;
-  return sum / static_cast<double>(utilization_per_server.size());
-}
+}  // namespace
 
 SimEngine::SimEngine(const SimConfig& config) : config_(config) {
   config_.validate();
@@ -103,7 +51,7 @@ SimResult SimEngine::run(StoragePolicy& policy, const RequestTrace& trace) {
   // their bandwidth (they are not torn down) but the metrics window ends.
   advance_events(policy, trace.horizon);
   const SimResult out = finalize(trace.horizon);
-  if (obs::metrics_enabled()) export_metrics();
+  if (obs::kHooks && obs::metrics_enabled()) export_metrics();
   return out;
 }
 
@@ -121,10 +69,8 @@ void SimEngine::begin_stepping(StoragePolicy& policy) {
   // Per-request dispatch timing is the one per-event obs cost; it is paid
   // only when metrics are enabled at replay start (two steady-clock reads
   // and a lock-free histogram increment per request).
-  if (obs::metrics_enabled()) {
-    dispatch_hist_ = &obs::metrics().histogram(
-        "sim.dispatch_us", {0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0,
-                            250.0, 1000.0});
+  if (obs::kHooks && obs::metrics_enabled()) {
+    dispatch_hist_ = &dispatch_histogram();
   }
 }
 
@@ -146,7 +92,7 @@ void SimEngine::step_request(StoragePolicy& policy, const Request& request,
                              obs::Histogram* dispatch_hist) {
   advance_events(policy, request.arrival_time);
   const PolicyDecision decision =
-      dispatch_hist != nullptr
+      obs::kHooks && dispatch_hist != nullptr
           ? timed_dispatch(policy, request, *dispatch_hist)
           : policy.dispatch(request);
   ++requests_dispatched_;
@@ -164,7 +110,7 @@ void SimEngine::step_request(StoragePolicy& policy, const Request& request,
     if (decision.redirected) ++result_.redirected;
     if (decision.via_backbone) ++result_.proxied;
   }
-  if (event_log_ != nullptr) log_request(request, decision);
+  if (obs::kHooks && event_log_ != nullptr) log_request(request, decision);
 }
 
 PolicyDecision SimEngine::timed_dispatch(StoragePolicy& policy,
@@ -281,13 +227,15 @@ std::size_t SimEngine::fail(std::size_t s) {
 
 EventHeap::Id SimEngine::schedule_departure(double time, std::size_t stream) {
   const EventHeap::Id id = departures_.push(time, stream);
-  heap_high_water_ = std::max(heap_high_water_, departures_.size());
+  if (obs::kHooks) {
+    heap_high_water_ = std::max(heap_high_water_, departures_.size());
+  }
   return id;
 }
 
 void SimEngine::cancel_departure(EventHeap::Id id) {
   departures_.cancel(id);
-  ++departures_cancelled_;
+  if (obs::kHooks) ++departures_cancelled_;
 }
 
 void SimEngine::advance_events(StoragePolicy& policy, double now) {
@@ -302,14 +250,14 @@ void SimEngine::advance_events(StoragePolicy& policy, double now) {
          failures[next_failure_].time <= departures_.min_time())) {
       const ServerFailure& failure = failures[next_failure_++];
       integrate_to(failure.time);
-      ++failures_applied_;
+      if (obs::kHooks) ++failures_applied_;
       result_.disrupted += policy.on_crash(failure.server);
       continue;
     }
     if (!have_departure) break;
     const EventHeap::Event event = departures_.pop_min();
     integrate_to(event.time);
-    ++departures_fired_;
+    if (obs::kHooks) ++departures_fired_;
     policy.on_departure(event.payload);
   }
   integrate_to(now);
@@ -324,7 +272,7 @@ void SimEngine::integrate_to(double t) {
   // the timeline test and loses no samples: a zero-dt call leaves now_
   // unchanged, so a due sample simply fires on the next advancing call,
   // reading the state that actually holds over the sampled interval.
-  if (timeline_ != nullptr) sample_timeline_to(t);
+  if (obs::kHooks && timeline_ != nullptr) sample_timeline_to(t);
   const auto n = static_cast<double>(servers_.size());
   const double max = current_max_utilization();
   if (max <= 0.0) {
@@ -350,7 +298,7 @@ void SimEngine::integrate_to(double t) {
   imbalance_cv_.add(cv, dt);
   imbalance_capacity_.add(std::max(0.0, max - mean), dt);
   peak_eq2_ = std::max(peak_eq2_, eq2);
-  if (segment_log_ != nullptr) log_segment(t, max);
+  if (obs::kHooks && segment_log_ != nullptr) log_segment(t, max);
   now_ = t;
 }
 
@@ -412,5 +360,7 @@ double SimEngine::current_max_utilization() const {
   }
   return utilization_[max_server_];
 }
+
+VODREP_OBS_HOOKS_NS_END
 
 }  // namespace vodrep

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "src/obs/event_log.h"
+#include "src/obs/hooks.h"
 #include "src/obs/timeseries.h"
 #include "src/sim/dispatcher.h"  // RedirectMode / BatchingMode
 #include "src/sim/event_heap.h"
@@ -182,6 +183,9 @@ struct SimResult {
   std::vector<double> utilization_per_server;
   /// Mean utilization across servers.
   [[nodiscard]] double mean_utilization() const;
+
+  /// Field-by-field, floats compared exactly.
+  friend bool operator==(const SimResult&, const SimResult&) = default;
 };
 
 /// What a StoragePolicy decided for one request.  The engine translates
@@ -198,6 +202,10 @@ struct PolicyDecision {
   /// Required on every rejection: which of the typed reasons applies.
   obs::RejectReason reject_reason = obs::RejectReason::kNone;
 };
+
+// SimEngine's hooks compile out in the hook-free build (src/obs/hooks.h),
+// so it and the policy types that name it live in that build's namespace.
+VODREP_OBS_HOOKS_NS_BEGIN
 
 class StoragePolicy;
 
@@ -299,7 +307,8 @@ class SimEngine {
   /// when `dispatch_hist` is non-null), tally, log.  Inlined into both so
   /// the replay loop pays no call per request; the dormant observability
   /// hooks below stay out of line, so the hot path carries only a pointer
-  /// test for each (the vodrep_sim_hotpath <3% guard prices exactly this).
+  /// test for each (the vodrep_sim_hotpath <3% guard prices exactly this
+  /// against the hook-free build of this file, src/obs/hooks.h).
   [[gnu::always_inline]] inline void step_request(
       StoragePolicy& policy, const Request& request,
       obs::Histogram* dispatch_hist);
@@ -317,7 +326,9 @@ class SimEngine {
   void advance_events(StoragePolicy& policy, double now);
   /// Folds the run's tallies into the global metrics registry (bit-exact
   /// with the returned SimResult; see tests/obs_integration_test.cc).
-  void export_metrics() const;
+  /// Cold, like the histogram registration in begin_stepping: once-per-run
+  /// hook code stays out of the replay loop's text.
+  [[gnu::cold]] void export_metrics() const;
   /// Accounts for the current utilization state holding over [now_, t).
   void integrate_to(double t);
   /// Emits every timeline sample due in (now_, t]; the signals are
@@ -434,5 +445,7 @@ struct PolicyShards {
   /// policies[s] replays plan.sub_traces[s]; size plan.num_shards.
   std::vector<std::unique_ptr<StoragePolicy>> policies;
 };
+
+VODREP_OBS_HOOKS_NS_END
 
 }  // namespace vodrep

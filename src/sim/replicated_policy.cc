@@ -6,6 +6,8 @@
 
 namespace vodrep {
 
+VODREP_OBS_HOOKS_NS_BEGIN
+
 ReplicatedPolicy::ReplicatedPolicy(const Layout& layout,
                                      const SimConfig& config)
     : StoragePolicy(config),
@@ -144,5 +146,7 @@ ShardPlan holder_shard_plan(const Layout& layout, const SimConfig& config,
   }
   return plan;
 }
+
+VODREP_OBS_HOOKS_NS_END
 
 }  // namespace vodrep

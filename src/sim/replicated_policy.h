@@ -16,6 +16,10 @@
 
 namespace vodrep {
 
+// Compiled a second time into the hot-path benches' hook-free baseline
+// (src/obs/hooks.h), so everything here lives in that build's namespace.
+VODREP_OBS_HOOKS_NS_BEGIN
+
 class ReplicatedPolicy final : public StoragePolicy {
  public:
   /// `layout` must outlive the policy; the config is copied, so a
@@ -58,5 +62,7 @@ class ReplicatedPolicy final : public StoragePolicy {
                                           const SimConfig& config,
                                           const RequestTrace& trace,
                                           std::size_t num_shards);
+
+VODREP_OBS_HOOKS_NS_END
 
 }  // namespace vodrep

@@ -14,11 +14,19 @@
 namespace vodrep::obs {
 namespace {
 
-/// Busy-waits so a phase's wall time strictly exceeds the clock resolution.
-void spin_ns(std::uint64_t ns) {
-  const std::uint64_t until = steady_now_ns() + ns;
-  while (steady_now_ns() < until) {
+/// Busy-waits until the calling thread has burned `ns` of CPU time and
+/// returns the CPU time burned.  It spins on the thread CPU clock, not the
+/// wall clock, so a descheduled thread keeps spinning instead of leaving a
+/// phase with a wall time it never ran for; a wall-time cap of 100x `ns`
+/// bounds the wait on an oversubscribed host.
+std::uint64_t spin_cpu_ns(std::uint64_t ns) {
+  const std::uint64_t cpu_start = thread_cpu_now_ns();
+  const std::uint64_t wall_deadline = steady_now_ns() + 100 * ns;
+  std::uint64_t burned = 0;
+  while (burned < ns && steady_now_ns() < wall_deadline) {
+    burned = thread_cpu_now_ns() - cpu_start;
   }
+  return burned;
 }
 
 /// The profiler under test is the global one (VODREP_PROFILE_PHASE
@@ -47,16 +55,17 @@ class ProfileTest : public ::testing::Test {
 
 TEST_F(ProfileTest, NestedPhaseAccountingSumsToParent) {
   profiler().set_enabled(true);
+  std::uint64_t burned_ns = 0;
   {
     VODREP_PROFILE_PHASE("outer");
-    spin_ns(200'000);
+    burned_ns += spin_cpu_ns(200'000);
     for (int i = 0; i < 3; ++i) {
       VODREP_PROFILE_PHASE("child_a");
-      spin_ns(200'000);
+      burned_ns += spin_cpu_ns(200'000);
     }
     {
       VODREP_PROFILE_PHASE("child_b");
-      spin_ns(200'000);
+      burned_ns += spin_cpu_ns(200'000);
     }
   }
   profiler().set_enabled(false);
@@ -74,9 +83,9 @@ TEST_F(ProfileTest, NestedPhaseAccountingSumsToParent) {
   // child wall must never exceed the parent's.
   EXPECT_GE(outer->wall_ns, child_a->wall_ns + child_b->wall_ns);
   EXPECT_GT(child_a->wall_ns, 0u);
-  // The spin loop burns CPU, so thread-CPU time moves with wall time (a
-  // loose lower bound: at least 10% of the busy-wait registered).
-  EXPECT_GT(outer->cpu_ns, outer->wall_ns / 10);
+  // Every spin ran inside the outer phase on this thread, so the phase's
+  // thread-CPU time covers at least the CPU the spins burned.
+  EXPECT_GE(outer->cpu_ns, burned_ns);
   EXPECT_GT(snap.max_rss_kb, 0u);
 }
 
@@ -93,13 +102,13 @@ TEST_F(ProfileTest, CrossThreadMergeIsDeterministicAcrossRuns) {
         for (int i = 0; i < 5; ++i) {
           VODREP_PROFILE_PHASE("worker");
           VODREP_PROFILE_PHASE("step");
-          spin_ns(1'000);
+          spin_cpu_ns(1'000);
         }
       });
     }
     {
       VODREP_PROFILE_PHASE("main_phase");
-      spin_ns(1'000);
+      spin_cpu_ns(1'000);
     }
     for (std::thread& thread : threads) thread.join();
     profiler().set_enabled(false);
@@ -142,7 +151,7 @@ TEST_F(ProfileTest, JsonExportIsVersionedAndRoundTrips) {
     VODREP_PROFILE_PHASE("solve");
     {
       VODREP_PROFILE_PHASE("inner");
-      spin_ns(1'000);
+      spin_cpu_ns(1'000);
     }
   }
   profiler().set_enabled(false);
