@@ -31,7 +31,6 @@
 
 #include "src/anneal/annealer.h"
 #include "src/anneal/schedule.h"
-#include "src/obs/profile.h"
 #include "src/obs/trace.h"
 #include "src/util/error.h"
 #include "src/util/rng.h"
@@ -47,24 +46,6 @@ namespace vodrep {
 [[nodiscard]] inline std::uint64_t pt_chain_seed(std::uint64_t base_seed,
                                                  std::size_t chain) {
   return base_seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(chain));
-}
-
-/// Trace lane name for chain k.  TraceEvent stores `const char*` with static
-/// storage duration, so the names are a fixed literal table; chains beyond
-/// the table share one overflow lane.
-[[nodiscard]] inline const char* pt_chain_lane(std::size_t chain) {
-  static constexpr const char* kLanes[] = {
-      "sa.chain.0",  "sa.chain.1",  "sa.chain.2",  "sa.chain.3",
-      "sa.chain.4",  "sa.chain.5",  "sa.chain.6",  "sa.chain.7",
-      "sa.chain.8",  "sa.chain.9",  "sa.chain.10", "sa.chain.11",
-      "sa.chain.12", "sa.chain.13", "sa.chain.14", "sa.chain.15",
-      "sa.chain.16", "sa.chain.17", "sa.chain.18", "sa.chain.19",
-      "sa.chain.20", "sa.chain.21", "sa.chain.22", "sa.chain.23",
-      "sa.chain.24", "sa.chain.25", "sa.chain.26", "sa.chain.27",
-      "sa.chain.28", "sa.chain.29", "sa.chain.30", "sa.chain.31",
-  };
-  constexpr std::size_t kCount = sizeof(kLanes) / sizeof(kLanes[0]);
-  return chain < kCount ? kLanes[chain] : "sa.chain.32+";
 }
 
 /// The replica-exchange bookkeeping: the dedicated swap Rng and the
@@ -126,13 +107,12 @@ template <AnnealProblem P>
           "anneal_parallel_tempering: swap_period must be positive");
   require(options.temperature_spread >= 1.0,
           "anneal_parallel_tempering: temperature_spread must be >= 1");
-  VODREP_TRACE_SCOPE("anneal.pt.run");
-  // Phase accounting (DESIGN.md §11): the caller thread owns the sa.pt root
+  // Span layout (DESIGN.md §11): the caller thread owns the sa.pt span
   // with construct/superstep/exchange children — superstep wall covers the
   // pool dispatch plus the barrier wait, while the workers accrue the actual
-  // chain-run wall/CPU under their own sa.pt.chain_run root, so "time the
+  // chain-run wall/CPU under their own sa.pt.chain_run spans, so "time the
   // barrier spent waiting" is superstep wall minus the chain-run share.
-  VODREP_PROFILE_PHASE("sa.pt");
+  VODREP_TRACE_SCOPE("sa.pt");
 
   // Each chain owns its Rng for its whole lifetime; the vector is sized up
   // front so the pointers the chains hold stay stable.
@@ -144,8 +124,7 @@ template <AnnealProblem P>
 
   std::vector<std::optional<AnnealChain<P>>> chains(k);
   auto construct = [&](std::size_t c) {
-    VODREP_TRACE_SCOPE(pt_chain_lane(c));
-    VODREP_PROFILE_PHASE("sa.pt.chain_construct");
+    VODREP_TRACE_SCOPE("sa.pt.chain_construct");
     chains[c].emplace(
         problem, rngs[c], options, schedule,
         std::pow(options.temperature_spread, static_cast<double>(c)));
@@ -160,7 +139,7 @@ template <AnnealProblem P>
     }
   };
   {
-    VODREP_PROFILE_PHASE("construct");
+    VODREP_TRACE_SCOPE("construct");
     for_each_chain(construct);
   }
 
@@ -178,18 +157,17 @@ template <AnnealProblem P>
     return false;
   };
   auto superstep = [&](std::size_t c) {
-    VODREP_TRACE_SCOPE(pt_chain_lane(c));
-    VODREP_PROFILE_PHASE("sa.pt.chain_run");
+    VODREP_TRACE_SCOPE("sa.pt.chain_run");
     AnnealChain<P>& chain = *chains[c];
     for (std::size_t i = 0; i < options.swap_period && chain.step(); ++i) {
     }
   };
   for (std::size_t round = 0; any_active(); ++round) {
     {
-      VODREP_PROFILE_PHASE("superstep");
+      VODREP_TRACE_SCOPE("superstep");
       for_each_chain(superstep);
     }
-    VODREP_PROFILE_PHASE("exchange");
+    VODREP_TRACE_SCOPE("exchange");
     for (std::size_t lo = round % 2; lo + 1 < k; lo += 2) {
       AnnealChain<P>& cold = *chains[lo];
       AnnealChain<P>& hot = *chains[lo + 1];

@@ -8,7 +8,6 @@
 #include "src/anneal/parallel_tempering.h"
 #include "src/audit/audit.h"
 #include "src/obs/metrics.h"
-#include "src/obs/profile.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
 #include "src/util/error.h"
@@ -365,7 +364,6 @@ SaSolverResult solve_scalable(const ScalableProblem& problem,
                               ThreadPool* pool) {
   require(options.chains >= 1, "solve_scalable: need at least one chain");
   VODREP_TRACE_SCOPE("sa.solve");
-  VODREP_PROFILE_PHASE("sa.solve");
   const ScalableSaProblem sa_problem(problem, options);
   SaSolverResult result;
   if (options.chains == 1) {
@@ -382,7 +380,7 @@ SaSolverResult solve_scalable(const ScalableProblem& problem,
         anneal_parallel_tempering(sa_problem, seed, pt_options, pool);
   }
   {
-    VODREP_PROFILE_PHASE("extract");
+    VODREP_TRACE_SCOPE("extract");
     result.solution = result.anneal.best_state;
     result.objective = solution_objective(problem, result.solution);
     result.feasible = is_feasible(problem, result.solution);

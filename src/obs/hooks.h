@@ -1,8 +1,8 @@
 // The compile-time switch for every dormant observability hook.
 //
 // Hooks are always compiled in, and while disabled at run time each costs a
-// relaxed load, a pointer test or a counter increment: trace and profile
-// scopes (VODREP_TRACE_SCOPE, VODREP_PROFILE_PHASE), and in SimEngine the
+// relaxed load, a pointer test or a counter increment: trace spans
+// (VODREP_TRACE_SCOPE, which also feed the run profile), and in SimEngine the
 // dispatch histogram, the timeline, event-log and segment-log pointer
 // tests, the event tallies and the metrics export.  Defining
 // VODREP_NO_OBS_HOOKS compiles all of them out.  No library target sets

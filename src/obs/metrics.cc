@@ -159,7 +159,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     const TraceRecorder& recorder = TraceRecorder::global();
     snap.counters["trace.events_recorded"] = recorder.events_recorded();
     snap.counters["trace.events_dropped"] = recorder.events_dropped();
-    snap.counters["trace.buffer_grows"] = recorder.buffer_grows();
   }
   return snap;
 }

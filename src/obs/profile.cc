@@ -2,139 +2,63 @@
 
 #include <algorithm>
 #include <cstring>
+#include <tuple>
+#include <utility>
 
 #include "src/obs/clock.h"
 #include "src/obs/json_lite.h"
-#include "src/obs/metrics.h"
+#include "src/obs/report.h"
 #include "src/obs/trace.h"
 
 namespace vodrep::obs {
 
-/// Phase tree owned (written) by exactly one thread.  Node links are
-/// indices, not pointers, because the node vector reallocates as phases are
-/// first seen.
-struct RunProfiler::ThreadTree {
-  struct Node {
-    const char* name = nullptr;
-    std::uint64_t wall_ns = 0;
-    std::uint64_t cpu_ns = 0;
-    std::uint64_t count = 0;
-    std::vector<std::uint32_t> children;
-  };
-  struct Frame {
-    std::uint32_t node = 0;
-    std::uint64_t wall_start_ns = 0;
-    std::uint64_t cpu_start_ns = 0;
-  };
-  /// nodes[0] is a synthetic root whose children are this thread's
-  /// top-level phases.
-  std::vector<Node> nodes = std::vector<Node>(1);
-  std::vector<Frame> stack;
-  std::uint32_t current = 0;
-  std::uint32_t slot = 0;  ///< obs thread_slot, for stable registration order
+namespace {
+
+/// The forest under construction.  nodes[0] is a synthetic root whose
+/// children are the root phases; links are indices because the vector
+/// reallocates as new paths appear.
+struct PathNode {
+  const char* name = nullptr;
+  std::uint64_t wall_ns = 0;
+  std::uint64_t cpu_ns = 0;
+  std::uint64_t count = 0;
+  std::vector<std::size_t> children;
 };
 
-namespace {
-
-/// Cached registration: which profiler epoch this thread's tree belongs to.
-thread_local RunProfiler::ThreadTree* tl_tree = nullptr;
-thread_local std::uint64_t tl_epoch = 0;
-
-}  // namespace
-
-RunProfiler& RunProfiler::global() {
-  static RunProfiler profiler;
-  return profiler;
+/// The child of `parent` carrying `name`, added on first sight.  Linear
+/// scan: phase fan-out is a handful of named stages.
+std::size_t child_named(std::vector<PathNode>& nodes, std::size_t parent,
+                        const char* name) {
+  for (const std::size_t child : nodes[parent].children) {
+    if (std::strcmp(nodes[child].name, name) == 0) return child;
+  }
+  nodes.emplace_back().name = name;
+  nodes[parent].children.push_back(nodes.size() - 1);
+  return nodes.size() - 1;
 }
 
-RunProfiler::ThreadTree* RunProfiler::local_tree() {
-  const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-  if (tl_tree != nullptr && tl_epoch == epoch) return tl_tree;
-  MutexLock lock(mutex_);
-  auto tree = std::make_unique<ThreadTree>();
-  tree->slot = detail::thread_slot();
-  tl_tree = tree.get();
-  tl_epoch = epoch_.load(std::memory_order_relaxed);
-  trees_.push_back(std::move(tree));
-  return tl_tree;
+/// True when `outer` is a span of `inner`'s thread, sits shallower, and its
+/// wall interval contains `inner`'s.
+bool encloses(const TraceEvent& outer, const TraceEvent& inner) {
+  return outer.tid == inner.tid && outer.depth < inner.depth &&
+         outer.ts_ns <= inner.ts_ns &&
+         inner.ts_ns + inner.dur_ns <= outer.ts_ns + outer.dur_ns;
 }
 
-void RunProfiler::enter(const char* name) noexcept {
-  ThreadTree* tree = local_tree();
-  // Find (or add) the child of the current node carrying this phase name.
-  // Linear scan: phase fan-out is small (a handful of named stages), and
-  // the name-pointer fast path covers the literal-reuse common case.
-  std::uint32_t child = 0;
-  for (const std::uint32_t idx : tree->nodes[tree->current].children) {
-    const char* existing = tree->nodes[idx].name;
-    if (existing == name || std::strcmp(existing, name) == 0) {
-      child = idx;
-      break;
-    }
+/// The children of nodes[parent] as a name-sorted PhaseStats forest.
+std::vector<PhaseStats> forest_of(const std::vector<PathNode>& nodes,
+                                  std::size_t parent) {
+  std::vector<PhaseStats> forest;
+  for (const std::size_t index : nodes[parent].children) {
+    const PathNode& node = nodes[index];
+    forest.push_back(PhaseStats{node.name, node.wall_ns, node.cpu_ns,
+                                node.count, forest_of(nodes, index)});
   }
-  if (child == 0) {
-    child = static_cast<std::uint32_t>(tree->nodes.size());
-    ThreadTree::Node node;
-    node.name = name;
-    tree->nodes.push_back(node);
-    tree->nodes[tree->current].children.push_back(child);
-  }
-  tree->stack.push_back(
-      ThreadTree::Frame{child, steady_now_ns(), thread_cpu_now_ns()});
-  tree->current = child;
-}
-
-void RunProfiler::leave() noexcept {
-  // Tolerate leave() after a clear() raced a still-armed ProfilePhase (the
-  // quiesce contract was violated upstream): better to drop the sample
-  // than to touch a freed tree.
-  if (tl_tree == nullptr ||
-      tl_epoch != epoch_.load(std::memory_order_relaxed) ||
-      tl_tree->stack.empty()) {
-    return;
-  }
-  ThreadTree* tree = tl_tree;
-  const ThreadTree::Frame frame = tree->stack.back();
-  tree->stack.pop_back();
-  ThreadTree::Node& node = tree->nodes[frame.node];
-  node.wall_ns += steady_now_ns() - frame.wall_start_ns;
-  node.cpu_ns += thread_cpu_now_ns() - frame.cpu_start_ns;
-  node.count += 1;
-  tree->current = tree->stack.empty() ? 0 : tree->stack.back().node;
-}
-
-namespace {
-
-/// Adds `src` (and its subtree) into the forest `dst`, matching by name.
-void merge_node(std::vector<PhaseStats>& dst,
-                const RunProfiler::ThreadTree& tree, std::uint32_t index) {
-  const auto& node = tree.nodes[index];
-  PhaseStats* target = nullptr;
-  for (PhaseStats& candidate : dst) {
-    if (candidate.name == node.name) {
-      target = &candidate;
-      break;
-    }
-  }
-  if (target == nullptr) {
-    dst.emplace_back();
-    target = &dst.back();
-    target->name = node.name;
-  }
-  target->wall_ns += node.wall_ns;
-  target->cpu_ns += node.cpu_ns;
-  target->count += node.count;
-  for (const std::uint32_t child : node.children) {
-    merge_node(target->children, tree, child);
-  }
-}
-
-void sort_forest(std::vector<PhaseStats>& forest) {
   std::sort(forest.begin(), forest.end(),
             [](const PhaseStats& a, const PhaseStats& b) {
               return a.name < b.name;
             });
-  for (PhaseStats& phase : forest) sort_forest(phase.children);
+  return forest;
 }
 
 JsonValue phase_to_json(const PhaseStats& phase) {
@@ -153,39 +77,48 @@ JsonValue phase_to_json(const PhaseStats& phase) {
 
 }  // namespace
 
-ProfileSnapshot RunProfiler::snapshot() const {
-  MutexLock lock(mutex_);
-  ProfileSnapshot out;
-  // Visit trees in thread-slot order, then canonicalize: the result is a
-  // pure function of the recorded (path -> totals) multiset, independent of
-  // thread registration order.
-  std::vector<const ThreadTree*> ordered;
-  ordered.reserve(trees_.size());
-  for (const auto& tree : trees_) ordered.push_back(tree.get());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const ThreadTree* a, const ThreadTree* b) {
-              return a->slot < b->slot;
-            });
-  for (const ThreadTree* tree : ordered) {
-    for (const std::uint32_t root_child : tree->nodes[0].children) {
-      merge_node(out.phases, *tree, root_child);
+ProfileSnapshot profile_snapshot(const TraceRecorder& recorder) {
+  // Each thread's spans in start order.  A parent opens no later than its
+  // children and sits shallower, so it sorts before them.
+  std::vector<TraceEvent> spans = recorder.events();
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return std::tie(a.tid, a.ts_ns, a.depth) <
+                            std::tie(b.tid, b.ts_ns, b.depth);
+                   });
+  std::vector<PathNode> nodes(1);
+  // The spans enclosing the current one, innermost last, with their nodes.
+  std::vector<std::pair<const TraceEvent*, std::size_t>> open;
+  for (const TraceEvent& span : spans) {
+    while (!open.empty() && !encloses(*open.back().first, span)) {
+      open.pop_back();
     }
+    // Only an enclosing span exactly one level up is the parent; when that
+    // level was never recorded the span is a root.
+    const bool has_parent =
+        !open.empty() && open.back().first->depth + 1 == span.depth;
+    const std::size_t index =
+        child_named(nodes, has_parent ? open.back().second : 0, span.name);
+    PathNode& node = nodes[index];
+    node.wall_ns += span.dur_ns;
+    node.cpu_ns += span.cpu_ns;
+    node.count += 1;
+    open.emplace_back(&span, index);
   }
-  sort_forest(out.phases);
-  out.max_rss_kb = obs::max_rss_kb();
+  ProfileSnapshot out;
+  out.phases = forest_of(nodes, 0);
+  out.max_rss_kb = max_rss_kb();
   return out;
 }
 
-JsonValue RunProfiler::to_json() const {
-  const ProfileSnapshot snap = snapshot();
+JsonValue profile_json(const TraceRecorder& recorder) {
+  const ProfileSnapshot snap = profile_snapshot(recorder);
   JsonValue root = JsonValue::object();
-  root.set("profile_version", JsonValue::integer(kProfileVersion));
+  root.set("profile_version", JsonValue::integer(kRunProfileVersion));
   root.set("max_rss_kb", JsonValue::integer_u64(snap.max_rss_kb));
   JsonValue trace = JsonValue::object();
-  trace.set("recorded",
-            JsonValue::integer_u64(TraceRecorder::global().events_recorded()));
-  trace.set("dropped",
-            JsonValue::integer_u64(TraceRecorder::global().events_dropped()));
+  trace.set("recorded", JsonValue::integer_u64(recorder.events_recorded()));
+  trace.set("dropped", JsonValue::integer_u64(recorder.events_dropped()));
   root.set("trace", std::move(trace));
   JsonValue phases = JsonValue::array();
   for (const PhaseStats& phase : snap.phases) {
@@ -193,17 +126,6 @@ JsonValue RunProfiler::to_json() const {
   }
   root.set("phases", std::move(phases));
   return root;
-}
-
-void RunProfiler::clear() {
-  MutexLock lock(mutex_);
-  trees_.clear();
-  epoch_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::size_t RunProfiler::threads_registered() const {
-  MutexLock lock(mutex_);
-  return trees_.size();
 }
 
 }  // namespace vodrep::obs

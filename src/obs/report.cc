@@ -2,13 +2,7 @@
 
 #include <cstddef>
 
-#include "src/obs/profile.h"
-
 namespace vodrep::obs {
-
-static_assert(kRunProfileVersion == RunProfiler::kProfileVersion,
-              "report schema and RunProfiler must agree on the profile "
-              "section version");
 
 namespace {
 
@@ -26,9 +20,9 @@ namespace {
   return value.kind() == JsonValue::Kind::kInt;
 }
 
-/// Structural check of one merged phase node (src/obs/profile.h to_json
-/// output): name string, wall_ns/cpu_ns/count non-negative integers,
-/// recursive children.  Depth-capped so a hostile document cannot recurse
+/// Structural check of one merged phase node (obs::profile_json output):
+/// name string, wall_ns/cpu_ns/count non-negative integers, recursive
+/// children.  Depth-capped so a hostile document cannot recurse
 /// the validator off the stack (the no-throw fuzz contract covers this
 /// section too).
 void check_phase_node(const JsonValue& node, int depth,
@@ -202,7 +196,7 @@ std::vector<std::string> validate_run_report(const JsonValue& report) {
   }
 
   // The profile section is optional (reports from runs without --profile-out
-  // stay valid), but when present it must be the versioned RunProfiler
+  // stay valid), but when present it must be the versioned profile_json
   // export: profile_version, max_rss_kb, and a well-formed phase forest.
   if (report.has("profile")) {
     const JsonValue& profile = report.at("profile");

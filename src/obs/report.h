@@ -24,9 +24,8 @@ namespace vodrep::obs {
 
 inline constexpr std::int64_t kRunReportSchemaVersion = 1;
 inline constexpr const char* kRunReportKind = "vodrep_run_report";
-/// Version of the optional `profile` section (the RunProfiler JSON export);
-/// kept in lockstep with RunProfiler::kProfileVersion (static_assert in
-/// report.cc).
+/// Version of the optional `profile` section (obs::profile_json, which
+/// stamps this constant).
 inline constexpr std::int64_t kRunProfileVersion = 1;
 
 /// Top-level keys every run report must carry.

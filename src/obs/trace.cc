@@ -9,6 +9,13 @@
 
 namespace vodrep::obs {
 
+namespace {
+
+/// Armed spans open on the calling thread: the depth the next one records.
+thread_local std::uint32_t tl_open_spans = 0;
+
+}  // namespace
+
 TraceRecorder::TraceRecorder() : lanes_(new Lane[kMaxLanes]) {}
 
 TraceRecorder& TraceRecorder::global() {
@@ -16,39 +23,31 @@ TraceRecorder& TraceRecorder::global() {
   return recorder;
 }
 
-std::uint64_t TraceRecorder::now_ns() noexcept { return steady_now_ns(); }
-
 void TraceRecorder::set_enabled(bool enabled, std::size_t capacity) {
   {
     MutexLock lock(mutex_);
     if (enabled) {
       capacity_ = capacity;
-      // Reserve the enabling thread's lane now, so single-threaded programs
+      // Allocate the enabling thread's lane now, so single-threaded programs
       // (always slot 0) never allocate on the record path at all.
       const std::uint32_t slot = detail::thread_slot();
-      if (slot < kMaxLanes) {
-        Lane& lane = lanes_[slot];
-        if (!lane.ready.load(std::memory_order_relaxed)) {
-          lane.slots.resize(capacity_);
-          lane.ready.store(true, std::memory_order_release);
-        }
-      }
+      if (slot < kMaxLanes) allocate_lane(lanes_[slot]);
     }
   }
   enabled_.store(enabled, std::memory_order_relaxed);
 }
 
-bool TraceRecorder::prepare_lane(Lane& lane) noexcept {
-  MutexLock lock(mutex_);
-  if (lane.ready.load(std::memory_order_relaxed)) return true;
-  if (!enabled()) return false;
-  lane.slots.resize(capacity_);
+void TraceRecorder::allocate_lane(Lane& lane) {
+  if (lane.ready.load(std::memory_order_relaxed)) return;
+  // Uninitialized on purpose: pages are committed as spans are written.
+  lane.slots = std::make_unique_for_overwrite<TraceEvent[]>(capacity_);
+  lane.capacity = capacity_;
   lane.ready.store(true, std::memory_order_release);
-  return true;
 }
 
 void TraceRecorder::record_complete(const char* name, std::uint64_t ts_ns,
-                                    std::uint64_t dur_ns) noexcept {
+                                    std::uint64_t dur_ns, std::uint64_t cpu_ns,
+                                    std::uint32_t depth) noexcept {
   if (!enabled()) return;
   const std::uint32_t tid = detail::thread_slot();
   if (tid >= kMaxLanes) {
@@ -57,28 +56,30 @@ void TraceRecorder::record_complete(const char* name, std::uint64_t ts_ns,
   }
   Lane& lane = lanes_[tid];
   if (!lane.ready.load(std::memory_order_acquire)) {
-    // One-time lane reservation on this thread's first record; every later
-    // record from this thread takes the lock-free path below.
-    if (!prepare_lane(lane)) {
+    // One-time lane allocation on this thread's first record; every later
+    // record from this thread takes the lock-free path below.  The recorder
+    // may have been disabled again by the time the lock is held.
+    MutexLock lock(mutex_);
+    if (!enabled()) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
+    allocate_lane(lane);
   }
   const std::size_t idx = lane.count.load(std::memory_order_relaxed);
-  if (idx >= lane.slots.size()) {
+  if (idx >= lane.capacity) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  lane.slots[idx] = TraceEvent{name, ts_ns, dur_ns, tid};
+  lane.slots[idx] = TraceEvent{name, ts_ns, dur_ns, cpu_ns, tid, depth};
   lane.count.store(idx + 1, std::memory_order_release);
   recorded_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<TraceEvent> TraceRecorder::events() const {
-  // The mutex excludes concurrent lane *reservation* (vector resize); the
-  // acquire load of each lane's count pairs with the writer's release store,
-  // so the published prefix is safe to copy while that writer keeps
-  // recording past it.
+  // The mutex excludes concurrent lane allocation; the acquire load of each
+  // lane's count pairs with the writer's release store, so the published
+  // prefix is safe to copy while that writer keeps recording past it.
   MutexLock lock(mutex_);
   std::vector<TraceEvent> merged;
   std::size_t total = 0;
@@ -92,8 +93,7 @@ std::vector<TraceEvent> TraceRecorder::events() const {
     const Lane& lane = lanes_[slot];
     if (!lane.ready.load(std::memory_order_acquire)) continue;
     const std::size_t count = lane.count.load(std::memory_order_acquire);
-    merged.insert(merged.end(), lane.slots.begin(),
-                  lane.slots.begin() + static_cast<std::ptrdiff_t>(count));
+    merged.insert(merged.end(), lane.slots.get(), lane.slots.get() + count);
   }
   // Deterministic merge order: start timestamp, thread slot tie-break.  The
   // concatenation above visits lanes in slot order and stable_sort keeps the
@@ -150,11 +150,26 @@ void TraceRecorder::clear() {
     Lane& lane = lanes_[slot];
     lane.ready.store(false, std::memory_order_relaxed);
     lane.count.store(0, std::memory_order_relaxed);
-    std::vector<TraceEvent>().swap(lane.slots);
+    lane.capacity = 0;
+    lane.slots.reset();
   }
   recorded_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
-  buffer_grows_.store(0, std::memory_order_relaxed);
+}
+
+void ScopedTimer::open(const char* name) noexcept {
+  name_ = name;
+  depth_ = tl_open_spans++;
+  start_ns_ = steady_now_ns();
+  start_cpu_ns_ = thread_cpu_now_ns();
+}
+
+void ScopedTimer::close() noexcept {
+  const std::uint64_t cpu_ns = thread_cpu_now_ns() - start_cpu_ns_;
+  const std::uint64_t dur_ns = steady_now_ns() - start_ns_;
+  --tl_open_spans;
+  TraceRecorder::global().record_complete(name_, start_ns_, dur_ns, cpu_ns,
+                                          depth_);
 }
 
 }  // namespace vodrep::obs

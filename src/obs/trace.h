@@ -1,29 +1,33 @@
-// Scoped-timer trace recorder emitting chrome://tracing-compatible JSON.
+// Scoped-span recorder: the one instrumentation vocabulary of src/obs.
 //
-// Every recorded span is a "complete" event ({"ph":"X"}) with microsecond
-// timestamps; the export loads directly in chrome://tracing or Perfetto
-// (ui.perfetto.dev).  Two independent switches keep instrumented hot paths
-// free when observability is off:
+// Every recorded span is a "complete" event with its start, wall duration,
+// thread-CPU duration and nesting depth on its thread.  write_json() exports
+// the spans as chrome://tracing events ({"ph":"X"}, microsecond timestamps)
+// that load directly in chrome://tracing or Perfetto (ui.perfetto.dev);
+// obs::profile_snapshot() (src/obs/profile.h) aggregates the same spans into
+// the per-path wall/CPU run profile.  Two independent switches keep
+// instrumented hot paths free when observability is off:
 //
 //   * compile time — VODREP_TRACE_SCOPE expands to a ScopedTimer except in
 //     the hook-free build (VODREP_NO_OBS_HOOKS, src/obs/hooks.h), where it
 //     is a no-op statement;
 //   * run time — TraceRecorder::set_enabled.  A disarmed ScopedTimer costs
-//     one relaxed atomic load and touches neither the clock nor the event
-//     buffer, so the recorder performs zero allocations on the hot path
-//     while disabled (asserted by tests/trace_event_test.cc via the
-//     events_recorded/buffer_grows instrument counters).
+//     one relaxed atomic load and touches neither the clocks, the
+//     thread's span depth nor the event buffer, so the recorder performs
+//     zero allocations on the hot path while disabled (asserted by
+//     tests/trace_event_test.cc via the events_recorded counter).
 //
-// Storage is one pre-reserved buffer (lane) per recording thread, indexed by
+// Storage is one lane per recording thread, indexed by
 // obs::detail::thread_slot().  Each lane has exactly one writer, which
 // publishes events with a release store of the lane's count; readers take an
 // acquire load and only touch the published prefix.  Recording therefore
 // never contends on a lock — the recorder is usable *on* the sharded
-// simulation hot path without serializing the shards.  A lane is reserved to
-// the configured capacity once, on the owning thread's first record after
-// set_enabled (the enabling thread's lane is reserved eagerly inside
-// set_enabled); past that the record path never allocates, and events beyond
-// a lane's capacity are dropped and counted.
+// simulation hot path without serializing the shards.  A lane is allocated
+// to the configured capacity once, on the owning thread's first record after
+// set_enabled (the enabling thread's lane is allocated eagerly inside
+// set_enabled), and never grows; events beyond a lane's capacity are dropped
+// and counted.  The allocation is left uninitialized, so a lane commits
+// memory only as spans land in it.
 //
 // events() / write_json() merge the lanes into one deterministic order:
 // sorted by start timestamp, thread slot breaking ties (and within one lane
@@ -37,6 +41,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/obs/hooks.h"
@@ -46,13 +51,17 @@ namespace vodrep::obs {
 
 /// One complete event; `name` must point at a string with static storage
 /// duration (instrumentation sites pass literals), so recording never
-/// copies or allocates per event.
+/// copies or allocates per event.  Trivially default-constructible, so a
+/// lane's slots stay uninitialized until a span is written into them.
 struct TraceEvent {
-  const char* name = nullptr;
-  std::uint64_t ts_ns = 0;   ///< span start, steady-clock ns since process start
-  std::uint64_t dur_ns = 0;  ///< span duration
-  std::uint32_t tid = 0;     ///< per-thread slot (obs::detail::thread_slot)
+  const char* name;
+  std::uint64_t ts_ns;   ///< span start, steady-clock ns since process start
+  std::uint64_t dur_ns;  ///< span wall duration
+  std::uint64_t cpu_ns;  ///< thread-CPU time spent inside the span
+  std::uint32_t tid;     ///< per-thread slot (obs::detail::thread_slot)
+  std::uint32_t depth;   ///< armed spans enclosing it on its thread
 };
+static_assert(std::is_trivially_default_constructible_v<TraceEvent>);
 
 class TraceRecorder {
  public:
@@ -63,9 +72,9 @@ class TraceRecorder {
   static TraceRecorder& global();
 
   /// Enables recording with `capacity` event slots *per thread lane*.  The
-  /// calling thread's lane is reserved before this returns; other threads
-  /// reserve theirs once, on their first record.  Disabling stops recording
-  /// but keeps the buffered events for export.  Lanes already reserved keep
+  /// calling thread's lane is allocated before this returns; other threads
+  /// allocate theirs once, on their first record.  Disabling stops recording
+  /// but keeps the buffered events for export.  Lanes already allocated keep
   /// their original capacity until clear().
   void set_enabled(bool enabled, std::size_t capacity = kDefaultCapacity)
       VODREP_EXCLUDES(mutex_);
@@ -73,13 +82,11 @@ class TraceRecorder {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Monotonic nanoseconds since process start (obs::steady_now_ns).
-  [[nodiscard]] static std::uint64_t now_ns() noexcept;
-
   /// Appends one complete event to the calling thread's lane (no-op while
-  /// disabled).  Lock-free after the lane's one-time reservation.
+  /// disabled).  Lock-free after the lane's one-time allocation.
   void record_complete(const char* name, std::uint64_t ts_ns,
-                       std::uint64_t dur_ns) noexcept VODREP_EXCLUDES(mutex_);
+                       std::uint64_t dur_ns, std::uint64_t cpu_ns,
+                       std::uint32_t depth) noexcept VODREP_EXCLUDES(mutex_);
 
   /// Merged copy of the buffered events, sorted by (ts_ns, tid) — see the
   /// determinism note above.  Safe to call while other threads record; it
@@ -93,26 +100,20 @@ class TraceRecorder {
   [[nodiscard]] std::uint64_t events_dropped() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
   }
-  /// Times an event buffer's capacity grew during record() — stays 0 by
-  /// construction in the per-lane design (a lane is reserved once and never
-  /// resized on the record path); kept as an observable contract.
-  [[nodiscard]] std::uint64_t buffer_grows() const noexcept {
-    return buffer_grows_.load(std::memory_order_relaxed);
-  }
 
   /// Chrome trace-event JSON ({"traceEvents":[...]}, ts/dur in fractional
   /// microseconds) over the merged, deterministically ordered events.
   void write_json(std::ostream& os) const;
   [[nodiscard]] std::string to_json() const;
 
-  /// Discards buffered events, releases the lane reservations, and resets
-  /// the instrument counters.  Requires recording threads to be quiescent
-  /// (disable first; join or drain worker pools).
+  /// Discards buffered events, frees the lanes, and resets the instrument
+  /// counters.  Requires recording threads to be quiescent (disable first;
+  /// join or drain worker pools).
   void clear() VODREP_EXCLUDES(mutex_);
 
-  /// Per-lane default capacity (events, 24 B each).  Total trace memory is
-  /// capacity x lanes actually touched, so a single-threaded run costs one
-  /// lane.
+  /// Per-lane default capacity (events of sizeof(TraceEvent), 40 B on LP64).
+  /// Total trace memory is at most capacity x lanes actually touched, and
+  /// only the slots written so far are committed.
   static constexpr std::size_t kDefaultCapacity = 1 << 18;
   /// Threads with slot >= kMaxLanes drop-and-count rather than share a lane
   /// (a shared lane would have two writers and lose the lock-free publish).
@@ -124,20 +125,19 @@ class TraceRecorder {
   /// count+1; readers acquire-load count and read only [0, count).
   struct alignas(64) Lane {
     std::atomic<std::size_t> count{0};
-    std::atomic<bool> ready{false};  ///< storage reserved, safe to write
-    std::vector<TraceEvent> slots;   ///< fixed size while ready
+    std::atomic<bool> ready{false};  ///< slots allocated, safe to write
+    std::size_t capacity = 0;        ///< fixed while ready
+    std::unique_ptr<TraceEvent[]> slots;
   };
 
-  /// One-time reservation of `lane` (mutex-serialized against readers and
-  /// other reservations).  Returns false when recording is disabled again
-  /// by the time the lock is held.
-  bool prepare_lane(Lane& lane) noexcept VODREP_EXCLUDES(mutex_);
+  /// One-time allocation of `lane` at the configured capacity; a no-op when
+  /// the lane is already allocated.
+  void allocate_lane(Lane& lane) VODREP_REQUIRES(mutex_);
 
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> buffer_grows_{0};
-  mutable Mutex mutex_;  ///< guards lane reservation / clear, not recording
+  mutable Mutex mutex_;  ///< guards lane allocation / clear, not recording
   std::size_t capacity_ VODREP_GUARDED_BY(mutex_) = 0;
   const std::unique_ptr<Lane[]> lanes_;  ///< kMaxLanes entries, fixed address
 };
@@ -145,38 +145,35 @@ class TraceRecorder {
 /// RAII span: arms itself only when the recorder is enabled at construction,
 /// then records one complete event at destruction.  Cheap enough to leave in
 /// per-temperature-step and per-run scopes; per-event/per-move scopes should
-/// stay coarser than the work they measure.
+/// stay coarser than the work they measure.  The armed paths are out of
+/// line, so a span inlines into a hot function as one load and one test.
 class ScopedTimer {
  public:
   explicit ScopedTimer(const char* name) noexcept {
-    if (TraceRecorder::global().enabled()) {
-      name_ = name;
-      start_ns_ = TraceRecorder::now_ns();
-    }
+    if (TraceRecorder::global().enabled()) open(name);
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
   ~ScopedTimer() {
-    if (name_ != nullptr) {
-      const std::uint64_t end_ns = TraceRecorder::now_ns();
-      TraceRecorder::global().record_complete(name_, start_ns_,
-                                              end_ns - start_ns_);
-    }
+    if (name_ != nullptr) close();
   }
 
  private:
+  void open(const char* name) noexcept;
+  void close() noexcept;
+
   const char* name_ = nullptr;
   std::uint64_t start_ns_ = 0;
+  std::uint64_t start_cpu_ns_ = 0;
+  std::uint32_t depth_ = 0;
 };
 
 }  // namespace vodrep::obs
 
 // VODREP_TRACE_SCOPE("name"): declares a ScopedTimer covering the rest of
 // the enclosing block.  Compiled out in the hook-free build.
-#ifndef VODREP_OBS_CONCAT_
 #define VODREP_OBS_CONCAT_IMPL_(a, b) a##b
 #define VODREP_OBS_CONCAT_(a, b) VODREP_OBS_CONCAT_IMPL_(a, b)
-#endif
 
 #if defined(VODREP_NO_OBS_HOOKS)
 #define VODREP_TRACE_SCOPE(name) static_cast<void>(0)

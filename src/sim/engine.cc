@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 
+#include "src/obs/clock.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
@@ -116,10 +117,10 @@ void SimEngine::step_request(StoragePolicy& policy, const Request& request,
 PolicyDecision SimEngine::timed_dispatch(StoragePolicy& policy,
                                          const Request& request,
                                          obs::Histogram& dispatch_hist) {
-  const std::uint64_t start_ns = obs::TraceRecorder::now_ns();
+  const std::uint64_t start_ns = obs::steady_now_ns();
   const PolicyDecision decision = policy.dispatch(request);
   dispatch_hist.observe(
-      static_cast<double>(obs::TraceRecorder::now_ns() - start_ns) / 1000.0);
+      static_cast<double>(obs::steady_now_ns() - start_ns) / 1000.0);
   return decision;
 }
 

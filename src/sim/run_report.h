@@ -30,7 +30,7 @@ namespace vodrep {
 /// corresponding sections then carry zero samples / records.  `config_extra`
 /// must be a JSON object; its members are merged into the `config` echo on
 /// top of the SimConfig fields (callers add trace/driver parameters there).
-/// `profile` is the optional RunProfiler::to_json() export; pass null (the
+/// `profile` is the optional obs::profile_json() export; pass null (the
 /// default) to omit the section.
 [[nodiscard]] obs::JsonValue build_run_report(
     const SimConfig& config, const SimResult& result,

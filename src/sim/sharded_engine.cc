@@ -8,7 +8,6 @@
 
 #include "src/obs/clock.h"
 #include "src/obs/metrics.h"
-#include "src/obs/profile.h"
 #include "src/obs/trace.h"
 #include "src/sim/replicated_policy.h"
 #include "src/util/error.h"
@@ -102,7 +101,6 @@ void merge_event_logs(const ShardPlan& plan,
 /// caller's policy config (every shard policy carries a copy of it).
 SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
                       const PolicyShards& shards, const SimOptions& options) {
-  VODREP_TRACE_SCOPE("sim.run_sharded");
   const ShardPlan& plan = shards.plan;
   const std::size_t num_shards = plan.num_shards;
   obs::TimeseriesCollector* const timeline = options.timeline;
@@ -122,7 +120,7 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
     // (is_well_formed is an O(n) trace scan — it must not leak out of the
     // phase forest's >= 95% coverage bar), engine construction, and the
     // collector plumbing.
-    VODREP_PROFILE_PHASE("setup");
+    VODREP_TRACE_SCOPE("setup");
     require(trace.is_well_formed(), "run_sharded: malformed trace");
     require(num_shards == options.num_shards &&
                 plan.sub_traces.size() == num_shards &&
@@ -186,7 +184,7 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
   // accumulated per shard (one task per shard at a time, so the per-element
   // writes never race).  Measured only when someone is looking.
   const bool account_cpu =
-      obs::metrics_enabled() || obs::RunProfiler::global().enabled();
+      obs::metrics_enabled() || obs::TraceRecorder::global().enabled();
   std::vector<std::uint64_t> shard_cpu_ns(num_shards, 0);
   double epoch_start = 0.0;
   for (std::size_t b = 0; b < boundaries.size(); ++b) {
@@ -212,7 +210,7 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
     {
       // Wall time here covers the pool dispatch and the barrier wait; the
       // per-shard cpu_ns gauges say how much of it was shard work.
-      VODREP_PROFILE_PHASE("shard_run");
+      VODREP_TRACE_SCOPE("shard_run");
       if (inline_shards) {
         for (std::size_t s = 0; s < num_shards; ++s) advance_shard(s);
       } else {
@@ -220,7 +218,7 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
       }
     }
     {
-      VODREP_PROFILE_PHASE("epoch_merge");
+      VODREP_TRACE_SCOPE("epoch_merge");
       merge_load_segments(segment_logs, epoch_start, config.num_servers,
                           merged);
       for (std::vector<LoadSegment>& log : segment_logs) log.clear();
@@ -230,7 +228,7 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
 
   // Close every shard and fold the linear tallies.
   SimResult out;
-  VODREP_PROFILE_PHASE("finish");
+  VODREP_TRACE_SCOPE("finish");
   std::vector<SimResult> results;
   results.reserve(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
@@ -357,7 +355,7 @@ SimResult simulate(StoragePolicy& policy, const RequestTrace& trace,
     engine.attach_event_log(options.event_log);
     return engine.run(policy, trace);
   }
-  VODREP_PROFILE_PHASE("sim.sharded");
+  VODREP_TRACE_SCOPE("sim.sharded");
   // The plan and shard policies are destroyed inside the "teardown" child
   // phase rather than at scope exit: freeing the sub-trace copies is real,
   // workload-proportional time that would otherwise land between children
@@ -365,12 +363,12 @@ SimResult simulate(StoragePolicy& policy, const RequestTrace& trace,
   // (tests/report_test.cc).
   PolicyShards shards;
   {
-    VODREP_PROFILE_PHASE("plan");
+    VODREP_TRACE_SCOPE("plan");
     shards = policy.shard(trace, options.num_shards);
   }
   SimResult out = run_sharded(policy.config(), trace, shards, options);
   {
-    VODREP_PROFILE_PHASE("teardown");
+    VODREP_TRACE_SCOPE("teardown");
     shards = PolicyShards{};
   }
   return out;

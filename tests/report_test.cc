@@ -16,6 +16,7 @@
 #include "src/obs/profile.h"
 #include "src/obs/report.h"
 #include "src/obs/timeseries.h"
+#include "src/obs/trace.h"
 #include "src/sim/engine.h"
 #include "src/sim/replicated_policy.h"
 #include "src/sim/run_report.h"
@@ -202,7 +203,7 @@ TEST(RunReportValidatorTest, FlagsNonObjectInput) {
   EXPECT_TRUE(any_problem_contains(problems, "not a JSON object"));
 }
 
-/// Minimal well-formed `profile` section (the RunProfiler::to_json shape)
+/// Minimal well-formed `profile` section (the obs::profile_json shape)
 /// for validator tests that do not want to run a profiled simulation.
 JsonValue tiny_profile() {
   JsonValue phase = JsonValue::object();
@@ -252,15 +253,15 @@ TEST(RunReportValidatorTest, FlagsProfileSectionShapeProblems) {
                                    "'wall_ns' is not a non-negative integer"));
 }
 
-// Acceptance bar for the profiler instrumentation: a sharded run must
+// Acceptance bar for the span instrumentation: a sharded run must
 // attribute >= 95% of the engine's wall time to the named phases under the
 // "sim.sharded" root (plan / setup / shard_run / epoch_merge / finish), and
 // the resulting report with an embedded profile must validate and
 // round-trip.
 TEST(RunReportProfileTest, ShardedRunProfileAccountsEngineWallTime) {
-  obs::RunProfiler& profiler = obs::RunProfiler::global();
-  profiler.clear();
-  profiler.set_enabled(true);
+  obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+  recorder.clear();
+  recorder.set_enabled(true);
 
   constexpr std::size_t kServers = 4;
   constexpr std::size_t kVideos = 12;
@@ -292,9 +293,9 @@ TEST(RunReportProfileTest, ShardedRunProfileAccountsEngineWallTime) {
   options.pool = &pool;
   const SimResult result =
       simulate(ReplicatedPolicy(layout, config), trace, options);
-  profiler.set_enabled(false);
+  recorder.set_enabled(false);
 
-  const obs::ProfileSnapshot snap = profiler.snapshot();
+  const obs::ProfileSnapshot snap = obs::profile_snapshot(recorder);
   const obs::PhaseStats* root = nullptr;
   for (const obs::PhaseStats& phase : snap.phases) {
     if (phase.name == "sim.sharded") root = &phase;
@@ -327,7 +328,7 @@ TEST(RunReportProfileTest, ShardedRunProfileAccountsEngineWallTime) {
   const JsonValue report =
       build_run_report(config, result, /*timeline=*/nullptr,
                        /*events=*/nullptr, JsonValue::object(),
-                       profiler.to_json());
+                       obs::profile_json(recorder));
   const std::vector<std::string> problems = obs::validate_run_report(report);
   EXPECT_TRUE(problems.empty()) << (problems.empty() ? "" : problems.front());
   EXPECT_EQ(report.at("profile").at("profile_version").as_int(),
@@ -335,7 +336,37 @@ TEST(RunReportProfileTest, ShardedRunProfileAccountsEngineWallTime) {
   const JsonValue reparsed = obs::parse_json(report.dump());
   EXPECT_TRUE(obs::validate_run_report(reparsed).empty());
   EXPECT_EQ(reparsed.at("profile"), report.at("profile"));
-  profiler.clear();
+  recorder.clear();
+}
+
+// The monolithic engine's run is a span too, so a profiled simulate() at
+// one shard is never an empty profile.
+TEST(RunReportProfileTest, SingleShardRunProfilesSimRun) {
+  SimConfig config;
+  config.num_servers = 2;
+  config.bandwidth_bps_per_server = units::mbps(4) * 4.0;
+  config.stream_bitrate_bps = units::mbps(4);
+  config.video_duration_sec = 300.0;
+  Layout layout;
+  layout.assignment = {{0}, {1}, {0, 1}};
+  Rng rng(0x51);
+  TraceSpec spec;
+  spec.arrival_rate = 0.5;
+  spec.horizon = 600.0;
+  spec.popularity = zipf_popularity(3, 0.75);
+  const RequestTrace trace = generate_trace(rng, spec);
+
+  obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+  recorder.clear();
+  recorder.set_enabled(true);
+  (void)simulate(ReplicatedPolicy(layout, config), trace, SimOptions{});
+  recorder.set_enabled(false);
+  const obs::ProfileSnapshot snap = obs::profile_snapshot(recorder);
+  recorder.clear();
+  ASSERT_EQ(snap.phases.size(), 1u);
+  EXPECT_EQ(snap.phases[0].name, "sim.run");
+  EXPECT_EQ(snap.phases[0].count, 1u);
+  EXPECT_GT(snap.phases[0].wall_ns, 0u);
 }
 
 TEST(AggregateResultsTest, SumsCountersAveragesMeansAndTakesPeaks) {

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/obs/clock.h"
 #include "src/obs/json_lite.h"
 
 namespace vodrep::obs {
@@ -15,8 +16,8 @@ namespace {
 
 /// Busy-waits so a span's duration strictly exceeds the clock resolution.
 void spin_ns(std::uint64_t ns) {
-  const std::uint64_t until = TraceRecorder::now_ns() + ns;
-  while (TraceRecorder::now_ns() < until) {
+  const std::uint64_t until = steady_now_ns() + ns;
+  while (steady_now_ns() < until) {
   }
 }
 
@@ -72,6 +73,12 @@ TEST_F(TraceEventTest, SpansNestWithMonotonicTimestamps) {
   EXPECT_GE(inner_a.ts_ns, outer.ts_ns);
   EXPECT_LE(inner_b.ts_ns + inner_b.dur_ns, outer.ts_ns + outer.dur_ns);
   EXPECT_GE(outer.dur_ns, inner_a.dur_ns + inner_b.dur_ns);
+
+  // Each span carries its depth on the thread and its thread-CPU time.
+  EXPECT_EQ(outer.depth, 0u);
+  EXPECT_EQ(inner_a.depth, 1u);
+  EXPECT_EQ(inner_b.depth, 1u);
+  EXPECT_GE(outer.cpu_ns, inner_a.cpu_ns + inner_b.cpu_ns);
 }
 
 TEST_F(TraceEventTest, JsonParsesAndRoundTrips) {
@@ -111,7 +118,6 @@ TEST_F(TraceEventTest, DisabledRecorderDoesNoWorkAndNeverAllocates) {
   }
   EXPECT_EQ(recorder().events_recorded(), 0u);
   EXPECT_EQ(recorder().events_dropped(), 0u);
-  EXPECT_EQ(recorder().buffer_grows(), 0u);
   EXPECT_TRUE(recorder().events().empty());
 }
 
@@ -122,9 +128,6 @@ TEST_F(TraceEventTest, EnabledRecorderStaysWithinItsReservedCapacity) {
   }
   EXPECT_EQ(recorder().events_recorded(), 4u);
   EXPECT_EQ(recorder().events_dropped(), 6u);
-  // The whole point of the up-front reserve: recording never re-allocates
-  // the buffer, even at capacity.
-  EXPECT_EQ(recorder().buffer_grows(), 0u);
   EXPECT_EQ(recorder().events().size(), 4u);
 }
 
@@ -152,10 +155,10 @@ TEST_F(TraceEventTest, DisablingMidSpanDropsTheInFlightSpan) {
 TEST_F(TraceEventTest, MergedEventsAreSortedByTimestampThenTid) {
   recorder().set_enabled(true);
   // Record out of timestamp order within one lane; the merge must not care.
-  recorder().record_complete("late", /*ts_ns=*/300, /*dur_ns=*/1);
-  recorder().record_complete("early", /*ts_ns=*/100, /*dur_ns=*/1);
-  recorder().record_complete("mid", /*ts_ns=*/200, /*dur_ns=*/1);
-  recorder().record_complete("mid_again", /*ts_ns=*/200, /*dur_ns=*/2);
+  recorder().record_complete("late", /*ts_ns=*/300, /*dur_ns=*/1, 0, 0);
+  recorder().record_complete("early", /*ts_ns=*/100, /*dur_ns=*/1, 0, 0);
+  recorder().record_complete("mid", /*ts_ns=*/200, /*dur_ns=*/1, 0, 0);
+  recorder().record_complete("mid_again", /*ts_ns=*/200, /*dur_ns=*/2, 0, 0);
   const std::vector<TraceEvent> events = recorder().events();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_STREQ(events[0].name, "early");
@@ -212,7 +215,6 @@ TEST_F(TraceRecorderThreadsTest, ConcurrentRecordingMergesAllPublishedEvents) {
 
   EXPECT_EQ(recorder().events_recorded(), kThreads * kEventsPerThread);
   EXPECT_EQ(recorder().events_dropped(), 0u);
-  EXPECT_EQ(recorder().buffer_grows(), 0u);
   const std::vector<TraceEvent> events = recorder().events();
   ASSERT_EQ(events.size(), kThreads * kEventsPerThread);
   for (std::size_t i = 1; i < events.size(); ++i) {
@@ -249,10 +251,9 @@ TEST_F(TraceRecorderThreadsTest, LaneOverflowDropsAndCountsPerThread) {
   }
   for (std::thread& thread : threads) thread.join();
   recorder().set_enabled(false);
-  // Each lane holds its own 8; the rest drop.  No lane ever grows.
+  // Each lane holds its own 8; the rest drop.
   EXPECT_EQ(recorder().events_recorded(), kThreads * 8u);
   EXPECT_EQ(recorder().events_dropped(), kThreads * (kEventsPerThread - 8u));
-  EXPECT_EQ(recorder().buffer_grows(), 0u);
   EXPECT_EQ(recorder().events().size(), kThreads * 8u);
 }
 

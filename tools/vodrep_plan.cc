@@ -92,10 +92,12 @@ void require_writable(const std::string& path, const char* what) {
   });
 }
 
-// Enables the obs layer when either export flag is set, and writes the
+// Enables the obs layer when an export flag is set, and writes the
 // requested JSON files on the way out of every code path (plan / inspect /
 // evaluate).  The metrics file reconciles bit-exactly with the printed
-// summary because both read the same result structs.
+// summary because both read the same result structs.  --trace-out and
+// --profile-out both arm the one trace recorder: the trace file is its
+// spans, the profile their per-path aggregate.
 class ObsExports {
  public:
   ObsExports(std::string metrics_path, std::string trace_path,
@@ -104,16 +106,17 @@ class ObsExports {
         trace_path_(std::move(trace_path)),
         profile_path_(std::move(profile_path)) {
     if (!metrics_path_.empty()) obs::set_metrics_enabled(true);
-    if (!trace_path_.empty()) obs::TraceRecorder::global().set_enabled(true);
-    if (!profile_path_.empty()) obs::RunProfiler::global().set_enabled(true);
+    if (!trace_path_.empty() || !profile_path_.empty()) {
+      obs::TraceRecorder::global().set_enabled(true);
+    }
   }
 
-  /// The profiler export for embedding into a run report: the versioned
-  /// JSON object when --profile-out armed the profiler, null otherwise
-  /// (build_run_report then omits the optional `profile` section).
+  /// The profile for embedding into a run report: the versioned JSON
+  /// object when --profile-out was given, null otherwise (build_run_report
+  /// then omits the optional `profile` section).
   [[nodiscard]] obs::JsonValue profile_json() const {
     if (profile_path_.empty()) return obs::JsonValue::null();
-    return obs::RunProfiler::global().to_json();
+    return obs::profile_json(obs::TraceRecorder::global());
   }
 
   void write() const {
@@ -142,7 +145,7 @@ class ObsExports {
       std::ofstream out(profile_path_);
       require(out.good(),
               [&] { return "cannot write profile file: " + profile_path_; });
-      obs::RunProfiler::global().to_json().write(out);
+      profile_json().write(out);
       out << "\n";
       out.flush();
       require(out.good(),
@@ -254,9 +257,9 @@ int run(int argc, char** argv) {
   flags.add_string("trace-out", "",
                    "enable tracing and write chrome://tracing JSON here");
   flags.add_string("profile-out", "",
-                   "enable the run profiler and write its phase/CPU JSON "
-                   "here; also embedded in --report-out reports as the "
-                   "'profile' section");
+                   "enable tracing and write the spans' per-path wall/CPU "
+                   "profile JSON here; also embedded in --report-out "
+                   "reports as the 'profile' section");
   flags.add_string("report-out", "",
                    "simulate the plan and write a self-describing JSON run "
                    "report here (render with vodrep_report)");
