@@ -18,8 +18,8 @@
 #include "src/core/striping.h"
 #include "src/exp/runner.h"
 #include "src/exp/scenario.h"
+#include "src/sim/hybrid_policy.h"
 #include "src/sim/sharded_engine.h"
-#include "src/sim/striped_policy.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
         provision(scenario.problem(), *replication, *placement,
                   scenario.replica_budget())
             .layout;
-    const StripedLayout wide =
+    const HybridLayout wide =
         make_striped_layout(scenario.num_videos, n, n);
 
     std::cout << "== Erlang-B validation: theory vs discrete-event "
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
         const RequestTrace trace =
             generate_trace(rng, scenario.trace_spec(rate));
         sim_wide.add(
-            simulate(StripedPolicy(wide, config), trace).rejection_rate());
+            simulate(HybridPolicy(wide, config), trace).rejection_rate());
       }
       const CellStats sim_replica =
           run_cell(replica_layout, config, scenario.trace_spec(rate), runner);

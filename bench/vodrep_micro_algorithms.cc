@@ -13,7 +13,7 @@
 #include "src/core/round_robin_placement.h"
 #include "src/core/slf_placement.h"
 #include "src/core/zipf_interval_replication.h"
-#include "src/sim/prefix_cache_policy.h"
+#include "src/sim/prefix_cache.h"
 #include "src/workload/popularity.h"
 #include "src/workload/sampler.h"
 #include "src/workload/trace.h"

@@ -23,7 +23,7 @@
 #include "src/core/pipeline.h"
 #include "src/exp/scenario.h"
 #include "src/obs/json_lite.h"
-#include "src/sim/prefix_cache_policy.h"
+#include "src/sim/prefix_cache.h"
 #include "src/sim/replicated_policy.h"
 #include "src/sim/sharded_engine.h"
 #include "src/util/cli.h"
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
         SimResult cached[2];
         const PrefixCacheOptions* options[2] = {&lru_options, &lfu_options};
         for (int which = 0; which < 2; ++which) {
-          PrefixCachePolicy policy(origin_layout, config, *options[which]);
+          ReplicatedPolicy policy(origin_layout, config, *options[which]);
           const auto start = std::chrono::steady_clock::now();
           cached[which] = simulate(policy, trace);
           const auto stop = std::chrono::steady_clock::now();

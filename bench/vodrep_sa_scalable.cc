@@ -47,7 +47,9 @@ int main(int argc, char** argv) {
   flags.add_double("theta", 0.75, "Zipf skew");
   flags.add_double("lambda", 30.0, "peak arrival rate, requests/minute");
   flags.add_int("seed", 2002, "annealer seed");
-  flags.add_int("chains", 4, "independent annealing chains (parsa-style)");
+  flags.add_int("chains", 4,
+                "parallel-tempering chains (replica exchanges between "
+                "staggered temperatures)");
   flags.add_bool("quick", false, "small fast configuration (CI smoke mode)");
   try {
     if (!flags.parse(argc, argv)) return EXIT_SUCCESS;

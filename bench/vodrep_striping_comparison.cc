@@ -20,7 +20,6 @@
 #include "src/sim/hybrid_policy.h"
 #include "src/sim/replicated_policy.h"
 #include "src/sim/sharded_engine.h"
-#include "src/sim/striped_policy.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -92,11 +91,11 @@ int main(int argc, char** argv) {
         provision(scenario.problem(), *replication, *placement,
                   scenario.replica_budget())
             .layout;
-    const StripedLayout wide =
+    const HybridLayout wide =
         make_striped_layout(scenario.num_videos, n, n);
-    const StripedLayout narrow4 =
+    const HybridLayout narrow4 =
         make_striped_layout(scenario.num_videos, n, 4);
-    const StripedLayout narrow2 =
+    const HybridLayout narrow2 =
         make_striped_layout(scenario.num_videos, n, 2);
     // Hybrid: two replicated 4-wide stripe groups per video (storage cost
     // 2x, same as degree-2 replication).
@@ -132,15 +131,15 @@ int main(int argc, char** argv) {
         // the StoragePolicy differs.
         const SweepPoint k8 = run_config(
             scenario, rate, runs, seed, [&](const RequestTrace& t) {
-              return simulate(StripedPolicy(wide, base), t);
+              return simulate(HybridPolicy(wide, base), t);
             });
         const SweepPoint k4 = run_config(
             scenario, rate, runs, seed, [&](const RequestTrace& t) {
-              return simulate(StripedPolicy(narrow4, base), t);
+              return simulate(HybridPolicy(narrow4, base), t);
             });
         const SweepPoint k2 = run_config(
             scenario, rate, runs, seed, [&](const RequestTrace& t) {
-              return simulate(StripedPolicy(narrow2, base), t);
+              return simulate(HybridPolicy(narrow2, base), t);
             });
         const SweepPoint hyb = run_config(
             scenario, rate, runs, seed, [&](const RequestTrace& t) {

@@ -21,8 +21,8 @@
 //
 // The Metropolis loop itself lives in AnnealChain, a resumable single chain
 // that advances one temperature step per step() call.  anneal() drives one
-// chain to completion; anneal_multichain() races independent chains;
-// anneal_parallel_tempering() (src/anneal/parallel_tempering.h) couples
+// chain to completion; anneal_parallel_tempering()
+// (src/anneal/parallel_tempering.h), the one multi-chain driver, couples
 // chains at staggered temperatures through periodic replica exchanges.
 #pragma once
 
@@ -38,7 +38,6 @@
 #include "src/obs/trace.h"
 #include "src/util/error.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace vodrep {
 
@@ -110,8 +109,7 @@ struct AnnealOptions {
   /// multi-chain runs while the samples remain chronologically uniform.
   /// 0 disables the cap.
   std::size_t trajectory_max_samples = 4096;
-  /// Replica count for anneal_parallel_tempering (ignored by anneal() and
-  /// anneal_multichain, which take their chain count explicitly).
+  /// Replica count for anneal_parallel_tempering (ignored by anneal()).
   std::size_t chains = 1;
   /// Temperature steps each chain runs between replica-exchange rounds.
   std::size_t swap_period = 8;
@@ -121,9 +119,9 @@ struct AnnealOptions {
   double temperature_spread = 1.5;
 };
 
-/// Per-chain instrumentation: what one Metropolis chain did.  Multi-chain
-/// drivers (anneal_multichain, anneal_parallel_tempering) report one entry
-/// per chain; anneal() reports a single entry mirroring the aggregate view.
+/// Per-chain instrumentation: what one Metropolis chain did.
+/// anneal_parallel_tempering reports one entry per chain; anneal() reports a
+/// single entry mirroring the aggregate view.
 struct AnnealChainStats {
   double best_cost = 0.0;
   double final_temperature = 0.0;
@@ -471,60 +469,6 @@ template <AnnealProblem P>
     const P& problem, Rng& rng, const AnnealOptions& options = {}) {
   const auto schedule = geometric_cooling(0.95);
   return anneal(problem, rng, options, *schedule);
-}
-
-/// Multi-chain annealing — the parallelization strategy of the parsa
-/// library the paper builds on: K independent Metropolis chains run from
-/// different seeds (on `pool` when provided) and the best final solution
-/// wins.  Deterministic in `base_seed` regardless of thread count.  The
-/// returned instrumentation aggregates move counts across chains, keeps the
-/// winning chain's trajectory, and reports per-chain views in `chains`.
-template <AnnealProblem P>
-[[nodiscard]] AnnealResult<typename P::State> anneal_multichain(
-    const P& problem, std::uint64_t base_seed, std::size_t chains,
-    const AnnealOptions& options, const CoolingSchedule& schedule,
-    ThreadPool* pool = nullptr) {
-  require(chains >= 1, "anneal_multichain: need at least one chain");
-  std::vector<AnnealResult<typename P::State>> results(chains);
-  auto run_chain = [&](std::size_t chain) {
-    Rng rng(base_seed ^ (0x9e3779b97f4a7c15ULL * (chain + 1)));
-    results[chain] = anneal(problem, rng, options, schedule);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(chains, run_chain);
-  } else {
-    for (std::size_t chain = 0; chain < chains; ++chain) run_chain(chain);
-  }
-  std::size_t best = 0;
-  std::size_t moves_proposed = 0;
-  std::size_t moves_accepted = 0;
-  std::size_t moves_noop = 0;
-  std::vector<AnnealChainStats> stats;
-  stats.reserve(chains);
-  for (std::size_t chain = 0; chain < chains; ++chain) {
-    moves_proposed += results[chain].moves_proposed;
-    moves_accepted += results[chain].moves_accepted;
-    moves_noop += results[chain].moves_noop;
-    stats.push_back(chain_stats_of(results[chain]));
-    if (results[chain].best_cost < results[best].best_cost) best = chain;
-  }
-  AnnealResult<typename P::State> winner = std::move(results[best]);
-  winner.moves_proposed = moves_proposed;
-  winner.moves_accepted = moves_accepted;
-  winner.moves_noop = moves_noop;
-  winner.winning_chain = best;
-  winner.chains = std::move(stats);
-  return winner;
-}
-
-/// Multi-chain convenience overload with geometric(0.95) cooling.
-template <AnnealProblem P>
-[[nodiscard]] AnnealResult<typename P::State> anneal_multichain(
-    const P& problem, std::uint64_t base_seed, std::size_t chains,
-    const AnnealOptions& options = {}, ThreadPool* pool = nullptr) {
-  const auto schedule = geometric_cooling(0.95);
-  return anneal_multichain(problem, base_seed, chains, options, *schedule,
-                           pool);
 }
 
 VODREP_OBS_HOOKS_NS_END

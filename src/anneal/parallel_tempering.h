@@ -41,8 +41,7 @@ namespace vodrep {
 
 /// Deterministic per-chain seed.  Chain 0 reuses `base_seed` verbatim so a
 /// one-chain tempering run reproduces anneal(problem, Rng(base_seed), ...)
-/// bit for bit (the K=1 equivalence tests pin this).  Distinct from the
-/// anneal_multichain formula, which its own tests pin.
+/// bit for bit (the K=1 equivalence tests pin this).
 [[nodiscard]] inline std::uint64_t pt_chain_seed(std::uint64_t base_seed,
                                                  std::size_t chain) {
   return base_seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(chain));

@@ -369,10 +369,6 @@ SaSolverResult solve_scalable(const ScalableProblem& problem,
   if (options.chains == 1) {
     Rng rng(seed);
     result.anneal = anneal(sa_problem, rng, options.anneal);
-  } else if (options.independent_chains) {
-    result.anneal =
-        anneal_multichain(sa_problem, seed, options.chains, options.anneal,
-                          pool);
   } else {
     AnnealOptions pt_options = options.anneal;
     pt_options.chains = options.chains;

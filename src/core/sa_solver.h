@@ -23,20 +23,18 @@
 #include "src/anneal/annealer.h"
 #include "src/core/incremental_state.h"
 #include "src/core/scalable.h"
+#include "src/util/thread_pool.h"
 
 namespace vodrep {
 
 struct SaSolverOptions {
   AnnealOptions anneal;
   /// Annealing chains.  With chains > 1 solve_scalable runs parallel
-  /// tempering by default — coupled chains at staggered temperatures with
-  /// periodic replica exchanges every anneal.swap_period steps (see
+  /// tempering — coupled chains at staggered temperatures with periodic
+  /// replica exchanges every anneal.swap_period steps (see
   /// src/anneal/parallel_tempering.h) — on `pool` when provided.  Output is
   /// deterministic in the seed regardless of thread count.
   std::size_t chains = 1;
-  /// Run chains fully independently (parsa-style best-of-K racing) instead
-  /// of coupling them through replica exchanges.
-  bool independent_chains = false;
   /// Cost penalty per unit of relative bandwidth overflow (sum over servers
   /// of overflow/B).  Large enough that infeasibility always dominates any
   /// objective gain at the paper's scales.
@@ -168,8 +166,7 @@ class ScalableSaProblem {
 };
 
 /// Runs the annealer with `seed` and returns the best configuration found.
-/// With options.chains > 1 the chains run parallel tempering (or
-/// independently when options.independent_chains is set) on `pool` when
+/// With options.chains > 1 the chains run parallel tempering on `pool` when
 /// given; output is deterministic in `seed` regardless of thread count.
 [[nodiscard]] SaSolverResult solve_scalable(const ScalableProblem& problem,
                                             std::uint64_t seed,

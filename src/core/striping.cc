@@ -7,68 +7,6 @@
 
 namespace vodrep {
 
-std::vector<std::size_t> StripedLayout::videos_per_server(
-    std::size_t num_servers) const {
-  std::vector<std::size_t> counts(num_servers, 0);
-  for (const auto& group : groups) {
-    for (std::size_t s : group) {
-      require(s < num_servers, "StripedLayout: server index out of range");
-      ++counts[s];
-    }
-  }
-  return counts;
-}
-
-void StripedLayout::validate(std::size_t num_servers) const {
-  for (const auto& group : groups) {
-    require(!group.empty(), "StripedLayout: empty stripe group");
-    require(group.size() <= num_servers,
-            "StripedLayout: stripe wider than the cluster");
-    std::vector<std::size_t> sorted = group;
-    std::sort(sorted.begin(), sorted.end());
-    require(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
-            "StripedLayout: duplicate server in a stripe group");
-    require(sorted.back() < num_servers,
-            "StripedLayout: server index out of range");
-  }
-}
-
-StripedLayout make_striped_layout(std::size_t num_videos,
-                                  std::size_t num_servers,
-                                  std::size_t stripe_width) {
-  require(num_servers >= 1, "make_striped_layout: need a server");
-  require(stripe_width >= 1 && stripe_width <= num_servers,
-          "make_striped_layout: stripe width must be in [1, N]");
-  StripedLayout layout;
-  layout.groups.resize(num_videos);
-  for (std::size_t i = 0; i < num_videos; ++i) {
-    layout.groups[i].reserve(stripe_width);
-    // Staggered start so stripe load spreads evenly across servers even
-    // when stripe_width does not divide N.
-    const std::size_t start = (i * stripe_width) % num_servers;
-    for (std::size_t j = 0; j < stripe_width; ++j) {
-      layout.groups[i].push_back((start + j) % num_servers);
-    }
-  }
-  return layout;
-}
-
-std::vector<double> striped_storage_per_server(const StripedLayout& layout,
-                                               std::size_t num_servers,
-                                               double video_bytes) {
-  require(video_bytes >= 0.0, "striped_storage_per_server: negative size");
-  std::vector<double> storage(num_servers, 0.0);
-  for (const auto& group : layout.groups) {
-    require(!group.empty(), "striped_storage_per_server: empty group");
-    const double share = video_bytes / static_cast<double>(group.size());
-    for (std::size_t s : group) {
-      require(s < num_servers, "striped_storage_per_server: out of range");
-      storage[s] += share;
-    }
-  }
-  return storage;
-}
-
 double striped_video_availability(double server_survival,
                                   std::size_t stripe_width) {
   require(server_survival >= 0.0 && server_survival <= 1.0,

@@ -8,42 +8,15 @@
 // every video to every server: one server failure interrupts every stream
 // and makes every video striped over it unavailable.  Replication isolates
 // failures at the cost of balancing explicitly.  The vodrep_striping
-// benchmark reproduces this trade-off quantitatively.
+// benchmark reproduces this trade-off quantitatively.  A striped layout is
+// the one-copy hybrid layout below, so HybridPolicy
+// (src/sim/hybrid_policy.h) replays striping and hybrid stripe groups alike.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace vodrep {
-
-/// Assignment of every video to an ordered stripe group of distinct servers.
-struct StripedLayout {
-  /// groups[i] = the servers video i is striped over (size k_i >= 1).
-  std::vector<std::vector<std::size_t>> groups;
-
-  [[nodiscard]] std::size_t num_videos() const { return groups.size(); }
-
-  /// Number of videos striped over each of `num_servers` servers.
-  [[nodiscard]] std::vector<std::size_t> videos_per_server(
-      std::size_t num_servers) const;
-
-  /// Throws InvalidArgumentError unless every group is non-empty with
-  /// distinct in-range members of size exactly `stripe_width` (or <= N).
-  void validate(std::size_t num_servers) const;
-};
-
-/// Builds a striped layout with stripe width `k`: video i occupies servers
-/// (i*k .. i*k + k - 1) mod N wrapped round-robin, the standard staggered
-/// layout that equalizes the number of stripes per server.  Requires
-/// 1 <= k <= num_servers.
-[[nodiscard]] StripedLayout make_striped_layout(std::size_t num_videos,
-                                                std::size_t num_servers,
-                                                std::size_t stripe_width);
-
-/// Storage occupied on each server by a striped layout: a video of
-/// `video_bytes` striped over k servers stores video_bytes / k per member.
-[[nodiscard]] std::vector<double> striped_storage_per_server(
-    const StripedLayout& layout, std::size_t num_servers, double video_bytes);
 
 /// Probability that a uniformly random video is fully available when each
 /// server independently survives with probability `server_survival`:
@@ -85,5 +58,14 @@ struct HybridLayout {
                                               std::size_t num_servers,
                                               std::size_t stripe_width,
                                               std::size_t group_replicas);
+
+/// Builds a striped layout with stripe width `k`: the one-copy hybrid
+/// layout, in which video i occupies servers (i*k .. i*k + k - 1) mod N
+/// wrapped round-robin, the standard staggered layout that equalizes the
+/// number of stripes per server.  Requires 1 <= k <= num_servers.
+[[nodiscard]] inline HybridLayout make_striped_layout(
+    std::size_t num_videos, std::size_t num_servers, std::size_t stripe_width) {
+  return make_hybrid_layout(num_videos, num_servers, stripe_width, 1);
+}
 
 }  // namespace vodrep

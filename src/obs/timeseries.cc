@@ -106,13 +106,8 @@ void TimeseriesCollector::merge_shards(
         slot.utilization[s] += other.utilization[s];
       }
     }
-    // Recompute the imbalance from the merged mean/max exactly as
-    // SimEngine::sample_timeline_to does (idle clusters report 0).
     slot.imbalance_eq2 =
-        (slot.max_utilization > 0.0 && slot.mean_utilization > 0.0)
-            ? std::max(0.0, (slot.max_utilization - slot.mean_utilization) /
-                                slot.mean_utilization)
-            : 0.0;
+        imbalance_eq2(slot.max_utilization, slot.mean_utilization);
   }
 }
 

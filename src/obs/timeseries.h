@@ -22,6 +22,7 @@
 // inside an engine run.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -30,6 +31,17 @@
 #include "src/obs/json_lite.h"
 
 namespace vodrep::obs {
+
+/// Eq. 2's load-imbalance degree L = (max - mean) / mean of one utilization
+/// snapshot; 0 for an idle cluster, and clamped at 0 because with equal
+/// loads the summed mean can exceed the max by a few ulps.  The engine's
+/// Eq. 2 integrand, its timeline samples and the sharded timeline merge all
+/// evaluate this one formula.
+[[nodiscard]] inline double imbalance_eq2(double max_util, double mean_util) {
+  return max_util > 0.0 && mean_util > 0.0
+             ? std::max(0.0, (max_util - mean_util) / mean_util)
+             : 0.0;
+}
 
 struct TimeseriesConfig {
   double interval_sec = 0.0;        ///< initial sampling interval, > 0
@@ -98,7 +110,7 @@ class TimeseriesCollector {
   /// a monolithic run would have retained.  Per sample: counters and the
   /// per-server utilizations sum (foreign servers contribute exact zeros),
   /// max is the max of maxes, mean is the sum of means, and the imbalance
-  /// is recomputed from the merged mean/max with integrate_to's clamps.
+  /// is imbalance_eq2 of the merged max and mean.
   void merge_shards(const std::vector<const TimeseriesCollector*>& shards);
 
   /// Shifts subsequent record() calls by `offset` (epoch concatenation).

@@ -1,7 +1,6 @@
 #include "src/sim/engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "src/obs/clock.h"
@@ -52,7 +51,9 @@ SimResult SimEngine::run(StoragePolicy& policy, const RequestTrace& trace) {
   // their bandwidth (they are not torn down) but the metrics window ends.
   advance_events(policy, trace.horizon);
   const SimResult out = finalize(trace.horizon);
-  if (obs::kHooks && obs::metrics_enabled()) export_metrics();
+  if (obs::kHooks && obs::metrics_enabled()) {
+    export_metrics(out, event_stats(), cache_stats_ != nullptr);
+  }
   return out;
 }
 
@@ -146,10 +147,10 @@ void SimEngine::log_request(const Request& request,
 }
 
 SimResult SimEngine::finalize(double horizon) {
-  result_.mean_imbalance_eq2 = imbalance_eq2_.mean();
-  result_.mean_imbalance_cv = imbalance_cv_.mean();
-  result_.mean_imbalance_capacity = imbalance_capacity_.mean();
-  result_.peak_imbalance_eq2 = peak_eq2_;
+  result_.mean_imbalance_eq2 = load_.imbalance_eq2.mean();
+  result_.mean_imbalance_cv = load_.imbalance_cv.mean();
+  result_.mean_imbalance_capacity = load_.imbalance_capacity.mean();
+  result_.peak_imbalance_eq2 = load_.peak_eq2;
   const std::size_t n = servers_.size();
   result_.served_per_server.resize(n);
   result_.utilization_per_server.assign(n, 0.0);
@@ -172,38 +173,38 @@ SimResult SimEngine::finalize(double horizon) {
   return result_;
 }
 
-void SimEngine::export_metrics() const {
+void SimEngine::export_metrics(const SimResult& result,
+                               const EventStats& events, bool has_cache_tier) {
   obs::MetricsRegistry& registry = obs::metrics();
   registry.counter("sim.runs").inc();
-  registry.counter("sim.requests").add(result_.total_requests);
-  registry.counter("sim.admitted")
-      .add(result_.total_requests - result_.rejected);
-  registry.counter("sim.rejected").add(result_.rejected);
+  registry.counter("sim.requests").add(result.total_requests);
+  registry.counter("sim.admitted").add(result.total_requests - result.rejected);
+  registry.counter("sim.rejected").add(result.rejected);
   for (std::size_t r = 0; r < obs::kNumRejectReasons; ++r) {
     registry
         .counter("sim.rejected." +
                  std::string(obs::reject_reason_name(
                      static_cast<obs::RejectReason>(r))))
-        .add(result_.rejected_by_reason[r]);
+        .add(result.rejected_by_reason[r]);
   }
-  registry.counter("sim.redirected").add(result_.redirected);
-  registry.counter("sim.proxied").add(result_.proxied);
-  registry.counter("sim.batched").add(result_.batched);
-  registry.counter("sim.disrupted").add(result_.disrupted);
-  registry.counter("sim.events.departure").add(departures_fired_);
-  registry.counter("sim.events.failure").add(failures_applied_);
-  registry.counter("sim.events.cancelled").add(departures_cancelled_);
+  registry.counter("sim.redirected").add(result.redirected);
+  registry.counter("sim.proxied").add(result.proxied);
+  registry.counter("sim.batched").add(result.batched);
+  registry.counter("sim.disrupted").add(result.disrupted);
+  registry.counter("sim.events.departure").add(events.departures_fired);
+  registry.counter("sim.events.failure").add(events.failures_applied);
+  registry.counter("sim.events.cancelled").add(events.departures_cancelled);
   registry.gauge("sim.heap_high_water")
-      .set_max(static_cast<double>(heap_high_water_));
-  registry.gauge("sim.mean_imbalance_eq2").set(result_.mean_imbalance_eq2);
-  registry.gauge("sim.mean_utilization").set(result_.mean_utilization());
+      .set_max(static_cast<double>(events.heap_high_water));
+  registry.gauge("sim.mean_imbalance_eq2").set(result.mean_imbalance_eq2);
+  registry.gauge("sim.mean_utilization").set(result.mean_utilization());
   // Cache counters fold only for runs that actually had a cache tier, so a
   // cache-less process never grows sim.cache.* series.
-  if (cache_stats_ != nullptr) {
-    registry.counter("sim.cache.hits").add(result_.cache_hits);
-    registry.counter("sim.cache.misses").add(result_.cache_misses);
-    registry.counter("sim.cache.evictions").add(result_.cache_evictions);
-    registry.gauge("sim.cache.hit_ratio").set(result_.cache_hit_ratio());
+  if (has_cache_tier) {
+    registry.counter("sim.cache.hits").add(result.cache_hits);
+    registry.counter("sim.cache.misses").add(result.cache_misses);
+    registry.counter("sim.cache.evictions").add(result.cache_evictions);
+    registry.gauge("sim.cache.hit_ratio").set(result.cache_hit_ratio());
   }
 }
 
@@ -274,31 +275,9 @@ void SimEngine::integrate_to(double t) {
   // unchanged, so a due sample simply fires on the next advancing call,
   // reading the state that actually holds over the sampled interval.
   if (obs::kHooks && timeline_ != nullptr) sample_timeline_to(t);
-  const auto n = static_cast<double>(servers_.size());
   const double max = current_max_utilization();
-  if (max <= 0.0) {
-    // Every per-server utilization is exactly zero (the entries are exact;
-    // only the running sums accumulate rounding residue).  Flush the
-    // residue so an idle cluster cannot masquerade as loaded — a ~1e-16
-    // leftover mean would turn the CV metric into residue/residue noise.
-    utilization_sum_ = 0.0;
-    utilization_sumsq_ = 0.0;
-  }
-  const double mean = utilization_sum_ / n;
-  double eq2 = 0.0;
-  double cv = 0.0;
-  if (mean > 0.0) {
-    // Clamp: with equal loads the summed mean can exceed the max by a few
-    // ulps (and the running sum of squares can dip below n*mean^2).
-    eq2 = std::max(0.0, (max - mean) / mean);
-    const double variance =
-        std::max(0.0, utilization_sumsq_ / n - mean * mean);
-    cv = std::sqrt(variance) / mean;
-  }
-  imbalance_eq2_.add(eq2, dt);
-  imbalance_cv_.add(cv, dt);
-  imbalance_capacity_.add(std::max(0.0, max - mean), dt);
-  peak_eq2_ = std::max(peak_eq2_, eq2);
+  load_.add_span(utilization_sum_, utilization_sumsq_, max,
+                 static_cast<double>(servers_.size()), dt);
   if (obs::kHooks && segment_log_ != nullptr) log_segment(t, max);
   now_ = t;
 }
@@ -311,23 +290,21 @@ void SimEngine::log_segment(double t, double max) {
 
 void SimEngine::sample_timeline_to(double t) {
   // The utilization state is constant over [now_, t], so every sample due
-  // in that span reads the live incremental accumulators directly; the
-  // eq2 computation mirrors integrate_to (including the idle special case)
-  // without mutating the running sums.
+  // in that span reads the live incremental accumulators directly (an idle
+  // cluster reads mean 0, as integrate_to's flush makes it) without
+  // mutating the running sums.
   while (timeline_->next_due() <= t) {
     const double max = current_max_utilization();
-    double mean = 0.0;
-    double eq2 = 0.0;
-    if (max > 0.0) {
-      mean = utilization_sum_ / static_cast<double>(servers_.size());
-      if (mean > 0.0) eq2 = std::max(0.0, (max - mean) / mean);
-    }
+    const double mean =
+        max > 0.0 ? utilization_sum_ / static_cast<double>(servers_.size())
+                  : 0.0;
     const std::uint64_t cache_hits =
         cache_stats_ != nullptr ? cache_stats_->hits : 0;
     const std::uint64_t cache_misses =
         cache_stats_ != nullptr ? cache_stats_->misses : 0;
-    timeline_->record(eq2, mean, max, requests_dispatched_, result_.rejected,
-                      utilization_, cache_hits, cache_misses);
+    timeline_->record(obs::imbalance_eq2(max, mean), mean, max,
+                      requests_dispatched_, result_.rejected, utilization_,
+                      cache_hits, cache_misses);
   }
 }
 

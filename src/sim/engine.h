@@ -9,11 +9,11 @@
 // server crash takes down with it — is delegated to a small StoragePolicy:
 //
 //   * ReplicatedPolicy (src/sim/replicated_policy.h) — whole streams on
-//     one replica holder, with redirection/backbone-proxy/batching modes;
-//   * StripedPolicy (src/sim/striped_policy.h) — bitrate/k shares on every
-//     stripe-group member;
-//   * HybridPolicy (src/sim/hybrid_policy.h) — round-robin over replicated
-//     stripe groups.
+//     one replica holder, with redirection/backbone-proxy/batching modes
+//     and an optional edge prefix-cache tier in front of the origin;
+//   * HybridPolicy (src/sim/hybrid_policy.h) — bitrate/k shares on every
+//     member of a stripe group, round-robin over a video's replicated
+//     groups; pure striping is its one-copy layout.
 //
 // Between events the per-server busy bandwidths are piecewise constant, so
 // the load-imbalance degree L (Eqs. 2/3) is integrated exactly as a
@@ -32,7 +32,9 @@
 // than one shard, asks the policy for its partition (StoragePolicy::shard).
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -101,11 +103,11 @@ struct SimConfig {
   void require_replication_extensions_unset(const char* organization) const;
 };
 
-/// Counters an edge-cache tier exposes to the engine (see
-/// PrefixCachePolicy).  A policy that owns a cache keeps one instance live
-/// for the whole run and returns it from cache_stats(); the engine snapshots
-/// it into SimResult and samples the cumulative hit/miss counts into the
-/// load timeline.
+/// Counters an edge-cache tier exposes to the engine (see ReplicatedPolicy's
+/// tier).  A policy that owns a cache keeps one instance live for the whole
+/// run and returns it from cache_stats(); the engine snapshots it into
+/// SimResult and samples the cumulative hit/miss counts into the load
+/// timeline.
 struct CacheTierStats {
   std::uint64_t hits = 0;        ///< requests whose prefix was cache-resident
   std::uint64_t misses = 0;      ///< requests that had to fetch the prefix
@@ -136,6 +138,43 @@ struct LoadSegment {
   double utilization_sum = 0.0;
   double utilization_sumsq = 0.0;
   double max_utilization = 0.0;
+};
+
+/// The time-weighted Eq. 2/3 integrals of one replay.  SimEngine folds its
+/// own spans into one; the sharded runner folds the merged per-shard spans
+/// into another (merge_load_segments), through the same add_span.
+struct LoadIntegrals {
+  TimeWeightedMean imbalance_eq2;
+  TimeWeightedMean imbalance_cv;
+  TimeWeightedMean imbalance_capacity;
+  double peak_eq2 = 0.0;
+
+  /// Accounts for `num_servers` utilizations whose sum, sum of squares and
+  /// max held over a span of length `dt`.  An idle cluster (max 0) first
+  /// flushes `sum` and `sumsq` to exact zeros: every utilization is exactly
+  /// zero then, and only the running sums carry rounding residue, which
+  /// would otherwise turn the CV into residue/residue noise.  Eq. 2 is
+  /// obs::imbalance_eq2; the variance is clamped at 0 because the running
+  /// sum of squares can dip below n·mean² by a few ulps.  Only spans of
+  /// positive length raise the peak.
+  void add_span(double& sum, double& sumsq, double max, double num_servers,
+                double dt) {
+    if (max <= 0.0) {
+      sum = 0.0;
+      sumsq = 0.0;
+    }
+    const double mean = sum / num_servers;
+    const double eq2 = obs::imbalance_eq2(max, mean);
+    double cv = 0.0;
+    if (mean > 0.0) {
+      const double variance = std::max(0.0, sumsq / num_servers - mean * mean);
+      cv = std::sqrt(variance) / mean;
+    }
+    imbalance_eq2.add(eq2, dt);
+    imbalance_cv.add(cv, dt);
+    imbalance_capacity.add(std::max(0.0, max - mean), dt);
+    if (dt > 0.0) peak_eq2 = std::max(peak_eq2, eq2);
+  }
 };
 
 struct SimResult {
@@ -255,6 +294,17 @@ class SimEngine {
             departures_cancelled_};
   }
 
+  /// Folds one replay's tallies into the global metrics registry: the
+  /// result's counters, the event tallies, and the tier's counters only
+  /// when `has_cache_tier`.  run() exports its own replay; the sharded
+  /// runner exports the merged result once (bit-exact with the returned
+  /// SimResult; see tests/obs_integration_test.cc).  Cold, like the
+  /// histogram registration in begin_stepping: once-per-run hook code stays
+  /// out of the replay loop's text.
+  [[gnu::cold]] static void export_metrics(const SimResult& result,
+                                           const EventStats& events,
+                                           bool has_cache_tier);
+
   [[nodiscard]] const SimConfig& config() const { return config_; }
   [[nodiscard]] std::size_t num_servers() const { return servers_.size(); }
   /// Read-only server state for dispatch decisions; all mutations must go
@@ -324,11 +374,6 @@ class SimEngine {
   /// Applies departures and injected failures up to `now` in time order
   /// (failures win ties) and integrates the load signals.
   void advance_events(StoragePolicy& policy, double now);
-  /// Folds the run's tallies into the global metrics registry (bit-exact
-  /// with the returned SimResult; see tests/obs_integration_test.cc).
-  /// Cold, like the histogram registration in begin_stepping: once-per-run
-  /// hook code stays out of the replay loop's text.
-  [[gnu::cold]] void export_metrics() const;
   /// Accounts for the current utilization state holding over [now_, t).
   void integrate_to(double t);
   /// Emits every timeline sample due in (now_, t]; the signals are
@@ -373,10 +418,7 @@ class SimEngine {
   mutable bool max_dirty_ = false;
   std::vector<double> busy_integral_;     ///< integral of busy_bps over time
   std::vector<double> busy_since_;        ///< last busy change per server
-  TimeWeightedMean imbalance_eq2_;
-  TimeWeightedMean imbalance_cv_;
-  TimeWeightedMean imbalance_capacity_;
-  double peak_eq2_ = 0.0;
+  LoadIntegrals load_;
   SimResult result_;
 };
 

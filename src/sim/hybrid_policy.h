@@ -7,6 +7,11 @@
 // replication organization).  A server crash kills the streams of every
 // group containing it, but the video stays available through its surviving
 // groups.
+//
+// Pure striping is the one-copy case (make_striped_layout): every stream
+// draws bitrate/k from each member of its video's only group, and a crash
+// makes every video striped over the failed server unavailable for the rest
+// of the peak — the coupling that limits striping's reliability.
 #pragma once
 
 #include <cstddef>

@@ -2,16 +2,38 @@
 // served by one replica holder, scheduled by the cluster dispatcher's
 // static round-robin with the optional redirection, backbone-proxy, and
 // batching extensions (src/sim/dispatcher.h).
+//
+// An optional edge tier (the segment/prefix content model, DESIGN.md §9)
+// sits in front of the origin servers when PrefixCacheOptions give it a
+// capacity.  The tier holds the first `prefix_fraction` of each video (the
+// prefix a viewer watches before the origin can stage the suffix), and a
+// request first consults it:
+//
+//   * prefix HIT, viewer stops inside the prefix — served entirely from the
+//     edge; no origin bandwidth is reserved at all;
+//   * prefix HIT, viewer watches past the prefix — only the suffix streams
+//     from the origin cluster, holding origin bandwidth for
+//     (watch_fraction - prefix_fraction) * duration seconds;
+//   * prefix MISS — the whole watched stream comes from the origin (the
+//     fetch that fills the cache rides the same stream), and the prefix is
+//     inserted into the cache, evicting per the configured policy.
+//
+// Rejection attribution is exact: every holder crashed is kNoReplicaAlive;
+// otherwise a miss against a busy origin is kCacheMissOriginBusy, and any
+// other blocked stream (no tier, or a suffix after a hit: the cache did its
+// job) is plain kNoBandwidth.  Without a tier (capacity 0, the default) the
+// policy allocates no cache state and never consults one.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <optional>
 #include <vector>
 
 #include "src/core/layout.h"
 #include "src/sim/dispatcher.h"
 #include "src/sim/engine.h"
+#include "src/sim/prefix_cache.h"
 #include "src/sim/stream_table.h"
 
 namespace vodrep {
@@ -22,46 +44,58 @@ VODREP_OBS_HOOKS_NS_BEGIN
 
 class ReplicatedPolicy final : public StoragePolicy {
  public:
-  /// `layout` must outlive the policy; the config is copied, so a
-  /// temporary (e.g. `scenario.sim_config()`) is safe to pass.
-  ReplicatedPolicy(const Layout& layout, const SimConfig& config);
+  /// `layout` must outlive the policy; the config and the tier options are
+  /// copied, so temporaries (e.g. `scenario.sim_config()`) are safe to
+  /// pass.  The options are validated even when they give the tier no
+  /// capacity.
+  ReplicatedPolicy(const Layout& layout, const SimConfig& config,
+                   const PrefixCacheOptions& cache = {});
 
   void bind(SimEngine& engine) override;
   PolicyDecision dispatch(const Request& request) override;
   void on_departure(std::size_t stream) override;
   std::size_t on_crash(std::size_t server) override;
-  /// Partitions by holder_shard_plan.
+  /// The tier's counters; nullptr without a tier, so a zero-capacity run is
+  /// indistinguishable from a tier-less one (metrics series included).
+  [[nodiscard]] const CacheTierStats* cache_stats() const override;
+  /// Without a tier, kNone routes per server through a round-robin pre-pass
+  /// that records every pick, kOtherHolders co-shards each video's holders,
+  /// and kBackboneProxy throws at more than one shard.  A live tier fuses
+  /// every server into one component.
   [[nodiscard]] PolicyShards shard(const RequestTrace& trace,
                                    std::size_t num_shards) const override;
 
   /// Installs a precomputed holder-pick sequence for a routed sub-trace
-  /// replay (sharded simulation; see Dispatcher::set_routed_picks).
-  void set_routed_picks(std::vector<std::uint32_t> picks) {
-    dispatcher_.set_routed_picks(std::move(picks));
-  }
+  /// replay (sharded simulation; see Dispatcher::set_routed_picks).  Only
+  /// valid without a tier: a prefix hit that ends inside the prefix never
+  /// consults the dispatcher, so a pick sequence cannot stay aligned with
+  /// the dispatch calls.
+  void set_routed_picks(std::vector<std::uint32_t> picks);
 
  private:
-  /// One reservation with a scheduled departure: a full stream or a
-  /// patching join's catch-up stream.
+  /// One origin reservation with a scheduled departure: a full stream, a
+  /// suffix stream after a prefix hit, or a patching join's catch-up.
   struct Stream {
     std::size_t server = 0;
     bool via_backbone = false;
   };
 
+  /// The edge tier, present only with a positive capacity.
+  struct EdgeTier {
+    PrefixCacheOptions options;           ///< copied into shard policies
+    std::vector<double> prefix_fraction;  ///< size M, each in (0, 1]
+    PrefixCache cache;
+  };
+
+  [[nodiscard]] PolicyDecision reject(std::size_t video,
+                                      bool cache_miss) const;
+
   const Layout& layout_;
   Dispatcher dispatcher_;
+  std::optional<EdgeTier> tier_;
   SimEngine* engine_ = nullptr;
   StreamTable<Stream> streams_;
 };
-
-/// The replicated organization's shard rules (src/sim/shard_plan.h), shared
-/// with PrefixCachePolicy's disabled tier: kNone routes per server through
-/// a round-robin pre-pass that records every pick; kOtherHolders co-shards
-/// each video's holders; kBackboneProxy throws at more than one shard.
-[[nodiscard]] ShardPlan holder_shard_plan(const Layout& layout,
-                                          const SimConfig& config,
-                                          const RequestTrace& trace,
-                                          std::size_t num_shards);
 
 VODREP_OBS_HOOKS_NS_END
 

@@ -29,19 +29,18 @@
 //   * RedirectMode::kBackboneProxy — proxies streams through arbitrary
 //     non-holders under a shared backbone budget; every server is coupled.
 //     Unshardable: requesting more than one shard throws a named error.
-//   * StripedPolicy / HybridPolicy — a stream reserves bitrate/k on every
-//     stripe-group member atomically, so groups that share a server must be
-//     co-sharded: connected components over stripe-group membership (for
-//     hybrid, over every copy of a video: the per-video group rotation
-//     couples them).  Aligned striping with k | N yields N/k independent
-//     components; the staggered wrap-around layout is one component and
-//     stays serial.
-//   * PrefixCachePolicy with a live cache tier — the shared edge cache
+//   * ReplicatedPolicy with a live edge tier — the shared edge cache
 //     couples every video through capacity eviction, and cache residency
 //     depends on origin admissions; all servers fuse into one component
 //     (the run still exercises the sharded merge path, with idle padding
-//     shards).  With capacity 0 the policy replays ReplicatedPolicy and
-//     shards by its rules.
+//     shards).  A zero-capacity tier is no tier and shards by the rules
+//     above.
+//   * HybridPolicy — a stream reserves bitrate/k on every stripe-group
+//     member atomically, and the per-video group rotation couples every
+//     copy of a video, so all members of all copies of a video are
+//     co-sharded: connected components over that membership.  Aligned
+//     one-copy striping with k | N yields N/k independent components; the
+//     staggered wrap-around layout is one component and stays serial.
 //
 // This file holds the organization-independent pieces those rules share:
 // the plan itself, a union-find over servers, and the packing of its
@@ -61,15 +60,6 @@
 #include "src/workload/trace.h"
 
 namespace vodrep {
-
-/// Deterministic per-shard RNG seed, counter-split exactly like
-/// pt_chain_seed (shard 0 keeps the base seed): shard-local stochastic
-/// components (e.g. per-shard workload generation) derive their stream from
-/// this so results are independent of shard scheduling.
-[[nodiscard]] constexpr std::uint64_t shard_rng_seed(std::uint64_t base,
-                                                     std::size_t shard) {
-  return base ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(shard));
-}
 
 struct ShardPlan {
   std::size_t num_shards = 1;

@@ -1,7 +1,6 @@
 #include "src/sim/sharded_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
@@ -16,7 +15,7 @@ namespace vodrep {
 
 void merge_load_segments(const std::vector<std::vector<LoadSegment>>& logs,
                          double epoch_start, std::size_t num_servers,
-                         MergedLoadMetrics& into) {
+                         LoadIntegrals& into) {
   const auto n = static_cast<double>(num_servers);
   std::vector<std::size_t> cursor(logs.size(), 0);
   double t = epoch_start;
@@ -48,25 +47,7 @@ void merge_load_segments(const std::vector<std::vector<LoadSegment>>& logs,
         max = std::max(max, seg.max_utilization);
       }
     }
-    // Mirror SimEngine::integrate_to exactly: idle flush, clamped Eq. 2,
-    // clamped variance for Eq. 3, capacity excess, running peak.
-    if (max <= 0.0) {
-      sum = 0.0;
-      sumsq = 0.0;
-    }
-    const double mean = sum / n;
-    double eq2 = 0.0;
-    double cv = 0.0;
-    if (mean > 0.0) {
-      eq2 = std::max(0.0, (max - mean) / mean);
-      const double variance = std::max(0.0, sumsq / n - mean * mean);
-      cv = std::sqrt(variance) / mean;
-    }
-    const double dt = next - t;
-    into.imbalance_eq2.add(eq2, dt);
-    into.imbalance_cv.add(cv, dt);
-    into.imbalance_capacity.add(std::max(0.0, max - mean), dt);
-    if (dt > 0.0) into.peak_eq2 = std::max(into.peak_eq2, eq2);
+    into.add_span(sum, sumsq, max, n, next - t);
     for (std::size_t s = 0; s < logs.size(); ++s) {
       while (cursor[s] < logs[s].size() &&
              logs[s][cursor[s]].end_time <= next) {
@@ -160,22 +141,18 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
     }
   }
 
-  // Merge-epoch boundaries: fixed simulated-time barriers at which every
-  // shard has advanced to the same clock, the segment logs are swept into
-  // the global Eq. 2/3 integrals, and the logs are cleared (the only reason
-  // the barriers exist — the merged values are invariant in the cadence).
+  // Merge-epoch boundaries: the fixed simulated-time barriers horizon·k/8
+  // at which every shard has advanced to the same clock, the segment logs
+  // are swept into the global Eq. 2/3 integrals, and the logs are cleared
+  // (the only reason the barriers exist: they bound segment-log memory).
   std::vector<double> boundaries;
-  const double epoch = options.merge_epoch_sec > 0.0
-                           ? options.merge_epoch_sec
-                           : trace.horizon / 8.0;
-  if (epoch > 0.0) {
-    for (double t = epoch; t < trace.horizon; t += epoch) {
-      boundaries.push_back(t);
-    }
+  for (int k = 1; k < 8; ++k) {
+    const double t = trace.horizon * k / 8.0;
+    if (t > 0.0) boundaries.push_back(t);
   }
   boundaries.push_back(trace.horizon);
 
-  MergedLoadMetrics merged;
+  LoadIntegrals merged;
   std::vector<std::size_t> next_request(num_shards, 0);
   const bool inline_shards = options.pool == nullptr ||
                              options.pool->size() <= 1 || num_shards <= 1;
@@ -275,30 +252,20 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
   }
 
   if (obs::metrics_enabled()) {
+    // Every shard applies the full injected schedule, so the failures are
+    // reported once.  The heap high water is the sum of the per-shard
+    // peaks: an upper bound on the global peak of in-flight departures (the
+    // shards' peaks need not coincide in time).
+    SimEngine::EventStats events;
+    events.failures_applied = engines[0]->event_stats().failures_applied;
+    bool has_cache_tier = false;
     obs::MetricsRegistry& registry = obs::metrics();
-    registry.counter("sim.runs").inc();
-    registry.counter("sim.requests").add(out.total_requests);
-    registry.counter("sim.admitted").add(out.total_requests - out.rejected);
-    registry.counter("sim.rejected").add(out.rejected);
-    for (std::size_t r = 0; r < obs::kNumRejectReasons; ++r) {
-      registry
-          .counter("sim.rejected." +
-                   std::string(obs::reject_reason_name(
-                       static_cast<obs::RejectReason>(r))))
-          .add(out.rejected_by_reason[r]);
-    }
-    registry.counter("sim.redirected").add(out.redirected);
-    registry.counter("sim.proxied").add(out.proxied);
-    registry.counter("sim.batched").add(out.batched);
-    registry.counter("sim.disrupted").add(out.disrupted);
-    std::size_t departures = 0;
-    std::size_t cancelled = 0;
-    std::size_t heap_sum = 0;
     for (std::size_t s = 0; s < num_shards; ++s) {
       const SimEngine::EventStats stats = engines[s]->event_stats();
-      departures += stats.departures_fired;
-      cancelled += stats.departures_cancelled;
-      heap_sum += stats.heap_high_water;
+      events.departures_fired += stats.departures_fired;
+      events.departures_cancelled += stats.departures_cancelled;
+      events.heap_high_water += stats.heap_high_water;
+      if (shards.policies[s]->cache_stats() != nullptr) has_cache_tier = true;
       const std::string lane = "sim.shard." + std::to_string(s) + ".";
       registry.gauge(lane + "requests")
           .set(static_cast<double>(results[s].total_requests));
@@ -311,27 +278,7 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
       registry.gauge(lane + "cpu_ns")
           .set(static_cast<double>(shard_cpu_ns[s]));
     }
-    registry.counter("sim.events.departure").add(departures);
-    // Every shard applies the full injected schedule; report it once.
-    registry.counter("sim.events.failure")
-        .add(engines[0]->event_stats().failures_applied);
-    registry.counter("sim.events.cancelled").add(cancelled);
-    // Sum of per-shard high waters: an upper bound on the global peak of
-    // in-flight departures (the shards' peaks need not coincide in time).
-    registry.gauge("sim.heap_high_water")
-        .set_max(static_cast<double>(heap_sum));
-    registry.gauge("sim.mean_imbalance_eq2").set(out.mean_imbalance_eq2);
-    registry.gauge("sim.mean_utilization").set(out.mean_utilization());
-    bool has_cache = false;
-    for (const auto& policy : shards.policies) {
-      if (policy->cache_stats() != nullptr) has_cache = true;
-    }
-    if (has_cache) {
-      registry.counter("sim.cache.hits").add(out.cache_hits);
-      registry.counter("sim.cache.misses").add(out.cache_misses);
-      registry.counter("sim.cache.evictions").add(out.cache_evictions);
-      registry.gauge("sim.cache.hit_ratio").set(out.cache_hit_ratio());
-    }
+    SimEngine::export_metrics(out, events, has_cache_tier);
   }
   // Tear the shard state down while the "finish" phase is still open —
   // these vectors were declared before the phase, so their implicit
@@ -379,8 +326,7 @@ SimResult simulate_sharded(const Layout& layout, const SimConfig& config,
                            obs::TimeseriesCollector* timeline,
                            obs::EventLog* event_log) {
   return simulate(ReplicatedPolicy(layout, config), trace,
-                  {options.num_shards, options.merge_epoch_sec, options.pool,
-                   timeline, event_log});
+                  {options.num_shards, options.pool, timeline, event_log});
 }
 
 SimResult simulate_sharded_prefix_cache(const Layout& layout,
@@ -390,9 +336,8 @@ SimResult simulate_sharded_prefix_cache(const Layout& layout,
                                         const SimOptions& options,
                                         obs::TimeseriesCollector* timeline,
                                         obs::EventLog* event_log) {
-  return simulate(PrefixCachePolicy(layout, config, cache_options), trace,
-                  {options.num_shards, options.merge_epoch_sec, options.pool,
-                   timeline, event_log});
+  return simulate(ReplicatedPolicy(layout, config, cache_options), trace,
+                  {options.num_shards, options.pool, timeline, event_log});
 }
 
 }  // namespace vodrep

@@ -22,11 +22,11 @@
 //     loads (they need the instantaneous global max and mean), so they
 //     cannot be summed after the fact.  Each shard engine logs its running
 //     (Σu, Σu², max) accumulator state as piecewise-constant LoadSegments
-//     (SimEngine::attach_segment_log); at every merge-epoch boundary the
-//     runner sweeps the S segment streams chronologically, rebuilds the
-//     global integrand with integrate_to's exact formulas and clamps, and
-//     folds it into merged TimeWeightedMeans.  Epoch boundaries exist only
-//     to bound segment-log memory — they do not change any value.
+//     (SimEngine::attach_segment_log); at every merge-epoch boundary (fixed
+//     at horizon·k/8, k = 1..7) the runner sweeps the S segment streams
+//     chronologically and folds the global spans through the engine's own
+//     LoadIntegrals::add_span.  Epoch boundaries exist only to bound
+//     segment-log memory — they do not change any value.
 //   * Timeline / event log — per-shard collectors and logs on the caller's
 //     configuration are merged once at the end of the run
 //     (obs::TimeseriesCollector::merge_shards; the event-log merge walks
@@ -46,8 +46,7 @@
 #include "src/obs/event_log.h"
 #include "src/obs/timeseries.h"
 #include "src/sim/engine.h"
-#include "src/sim/prefix_cache_policy.h"
-#include "src/util/stats.h"
+#include "src/sim/prefix_cache.h"
 #include "src/util/thread_pool.h"
 #include "src/workload/trace.h"
 
@@ -56,9 +55,6 @@ namespace vodrep {
 struct SimOptions {
   /// Number of shard engines; 1 = the monolithic SimEngine::run path.
   std::size_t num_shards = 1;
-  /// Segment-log merge cadence in simulated seconds; 0 picks horizon / 8.
-  /// Purely a memory bound — the merged metrics are invariant in it.
-  double merge_epoch_sec = 0.0;
   /// Pool to run shard epochs on; null (or a single-thread pool) replays
   /// the shards inline on the calling thread.  Results are identical either
   /// way — the pool only changes wall-clock time.
@@ -74,24 +70,15 @@ struct SimOptions {
 /// Kept only for benchmark/vodrep_benchmark.cc; use SimOptions.
 using ShardedSimOptions = SimOptions;
 
-/// Merged global Eq. 2/3 accumulators rebuilt from per-shard segment logs.
-struct MergedLoadMetrics {
-  TimeWeightedMean imbalance_eq2;
-  TimeWeightedMean imbalance_cv;
-  TimeWeightedMean imbalance_capacity;
-  double peak_eq2 = 0.0;
-};
-
 /// Chronologically sweeps one merge epoch of per-shard LoadSegment streams
 /// (each covering (epoch start, epoch end] contiguously, as
-/// SimEngine::integrate_to emits them) and folds the global imbalance
-/// integrand over every span into `into`, using integrate_to's exact
-/// formulas: idle flush when the global max is 0, mean = Σu / n, clamped
-/// eq2/cv, capacity excess, and the running eq2 peak.  Exposed for the
+/// SimEngine::integrate_to emits them) and folds every global span — the
+/// sum of the shards' sums and the max of their maxes — into `into` with
+/// LoadIntegrals::add_span, the engine's own integrand.  Exposed for the
 /// metrics-merge property tests (tests/arrival_batching_test.cc).
 void merge_load_segments(const std::vector<std::vector<LoadSegment>>& logs,
                          double epoch_start, std::size_t num_servers,
-                         MergedLoadMetrics& into);
+                         LoadIntegrals& into);
 
 /// Replays `trace` through `policy` on an engine built from
 /// policy.config().  At one shard the caller's policy is run in place; at
@@ -104,7 +91,7 @@ void merge_load_segments(const std::vector<std::vector<LoadSegment>>& logs,
                                  const RequestTrace& trace,
                                  const SimOptions& options = {});
 
-/// Accepts a temporary, so `simulate(StripedPolicy(layout, config), trace)`
+/// Accepts a temporary, so `simulate(HybridPolicy(layout, config), trace)`
 /// stays one line.
 [[nodiscard]] inline SimResult simulate(StoragePolicy&& policy,
                                         const RequestTrace& trace,
@@ -121,7 +108,7 @@ void merge_load_segments(const std::vector<std::vector<LoadSegment>>& logs,
     obs::EventLog* event_log = nullptr);
 
 /// Kept only for benchmark/vodrep_benchmark.cc; forwards to simulate() with
-/// a PrefixCachePolicy.
+/// a ReplicatedPolicy behind the edge tier `cache_options` configures.
 [[nodiscard]] SimResult simulate_sharded_prefix_cache(
     const Layout& layout, const SimConfig& config,
     const PrefixCacheOptions& cache_options, const RequestTrace& trace,

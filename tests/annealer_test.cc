@@ -181,49 +181,6 @@ TEST(Annealer, RejectsBadOptions) {
   EXPECT_THROW((void)anneal(problem, rng, options), InvalidArgumentError);
 }
 
-TEST(AnnealMultichain, BestOfChainsNeverWorseThanChainZero) {
-  RuggedProblem problem;
-  AnnealOptions options;
-  options.initial_temperature = 200.0;
-  options.moves_per_temperature = 100;
-  options.stall_steps = 0;
-  Rng chain_zero(0x600D ^ 0x9e3779b97f4a7c15ULL);  // multichain's seed for i=0
-  const auto single = anneal(problem, chain_zero, options);
-  const auto multi = anneal_multichain(problem, 0x600D, 4, options);
-  EXPECT_LE(multi.best_cost, single.best_cost);
-}
-
-TEST(AnnealMultichain, DeterministicRegardlessOfThreadCount) {
-  QuadraticProblem problem;
-  AnnealOptions options;
-  options.initial_temperature = 50.0;
-  ThreadPool pool(3);
-  const auto serial = anneal_multichain(problem, 99, 5, options);
-  const auto pooled = anneal_multichain(problem, 99, 5, options, &pool);
-  EXPECT_EQ(serial.best_state, pooled.best_state);
-  EXPECT_EQ(serial.best_cost, pooled.best_cost);
-  EXPECT_EQ(serial.moves_proposed, pooled.moves_proposed);
-}
-
-TEST(AnnealMultichain, AggregatesMoveCounts) {
-  QuadraticProblem problem;
-  AnnealOptions options;
-  options.initial_temperature = 10.0;
-  options.stall_steps = 0;
-  options.max_temperature_steps = 20;
-  const auto single = anneal_multichain(problem, 7, 1, options);
-  const auto multi = anneal_multichain(problem, 7, 3, options);
-  EXPECT_EQ(multi.moves_proposed, 3 * single.moves_proposed);
-}
-
-TEST(AnnealMultichain, RejectsZeroChains) {
-  QuadraticProblem problem;
-  AnnealOptions options;
-  options.initial_temperature = 10.0;
-  EXPECT_THROW((void)anneal_multichain(problem, 1, 0, options),
-               InvalidArgumentError);
-}
-
 TEST(Annealer, InPlacePathSolvesAndCountsNoops) {
   InPlaceQuadratic problem;
   Rng rng(11);

@@ -122,7 +122,7 @@ TEST(ArrivalBatching, GeneratedTracesAreInvariantInTheBatchKnob) {
 
 /// Independent oracle: walk the sorted union of all segment end times and
 /// integrate the global signal span by span with direct scans.
-MergedLoadMetrics brute_force_merge(
+LoadIntegrals brute_force_merge(
     const std::vector<std::vector<LoadSegment>>& logs, double epoch_start,
     std::size_t num_servers) {
   std::vector<double> breakpoints;
@@ -132,7 +132,7 @@ MergedLoadMetrics brute_force_merge(
   std::sort(breakpoints.begin(), breakpoints.end());
   breakpoints.erase(std::unique(breakpoints.begin(), breakpoints.end()),
                     breakpoints.end());
-  MergedLoadMetrics out;
+  LoadIntegrals out;
   double t = epoch_start;
   for (const double next : breakpoints) {
     double sum = 0.0;
@@ -204,9 +204,9 @@ TEST(MetricsMerge, SweepMatchesBruteForceOnRandomSegmentStreams) {
         log.push_back(seg);
       }
     }
-    MergedLoadMetrics merged;
+    LoadIntegrals merged;
     merge_load_segments(logs, 0.0, num_servers, merged);
-    const MergedLoadMetrics reference =
+    const LoadIntegrals reference =
         brute_force_merge(logs, 0.0, num_servers);
     EXPECT_NEAR(merged.imbalance_eq2.mean(), reference.imbalance_eq2.mean(),
                 kFloatTol)
@@ -229,7 +229,7 @@ TEST(MetricsMerge, HandBuiltStreamsIntegrateExactly) {
              {4.0, 0.0, 0.0, 0.0}};   // idle (flushed zeros)
   logs[1] = {{2.0, 0.0, 0.0, 0.0},    // servers {2,3}: idle
              {4.0, 0.5, 0.25, 0.5}};  // one at 0.5
-  MergedLoadMetrics merged;
+  LoadIntegrals merged;
   merge_load_segments(logs, 0.0, 4, merged);
   // Spans: [0,1) sum .5 max .5 -> eq2 = (0.5-0.125)/0.125 = 3
   //        [1,2) sum 1  max .5 -> eq2 = (0.5-0.25)/0.25  = 1
@@ -264,8 +264,9 @@ TEST(MetricsMerge, AdversarialTraceMatchesMonolithic) {
   Layout layout;
   layout.assignment = {{0}, {1}};
   const SimConfig config = two_server_config();
+  // Horizon 20: the first of the fixed horizon/8 merge boundaries is 2.5.
   RequestTrace trace;
-  trace.horizon = 10.0;
+  trace.horizon = 20.0;
   trace.requests = {
       {1.0, 0, 1.0}, {1.0, 1, 1.0},   // simultaneous, different shards
       {1.5, 0, 1.0},                  // fills server 0
@@ -281,8 +282,7 @@ TEST(MetricsMerge, AdversarialTraceMatchesMonolithic) {
   EXPECT_EQ(mono.rejected, 1u);  // the t=2.5 request on the full server 0
 
   SimOptions options;
-  options.num_shards = 2;
-  options.merge_epoch_sec = 2.5;  // boundary lands exactly on an arrival
+  options.num_shards = 2;  // the 2.5 boundary lands exactly on an arrival
   const SimResult sharded =
       simulate(ReplicatedPolicy(layout, config), trace, options);
   EXPECT_EQ(mono.total_requests, sharded.total_requests);
@@ -304,7 +304,7 @@ TEST(MetricsMerge, CrashExactlyOnEpochBoundaryMatchesMonolithic) {
   SimConfig config = two_server_config();
   config.failures = {{2.5, 0}};  // crash exactly on the boundary
   RequestTrace trace;
-  trace.horizon = 10.0;
+  trace.horizon = 20.0;  // the first merge boundary is 20/8 = 2.5
   trace.requests = {
       {1.0, 0, 1.0}, {1.0, 1, 1.0},
       {3.0, 0, 1.0},  // after the crash: kNoReplicaAlive
@@ -319,7 +319,6 @@ TEST(MetricsMerge, CrashExactlyOnEpochBoundaryMatchesMonolithic) {
 
   SimOptions options;
   options.num_shards = 2;
-  options.merge_epoch_sec = 2.5;
   const SimResult sharded =
       simulate(ReplicatedPolicy(layout, config), trace, options);
   EXPECT_EQ(mono.rejected, sharded.rejected);

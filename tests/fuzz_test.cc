@@ -13,7 +13,6 @@
 #include "src/sim/hybrid_policy.h"
 #include "src/sim/replicated_policy.h"
 #include "src/sim/sharded_engine.h"
-#include "src/sim/striped_policy.h"
 #include "src/util/error.h"
 #include "src/util/rng.h"
 #include "src/util/units.h"
@@ -166,10 +165,10 @@ TEST(Fuzz, StripedSimulatorSurvivesRandomWorlds) {
     world.config = sanitized_for_striping(world.config);
     const std::size_t width =
         1 + rng.uniform_index(world.num_servers);
-    const StripedLayout layout =
+    const HybridLayout layout =
         make_striped_layout(world.num_videos, world.num_servers, width);
     const SimResult result =
-        simulate(StripedPolicy(layout, world.config), world.trace);
+        simulate(HybridPolicy(layout, world.config), world.trace);
     check_invariants(world, result, "striped", trial);
     EXPECT_EQ(result.batched, 0u);
     EXPECT_EQ(result.redirected, 0u);
@@ -184,32 +183,32 @@ TEST(Fuzz, StripedAndHybridRejectReplicationOnlyConfig) {
   config.video_duration_sec = 100.0;
   RequestTrace trace;
   trace.horizon = 10.0;
-  const StripedLayout striped = make_striped_layout(3, 4, 2);
+  const HybridLayout striped = make_striped_layout(3, 4, 2);
   const HybridLayout hybrid = make_hybrid_layout(3, 4, 2, 2);
 
   SimConfig redirecting = config;
   redirecting.redirect = RedirectMode::kOtherHolders;
-  EXPECT_THROW((void)simulate(StripedPolicy(striped, redirecting), trace),
+  EXPECT_THROW((void)simulate(HybridPolicy(striped, redirecting), trace),
                InvalidArgumentError);
   EXPECT_THROW((void)simulate(HybridPolicy(hybrid, redirecting), trace),
                InvalidArgumentError);
 
   SimConfig proxying = config;
   proxying.backbone_bps = units::mbps(10);
-  EXPECT_THROW((void)simulate(StripedPolicy(striped, proxying), trace),
+  EXPECT_THROW((void)simulate(HybridPolicy(striped, proxying), trace),
                InvalidArgumentError);
   EXPECT_THROW((void)simulate(HybridPolicy(hybrid, proxying), trace),
                InvalidArgumentError);
 
   SimConfig batching = config;
   batching.batching_window_sec = 60.0;
-  EXPECT_THROW((void)simulate(StripedPolicy(striped, batching), trace),
+  EXPECT_THROW((void)simulate(HybridPolicy(striped, batching), trace),
                InvalidArgumentError);
   EXPECT_THROW((void)simulate(HybridPolicy(hybrid, batching), trace),
                InvalidArgumentError);
 
   // The clean config is accepted by both.
-  EXPECT_NO_THROW((void)simulate(StripedPolicy(striped, config), trace));
+  EXPECT_NO_THROW((void)simulate(HybridPolicy(striped, config), trace));
   EXPECT_NO_THROW((void)simulate(HybridPolicy(hybrid, config), trace));
 }
 

@@ -278,18 +278,5 @@ TEST(ParallelTempering, SolveScalableLayoutsPassAuditAtEveryChainCount) {
   }
 }
 
-TEST(ParallelTempering, IndependentChainsModeStillWorks) {
-  const ScalableProblem problem = scalable_problem();
-  SaSolverOptions options = small_sa_options(3);
-  options.independent_chains = true;
-  const SaSolverResult result = solve_scalable(problem, 7, options);
-  const AuditReport report =
-      LayoutAuditor::audit_solution(problem, result.solution);
-  EXPECT_TRUE(report.ok()) << report.summary();
-  // Independent chains never exchange.
-  EXPECT_EQ(result.anneal.swap_attempts, 0u);
-  EXPECT_EQ(result.anneal.chains.size(), 3u);
-}
-
 }  // namespace
 }  // namespace vodrep

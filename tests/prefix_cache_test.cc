@@ -4,10 +4,10 @@
 //     exact residency, eviction, and counter traces for both LRU and LFU,
 //     and random sequences match the O(M) victim scan it replaced after
 //     every operation, used bytes bit-equal;
-//   * a zero-capacity PrefixCachePolicy replays ReplicatedPolicy
-//     decision-for-decision over random worlds, every counter (typed
-//     rejection reasons included) and float bit-identical, and exposes no
-//     cache stats at all;
+//   * a zero-capacity tier is no tier: ReplicatedPolicy with it replays the
+//     tier-less ReplicatedPolicy decision-for-decision over random worlds,
+//     every counter (typed rejection reasons included) and float
+//     bit-identical, and exposes no cache stats at all;
 //   * rejection attribution is exact: blocked suffix after a hit is plain
 //     kNoBandwidth, a miss against a busy origin is kCacheMissOriginBusy,
 //     dead holders stay kNoReplicaAlive, and the reason breakdown always
@@ -24,7 +24,7 @@
 #include "src/core/layout.h"
 #include "src/obs/event_log.h"
 #include "src/sim/engine.h"
-#include "src/sim/prefix_cache_policy.h"
+#include "src/sim/prefix_cache.h"
 #include "src/sim/replicated_policy.h"
 #include "src/util/rng.h"
 #include "src/util/units.h"
@@ -365,8 +365,8 @@ Layout random_layout(Rng& rng, std::size_t num_videos,
   return layout;
 }
 
-/// Bit-exact: the zero-capacity policy runs the very same code path, so even
-/// the integrated float metrics must be identical, not merely close.
+/// Bit-exact: a zero-capacity tier runs the very same code path, so even the
+/// integrated float metrics must be identical, not merely close.
 void expect_identical(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.total_requests, b.total_requests);
   EXPECT_EQ(a.rejected, b.rejected);
@@ -398,7 +398,7 @@ TEST(PrefixCachePolicyTest, ZeroCapacityReplaysReplicatedPolicyExactly) {
     PrefixCacheOptions options;
     options.capacity_bytes = 0.0;  // disables the tier entirely
     SimEngine engine_cached(world.config);
-    PrefixCachePolicy cached(layout, world.config, options);
+    ReplicatedPolicy cached(layout, world.config, options);
     EXPECT_EQ(cached.cache_stats(), nullptr);
     const SimResult actual = engine_cached.run(cached, world.trace);
 
@@ -450,7 +450,7 @@ TEST(PrefixCachePolicyTest, RejectionAttributionIsExact) {
   options.uniform_prefix_fraction = 0.5;
 
   SimEngine engine(config);
-  PrefixCachePolicy policy(layout, config, options);
+  ReplicatedPolicy policy(layout, config, options);
   ASSERT_NE(policy.cache_stats(), nullptr);
   const SimResult result = engine.run(policy, trace);
 
@@ -504,7 +504,7 @@ TEST(PrefixCachePolicyTest, RepeatTrafficHitsTheCache) {
   options.uniform_prefix_fraction = 0.25;
 
   SimEngine engine(config);
-  PrefixCachePolicy policy(layout, config, options);
+  ReplicatedPolicy policy(layout, config, options);
   const SimResult result = engine.run(policy, trace);
 
   EXPECT_EQ(result.rejected, 0u);

@@ -19,7 +19,6 @@
 #include "src/sim/hybrid_policy.h"
 #include "src/sim/replicated_policy.h"
 #include "src/sim/sharded_engine.h"
-#include "src/sim/striped_policy.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/units.h"
@@ -198,7 +197,8 @@ SimResult seed_simulate(const Layout& layout, const SimConfig& config,
 }
 
 // ---------------------------------------------------------------------------
-// Frozen seed reference: striped organization.
+// Frozen seed reference: striped organization (a one-copy hybrid layout,
+// as make_striped_layout builds it: video v's group is groups[v][0]).
 // ---------------------------------------------------------------------------
 
 struct SeedStripedStream {
@@ -215,7 +215,7 @@ struct SeedStripedDeparture {
   }
 };
 
-SimResult seed_striped_simulate(const StripedLayout& layout,
+SimResult seed_striped_simulate(const HybridLayout& layout,
                                 const SimConfig& config,
                                 const RequestTrace& trace) {
   config.validate();
@@ -242,14 +242,14 @@ SimResult seed_striped_simulate(const StripedLayout& layout,
 
   auto share_of = [&](std::size_t video) {
     return config.stream_bitrate_bps /
-           static_cast<double>(layout.groups[video].size());
+           static_cast<double>(layout.groups[video][0].size());
   };
 
   auto fail_server = [&](std::size_t failed) {
     (void)servers[failed].fail();
     for (SeedStripedStream& stream : streams) {
       if (!stream.alive) continue;
-      const auto& group = layout.groups[stream.video];
+      const auto& group = layout.groups[stream.video][0];
       if (std::find(group.begin(), group.end(), failed) == group.end()) {
         continue;
       }
@@ -286,7 +286,7 @@ SimResult seed_striped_simulate(const StripedLayout& layout,
       if (stream.alive) {
         stream.alive = false;
         const double share = share_of(stream.video);
-        for (std::size_t s : layout.groups[stream.video]) {
+        for (std::size_t s : layout.groups[stream.video][0]) {
           servers[s].release(share);
         }
       }
@@ -296,7 +296,7 @@ SimResult seed_striped_simulate(const StripedLayout& layout,
 
   for (const Request& request : trace.requests) {
     drain_until(request.arrival_time);
-    const auto& group = layout.groups[request.video];
+    const auto& group = layout.groups[request.video][0];
     const double share = share_of(request.video);
     const bool admissible = std::all_of(
         group.begin(), group.end(),
@@ -617,12 +617,12 @@ void check_striped(std::uint64_t seed, int trials, bool long_horizon) {
     const World world =
         random_world(rng, /*replication_extensions=*/false, long_horizon);
     const std::size_t width = 1 + rng.uniform_index(world.num_servers);
-    const StripedLayout layout =
+    const HybridLayout layout =
         make_striped_layout(world.num_videos, world.num_servers, width);
     const SimResult seed_result =
         seed_striped_simulate(layout, world.config, world.trace);
     const SimResult engine =
-        simulate(StripedPolicy(layout, world.config), world.trace);
+        simulate(HybridPolicy(layout, world.config), world.trace);
     expect_same_result(seed_result, engine);
   }
 }

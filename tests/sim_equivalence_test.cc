@@ -1,8 +1,9 @@
 // Cross-organization equivalence: at the degenerate corners of the design
 // space the organizations coincide, and the simulators must agree there.
 //
-//   * striped with stripe width k = 1 == replication with one replica per
-//     video on the same server (a "stripe group" of one is just a replica);
+//   * striped (one copy) with stripe width k = 1 == replication with one
+//     replica per video on the same server (a "stripe group" of one is just
+//     a replica);
 //   * hybrid with k = 1 and r groups == replication with r replicas in the
 //     same holder order (group-level round-robin degenerates to the
 //     dispatcher's per-video replica round-robin).
@@ -20,7 +21,6 @@
 #include "src/sim/hybrid_policy.h"
 #include "src/sim/replicated_policy.h"
 #include "src/sim/sharded_engine.h"
-#include "src/sim/striped_policy.h"
 #include "src/util/rng.h"
 #include "src/util/units.h"
 #include "src/workload/popularity.h"
@@ -106,17 +106,17 @@ TEST(SimEquivalence, StripeWidthOneEqualsSingleReplicaReplication) {
   for (int trial = 0; trial < 40; ++trial) {
     SCOPED_TRACE(testing::Message() << "trial " << trial);
     const World world = random_world(rng);
-    const StripedLayout striped =
+    const HybridLayout striped =
         make_striped_layout(world.num_videos, world.num_servers, 1);
     // The same assignment expressed as one replica per video.
     Layout replicated;
     replicated.assignment.resize(world.num_videos);
     for (std::size_t v = 0; v < world.num_videos; ++v) {
-      ASSERT_EQ(striped.groups[v].size(), 1u);
-      replicated.assignment[v] = striped.groups[v];
+      ASSERT_EQ(striped.groups[v][0].size(), 1u);
+      replicated.assignment[v] = striped.groups[v][0];
     }
     const SimResult via_striping =
-        simulate(StripedPolicy(striped, world.config), world.trace);
+        simulate(HybridPolicy(striped, world.config), world.trace);
     const SimResult via_replication =
         simulate(ReplicatedPolicy(replicated, world.config), world.trace);
     expect_equivalent(via_striping, via_replication);
@@ -156,12 +156,12 @@ TEST(SimEquivalence, HybridWidthOneEqualsReplicationWithSameHolders) {
 TEST(SimEquivalence, PoliciesCopyTheirConfigSoTemporariesAreSafe) {
   Rng rng(0xE9003);
   const World world = random_world(rng);
-  const StripedLayout striped =
+  const HybridLayout striped =
       make_striped_layout(world.num_videos, world.num_servers, 1);
   Layout replicated;
   replicated.assignment.resize(world.num_videos);
   for (std::size_t v = 0; v < world.num_videos; ++v) {
-    replicated.assignment[v] = striped.groups[v];
+    replicated.assignment[v] = striped.groups[v][0];
   }
 
   // Builds a policy whose config argument is dead by the time it is used.
@@ -171,7 +171,7 @@ TEST(SimEquivalence, PoliciesCopyTheirConfigSoTemporariesAreSafe) {
   const SimResult via_temporary = engine_r.run(policy_r, world.trace);
 
   SimEngine engine_s(world.config);
-  StripedPolicy policy_s(striped, make_config());
+  HybridPolicy policy_s(striped, make_config());
   const SimResult via_striped = engine_s.run(policy_s, world.trace);
 
   const SimResult reference =

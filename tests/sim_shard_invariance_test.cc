@@ -29,11 +29,10 @@
 #include "src/obs/timeseries.h"
 #include "src/sim/engine.h"
 #include "src/sim/hybrid_policy.h"
-#include "src/sim/prefix_cache_policy.h"
+#include "src/sim/prefix_cache.h"
 #include "src/sim/replicated_policy.h"
 #include "src/sim/shard_plan.h"
 #include "src/sim/sharded_engine.h"
-#include "src/sim/striped_policy.h"
 #include "src/util/error.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
@@ -75,26 +74,12 @@ Layout random_layout(Rng& rng, std::size_t num_videos,
   return layout;
 }
 
-/// Aligned striping with stripe_width | num_servers: the servers split into
-/// num_servers / stripe_width disjoint groups, so the shard plan finds real
-/// parallelism (the staggered make_striped_layout wrap is one component).
-StripedLayout aligned_striped_layout(std::size_t num_videos,
-                                     std::size_t num_servers,
-                                     std::size_t stripe_width) {
-  StripedLayout layout;
-  layout.groups.resize(num_videos);
-  const std::size_t num_groups = num_servers / stripe_width;
-  for (std::size_t v = 0; v < num_videos; ++v) {
-    const std::size_t g = v % num_groups;
-    for (std::size_t k = 0; k < stripe_width; ++k) {
-      layout.groups[v].push_back(g * stripe_width + k);
-    }
-  }
-  return layout;
-}
-
 /// Aligned hybrid layout: a video's group_replicas stripe groups live in one
-/// disjoint server block, so distinct blocks shard independently.
+/// disjoint server block, so distinct blocks shard independently.  One copy
+/// is aligned striping with stripe_width | num_servers: the servers split
+/// into num_servers / stripe_width disjoint groups, so the shard plan finds
+/// real parallelism (the staggered make_striped_layout wrap is one
+/// component).
 HybridLayout aligned_hybrid_layout(std::size_t num_videos,
                                    std::size_t num_servers,
                                    std::size_t stripe_width,
@@ -291,7 +276,7 @@ TEST(ShardInvariance, StripedRandomWorlds) {
     World world = random_world(rng, /*allow_extensions=*/false);
     // Alternate aligned (k | N, real parallelism) and staggered (one
     // component, exercises the padded-shard merge path) layouts.
-    StripedLayout layout;
+    HybridLayout layout;
     if (world_id % 2 == 0) {
       const std::size_t k = 1 + rng.uniform_index(2);  // 1 or 2
       world.num_servers = (world.num_servers / k) * k;
@@ -302,14 +287,15 @@ TEST(ShardInvariance, StripedRandomWorlds) {
       for (ServerFailure& f : world.config.failures) {
         f.server %= world.num_servers;
       }
-      layout = aligned_striped_layout(world.num_videos, world.num_servers, k);
+      layout =
+          aligned_hybrid_layout(world.num_videos, world.num_servers, k, 1);
     } else {
       layout = make_striped_layout(world.num_videos, world.num_servers, 3);
     }
     obs::TimeseriesCollector mono_timeline(timeline_config(),
                                            world.num_servers);
     obs::EventLog mono_log(kEventLogCapacity);
-    StripedPolicy policy(layout, world.config);
+    HybridPolicy policy(layout, world.config);
     const SimResult mono = run_monolithic(policy, world.config, world.trace,
                                           &mono_timeline, &mono_log);
     for (const std::size_t shards : kShardCounts) {
@@ -322,7 +308,7 @@ TEST(ShardInvariance, StripedRandomWorlds) {
       options.timeline = &timeline;
       options.event_log = &log;
       const SimResult sharded = simulate(
-          StripedPolicy(layout, world.config), world.trace, options);
+          HybridPolicy(layout, world.config), world.trace, options);
       expect_equivalent(mono, sharded);
       expect_timelines_equivalent(mono_timeline, timeline);
       expect_event_logs_identical(mono_log, log);
@@ -398,7 +384,7 @@ TEST(ShardInvariance, PrefixCacheRandomWorlds) {
     obs::TimeseriesCollector mono_timeline(timeline_config(),
                                            world.num_servers);
     obs::EventLog mono_log(kEventLogCapacity);
-    PrefixCachePolicy policy(layout, world.config, cache);
+    ReplicatedPolicy policy(layout, world.config, cache);
     const SimResult mono = run_monolithic(policy, world.config, world.trace,
                                           &mono_timeline, &mono_log);
     for (const std::size_t shards : kShardCounts) {
@@ -411,7 +397,7 @@ TEST(ShardInvariance, PrefixCacheRandomWorlds) {
       options.timeline = &timeline;
       options.event_log = &log;
       const SimResult sharded = simulate(
-          PrefixCachePolicy(layout, world.config, cache), world.trace, options);
+          ReplicatedPolicy(layout, world.config, cache), world.trace, options);
       expect_equivalent(mono, sharded);
       expect_timelines_equivalent(mono_timeline, timeline);
       expect_event_logs_identical(mono_log, log);
@@ -422,23 +408,6 @@ TEST(ShardInvariance, PrefixCacheRandomWorlds) {
 // ---------------------------------------------------------------------------
 // Structural properties of the plan and runner.
 // ---------------------------------------------------------------------------
-
-TEST(ShardInvariance, MergeEpochCadenceIsIrrelevant) {
-  Rng rng(0x5eed0005);
-  const World world = random_world(rng, /*allow_extensions=*/true);
-  const Layout layout =
-      random_layout(rng, world.num_videos, world.num_servers, 3);
-  SimOptions options;
-  options.num_shards = 4;
-  const SimResult base =
-      simulate(ReplicatedPolicy(layout, world.config), world.trace, options);
-  for (const double epoch : {1.0, 7.3, 50.0, 1e9}) {
-    options.merge_epoch_sec = epoch;
-    const SimResult other =
-        simulate(ReplicatedPolicy(layout, world.config), world.trace, options);
-    expect_equivalent(base, other);
-  }
-}
 
 TEST(ShardInvariance, MoreShardsThanServersIsFine) {
   Rng rng(0x5eed0006);
@@ -489,7 +458,7 @@ TEST(ShardInvariance, LiveCacheRejectsRoutedReplay) {
   config.video_duration_sec = 60.0;
   PrefixCacheOptions cache;
   cache.capacity_bytes = 1e9;
-  PrefixCachePolicy policy(layout, config, cache);
+  ReplicatedPolicy policy(layout, config, cache);
   EXPECT_THROW(policy.set_routed_picks({0}), InvalidArgumentError);
 }
 
@@ -576,10 +545,10 @@ TEST(ShardInvariance, PlanPartitionsTheTrace) {
     EXPECT_EQ(pick, -1);
     return all_servers;
   };
-  const auto stripe_group = [](const StripedLayout& striped) {
+  const auto stripe_group = [](const HybridLayout& striped) {
     return [&striped](const Request& request, std::int64_t pick) {
       EXPECT_EQ(pick, -1);
-      return striped.groups[request.video];
+      return striped.groups[request.video][0];
     };
   };
   const HybridLayout hybrid = make_hybrid_layout(m, 8, 2, 2);
@@ -591,8 +560,8 @@ TEST(ShardInvariance, PlanPartitionsTheTrace) {
     }
     return members;
   };
-  const StripedLayout aligned = aligned_striped_layout(m, 8, 2);
-  const StripedLayout staggered = make_striped_layout(m, 8, 3);
+  const HybridLayout aligned = aligned_hybrid_layout(m, 8, 2, 1);
+  const HybridLayout staggered = make_striped_layout(m, 8, 3);
   PrefixCacheOptions no_cache;
   PrefixCacheOptions live_cache;
   live_cache.capacity_bytes = 5e9;
@@ -608,16 +577,16 @@ TEST(ShardInvariance, PlanPartitionsTheTrace) {
         world.trace, n, shards, all_holders);
     rr.assign(m, 0);
     expect_closed_partition(
-        PrefixCachePolicy(layout, strict, no_cache).shard(world.trace, shards),
+        ReplicatedPolicy(layout, strict, no_cache).shard(world.trace, shards),
         world.trace, n, shards, routed_pick);
-    expect_closed_partition(PrefixCachePolicy(layout, strict, live_cache)
+    expect_closed_partition(ReplicatedPolicy(layout, strict, live_cache)
                                 .shard(world.trace, shards),
                             world.trace, n, shards, every_server);
     expect_closed_partition(
-        StripedPolicy(aligned, plain).shard(world.trace, shards), world.trace,
+        HybridPolicy(aligned, plain).shard(world.trace, shards), world.trace,
         8, shards, stripe_group(aligned));
     expect_closed_partition(
-        StripedPolicy(staggered, plain).shard(world.trace, shards),
+        HybridPolicy(staggered, plain).shard(world.trace, shards),
         world.trace, 8, shards, stripe_group(staggered));
     expect_closed_partition(
         HybridPolicy(hybrid, plain).shard(world.trace, shards), world.trace,
@@ -644,15 +613,6 @@ TEST(ShardInvariance, TimelineSizedForAnotherServerCountIsRejected) {
                        options),
         InvalidArgumentError);
   }
-}
-
-TEST(ShardInvariance, ShardRngSeedsAreDistinctAndAnchored) {
-  const std::uint64_t base = 0x1234abcd5678ef90ULL;
-  EXPECT_EQ(shard_rng_seed(base, 0), base);
-  std::vector<std::uint64_t> seeds;
-  for (std::size_t s = 0; s < 64; ++s) seeds.push_back(shard_rng_seed(base, s));
-  std::sort(seeds.begin(), seeds.end());
-  EXPECT_EQ(std::adjacent_find(seeds.begin(), seeds.end()), seeds.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -689,16 +649,15 @@ TEST(ShardedEngineThreads, StripedAndHybridMatchMonolithicOnAPool) {
   world.config.per_server_bandwidth_bps.clear();
   for (ServerFailure& f : world.config.failures) f.server %= 8;
 
-  const StripedLayout striped =
-      aligned_striped_layout(world.num_videos, 8, 2);
-  StripedPolicy striped_policy(striped, world.config);
+  const HybridLayout striped = aligned_hybrid_layout(world.num_videos, 8, 2, 1);
+  HybridPolicy striped_policy(striped, world.config);
   const SimResult striped_mono = run_monolithic(
       striped_policy, world.config, world.trace, nullptr, nullptr);
   SimOptions options;
   options.num_shards = 4;
   options.pool = &pool;
   expect_equivalent(striped_mono,
-                    simulate(StripedPolicy(striped, world.config),
+                    simulate(HybridPolicy(striped, world.config),
                              world.trace, options));
 
   const HybridLayout hybrid = aligned_hybrid_layout(world.num_videos, 8, 2, 2);

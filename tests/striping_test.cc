@@ -8,32 +8,57 @@
 namespace vodrep {
 namespace {
 
+/// Stripe groups each server belongs to (the striped layout has one copy).
+std::vector<std::size_t> groups_per_server(const HybridLayout& layout,
+                                           std::size_t num_servers) {
+  std::vector<std::size_t> counts(num_servers, 0);
+  for (const auto& copies : layout.groups) {
+    for (std::size_t s : copies[0]) ++counts[s];
+  }
+  return counts;
+}
+
+/// Storage on each server: a video of `video_bytes` striped over k servers
+/// stores video_bytes / k per member.
+std::vector<double> storage_per_server(const HybridLayout& layout,
+                                       std::size_t num_servers,
+                                       double video_bytes) {
+  std::vector<double> storage(num_servers, 0.0);
+  for (const auto& copies : layout.groups) {
+    const double share = video_bytes / static_cast<double>(copies[0].size());
+    for (std::size_t s : copies[0]) storage[s] += share;
+  }
+  return storage;
+}
+
 TEST(MakeStripedLayout, WideStripingUsesEveryServer) {
-  const StripedLayout layout = make_striped_layout(5, 4, 4);
-  for (const auto& group : layout.groups) {
-    EXPECT_EQ(group.size(), 4u);
+  const HybridLayout layout = make_striped_layout(5, 4, 4);
+  for (const auto& copies : layout.groups) {
+    ASSERT_EQ(copies.size(), 1u);
+    EXPECT_EQ(copies[0].size(), 4u);
   }
   EXPECT_NO_THROW(layout.validate(4));
 }
 
 TEST(MakeStripedLayout, StaggersGroupsAcrossServers) {
-  const StripedLayout layout = make_striped_layout(4, 8, 2);
-  EXPECT_EQ(layout.groups[0], (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(layout.groups[1], (std::vector<std::size_t>{2, 3}));
-  EXPECT_EQ(layout.groups[2], (std::vector<std::size_t>{4, 5}));
-  EXPECT_EQ(layout.groups[3], (std::vector<std::size_t>{6, 7}));
+  const HybridLayout layout = make_striped_layout(4, 8, 2);
+  EXPECT_EQ(layout.groups[0][0], (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(layout.groups[1][0], (std::vector<std::size_t>{2, 3}));
+  EXPECT_EQ(layout.groups[2][0], (std::vector<std::size_t>{4, 5}));
+  EXPECT_EQ(layout.groups[3][0], (std::vector<std::size_t>{6, 7}));
 }
 
 TEST(MakeStripedLayout, BalancedStripeCountPerServer) {
-  const StripedLayout layout = make_striped_layout(16, 8, 2);
-  const auto counts = layout.videos_per_server(8);
+  const HybridLayout layout = make_striped_layout(16, 8, 2);
+  const auto counts = groups_per_server(layout, 8);
   for (std::size_t c : counts) EXPECT_EQ(c, 4u);
 }
 
 TEST(MakeStripedLayout, WidthOneDegeneratesToWholeVideoPlacement) {
-  const StripedLayout layout = make_striped_layout(6, 3, 1);
+  const HybridLayout layout = make_striped_layout(6, 3, 1);
   for (std::size_t i = 0; i < 6; ++i) {
     ASSERT_EQ(layout.groups[i].size(), 1u);
+    ASSERT_EQ(layout.groups[i][0].size(), 1u);
   }
   EXPECT_NO_THROW(layout.validate(3));
 }
@@ -44,19 +69,19 @@ TEST(MakeStripedLayout, RejectsBadWidth) {
 }
 
 TEST(StripedLayout, ValidateCatchesViolations) {
-  StripedLayout layout;
-  layout.groups = {{0, 0}};
+  // One-copy stripe groups, as make_striped_layout builds them.
+  HybridLayout layout;
+  layout.groups = {{{0, 0}}};
   EXPECT_THROW(layout.validate(3), InvalidArgumentError);  // duplicate
-  layout.groups = {{5}};
+  layout.groups = {{{5}}};
   EXPECT_THROW(layout.validate(3), InvalidArgumentError);  // out of range
-  layout.groups = {{}};
+  layout.groups = {{{}}};
   EXPECT_THROW(layout.validate(3), InvalidArgumentError);  // empty
 }
 
 TEST(StripedStorage, SplitsVideoAcrossGroup) {
-  const StripedLayout layout = make_striped_layout(4, 4, 2);
-  const auto storage =
-      striped_storage_per_server(layout, 4, units::gigabytes(2.7));
+  const HybridLayout layout = make_striped_layout(4, 4, 2);
+  const auto storage = storage_per_server(layout, 4, units::gigabytes(2.7));
   // 4 videos * 2 servers each over 4 servers, staggered: each server holds
   // two half-videos = 2.7 GB.
   for (double bytes : storage) {
@@ -65,9 +90,8 @@ TEST(StripedStorage, SplitsVideoAcrossGroup) {
 }
 
 TEST(StripedStorage, WideStripingUsesExactlyOneCatalogue) {
-  const StripedLayout layout = make_striped_layout(10, 5, 5);
-  const auto storage =
-      striped_storage_per_server(layout, 5, units::gigabytes(2.7));
+  const HybridLayout layout = make_striped_layout(10, 5, 5);
+  const auto storage = storage_per_server(layout, 5, units::gigabytes(2.7));
   double total = 0.0;
   for (double bytes : storage) total += bytes;
   EXPECT_NEAR(units::to_gigabytes(total), 27.0, 1e-9);

@@ -2,9 +2,10 @@
 """Self-test for tools/vodrep_lint.
 
 Every lint rule has a fixture tree under tests/lint_selftest/<rule>/ holding
-one deliberately-bad file.  For each rule this harness runs the driver with
-`--root <fixture> --rules <rule>` and asserts that it (a) exits non-zero and
-(b) names the rule and the offending file in its output.  It then re-runs
+one deliberately-bad file per path scope the rule must cover.  For each rule
+this harness runs the driver with `--root <fixture> --rules <rule>` and
+asserts that it (a) exits non-zero and (b) names the rule and every
+offending file in its output.  It then re-runs
 the driver over the same fixture with the violating line waived via
 `// vodrep-lint: allow(<rule>)` to prove suppressions work, and finally
 checks the clean-tree contract (exit 0 on a violation-free tree).
@@ -26,14 +27,16 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 LINT = os.path.join(REPO, "tools", "vodrep_lint")
 FIXTURES = os.path.join(REPO, "tests", "lint_selftest")
 
-# rule -> (fixture-relative bad file, substring that must appear in the
+# rule -> (fixture-relative bad files, substring that must appear in the
 # violation message)
 EXPECTED = {
-    "unordered-iteration": ("src/core/bad_unordered.cc", "deterministic"),
-    "rng-construction": ("src/sim/bad_rng.cc", "src/util/rng"),
-    "raw-clock": ("src/sim/bad_clock.cc", "clock shim"),
-    "dcheck-side-effects": ("src/core/bad_dcheck.cc", "release builds"),
-    "unordered-float-reduction": ("src/core/objective.cc", "associative"),
+    "unordered-iteration": (["src/core/bad_unordered.cc"], "deterministic"),
+    "rng-construction": (["src/sim/bad_rng.cc"], "src/util/rng"),
+    "raw-clock": (["src/sim/bad_clock.cc"], "clock shim"),
+    "dcheck-side-effects": (["src/core/bad_dcheck.cc"], "release builds"),
+    # The Eq. 1-3 objective code and the edge tier's byte accounting.
+    "unordered-float-reduction": (
+        ["src/core/objective.cc", "src/sim/prefix_cache.cc"], "associative"),
 }
 
 
@@ -47,7 +50,7 @@ def fail(msg):
     sys.exit(1)
 
 
-def check_rule_fires(rule, bad_file, message_probe):
+def check_rule_fires(rule, bad_files, message_probe):
     fixture = os.path.join(FIXTURES, rule)
     if not os.path.isdir(fixture):
         fail("missing fixture directory %s" % fixture)
@@ -56,36 +59,39 @@ def check_rule_fires(rule, bad_file, message_probe):
         fail("rule %s: expected exit 1 on its fixture, got %d\nstdout:\n%s"
              "\nstderr:\n%s" % (rule, proc.returncode, proc.stdout,
                                 proc.stderr))
-    pattern = r"%s:\d+: \[%s\]" % (re.escape(bad_file), re.escape(rule))
-    if not re.search(pattern, proc.stdout):
-        fail("rule %s: output does not name the rule and file (wanted "
-             "/%s/)\nstdout:\n%s" % (rule, pattern, proc.stdout))
+    for bad_file in bad_files:
+        pattern = r"%s:\d+: \[%s\]" % (re.escape(bad_file), re.escape(rule))
+        if not re.search(pattern, proc.stdout):
+            fail("rule %s: output does not name the rule and file (wanted "
+                 "/%s/)\nstdout:\n%s" % (rule, pattern, proc.stdout))
+        print("ok: %s fires on %s" % (rule, bad_file))
     if message_probe not in proc.stdout:
         fail("rule %s: violation message lost its rationale (wanted "
              "substring %r)\nstdout:\n%s" % (rule, message_probe,
                                              proc.stdout))
-    print("ok: %s fires on %s" % (rule, bad_file))
 
 
-def check_waiver(rule, bad_file):
+def check_waiver(rule, bad_files):
     """Copy the fixture, append the allow() comment to every reported line,
     and assert the driver now exits 0."""
     fixture = os.path.join(FIXTURES, rule)
     proc = run_lint("--root", fixture, "--rules", rule)
-    lines = {int(m.group(1))
-             for m in re.finditer(r":(\d+): \[%s\]" % re.escape(rule),
-                                  proc.stdout)}
     with tempfile.TemporaryDirectory(prefix="vodrep_lint_waiver_") as tmp:
-        src = os.path.join(fixture, bad_file)
-        dst = os.path.join(tmp, bad_file)
-        os.makedirs(os.path.dirname(dst), exist_ok=True)
-        with open(src, encoding="utf-8") as fh:
-            content = fh.read().splitlines(keepends=True)
-        for ln in lines:
-            content[ln - 1] = content[ln - 1].rstrip("\n") + \
-                "  // vodrep-lint: allow(%s) selftest waiver\n" % rule
-        with open(dst, "w", encoding="utf-8") as fh:
-            fh.writelines(content)
+        for bad_file in bad_files:
+            lines = {int(m.group(1)) for m in re.finditer(
+                r"^%s:(\d+): \[%s\]" % (re.escape(bad_file),
+                                         re.escape(rule)),
+                proc.stdout, re.MULTILINE)}
+            src = os.path.join(fixture, bad_file)
+            dst = os.path.join(tmp, bad_file)
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            with open(src, encoding="utf-8") as fh:
+                content = fh.read().splitlines(keepends=True)
+            for ln in lines:
+                content[ln - 1] = content[ln - 1].rstrip("\n") + \
+                    "  // vodrep-lint: allow(%s) selftest waiver\n" % rule
+            with open(dst, "w", encoding="utf-8") as fh:
+                fh.writelines(content)
         waived = run_lint("--root", tmp, "--rules", rule)
         if waived.returncode != 0:
             fail("rule %s: allow(%s) waiver did not suppress the violation"
@@ -119,9 +125,9 @@ def check_unknown_rule_is_usage_error():
 def main():
     if not os.path.isfile(LINT):
         fail("driver not found at %s" % LINT)
-    for rule, (bad_file, probe) in sorted(EXPECTED.items()):
-        check_rule_fires(rule, bad_file, probe)
-        check_waiver(rule, bad_file)
+    for rule, (bad_files, probe) in sorted(EXPECTED.items()):
+        check_rule_fires(rule, bad_files, probe)
+        check_waiver(rule, bad_files)
     check_clean_tree_contract()
     check_unknown_rule_is_usage_error()
     print("vodrep_lint selftest: all checks passed")

@@ -33,7 +33,7 @@
 #include "src/obs/timeseries.h"
 #include "src/obs/trace.h"
 #include "src/online/controller.h"
-#include "src/sim/prefix_cache_policy.h"
+#include "src/sim/prefix_cache.h"
 #include "src/sim/replicated_policy.h"
 #include "src/sim/run_report.h"
 #include "src/sim/sharded_engine.h"
@@ -178,20 +178,8 @@ PrefixCacheOptions make_cache_options(const CliFlags& flags) {
   return options;
 }
 
-// The storage organization to simulate: the plain replicated one, or —
-// under --prefix-cache — the same origin cluster fronted by an edge
-// prefix-cache tier.
-std::unique_ptr<StoragePolicy> make_policy(const CliFlags& flags,
-                                           const Layout& layout,
-                                           const SimConfig& config) {
-  if (flags.get_bool("prefix-cache")) {
-    return std::make_unique<PrefixCachePolicy>(layout, config,
-                                               make_cache_options(flags));
-  }
-  return std::make_unique<ReplicatedPolicy>(layout, config);
-}
-
-// Runs the evaluate/report simulation of make_policy's organization.
+// Runs the evaluate/report simulation of the replicated organization,
+// fronted under --prefix-cache by an edge prefix-cache tier.
 // --sim-shards 1 (the default) is the monolithic SimEngine, bit-identical
 // to prior releases; larger values run the sharded engine across that many
 // worker threads.  The sharded replay is proven invariant in the shard
@@ -212,7 +200,11 @@ SimResult run_sim(const CliFlags& flags, const Layout& layout,
     pool = std::make_unique<ThreadPool>(options.num_shards);
     options.pool = pool.get();
   }
-  return simulate(*make_policy(flags, layout, config), trace, options);
+  ReplicatedPolicy policy(layout, config,
+                          flags.get_bool("prefix-cache")
+                              ? make_cache_options(flags)
+                              : PrefixCacheOptions{});
+  return simulate(policy, trace, options);
 }
 
 void print_cache_summary(const CliFlags& flags, const SimResult& result) {
