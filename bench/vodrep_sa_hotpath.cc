@@ -71,7 +71,7 @@ class BaselineSaProblem {
         objective_value(state.bitrates(problem_.ladder), state.replicas(),
                         usage.bandwidth_bps, problem_.cluster.num_servers,
                         problem_.weights);
-    return -objective + options_.bandwidth_penalty * overflow;
+    return -objective + kSaBandwidthPenalty * overflow;
   }
 
   State neighbor(const State& state, Rng& rng) const {
@@ -126,7 +126,7 @@ class BaselineSaProblem {
     bool moved;
     if (rng.bernoulli(options_.shrink_probability)) {
       moved = try_shrink();
-    } else if (rng.bernoulli(options_.increase_rate_probability)) {
+    } else if (rng.bernoulli(kSaIncreaseRateProbability)) {
       moved = try_increase_rate() || try_add_replica();
     } else {
       moved = try_add_replica() || try_increase_rate();

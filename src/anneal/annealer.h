@@ -88,6 +88,12 @@ concept DeferredBestAnnealProblem =
       { p.extract_best(scratch) } -> std::convertible_to<typename P::State>;
     };
 
+/// Target uphill acceptance ratio and neighbor-sample count of the
+/// automatic initial-temperature calibration (calibrate_initial_temperature)
+/// that AnnealOptions::initial_temperature <= 0 requests.
+inline constexpr double kCalibrationAcceptance = 0.8;
+inline constexpr std::size_t kCalibrationSamples = 200;
+
 /// Engine parameters.  Defaults suit problems whose cost is O(1)-scaled;
 /// initial_temperature <= 0 requests automatic calibration (see
 /// calibrate_initial_temperature).
@@ -99,9 +105,6 @@ struct AnnealOptions {
   /// Stop early after this many consecutive temperature steps without the
   /// best cost improving; 0 disables the early stop.
   std::size_t stall_steps = 50;
-  /// Target acceptance ratio for automatic temperature calibration.
-  double calibration_acceptance = 0.8;
-  std::size_t calibration_samples = 200;
   /// Cap on stored trajectory samples.  While under the cap one
   /// (temperature, best-cost) sample is kept per temperature step; on
   /// overflow the trajectory is decimated in place (every other sample
@@ -276,8 +279,7 @@ class AnnealChain {
     temperature_ = options.initial_temperature;
     if (temperature_ <= 0.0) {
       temperature_ = calibrate_initial_temperature(
-          problem, rng, options.calibration_acceptance,
-          options.calibration_samples);
+          problem, rng, kCalibrationAcceptance, kCalibrationSamples);
     }
     temperature_ *= temperature_scale;
   }

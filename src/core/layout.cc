@@ -17,24 +17,6 @@ std::vector<std::size_t> Layout::replicas_per_server(
   return counts;
 }
 
-std::vector<double> Layout::fractional_replicas_per_server(
-    const std::vector<double>& prefix_fraction,
-    std::size_t num_servers) const {
-  require(prefix_fraction.size() == assignment.size(),
-          "Layout: prefix-fraction size mismatch");
-  std::vector<double> slots(num_servers, 0.0);
-  for (std::size_t i = 0; i < assignment.size(); ++i) {
-    const double f = prefix_fraction[i];
-    require(f > 0.0 && f <= 1.0,
-            "Layout: prefix fraction must be in (0, 1]");
-    for (std::size_t s : assignment[i]) {
-      require(s < num_servers, "Layout: server index out of range");
-      slots[s] += f;
-    }
-  }
-  return slots;
-}
-
 std::vector<double> Layout::expected_loads(
     const std::vector<double>& popularity, std::size_t num_servers) const {
   require(popularity.size() == assignment.size(),

@@ -24,15 +24,6 @@ struct Layout {
   [[nodiscard]] std::vector<std::size_t> replicas_per_server(
       std::size_t num_servers) const;
 
-  /// Fractional storage per server in replica-slot units under the prefix
-  /// content model: sum of prefix_fraction[i] over the replicas each server
-  /// hosts (Eq. 4 with prefix assets).  `prefix_fraction` must hold one
-  /// fraction in (0, 1] per video; with all fractions at 1.0 this equals
-  /// replicas_per_server exactly.
-  [[nodiscard]] std::vector<double> fractional_replicas_per_server(
-      const std::vector<double>& prefix_fraction,
-      std::size_t num_servers) const;
-
   /// Expected outgoing load of each server: l_j = sum of w_i over replicas
   /// hosted by j, with w_i = popularity[i] / r_i.  `popularity` must match
   /// the layout's video count.

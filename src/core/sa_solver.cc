@@ -33,11 +33,6 @@ ScalableSaProblem::ScalableSaProblem(const ScalableProblem& problem,
                                      const SaSolverOptions& options)
     : problem_(problem), options_(options) {
   problem_.validate();
-  require(options_.bandwidth_penalty >= 0.0,
-          "ScalableSaProblem: negative bandwidth penalty");
-  require(options_.increase_rate_probability >= 0.0 &&
-              options_.increase_rate_probability <= 1.0,
-          "ScalableSaProblem: increase_rate_probability out of [0, 1]");
   require(options_.shrink_probability >= 0.0 &&
               options_.shrink_probability <= 1.0,
           "ScalableSaProblem: shrink_probability out of [0, 1]");
@@ -70,12 +65,12 @@ double ScalableSaProblem::cost(const State& state) const {
       objective_value(state.bitrates(problem_.ladder), state.replicas(),
                       usage.bandwidth_bps, problem_.cluster.num_servers,
                       problem_.weights);
-  return -objective + options_.bandwidth_penalty * overflow;
+  return -objective + kSaBandwidthPenalty * overflow;
 }
 
 double ScalableSaProblem::incremental_cost(const IncrementalState& inc) const {
   return -inc.objective() +
-         options_.bandwidth_penalty * inc.relative_bandwidth_overflow();
+         kSaBandwidthPenalty * inc.relative_bandwidth_overflow();
 }
 
 bool ScalableSaProblem::repair_incremental(IncrementalState& inc) const {
@@ -259,7 +254,7 @@ bool ScalableSaProblem::propose_move(IncrementalState& inc,
   if (rng.bernoulli(options_.shrink_probability)) {
     return try_shrink();
   }
-  if (rng.bernoulli(options_.increase_rate_probability)) {
+  if (rng.bernoulli(kSaIncreaseRateProbability)) {
     return try_increase_rate() || try_add_replica();
   }
   return try_add_replica() || try_increase_rate();
@@ -310,9 +305,6 @@ bool ScalableSaProblem::propose(Scratch& scratch, Rng& rng) const {
 }
 
 double ScalableSaProblem::delta_cost(const Scratch& scratch) const {
-  if (obs::metrics_enabled()) {
-    delta_evaluations_.fetch_add(1, std::memory_order_relaxed);
-  }
   scratch.cost_after = incremental_cost(scratch.state);
   return scratch.cost_after - scratch.cost_before;
 }
@@ -354,7 +346,6 @@ ScalableSolution ScalableSaProblem::extract_best(Scratch& scratch) const {
 
 ScalableSaProblem::EvalCounts ScalableSaProblem::eval_counts() const {
   return EvalCounts{full_evaluations_.load(std::memory_order_relaxed),
-                    delta_evaluations_.load(std::memory_order_relaxed),
                     repairs_.load(std::memory_order_relaxed)};
 }
 
@@ -397,7 +388,6 @@ SaSolverResult solve_scalable(const ScalableProblem& problem,
         .add(result.anneal.temperature_steps);
     const ScalableSaProblem::EvalCounts evals = sa_problem.eval_counts();
     registry.counter("sa.evaluations_full").add(evals.full_evaluations);
-    registry.counter("sa.evaluations_delta").add(evals.delta_evaluations);
     registry.counter("sa.repairs").add(evals.repairs);
     registry.gauge("sa.best_objective").set(result.objective);
     registry.gauge("sa.final_temperature")

@@ -27,6 +27,15 @@
 
 namespace vodrep {
 
+/// Cost penalty per unit of relative bandwidth overflow (sum over servers
+/// of overflow/B).  Large enough that infeasibility always dominates any
+/// objective gain at the paper's scales.
+inline constexpr double kSaBandwidthPenalty = 100.0;
+/// Probability that a growth move tries a bit-rate increase first
+/// (otherwise it tries to add a replica first; each falls back to the other
+/// when its preconditions fail).
+inline constexpr double kSaIncreaseRateProbability = 0.5;
+
 struct SaSolverOptions {
   AnnealOptions anneal;
   /// Annealing chains.  With chains > 1 solve_scalable runs parallel
@@ -35,14 +44,6 @@ struct SaSolverOptions {
   /// src/anneal/parallel_tempering.h) — on `pool` when provided.  Output is
   /// deterministic in the seed regardless of thread count.
   std::size_t chains = 1;
-  /// Cost penalty per unit of relative bandwidth overflow (sum over servers
-  /// of overflow/B).  Large enough that infeasibility always dominates any
-  /// objective gain at the paper's scales.
-  double bandwidth_penalty = 100.0;
-  /// Probability that a neighborhood move tries a bit-rate increase first
-  /// (otherwise it tries to add a replica first; each falls back to the
-  /// other when its preconditions fail).
-  double increase_rate_probability = 0.5;
   /// Probability of proposing an explicit shrink move (lower one hosted
   /// video's rate or drop one of its replicas) instead of a growth move.
   /// The paper's stated neighborhood only grows and repairs; that makes
@@ -135,12 +136,12 @@ class ScalableSaProblem {
   [[nodiscard]] State extract_best(Scratch& scratch) const;
 
   /// Evaluation-path instrumentation, summed across every chain driving this
-  /// problem: full cost() recomputes, delta_cost() incremental evaluations,
-  /// and repair invocations.  Counted only while obs::metrics_enabled(), so
-  /// the hot path pays one relaxed load when metrics are off.
+  /// problem: full cost() recomputes and repair invocations.  Counted only
+  /// while obs::metrics_enabled().  delta_cost() is not counted: the
+  /// in-place engine evaluates exactly one delta per proposed move, which
+  /// AnnealResult::moves_proposed already reports.
   struct EvalCounts {
     std::uint64_t full_evaluations = 0;
-    std::uint64_t delta_evaluations = 0;
     std::uint64_t repairs = 0;
   };
   [[nodiscard]] EvalCounts eval_counts() const;
@@ -161,7 +162,6 @@ class ScalableSaProblem {
   // Note these make the problem non-copyable, which solve_scalable and the
   // benches never need.
   mutable std::atomic<std::uint64_t> full_evaluations_{0};
-  mutable std::atomic<std::uint64_t> delta_evaluations_{0};
   mutable std::atomic<std::uint64_t> repairs_{0};
 };
 

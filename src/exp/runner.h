@@ -9,12 +9,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "src/core/layout.h"
 #include "src/exp/scenario.h"
-#include "src/obs/timeseries.h"
 #include "src/sim/engine.h"
 #include "src/util/stats.h"
 #include "src/util/thread_pool.h"
@@ -31,25 +28,11 @@ struct CellStats {
   OnlineStats redirected_fraction;  ///< redirected / total per run
   OnlineStats batched_fraction;     ///< batched / total per run
   OnlineStats mean_utilization;
-  /// Load timeline of run 0 (one representative trajectory per cell; empty
-  /// unless RunnerOptions::timeline_interval_sec > 0).
-  std::vector<obs::TimeSample> timeline;
 };
 
 struct RunnerOptions {
   std::size_t runs = 20;
   std::uint64_t base_seed = 0x5eed5eed5eedULL;
-  /// When non-empty, the global metrics registry is dumped as JSON to this
-  /// path after the cell's runs complete (metrics must be enabled via
-  /// obs::set_metrics_enabled for the engines to fold anything into it).
-  std::string metrics_out;
-  /// > 0 attaches a TimeseriesCollector to run 0 of the cell and captures
-  /// its samples into CellStats::timeline.
-  double timeline_interval_sec = 0.0;
-  std::size_t timeline_max_samples = 512;
-  /// When non-empty (and timeline_interval_sec > 0), run 0's timeline is
-  /// also written to this path as columnar JSON.
-  std::string timeline_out;
 };
 
 /// Simulates `runs` independent traces of `spec` against `layout` and

@@ -3,10 +3,10 @@
 // Hooks are always compiled in, and while disabled at run time each costs a
 // relaxed load, a pointer test or a counter increment: trace spans
 // (VODREP_TRACE_SCOPE, which also feed the run profile), and in SimEngine the
-// dispatch histogram, the timeline, event-log and segment-log pointer
-// tests, the event tallies and the metrics export.  Defining
-// VODREP_NO_OBS_HOOKS compiles all of them out.  No library target sets
-// it: the hot-path benches compile src/sim/engine.cc,
+// timeline, event-log and segment-log pointer tests, the event tallies and
+// the once-per-run metrics export; no hook writes the metrics registry per
+// event.  Defining VODREP_NO_OBS_HOOKS compiles all of them out.  No library
+// target sets it: the hot-path benches compile src/sim/engine.cc,
 // src/sim/replicated_policy.cc and src/anneal/annealer.h a second time with
 // it, so their overhead guards time the library against a hook-free build
 // of the same source, in the same process.

@@ -1,19 +1,15 @@
-// Low-overhead metrics registry: named counters, gauges, and fixed-bucket
-// histograms.
+// Metrics registry: named counters and gauges, folded into once per run.
 //
 // Design targets (DESIGN.md §7):
 //   * registration is thread-safe (registry mutex) and idempotent — asking
 //     for an existing name returns the same instrument;
-//   * the hot path (Counter::add, Histogram::observe) is lock-free: each
-//     instrument keeps a small array of cache-line-padded atomic shards,
-//     threads pick a shard by a per-thread slot, increments are relaxed
-//     fetch_adds, and value()/snapshot() folds the shards.  Concurrent
-//     increments are never lost (the fold of atomic adds is exact);
-//   * instrumented library code guards registry work behind the process-wide
-//     metrics_enabled() switch (one relaxed atomic load when off), and folds
-//     bulk counts at end-of-run epilogues rather than per event, so the cost
-//     with metrics compiled in but disabled is ~zero (see the
-//     vodrep_sa_hotpath obs guard);
+//   * an instrument is one relaxed atomic, so concurrent writers never lose
+//     an update and value()/snapshot() need no fold.  Library code writes
+//     only in end-of-run (or per-epoch) epilogues that fold its own plain
+//     tallies, a few dozen adds per run, so the instruments are never on a
+//     hot path;
+//   * those epilogues run only when the process-wide metrics_enabled()
+//     switch is on (one relaxed atomic load when off);
 //   * write_json() emits a deterministic machine-readable snapshot.
 //
 // Instrument references returned by the registry stay valid until clear();
@@ -21,39 +17,21 @@
 // of caching them across runs.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "src/util/thread_annotations.h"
 
 namespace vodrep::obs {
 
-/// Process-wide runtime switch consulted by all instrumented hot paths.
+/// Process-wide runtime switch consulted by all instrumented code.
 /// Off by default; CLIs flip it when --metrics-out is given.
 [[nodiscard]] bool metrics_enabled() noexcept;
 void set_metrics_enabled(bool enabled) noexcept;
-
-namespace detail {
-
-/// Stable small integer for the calling thread, used to spread instrument
-/// updates over shards (and as the tid of trace events).  Assigned in
-/// first-use order, so single-threaded programs always map to slot 0.
-[[nodiscard]] std::uint32_t thread_slot() noexcept;
-
-constexpr std::size_t kShards = 16;
-
-/// One cache line per shard so concurrent increments do not false-share.
-struct alignas(64) CounterShard {
-  std::atomic<std::uint64_t> value{0};
-};
-
-}  // namespace detail
 
 /// Monotonically increasing event count.
 class Counter {
@@ -62,24 +40,19 @@ class Counter {
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  /// Lock-free; concurrent adds from any number of threads fold exactly.
+  /// Lock-free; concurrent adds from any number of threads sum exactly.
   void add(std::uint64_t n) noexcept {
-    shards_[detail::thread_slot() % detail::kShards].value.fetch_add(
-        n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
   void inc() noexcept { add(1); }
 
-  /// Folds the shards.  Exact once concurrent writers have quiesced.
+  /// Exact once concurrent writers have quiesced.
   [[nodiscard]] std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const detail::CounterShard& shard : shards_) {
-      total += shard.value.load(std::memory_order_relaxed);
-    }
-    return total;
+    return value_.load(std::memory_order_relaxed);
   }
 
  private:
-  std::array<detail::CounterShard, detail::kShards> shards_;
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Last-written (or accumulated) double value, e.g. a high-water mark.
@@ -92,7 +65,7 @@ class Gauge {
   void set(double value) noexcept {
     value_.store(value, std::memory_order_relaxed);
   }
-  /// Atomic add (CAS loop; gauges are not hot-path instruments).
+  /// Atomic add (CAS loop).
   void add(double delta) noexcept {
     double current = value_.load(std::memory_order_relaxed);
     while (!value_.compare_exchange_weak(current, current + delta,
@@ -115,49 +88,11 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram.  Bucket boundaries are *upper* bounds,
-/// lower-inclusive / upper-exclusive: a value v lands in the first bucket i
-/// with v < bounds[i] (so bucket i covers [bounds[i-1], bounds[i]), with an
-/// implicit -inf lower edge on bucket 0); v >= bounds.back() lands in the
-/// overflow bucket.  A boundary value itself therefore counts in the bucket
-/// *above* it: observe(bounds[i]) increments bucket i+1.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
-
-  /// Lock-free sharded increment of the owning bucket plus the running
-  /// count/sum.
-  void observe(double value) noexcept;
-
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  /// Per-bucket counts folded over shards; size bounds().size() + 1, the
-  /// last entry being the overflow bucket.
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
-  [[nodiscard]] std::uint64_t count() const;
-  [[nodiscard]] double sum() const;
-
- private:
-  std::vector<double> bounds_;
-  /// bucket-major: shard s of bucket b at index b * kShards + s.
-  std::vector<detail::CounterShard> buckets_;
-  std::array<detail::CounterShard, detail::kShards> count_shards_;
-  std::array<std::atomic<double>, detail::kShards> sum_shards_;
-};
-
 /// Deep-copied, quiescent view of a registry (for programmatic assertions;
 /// JSON export reads the live registry directly).
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
-  struct HistogramData {
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> bucket_counts;  ///< size bounds.size() + 1
-    std::uint64_t count = 0;
-    double sum = 0.0;
-  };
-  std::map<std::string, HistogramData> histograms;
 };
 
 /// Named-instrument registry.  The process-wide instance backs all library
@@ -172,19 +107,16 @@ class MetricsRegistry {
 
   /// Returns the instrument registered under `name`, creating it on first
   /// use.  Re-registering returns the identical instrument; registering a
-  /// name that already exists as a different kind (or, for histograms, with
-  /// different bounds) throws InvalidArgumentError.  The returned reference
-  /// is lock-free to use; only the registration map is guarded.
+  /// name that already exists as the other kind throws InvalidArgumentError.
+  /// The returned reference is lock-free to use; only the registration map
+  /// is guarded.
   Counter& counter(const std::string& name) VODREP_EXCLUDES(mutex_);
   Gauge& gauge(const std::string& name) VODREP_EXCLUDES(mutex_);
-  Histogram& histogram(const std::string& name, std::vector<double> bounds)
-      VODREP_EXCLUDES(mutex_);
 
   [[nodiscard]] MetricsSnapshot snapshot() const VODREP_EXCLUDES(mutex_);
 
-  /// Deterministic JSON export: {"counters":{...},"gauges":{...},
-  /// "histograms":{name:{"bounds":[...],"counts":[...],"count":n,"sum":x}}}
-  /// with names sorted.
+  /// Deterministic JSON export: {"counters":{...},"gauges":{...}} with
+  /// names sorted.
   void write_json(std::ostream& os) const VODREP_EXCLUDES(mutex_);
   [[nodiscard]] std::string to_json() const VODREP_EXCLUDES(mutex_);
 
@@ -197,8 +129,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_
       VODREP_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_
-      VODREP_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
       VODREP_GUARDED_BY(mutex_);
 };
 

@@ -121,7 +121,7 @@ class TimeseriesCollector {
   [[nodiscard]] const TimeSample& sample(std::size_t i) const {
     return samples_[i];
   }
-  /// Copy of the recorded samples (tests, CellStats capture).
+  /// Copy of the recorded samples.
   [[nodiscard]] std::vector<TimeSample> samples() const;
   [[nodiscard]] const std::vector<TimelineAnnotation>& annotations() const {
     return annotations_;

@@ -5,7 +5,6 @@
 
 #include "src/obs/clock.h"
 #include "src/obs/json_lite.h"
-#include "src/obs/metrics.h"
 
 namespace vodrep::obs {
 
@@ -13,6 +12,16 @@ namespace {
 
 /// Armed spans open on the calling thread: the depth the next one records.
 thread_local std::uint32_t tl_open_spans = 0;
+
+/// Stable small integer for the calling thread: its lane index and the tid
+/// of its events.  Assigned in first-use order, so single-threaded programs
+/// always map to slot 0.
+std::uint32_t thread_slot() noexcept {
+  static std::atomic<std::uint32_t> next{0};
+  thread_local const std::uint32_t slot =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return slot;
+}
 
 }  // namespace
 
@@ -30,7 +39,7 @@ void TraceRecorder::set_enabled(bool enabled, std::size_t capacity) {
       capacity_ = capacity;
       // Allocate the enabling thread's lane now, so single-threaded programs
       // (always slot 0) never allocate on the record path at all.
-      const std::uint32_t slot = detail::thread_slot();
+      const std::uint32_t slot = thread_slot();
       if (slot < kMaxLanes) allocate_lane(lanes_[slot]);
     }
   }
@@ -49,7 +58,7 @@ void TraceRecorder::record_complete(const char* name, std::uint64_t ts_ns,
                                     std::uint64_t dur_ns, std::uint64_t cpu_ns,
                                     std::uint32_t depth) noexcept {
   if (!enabled()) return;
-  const std::uint32_t tid = detail::thread_slot();
+  const std::uint32_t tid = thread_slot();
   if (tid >= kMaxLanes) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;

@@ -17,8 +17,8 @@
 //     zero allocations on the hot path while disabled (asserted by
 //     tests/trace_event_test.cc via the events_recorded counter).
 //
-// Storage is one lane per recording thread, indexed by
-// obs::detail::thread_slot().  Each lane has exactly one writer, which
+// Storage is one lane per recording thread, indexed by a per-thread slot
+// assigned in first-use order.  Each lane has exactly one writer, which
 // publishes events with a release store of the lane's count; readers take an
 // acquire load and only touch the published prefix.  Recording therefore
 // never contends on a lock — the recorder is usable *on* the sharded
@@ -58,7 +58,7 @@ struct TraceEvent {
   std::uint64_t ts_ns;   ///< span start, steady-clock ns since process start
   std::uint64_t dur_ns;  ///< span wall duration
   std::uint64_t cpu_ns;  ///< thread-CPU time spent inside the span
-  std::uint32_t tid;     ///< per-thread slot (obs::detail::thread_slot)
+  std::uint32_t tid;     ///< recording thread's slot (its lane index)
   std::uint32_t depth;   ///< armed spans enclosing it on its thread
 };
 static_assert(std::is_trivially_default_constructible_v<TraceEvent>);

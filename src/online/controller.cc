@@ -11,6 +11,10 @@
 namespace vodrep {
 namespace {
 
+/// Add-one pseudo-count per video: a never-requested video keeps a small
+/// positive estimate, so it keeps its one replica (Eq. 7).
+constexpr double kEstimatorSmoothing = 1.0;
+
 double l1_distance(const std::vector<double>& a, const std::vector<double>& b) {
   require(a.size() == b.size(), "l1_distance: size mismatch");
   double sum = 0.0;
@@ -27,7 +31,7 @@ AdaptiveController::AdaptiveController(
       replication_(make_replication_policy(config.replication)),
       placement_(make_placement_policy(config.placement)),
       estimator_(initial_popularity_by_id.size(), config.estimator_decay,
-                 config.estimator_smoothing) {
+                 kEstimatorSmoothing) {
   require(config.num_servers >= 1, "AdaptiveController: need a server");
   require(config.replan_threshold >= 0.0,
           "AdaptiveController: negative replan threshold");

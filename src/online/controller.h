@@ -29,7 +29,6 @@ struct ControllerConfig {
   std::size_t budget = 0;               ///< cluster-wide replica budget
   std::size_t capacity_per_server = 0;  ///< replica slots per server
   double estimator_decay = 0.5;
-  double estimator_smoothing = 1.0;
   /// Hysteresis: skip re-provisioning when the L1 distance between the new
   /// estimate and the estimate last acted upon is below this threshold.
   /// 0 re-provisions every epoch.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "src/obs/clock.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
@@ -12,16 +11,6 @@
 namespace vodrep {
 
 VODREP_OBS_HOOKS_NS_BEGIN
-
-namespace {
-
-[[gnu::cold]] obs::Histogram& dispatch_histogram() {
-  return obs::metrics().histogram(
-      "sim.dispatch_us",
-      {0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0});
-}
-
-}  // namespace
 
 SimEngine::SimEngine(const SimConfig& config) : config_(config) {
   config_.validate();
@@ -41,11 +30,9 @@ SimResult SimEngine::run(StoragePolicy& policy, const RequestTrace& trace) {
   require(trace.is_well_formed(), "SimEngine::run: malformed trace");
   VODREP_TRACE_SCOPE("sim.run");
   begin_stepping(policy);
-  // Local copy so the replay loop keeps the pointer in a register.
-  obs::Histogram* const dispatch_hist = dispatch_hist_;
   result_.total_requests = trace.size();
   for (const Request& request : trace.requests) {
-    step_request(policy, request, dispatch_hist);
+    step_request(policy, request);
   }
   // Close the books at the end of the peak period; streams outliving it keep
   // their bandwidth (they are not torn down) but the metrics window ends.
@@ -68,16 +55,10 @@ void SimEngine::begin_stepping(StoragePolicy& policy) {
   ran_ = true;
   policy.bind(*this);
   cache_stats_ = policy.cache_stats();
-  // Per-request dispatch timing is the one per-event obs cost; it is paid
-  // only when metrics are enabled at replay start (two steady-clock reads
-  // and a lock-free histogram increment per request).
-  if (obs::kHooks && obs::metrics_enabled()) {
-    dispatch_hist_ = &dispatch_histogram();
-  }
 }
 
 void SimEngine::step(StoragePolicy& policy, const Request& request) {
-  step_request(policy, request, dispatch_hist_);
+  step_request(policy, request);
 }
 
 void SimEngine::advance_to(StoragePolicy& policy, double time) {
@@ -90,13 +71,9 @@ SimResult SimEngine::finish_stepping(StoragePolicy& policy, double horizon) {
   return finalize(horizon);
 }
 
-void SimEngine::step_request(StoragePolicy& policy, const Request& request,
-                             obs::Histogram* dispatch_hist) {
+void SimEngine::step_request(StoragePolicy& policy, const Request& request) {
   advance_events(policy, request.arrival_time);
-  const PolicyDecision decision =
-      obs::kHooks && dispatch_hist != nullptr
-          ? timed_dispatch(policy, request, *dispatch_hist)
-          : policy.dispatch(request);
+  const PolicyDecision decision = policy.dispatch(request);
   ++requests_dispatched_;
   if (!decision.admitted) {
     ++result_.rejected;
@@ -113,16 +90,6 @@ void SimEngine::step_request(StoragePolicy& policy, const Request& request,
     if (decision.via_backbone) ++result_.proxied;
   }
   if (obs::kHooks && event_log_ != nullptr) log_request(request, decision);
-}
-
-PolicyDecision SimEngine::timed_dispatch(StoragePolicy& policy,
-                                         const Request& request,
-                                         obs::Histogram& dispatch_hist) {
-  const std::uint64_t start_ns = obs::steady_now_ns();
-  const PolicyDecision decision = policy.dispatch(request);
-  dispatch_hist.observe(
-      static_cast<double>(obs::steady_now_ns() - start_ns) / 1000.0);
-  return decision;
 }
 
 void SimEngine::log_request(const Request& request,
@@ -268,17 +235,28 @@ void SimEngine::advance_events(StoragePolicy& policy, double now) {
 void SimEngine::integrate_to(double t) {
   const double dt = t - now_;
   if (dt <= 0.0) return;
+  if (obs::kHooks && (timeline_ != nullptr || segment_log_ != nullptr)) {
+    integrate_observed_to(t, dt);
+    return;
+  }
+  load_.add_span(utilization_sum_, utilization_sumsq_,
+                 current_max_utilization(),
+                 static_cast<double>(servers_.size()), dt);
+  now_ = t;
+}
+
+void SimEngine::integrate_observed_to(double t, double dt) {
   // Samples due in [now_, t] read the state that holds over that span, so
   // they must fire before the accumulators advance.  Deferring the check
   // past the dt<=0 early return keeps the guard-priced fast path free of
   // the timeline test and loses no samples: a zero-dt call leaves now_
   // unchanged, so a due sample simply fires on the next advancing call,
   // reading the state that actually holds over the sampled interval.
-  if (obs::kHooks && timeline_ != nullptr) sample_timeline_to(t);
+  if (timeline_ != nullptr) sample_timeline_to(t);
   const double max = current_max_utilization();
   load_.add_span(utilization_sum_, utilization_sumsq_, max,
                  static_cast<double>(servers_.size()), dt);
-  if (obs::kHooks && segment_log_ != nullptr) log_segment(t, max);
+  if (segment_log_ != nullptr) log_segment(t, max);
   now_ = t;
 }
 

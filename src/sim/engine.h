@@ -27,6 +27,11 @@
 // admit/release/fail so the incremental state stays consistent; the engine
 // exposes servers() read-only.
 //
+// Observability never touches the metrics registry per event: the engine
+// keeps plain tallies and folds them, with the SimResult, into the registry
+// once per replay (export_metrics).  Per-request observation is the opt-in
+// event log and load timeline, each behind a pointer test.
+//
 // Callers replay a trace through simulate() (src/sim/sharded_engine.h),
 // which builds the engine from the policy's own SimConfig and, at more
 // than one shard, asks the policy for its partition (StoragePolicy::shard).
@@ -49,10 +54,6 @@
 #include "src/sim/shard_plan.h"
 #include "src/util/stats.h"
 #include "src/workload/trace.h"
-
-namespace vodrep::obs {
-class Histogram;
-}  // namespace vodrep::obs
 
 namespace vodrep {
 
@@ -298,9 +299,8 @@ class SimEngine {
   /// result's counters, the event tallies, and the tier's counters only
   /// when `has_cache_tier`.  run() exports its own replay; the sharded
   /// runner exports the merged result once (bit-exact with the returned
-  /// SimResult; see tests/obs_integration_test.cc).  Cold, like the
-  /// histogram registration in begin_stepping: once-per-run hook code stays
-  /// out of the replay loop's text.
+  /// SimResult; see tests/obs_integration_test.cc).  Cold: once-per-run
+  /// hook code stays out of the replay loop's text.
   [[gnu::cold]] static void export_metrics(const SimResult& result,
                                            const EventStats& events,
                                            bool has_cache_tier);
@@ -353,18 +353,14 @@ class SimEngine {
   }
 
  private:
-  /// Shared per-request body of run() and step(): advance, dispatch (timed
-  /// when `dispatch_hist` is non-null), tally, log.  Inlined into both so
-  /// the replay loop pays no call per request; the dormant observability
-  /// hooks below stay out of line, so the hot path carries only a pointer
-  /// test for each (the vodrep_sim_hotpath <3% guard prices exactly this
-  /// against the hook-free build of this file, src/obs/hooks.h).
-  [[gnu::always_inline]] inline void step_request(
-      StoragePolicy& policy, const Request& request,
-      obs::Histogram* dispatch_hist);
-  [[gnu::noinline]] PolicyDecision timed_dispatch(
-      StoragePolicy& policy, const Request& request,
-      obs::Histogram& dispatch_hist);
+  /// Shared per-request body of run() and step(): advance, dispatch,
+  /// tally, log.  Inlined into both so the replay loop pays no call per
+  /// request; the dormant observability hooks below stay out of line, so
+  /// the hot path carries only a pointer test for each (the
+  /// vodrep_sim_hotpath <3% guard prices exactly this against the
+  /// hook-free build of this file, src/obs/hooks.h).
+  [[gnu::always_inline]] inline void step_request(StoragePolicy& policy,
+                                                  const Request& request);
   [[gnu::noinline]] void log_request(const Request& request,
                                      const PolicyDecision& decision);
   [[gnu::noinline]] void log_segment(double t, double max);
@@ -376,6 +372,10 @@ class SimEngine {
   void advance_events(StoragePolicy& policy, double now);
   /// Accounts for the current utilization state holding over [now_, t).
   void integrate_to(double t);
+  /// integrate_to's body when a timeline or segment log is attached: the
+  /// same span, plus the samples due in it and its segment record.  Out of
+  /// line, so the unobserved path keeps no hook state live across its calls.
+  [[gnu::noinline]] void integrate_observed_to(double t, double dt);
   /// Emits every timeline sample due in (now_, t]; the signals are
   /// piecewise constant over that span, so boundary samples are exact.
   void sample_timeline_to(double t);
@@ -394,9 +394,6 @@ class SimEngine {
   obs::TimeseriesCollector* timeline_ = nullptr;
   obs::EventLog* event_log_ = nullptr;
   std::vector<LoadSegment>* segment_log_ = nullptr;
-  /// Resolved once in begin_stepping (metrics enabled) for step() calls;
-  /// run() keeps its own local copy so the replay loop stays register-hot.
-  obs::Histogram* dispatch_hist_ = nullptr;
   /// Borrowed from the policy in run() (nullptr for cache-less policies);
   /// read for timeline samples and snapshotted in the epilogue.
   const CacheTierStats* cache_stats_ = nullptr;

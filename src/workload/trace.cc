@@ -45,7 +45,7 @@ RequestTrace generate_trace(Rng& rng, const TraceSpec& spec) {
   // block-generated process (bit-identical output and RNG consumption at
   // every block size) leaves the whole trace unchanged.
   const std::vector<double> times = poisson_arrivals_block(
-      rng, spec.arrival_rate, spec.horizon, spec.arrival_block);
+      rng, spec.arrival_rate, spec.horizon, kArrivalBlock);
   const DiscreteSampler sampler(spec.popularity);
   trace.requests.reserve(times.size());
   for (double t : times) {

@@ -63,11 +63,13 @@ struct TraceSpec {
   double horizon = 0.0;       ///< peak-period length in seconds
   std::vector<double> popularity;  ///< video-choice distribution (rank order)
   AbandonmentModel abandonment;    ///< watch-fraction model
-  /// Poisson arrival-time generation batch (poisson_arrivals_block): raw
-  /// draws per block, >= 1.  Purely a throughput knob — the generated trace
-  /// and the generator state afterwards are bit-identical for every value.
-  std::size_t arrival_block = 256;
 };
+
+/// Raw draws per block of generate_trace's Poisson arrival times
+/// (poisson_arrivals_block).  Purely a throughput constant: the generated
+/// trace and the generator state afterwards are bit-identical for every
+/// block size.
+inline constexpr std::size_t kArrivalBlock = 256;
 
 /// Generates one Poisson/Zipf trace realization.  Deterministic in `rng`.
 [[nodiscard]] RequestTrace generate_trace(Rng& rng, const TraceSpec& spec);

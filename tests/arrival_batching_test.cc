@@ -3,9 +3,9 @@
 // per-event counterparts:
 //
 //   * block generation is bit-for-bit the per-event RNG stream — at block
-//     size 1 and at every other block size — including the generator state
-//     left behind after a mid-block horizon crossing (the snapshot/rewind
-//     contract), so generate_trace output is invariant in the batch knob;
+//     size 1 and at every other block size, generate_trace's kArrivalBlock
+//     among them — down to the generator state left behind after a
+//     mid-block horizon crossing (the snapshot/rewind contract);
 //   * the segment-stream sweep reproduces a brute-force union-timeline
 //     integration on randomized per-shard streams, and sharded runs over
 //     hand-built adversarial traces (simultaneous cross-shard arrivals,
@@ -28,7 +28,6 @@
 #include "src/util/rng.h"
 #include "src/util/units.h"
 #include "src/workload/arrivals.h"
-#include "src/workload/popularity.h"
 #include "src/workload/trace.h"
 
 namespace vodrep {
@@ -61,7 +60,7 @@ TEST(ArrivalBatching, BlockSizeOneReplaysThePerEventStream) {
 }
 
 TEST(ArrivalBatching, EveryBlockSizeIsBitIdentical) {
-  const std::array<std::size_t, 6> blocks = {1, 2, 3, 7, 256, 4096};
+  const std::array<std::size_t, 6> blocks = {1, 2, 3, 7, kArrivalBlock, 4096};
   for (const std::uint64_t seed : {7ULL, 99ULL, 0xabcdefULL}) {
     for (const double rate : {0.5, 4.0, 50.0}) {
       Rng reference(seed);
@@ -95,25 +94,6 @@ TEST(ArrivalBatching, DegenerateInputsMatchPerEvent) {
   EXPECT_EQ(ref, blocked);
   expect_same_rng_state(a, b);
   EXPECT_THROW(poisson_arrivals_block(a, 1.0, 1.0, 0), InvalidArgumentError);
-}
-
-TEST(ArrivalBatching, GeneratedTracesAreInvariantInTheBatchKnob) {
-  TraceSpec spec;
-  spec.arrival_rate = 5.0;
-  spec.horizon = 200.0;
-  spec.popularity = zipf_popularity(20, 0.729);
-  spec.abandonment.completion_probability = 0.6;
-  spec.arrival_block = 1;
-  Rng reference_rng(0xfeed);
-  const RequestTrace reference = generate_trace(reference_rng, spec);
-  for (const std::size_t block : {2UL, 17UL, 256UL, 8192UL}) {
-    spec.arrival_block = block;
-    Rng rng(0xfeed);
-    const RequestTrace trace = generate_trace(rng, spec);
-    ASSERT_EQ(reference.requests, trace.requests) << "block " << block;
-    EXPECT_EQ(reference.horizon, trace.horizon);
-    expect_same_rng_state(reference_rng, rng);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,18 +1,25 @@
 // End-to-end reconciliation of the obs layer with the library's own result
 // structs: the counters a run folds into the global registry must agree
-// bit-exactly with the AnnealResult / SimResult the same run returns.
+// bit-exactly with the AnnealResult / SimResult the same run returns, and a
+// sharded replay must export what the monolithic replay exports.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/core/pipeline.h"
 #include "src/core/sa_solver.h"
+#include "src/core/striping.h"
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/online/controller.h"
+#include "src/sim/hybrid_policy.h"
 #include "src/sim/replicated_policy.h"
+#include "src/sim/sharded_engine.h"
 #include "src/util/rng.h"
 #include "src/util/units.h"
 #include "src/workload/popularity.h"
@@ -71,9 +78,6 @@ TEST_F(ObsIntegrationTest, SaCountersReconcileWithAnnealResult) {
             result.anneal.temperature_steps);
   EXPECT_LE(snap.counters.at("sa.moves_accepted"),
             snap.counters.at("sa.moves_proposed"));
-  // The in-place engine evaluates exactly one delta per proposed move.
-  EXPECT_EQ(snap.counters.at("sa.evaluations_delta"),
-            result.anneal.moves_proposed);
   EXPECT_GE(snap.counters.at("sa.evaluations_full"), 1u);
   EXPECT_DOUBLE_EQ(snap.gauges.at("sa.best_objective"), result.objective);
   EXPECT_DOUBLE_EQ(snap.gauges.at("sa.final_temperature"),
@@ -146,15 +150,138 @@ TEST_F(ObsIntegrationTest, SimCountersReconcileWithSimResult) {
   // Admitted streams outnumber the heap high water only if departures
   // fired; the high water itself is at least one once anything ran.
   EXPECT_GE(snap.gauges.at("sim.heap_high_water"), 1.0);
-  // The per-request dispatch histogram saw every request.
-  const obs::MetricsSnapshot::HistogramData& dispatch =
-      snap.histograms.at("sim.dispatch_us");
-  EXPECT_EQ(dispatch.count, result.total_requests);
 
   // The trace-side counters agree with the event bookkeeping: every
   // departure either fired or was cancelled by a crash (none here).
   EXPECT_EQ(snap.counters.at("sim.events.failure"), 0u);
   EXPECT_EQ(snap.counters.at("sim.events.cancelled"), 0u);
+}
+
+/// One replay through simulate() at `num_shards`, exported into the
+/// cleared global registry: the returned result and what the run folded.
+struct ExportedReplay {
+  SimResult result;
+  obs::MetricsSnapshot snap;
+};
+
+ExportedReplay replay_and_export(StoragePolicy&& policy,
+                                 const RequestTrace& trace,
+                                 std::size_t num_shards) {
+  obs::metrics().clear();
+  SimOptions options;
+  options.num_shards = num_shards;
+  ExportedReplay out;
+  out.result = simulate(policy, trace, options);
+  out.snap = obs::metrics().snapshot();
+  return out;
+}
+
+/// The export of one replay reconciles exactly with its SimResult,
+/// rejection attribution included.
+void expect_export_matches_result(const ExportedReplay& run) {
+  const obs::MetricsSnapshot& snap = run.snap;
+  const SimResult& result = run.result;
+  EXPECT_EQ(snap.counters.at("sim.runs"), 1u);
+  EXPECT_EQ(snap.counters.at("sim.requests"), result.total_requests);
+  EXPECT_EQ(snap.counters.at("sim.rejected"), result.rejected);
+  EXPECT_EQ(snap.counters.at("sim.disrupted"), result.disrupted);
+  for (std::size_t r = 0; r < obs::kNumRejectReasons; ++r) {
+    const std::string name =
+        "sim.rejected." + std::string(obs::reject_reason_name(
+                              static_cast<obs::RejectReason>(r)));
+    EXPECT_EQ(snap.counters.at(name), result.rejected_by_reason[r]) << name;
+  }
+}
+
+/// The sharded export against the monolithic one: the same sim.* counter
+/// names with equal values, the float gauges within the shard tier's 1e-7,
+/// and the heap high water (a sum of per-shard peaks when sharded) no lower.
+void expect_sharded_export_matches(const obs::MetricsSnapshot& mono,
+                                   const obs::MetricsSnapshot& sharded) {
+  const auto sim_counters = [](const obs::MetricsSnapshot& snap) {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, value] : snap.counters) {
+      if (name.starts_with("sim.")) out.emplace(name, value);
+    }
+    return out;
+  };
+  const std::map<std::string, std::uint64_t> expected = sim_counters(mono);
+  EXPECT_TRUE(expected.contains("sim.events.departure"));
+  EXPECT_TRUE(expected.contains("sim.rejected.no_bandwidth"));
+  EXPECT_EQ(sim_counters(sharded), expected);
+  EXPECT_NEAR(sharded.gauges.at("sim.mean_imbalance_eq2"),
+              mono.gauges.at("sim.mean_imbalance_eq2"), 1e-7);
+  EXPECT_NEAR(sharded.gauges.at("sim.mean_utilization"),
+              mono.gauges.at("sim.mean_utilization"), 1e-7);
+  EXPECT_GE(sharded.gauges.at("sim.heap_high_water"),
+            mono.gauges.at("sim.heap_high_water"));
+}
+
+TEST_F(ObsIntegrationTest, ShardedSimExportMatchesMonolithic) {
+  // 16 servers of five 4 Mbps streams each, two mid-peak crashes, and an
+  // offered load (~120 streams) above the 80-stream cluster capacity, so
+  // the replay rejects for several reasons and crashes drop streams.
+  const std::size_t servers = 16;
+  const std::size_t videos = 32;
+  SimConfig config;
+  config.num_servers = servers;
+  config.bandwidth_bps_per_server = units::mbps(20);
+  config.stream_bitrate_bps = units::mbps(4);
+  config.video_duration_sec = 120.0;
+  config.failures = {{150.0, 3}, {400.0, 10}};
+
+  const std::vector<double> popularity = zipf_popularity(videos, 0.75);
+  TraceSpec spec;
+  spec.arrival_rate = 1.0;
+  spec.horizon = 600.0;
+  spec.popularity = popularity;
+  spec.abandonment.completion_probability = 0.7;
+  Rng rng(19);
+  const RequestTrace trace = generate_trace(rng, spec);
+
+  const auto replication = make_replication_policy("adams");
+  const auto placement = make_placement_policy("slf");
+  const Layout layout =
+      provision_by_id(popularity, *replication, *placement, servers,
+                      /*budget=*/48, /*capacity_per_server=*/3)
+          .layout;
+  // Two 2-wide stripe-group copies per video inside one of four disjoint
+  // 4-server blocks, so four shards each own one block.
+  HybridLayout hybrid;
+  hybrid.groups.resize(videos);
+  for (std::size_t v = 0; v < videos; ++v) {
+    const std::size_t block = 4 * (v % 4);
+    hybrid.groups[v] = {{block, block + 1}, {block + 2, block + 3}};
+  }
+
+  const ExportedReplay replicated_mono =
+      replay_and_export(ReplicatedPolicy(layout, config), trace, 1);
+  const ExportedReplay replicated_sharded =
+      replay_and_export(ReplicatedPolicy(layout, config), trace, 4);
+  const ExportedReplay hybrid_mono =
+      replay_and_export(HybridPolicy(hybrid, config), trace, 1);
+  const ExportedReplay hybrid_sharded =
+      replay_and_export(HybridPolicy(hybrid, config), trace, 4);
+
+  for (const ExportedReplay* run : {&replicated_mono, &replicated_sharded,
+                                    &hybrid_mono, &hybrid_sharded}) {
+    expect_export_matches_result(*run);
+    EXPECT_GT(run->result.disrupted, 0u);
+    EXPECT_EQ(run->snap.counters.at("sim.events.failure"), 2u);
+  }
+  // Hybrid crashes cancel the dropped streams' departures.
+  EXPECT_GT(hybrid_mono.snap.counters.at("sim.events.cancelled"), 0u);
+  using obs::RejectReason;
+  const auto rejected_for = [](const ExportedReplay& run, RejectReason r) {
+    return run.result.rejected_by_reason[static_cast<std::size_t>(r)];
+  };
+  EXPECT_GT(rejected_for(replicated_mono, RejectReason::kNoBandwidth), 0u);
+  EXPECT_GT(rejected_for(replicated_mono, RejectReason::kNoReplicaAlive), 0u);
+  EXPECT_GT(rejected_for(hybrid_mono, RejectReason::kNoBandwidth), 0u);
+  EXPECT_GT(rejected_for(hybrid_mono, RejectReason::kStripeUnavailable), 0u);
+
+  expect_sharded_export_matches(replicated_mono.snap, replicated_sharded.snap);
+  expect_sharded_export_matches(hybrid_mono.snap, hybrid_sharded.snap);
 }
 
 TEST_F(ObsIntegrationTest, ControllerCountersReconcileWithAdaptCalls) {
