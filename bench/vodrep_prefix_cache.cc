@@ -1,5 +1,5 @@
 // Full-file replicas vs an edge prefix-cache tier at equal storage budget
-// (the segment/prefix content model, DESIGN.md §9).
+// (the edge cache tier, DESIGN.md §9).
 //
 // Two ways to spend the same bytes:
 //   (a) full-replica — replicate whole videos across the origin cluster at

@@ -401,15 +401,13 @@ int main(int argc, char** argv) {
                     "aggregate_moves_per_sec", "per_chain_moves_per_sec"});
     pt_table.set_precision(3);
     for (const std::size_t k : chain_counts) {
-      AnnealOptions pt = options.anneal;
-      pt.chains = k;
       const std::size_t reps = quick ? 3 : 3;
       double best_seconds = 1e300;
       std::size_t total_moves = 0;
       for (std::size_t rep = 0; rep < reps; ++rep) {
         const auto start = std::chrono::steady_clock::now();
         const auto result = anneal_parallel_tempering(
-            incremental, seed, pt, k > 1 ? &pool : nullptr);
+            incremental, seed, k, options.anneal, k > 1 ? &pool : nullptr);
         const auto stop = std::chrono::steady_clock::now();
         if (result.temperature_steps == 0) std::abort();
         total_moves = result.moves_proposed + result.moves_noop;

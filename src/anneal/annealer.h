@@ -33,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/anneal/schedule.h"
 #include "src/obs/hooks.h"
 #include "src/obs/trace.h"
 #include "src/util/error.h"
@@ -94,6 +93,17 @@ concept DeferredBestAnnealProblem =
 inline constexpr double kCalibrationAcceptance = 0.8;
 inline constexpr std::size_t kCalibrationSamples = 200;
 
+/// The cooling step: every temperature step ends with T <- kCoolingRatio * T
+/// (geometric cooling).
+inline constexpr double kCoolingRatio = 0.95;
+
+/// Cap on stored trajectory samples.  While under the cap one (temperature,
+/// best-cost) sample is kept per temperature step; on overflow the
+/// trajectory is decimated in place (every other sample dropped, sampling
+/// stride doubled), so memory stays bounded on long multi-chain runs while
+/// the samples remain chronologically uniform.
+inline constexpr std::size_t kAnnealTrajectoryMaxSamples = 4096;
+
 /// Engine parameters.  Defaults suit problems whose cost is O(1)-scaled;
 /// initial_temperature <= 0 requests automatic calibration (see
 /// calibrate_initial_temperature).
@@ -105,15 +115,6 @@ struct AnnealOptions {
   /// Stop early after this many consecutive temperature steps without the
   /// best cost improving; 0 disables the early stop.
   std::size_t stall_steps = 50;
-  /// Cap on stored trajectory samples.  While under the cap one
-  /// (temperature, best-cost) sample is kept per temperature step; on
-  /// overflow the trajectory is decimated in place (every other sample
-  /// dropped, sampling stride doubled), so memory stays bounded on long
-  /// multi-chain runs while the samples remain chronologically uniform.
-  /// 0 disables the cap.
-  std::size_t trajectory_max_samples = 4096;
-  /// Replica count for anneal_parallel_tempering (ignored by anneal()).
-  std::size_t chains = 1;
   /// Temperature steps each chain runs between replica-exchange rounds.
   std::size_t swap_period = 8;
   /// Geometric spacing of the tempering ladder: chain k starts at
@@ -154,7 +155,7 @@ struct AnnealResult {
   /// detect these; the copy path always counts a proposal.
   std::size_t moves_noop = 0;
   /// (temperature, best-cost) samples: one per temperature step, decimated
-  /// to every k-th step once options.trajectory_max_samples is exceeded.
+  /// to every k-th step once kAnnealTrajectoryMaxSamples is exceeded.
   std::vector<std::pair<double, double>> trajectory;
   /// Index (into `chains`) of the chain that produced best_state.
   std::size_t winning_chain = 0;
@@ -243,24 +244,21 @@ VODREP_OBS_HOOKS_NS_BEGIN
 ///
 /// Chains are also the unit of replica exchange: `exchange()` swaps two
 /// chains' walker configurations (state + current cost) while each keeps its
-/// own temperature, rng, and schedule position — the parallel-tempering
-/// driver's only coupling point.
+/// own temperature, rng, and step count — the parallel-tempering driver's
+/// only coupling point.
 template <AnnealProblem P>
 class AnnealChain {
  public:
   using State = typename P::State;
   using Storage = typename detail::AnnealStorage<P>::type;
 
-  /// `rng`, `problem`, `options`, and `schedule` must outlive the chain.
+  /// `rng`, `problem`, and `options` must outlive the chain.
   /// `temperature_scale` multiplies the (possibly calibrated) initial
   /// temperature — the tempering ladder's spacing knob; 1.0 reproduces the
   /// classic single-chain start.
   AnnealChain(const P& problem, Rng& rng, const AnnealOptions& options,
-              const CoolingSchedule& schedule, double temperature_scale = 1.0)
-      : problem_(&problem),
-        rng_(&rng),
-        options_(&options),
-        schedule_(&schedule) {
+              double temperature_scale = 1.0)
+      : problem_(&problem), rng_(&rng), options_(&options) {
     require(options.final_temperature > 0.0,
             "anneal: final_temperature must be positive");
     require(options.moves_per_temperature > 0,
@@ -309,8 +307,7 @@ class AnnealChain {
     // the cap drop every other stored sample and double the stride.  Stored
     // steps are always the multiples of the current stride.
     if (step_index % trajectory_stride_ == 0) {
-      if (options_->trajectory_max_samples != 0 &&
-          result_.trajectory.size() >= options_->trajectory_max_samples) {
+      if (result_.trajectory.size() >= kAnnealTrajectoryMaxSamples) {
         std::size_t kept = 0;
         for (std::size_t i = 0; i < result_.trajectory.size(); i += 2) {
           result_.trajectory[kept++] = result_.trajectory[i];
@@ -328,16 +325,7 @@ class AnnealChain {
       stop_ = StopReason::kStall;
       return false;
     }
-
-    info_.step = result_.temperature_steps;
-    info_.moves = options_->moves_per_temperature;
-    info_.accepted = accepted;
-    info_.best_cost = result_.best_cost;
-    info_.current_cost = current_cost_;
-    const double next_temperature = schedule_->next(temperature_, info_);
-    require(next_temperature < temperature_,
-            "anneal: cooling schedule failed to decrease the temperature");
-    temperature_ = next_temperature;
+    temperature_ *= kCoolingRatio;
     return true;
   }
 
@@ -351,7 +339,7 @@ class AnnealChain {
   /// its current cost, and the walker's best-so-far tracking (which lives
   /// with the walker: for deferred-best problems the best is a mark inside
   /// the scratch and must travel with it) — while each chain keeps its
-  /// temperature, rng, and schedule position.  Both chains restart their
+  /// temperature, rng, and step count.  Both chains restart their
   /// stall clocks; a chain that had stopped on stall — but not one whose
   /// schedule is exhausted — resumes with the fresh material.
   static void exchange(AnnealChain& a, AnnealChain& b) {
@@ -432,7 +420,6 @@ class AnnealChain {
   const P* problem_;
   Rng* rng_;
   const AnnealOptions* options_;
-  const CoolingSchedule* schedule_;
   // optional<> because Storage (a problem's Scratch) need not be
   // default-constructible; always engaged after construction.
   std::optional<Storage> storage_;
@@ -443,7 +430,6 @@ class AnnealChain {
   std::size_t trajectory_stride_ = 1;
   std::size_t swaps_accepted_ = 0;
   StopReason stop_ = StopReason::kRunning;
-  CoolingStepInfo info_;
 };
 
 /// Runs simulated annealing and returns the best state encountered.
@@ -453,24 +439,15 @@ class AnnealChain {
 /// copy-modify-recompute loop.
 template <AnnealProblem P>
 [[nodiscard]] AnnealResult<typename P::State> anneal(
-    const P& problem, Rng& rng, const AnnealOptions& options,
-    const CoolingSchedule& schedule) {
+    const P& problem, Rng& rng, const AnnealOptions& options = {}) {
   VODREP_TRACE_SCOPE("anneal.run");
-  AnnealChain<P> chain(problem, rng, options, schedule);
+  AnnealChain<P> chain(problem, rng, options);
   while (chain.step()) {
   }
   AnnealResult<typename P::State> result = chain.take_result();
   result.chains.push_back(chain_stats_of(result));
   result.winning_chain = 0;
   return result;
-}
-
-/// Convenience overload using geometric cooling with ratio 0.95.
-template <AnnealProblem P>
-[[nodiscard]] AnnealResult<typename P::State> anneal(
-    const P& problem, Rng& rng, const AnnealOptions& options = {}) {
-  const auto schedule = geometric_cooling(0.95);
-  return anneal(problem, rng, options, *schedule);
 }
 
 VODREP_OBS_HOOKS_NS_END

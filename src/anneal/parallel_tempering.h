@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "src/anneal/annealer.h"
-#include "src/anneal/schedule.h"
 #include "src/obs/trace.h"
 #include "src/util/error.h"
 #include "src/util/rng.h"
@@ -91,16 +90,16 @@ class ExchangeLedger {
 // Drives AnnealChain, so it lives in the hook-free build's namespace too.
 VODREP_OBS_HOOKS_NS_BEGIN
 
-/// Runs options.chains tempering chains (on `pool` when provided) and
-/// returns the deterministic reduction: minimum best cost, ties to the
-/// lowest chain index.  Top-level move counters aggregate across chains;
+/// Runs `num_chains` tempering chains (on `pool` when provided) and returns
+/// the deterministic reduction: minimum best cost, ties to the lowest chain
+/// index.  Top-level move counters aggregate across chains;
 /// `temperature_steps`, `final_temperature`, and `trajectory` are the
 /// winning chain's own, and `chains` holds every chain's stats.
 template <AnnealProblem P>
 [[nodiscard]] AnnealResult<typename P::State> anneal_parallel_tempering(
-    const P& problem, std::uint64_t base_seed, const AnnealOptions& options,
-    const CoolingSchedule& schedule, ThreadPool* pool = nullptr) {
-  const std::size_t k = options.chains;
+    const P& problem, std::uint64_t base_seed, std::size_t num_chains,
+    const AnnealOptions& options = {}, ThreadPool* pool = nullptr) {
+  const std::size_t k = num_chains;
   require(k >= 1, "anneal_parallel_tempering: need at least one chain");
   require(options.swap_period >= 1,
           "anneal_parallel_tempering: swap_period must be positive");
@@ -124,9 +123,9 @@ template <AnnealProblem P>
   std::vector<std::optional<AnnealChain<P>>> chains(k);
   auto construct = [&](std::size_t c) {
     VODREP_TRACE_SCOPE("sa.pt.chain_construct");
-    chains[c].emplace(
-        problem, rngs[c], options, schedule,
-        std::pow(options.temperature_spread, static_cast<double>(c)));
+    chains[c].emplace(problem, rngs[c], options,
+                      std::pow(options.temperature_spread,
+                               static_cast<double>(c)));
   };
   // A one-worker pool would only add queue/wake latency per superstep, so it
   // runs inline like the no-pool case (output is identical either way).
@@ -210,16 +209,6 @@ template <AnnealProblem P>
   }
   out.best_state = std::move(results[winner].best_state);
   return out;
-}
-
-/// Convenience overload with geometric(0.95) cooling.
-template <AnnealProblem P>
-[[nodiscard]] AnnealResult<typename P::State> anneal_parallel_tempering(
-    const P& problem, std::uint64_t base_seed, const AnnealOptions& options = {},
-    ThreadPool* pool = nullptr) {
-  const auto schedule = geometric_cooling(0.95);
-  return anneal_parallel_tempering(problem, base_seed, options, *schedule,
-                                   pool);
 }
 
 VODREP_OBS_HOOKS_NS_END

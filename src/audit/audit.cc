@@ -69,7 +69,6 @@ struct FreshUsage {
   std::vector<double> bandwidth_bps;
   double rate_sum_mbps = 0.0;
   std::size_t replica_sum = 0;
-  double degree_sum = 0.0;  ///< sum_i r_i * f_i (== replica_sum at f == 1)
 };
 
 FreshUsage recompute_usage(const ScalableProblem& problem,
@@ -89,17 +88,13 @@ FreshUsage recompute_usage(const ScalableProblem& problem,
     const double per_replica_bps =
         problem.expected_peak_requests * problem.videos.popularity[i] /
         static_cast<double>(servers.size()) * rate;
-    // Prefix model: a replica stores/serves only the f_i prefix.  f == 1.0
-    // multiplies by exactly 1, keeping whole-file audits bit-identical.
-    const double fraction = solution.fraction_of(i);
     for (std::size_t s : servers) {
       if (s >= n) continue;  // reported separately
-      usage.storage_bytes[s] += bytes * fraction;
-      usage.bandwidth_bps[s] += per_replica_bps * fraction;
+      usage.storage_bytes[s] += bytes;
+      usage.bandwidth_bps[s] += per_replica_bps;
     }
     usage.rate_sum_mbps += units::to_mbps(rate);
     usage.replica_sum += servers.size();
-    usage.degree_sum += static_cast<double>(servers.size()) * fraction;
   }
   return usage;
 }
@@ -128,9 +123,8 @@ double recompute_objective(const ScalableProblem& problem,
   const auto m = static_cast<double>(solution.num_videos());
   const auto n = static_cast<double>(problem.cluster.num_servers);
   const double mean_rate_mbps = usage.rate_sum_mbps / m;
-  // degree_sum sums exact integers while every fraction is 1.0, so the
-  // whole-file objective recomputation is unchanged bit for bit.
-  const double mean_degree_normalized = usage.degree_sum / m / n;
+  const double mean_degree_normalized =
+      static_cast<double>(usage.replica_sum) / m / n;
   const double imbalance = recompute_imbalance(
       usage.bandwidth_bps, problem.weights.imbalance_definition);
   return mean_rate_mbps + problem.weights.alpha * mean_degree_normalized -
@@ -157,8 +151,6 @@ const char* violation_kind_name(ViolationKind kind) {
       return "cached_objective_drift";
     case ViolationKind::kCachedOverflowDrift: return "cached_overflow_drift";
     case ViolationKind::kCachedMaxLoadDrift: return "cached_max_load_drift";
-    case ViolationKind::kPrefixFractionOutOfRange:
-      return "prefix_fraction_out_of_range";
   }
   return "unknown";
 }
@@ -223,14 +215,11 @@ LayoutAuditor::LayoutAuditor(Limits limits) : limits_(limits) {
 
 AuditReport LayoutAuditor::audit(
     const Layout& layout, const ReplicationPlan* plan,
-    const std::vector<double>* popularity,
-    const std::vector<double>* prefix_fraction) const {
+    const std::vector<double>* popularity) const {
   const std::size_t n = limits_.num_servers;
   const std::size_t m = layout.num_videos();
   require(popularity == nullptr || popularity->size() == m,
           "LayoutAuditor: popularity size mismatch");
-  require(prefix_fraction == nullptr || prefix_fraction->size() == m,
-          "LayoutAuditor: prefix-fraction size mismatch");
 
   AuditReport report;
   if (plan != nullptr && plan->replicas.size() != m) {
@@ -240,10 +229,6 @@ AuditReport LayoutAuditor::audit(
   }
 
   std::vector<std::size_t> stored(n, 0);
-  // Fractional storage in replica-slot units: sum of f_i over hosted
-  // replicas (Eq. 4 under the prefix model), re-derived from the raw
-  // assignment independently of any usage helper.
-  std::vector<double> fractional_stored(n, 0.0);
   std::vector<double> load_share(n, 0.0);
   for (std::size_t i = 0; i < m; ++i) {
     const auto& servers = layout.assignment[i];
@@ -254,16 +239,6 @@ AuditReport LayoutAuditor::audit(
           static_cast<double>(plan->replicas[i]));
     }
     check_structure(report, i, servers, n);
-    double fraction = 1.0;
-    if (prefix_fraction != nullptr) {
-      ++report.checks_performed;
-      fraction = (*prefix_fraction)[i];
-      if (!(fraction > 0.0 && fraction <= 1.0)) {
-        add(report, ViolationKind::kPrefixFractionOutOfRange, i,
-            Violation::kNone, fraction, 1.0);
-        fraction = 1.0;  // accounted whole; the range violation is reported
-      }
-    }
     const double share =
         popularity == nullptr || servers.empty()
             ? 0.0
@@ -271,8 +246,7 @@ AuditReport LayoutAuditor::audit(
     for (std::size_t s : servers) {
       if (s >= n) continue;  // already reported
       ++stored[s];
-      fractional_stored[s] += fraction;
-      load_share[s] += share * fraction;
+      load_share[s] += share;
     }
   }
 
@@ -283,15 +257,7 @@ AuditReport LayoutAuditor::audit(
       limits_.expected_peak_requests > 0.0 && limits_.bitrate_bps > 0.0;
   for (std::size_t s = 0; s < n; ++s) {
     ++report.checks_performed;
-    if (prefix_fraction != nullptr) {
-      if (fractional_stored[s] >
-          static_cast<double>(limits_.capacity_per_server) *
-              kContinuousSlack) {
-        add(report, ViolationKind::kStorageOverflow, Violation::kNone, s,
-            fractional_stored[s],
-            static_cast<double>(limits_.capacity_per_server));
-      }
-    } else if (stored[s] > limits_.capacity_per_server) {
+    if (stored[s] > limits_.capacity_per_server) {
       add(report, ViolationKind::kStorageOverflow, Violation::kNone, s,
           static_cast<double>(stored[s]),
           static_cast<double>(limits_.capacity_per_server));
@@ -317,9 +283,6 @@ AuditReport LayoutAuditor::audit_solution(const ScalableProblem& problem,
   require(solution.bitrate_index.size() == problem.videos.count() &&
               solution.placement.size() == problem.videos.count(),
           "LayoutAuditor: solution/problem size mismatch");
-  require(solution.prefix_fraction.empty() ||
-              solution.prefix_fraction.size() == problem.videos.count(),
-          "LayoutAuditor: prefix-fraction size mismatch");
 
   AuditReport report;
   for (std::size_t i = 0; i < solution.num_videos(); ++i) {
@@ -328,14 +291,6 @@ AuditReport LayoutAuditor::audit_solution(const ScalableProblem& problem,
       add(report, ViolationKind::kLadderIndexOutOfRange, i, Violation::kNone,
           static_cast<double>(solution.bitrate_index[i]),
           static_cast<double>(problem.ladder.size()) - 1.0);
-    }
-    if (!solution.prefix_fraction.empty()) {
-      ++report.checks_performed;
-      const double f = solution.prefix_fraction[i];
-      if (!(f >= problem.min_prefix_fraction && f <= 1.0)) {
-        add(report, ViolationKind::kPrefixFractionOutOfRange, i,
-            Violation::kNone, f, 1.0);
-      }
     }
     check_structure(report, i, solution.placement[i], n);
   }

@@ -47,7 +47,6 @@ enum class ViolationKind {
   kCachedObjectiveDrift,  ///< cached Eq. 1 objective != from-scratch
   kCachedOverflowDrift,   ///< cached soft-overflow term != from-scratch
   kCachedMaxLoadDrift,    ///< cached Eq. 2 max term != from-scratch
-  kPrefixFractionOutOfRange,  ///< f_i outside [min_prefix_fraction, 1]
 };
 
 /// Stable snake_case name (used in reports and the CLI's JSON output).
@@ -107,16 +106,10 @@ class LayoutAuditor {
 
   /// Eqs. 4–7 on a fixed-rate layout.  `plan` (optional) adds the
   /// plan-realization check; `popularity` (optional, normalized, one entry
-  /// per video) enables the Eq. 5 expected-load check.  `prefix_fraction`
-  /// (optional, one entry per video in (0, 1]) switches storage accounting
-  /// to the prefix model: a replica of video i occupies f_i replica slots
-  /// and carries f_i of the load share, and out-of-range fractions are
-  /// reported as kPrefixFractionOutOfRange.  All fractional bounds are
-  /// re-derived here from the raw inputs, never via the usage helpers.
+  /// per video) enables the Eq. 5 expected-load check.
   [[nodiscard]] AuditReport audit(
       const Layout& layout, const ReplicationPlan* plan = nullptr,
-      const std::vector<double>* popularity = nullptr,
-      const std::vector<double>* prefix_fraction = nullptr) const;
+      const std::vector<double>* popularity = nullptr) const;
 
   /// Eqs. 4–7 on a scalable-rate solution, with storage and bandwidth
   /// re-derived from first principles (never via compute_usage).

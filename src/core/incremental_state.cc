@@ -22,9 +22,6 @@ IncrementalState::IncrementalState(const ScalableProblem& problem,
   const std::size_t m = problem.videos.count();
   require(solution.bitrate_index.size() == m && solution.placement.size() == m,
           "IncrementalState: solution/problem size mismatch");
-  require(solution.prefix_fraction.empty() ||
-              solution.prefix_fraction.size() == m,
-          "IncrementalState: prefix-fraction size mismatch");
   require(m < kIndexLimit && num_servers_ < kIndexLimit &&
               problem.ladder.size() < kIndexLimit,
           "IncrementalState: index exceeds the 32-bit SoA layout");
@@ -42,15 +39,6 @@ IncrementalState::IncrementalState(const ScalableProblem& problem,
   }
 
   bitrate_index_.resize(m);
-  prefix_fraction_.assign(m, 1.0);
-  if (!solution.prefix_fraction.empty()) {
-    for (std::size_t i = 0; i < m; ++i) {
-      const double f = solution.prefix_fraction[i];
-      require(f > 0.0 && f <= 1.0,
-              "IncrementalState: prefix fraction must be in (0, 1]");
-      prefix_fraction_[i] = f;
-    }
-  }
   replica_count_.assign(m, 0);
   replica_server_.assign(m * kInlineReplicas, 0);
   replica_pos_.assign(m * kInlineReplicas, 0);
@@ -67,18 +55,14 @@ IncrementalState::IncrementalState(const ScalableProblem& problem,
     require(idx < problem.ladder.size(),
             "IncrementalState: ladder index out of range");
     bitrate_index_[i] = static_cast<std::uint32_t>(idx);
-    // A replica stores/serves only the f_i prefix.  f_i == 1.0 multiplies
-    // the whole-file terms by exactly 1, so the default is bit-identical to
-    // the pre-asset accounting.
-    const double fraction = prefix_fraction_[i];
     const double per_replica_bps =
         peak_requests_[i] / static_cast<double>(servers.size()) *
-        problem.ladder.rates_bps[idx] * fraction;
+        problem.ladder.rates_bps[idx];
     const auto video = static_cast<std::uint32_t>(i);
     for (std::size_t s : servers) {
       require(s < num_servers_, "IncrementalState: server index out of range");
       require(!is_hosted(i, s), "IncrementalState: duplicate replica");
-      storage_bytes_[s] += slot_bytes_[idx] * fraction;
+      storage_bytes_[s] += slot_bytes_[idx];
       bandwidth_bps_[s] += per_replica_bps;
       push_replica(video, static_cast<std::uint32_t>(s),
                    static_cast<std::uint32_t>(server_videos_[s].size()));
@@ -86,7 +70,6 @@ IncrementalState::IncrementalState(const ScalableProblem& problem,
     }
     rate_sum_mbps_ += slot_mbps_[idx];
     replica_sum_ += servers.size();
-    degree_sum_ += static_cast<double>(servers.size()) * fraction;
   }
 
   for (std::size_t s = 0; s < num_servers_; ++s) {
@@ -109,14 +92,6 @@ ScalableSolution IncrementalState::to_solution() const {
   for (std::size_t i = 0; i < m; ++i) {
     const std::span<const std::uint32_t> servers = replicas_of(i);
     solution.placement[i].assign(servers.begin(), servers.end());
-  }
-  // Emit fractions only when some video is partial, so whole-file snapshots
-  // stay byte-identical to pre-asset ones (empty vector == all 1.0).
-  for (double f : prefix_fraction_) {
-    if (f != 1.0) {
-      solution.prefix_fraction = prefix_fraction_;
-      break;
-    }
   }
   return solution;
 }
@@ -248,18 +223,14 @@ void IncrementalState::apply_set_bitrate(std::uint32_t video,
                                          bool journal) {
   const std::uint32_t prev = bitrate_index_[video];
   if (prev == ladder_index) return;
-  if (journal) journal_.push_back({Op::kSetBitrate, video, prev, 0.0});
+  if (journal) journal_.push_back({Op::kSetBitrate, video, prev});
 
   const std::span<const std::uint32_t> servers = replicas_of(video);
   const auto replicas = static_cast<double>(servers.size());
-  const double fraction = prefix_fraction_[video];
-  const double delta_bytes =
-      (slot_bytes_[ladder_index] - slot_bytes_[prev]) * fraction;
-  const double delta_bps =
-      peak_requests_[video] / replicas *
-      (problem_->ladder.rates_bps[ladder_index] -
-       problem_->ladder.rates_bps[prev]) *
-      fraction;
+  const double delta_bytes = slot_bytes_[ladder_index] - slot_bytes_[prev];
+  const double delta_bps = peak_requests_[video] / replicas *
+                           (problem_->ladder.rates_bps[ladder_index] -
+                            problem_->ladder.rates_bps[prev]);
   for (std::uint32_t s : servers) {
     add_storage(s, delta_bytes);
     add_load(s, delta_bps);
@@ -268,65 +239,35 @@ void IncrementalState::apply_set_bitrate(std::uint32_t video,
   bitrate_index_[video] = ladder_index;
 }
 
-void IncrementalState::apply_set_prefix_fraction(std::uint32_t video,
-                                                 double fraction,
-                                                 bool journal) {
-  const double prev = prefix_fraction_[video];
-  if (prev == fraction) return;
-  if (journal) {
-    journal_.push_back({Op::kSetPrefixFraction, video, 0, prev});
-  }
-
-  const std::uint32_t idx = bitrate_index_[video];
-  const std::span<const std::uint32_t> servers = replicas_of(video);
-  const auto replicas = static_cast<double>(servers.size());
-  const double delta = fraction - prev;
-  const double delta_bytes = slot_bytes_[idx] * delta;
-  const double delta_bps =
-      peak_requests_[video] / replicas * problem_->ladder.rates_bps[idx] *
-      delta;
-  for (std::uint32_t s : servers) {
-    add_storage(s, delta_bytes);
-    add_load(s, delta_bps);
-  }
-  degree_sum_ += replicas * delta;
-  prefix_fraction_[video] = fraction;
-}
-
 void IncrementalState::apply_add_replica(std::uint32_t video,
                                          std::uint32_t server, bool journal) {
-  if (journal) journal_.push_back({Op::kAddReplica, video, server, 0.0});
+  if (journal) journal_.push_back({Op::kAddReplica, video, server});
 
   const std::uint32_t idx = bitrate_index_[video];
   const double rate = problem_->ladder.rates_bps[idx];
-  const double fraction = prefix_fraction_[video];
   const auto r_old = static_cast<double>(replica_count_[video]);
-  const double per_old = peak_requests_[video] / r_old * rate * fraction;
-  const double per_new =
-      peak_requests_[video] / (r_old + 1.0) * rate * fraction;
+  const double per_old = peak_requests_[video] / r_old * rate;
+  const double per_new = peak_requests_[video] / (r_old + 1.0) * rate;
   // Adding a host redistributes this video's requests over r+1 replicas, so
   // every existing host sheds a share of its load.
   for (std::uint32_t s : replicas_of(video)) add_load(s, per_new - per_old);
-  add_storage(server, slot_bytes_[idx] * fraction);
+  add_storage(server, slot_bytes_[idx]);
   add_load(server, per_new);
   push_replica(video, server,
                static_cast<std::uint32_t>(server_videos_[server].size()));
   server_videos_[server].push_back(video);
   ++replica_sum_;
-  degree_sum_ += fraction;
 }
 
 void IncrementalState::apply_drop_replica(std::uint32_t video,
                                           std::uint32_t server, bool journal) {
-  if (journal) journal_.push_back({Op::kDropReplica, video, server, 0.0});
+  if (journal) journal_.push_back({Op::kDropReplica, video, server});
 
   const std::uint32_t idx = bitrate_index_[video];
   const double rate = problem_->ladder.rates_bps[idx];
-  const double fraction = prefix_fraction_[video];
   const auto r_old = static_cast<double>(replica_count_[video]);
-  const double per_old = peak_requests_[video] / r_old * rate * fraction;
-  const double per_new =
-      peak_requests_[video] / (r_old - 1.0) * rate * fraction;
+  const double per_old = peak_requests_[video] / r_old * rate;
+  const double per_new = peak_requests_[video] / (r_old - 1.0) * rate;
 
   const std::size_t index = find_replica(video, server);
   VODREP_DCHECK_LT(index, static_cast<std::size_t>(replica_count_[video]),
@@ -334,7 +275,7 @@ void IncrementalState::apply_drop_replica(std::uint32_t video,
   const std::uint32_t pos = replica_arrays(video).second[index];
   remove_replica_at(video, index);
 
-  add_storage(server, -(slot_bytes_[idx] * fraction));
+  add_storage(server, -slot_bytes_[idx]);
   add_load(server, -per_old);
   for (std::uint32_t s : replicas_of(video)) add_load(s, per_new - per_old);
 
@@ -369,7 +310,6 @@ void IncrementalState::apply_drop_replica(std::uint32_t video,
   VODREP_DCHECK_GT(replica_sum_, std::size_t{0},
                    "drop_replica: replica sum underflow");
   --replica_sum_;
-  degree_sum_ -= fraction;
 }
 
 void IncrementalState::set_bitrate(std::size_t video, std::size_t ladder_index) {
@@ -399,15 +339,6 @@ void IncrementalState::drop_replica(std::size_t video, std::size_t server) {
                      static_cast<std::uint32_t>(server), /*journal=*/true);
 }
 
-void IncrementalState::set_prefix_fraction(std::size_t video,
-                                           double fraction) {
-  require(video < num_videos(), "set_prefix_fraction: video out of range");
-  require(fraction > 0.0 && fraction <= 1.0,
-          "set_prefix_fraction: fraction must be in (0, 1]");
-  apply_set_prefix_fraction(static_cast<std::uint32_t>(video), fraction,
-                            /*journal=*/true);
-}
-
 void IncrementalState::rollback(Checkpoint mark) {
   require(mark <= journal_.size(), "rollback: checkpoint from the future");
   while (journal_.size() > mark) {
@@ -423,10 +354,6 @@ void IncrementalState::rollback(Checkpoint mark) {
       case Op::kDropReplica:
         apply_add_replica(entry.video, entry.aux, /*journal=*/false);
         break;
-      case Op::kSetPrefixFraction:
-        apply_set_prefix_fraction(entry.video, entry.fraction,
-                                  /*journal=*/false);
-        break;
     }
   }
 }
@@ -435,10 +362,8 @@ double IncrementalState::objective() const {
   const auto m = static_cast<double>(num_videos());
   const auto n = static_cast<double>(num_servers_);
   const double mean_rate_mbps = rate_sum_mbps_ / m;
-  // degree_sum_ == replica_sum_ exactly while every prefix fraction is 1.0
-  // (integer-valued double arithmetic), so the whole-file objective is
-  // unchanged bit for bit.
-  const double mean_degree_normalized = degree_sum_ / m / n;
+  const double mean_degree_normalized =
+      static_cast<double>(replica_sum_) / m / n;
   const ObjectiveWeights& weights = problem_->weights;
   double l = 0.0;
   if (weights.imbalance_definition == ImbalanceDefinition::kMaxRelative) {

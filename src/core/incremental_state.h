@@ -59,12 +59,6 @@ class IncrementalState {
   void add_replica(std::size_t video, std::size_t server);
   /// Removes the replica of `video` on `server`; never the last replica.
   void drop_replica(std::size_t video, std::size_t server);
-  /// Re-trims `video`'s replicas to store the prefix `fraction` in (0, 1]
-  /// of the file (segment/prefix content model); O(r) usage updates.  All
-  /// fractions start at the solution's values (1.0 when it carries none),
-  /// and every term the fraction scales reduces bit-exactly to the
-  /// whole-file accounting while the fraction stays at 1.0.
-  void set_prefix_fraction(std::size_t video, double fraction);
 
   // --- Transaction control ---
 
@@ -98,13 +92,6 @@ class IncrementalState {
   [[nodiscard]] std::size_t replica_count(std::size_t video) const {
     return replica_count_[video];
   }
-  [[nodiscard]] double prefix_fraction(std::size_t video) const {
-    return prefix_fraction_[video];
-  }
-  /// Running stored-degree sum: sum_i r_i * f_i (equals the replica count
-  /// exactly while every fraction is 1.0); the Eq. 1 replication term's
-  /// numerator under the prefix model.
-  [[nodiscard]] double degree_sum() const { return degree_sum_; }
   /// Servers hosting `video`, in unspecified order (swap-remove set); a
   /// contiguous view into the inline strip or the spill vector.
   [[nodiscard]] std::span<const std::uint32_t> replicas_of(
@@ -175,19 +162,15 @@ class IncrementalState {
     kSetBitrate,
     kAddReplica,
     kDropReplica,
-    kSetPrefixFraction,
   };
   struct JournalEntry {
     Op op;
     std::uint32_t video;
     std::uint32_t aux;  ///< prev ladder index (kSetBitrate) or server id
-    double fraction;    ///< prev prefix fraction (kSetPrefixFraction only)
   };
 
   void apply_set_bitrate(std::uint32_t video, std::uint32_t ladder_index,
                          bool journal);
-  void apply_set_prefix_fraction(std::uint32_t video, double fraction,
-                                 bool journal);
   void apply_add_replica(std::uint32_t video, std::uint32_t server,
                          bool journal);
   void apply_drop_replica(std::uint32_t video, std::uint32_t server,
@@ -225,7 +208,6 @@ class IncrementalState {
 
   // SoA per-video configuration.
   std::vector<std::uint32_t> bitrate_index_;
-  std::vector<double> prefix_fraction_;
   std::vector<std::uint32_t> replica_count_;
   std::vector<std::uint32_t> replica_server_;  ///< [video*kInlineReplicas+j]
   std::vector<std::uint32_t> replica_pos_;     ///< parallel: pos in videos_on
@@ -239,10 +221,6 @@ class IncrementalState {
 
   double rate_sum_mbps_ = 0.0;
   std::size_t replica_sum_ = 0;
-  /// sum_i r_i * f_i; sums/differences of exact integers while every f_i is
-  /// 1.0, so the Eq. 1 degree term stays bit-identical to the whole-file
-  /// replica_sum_ path until a fractional move happens.
-  double degree_sum_ = 0.0;
   double total_load_bps_ = 0.0;
   double overflow_sum_ = 0.0;
   std::size_t overflow_count_ = 0;

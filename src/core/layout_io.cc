@@ -1,9 +1,7 @@
 #include "src/core/layout_io.h"
 
 #include <algorithm>
-#include <cmath>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -24,30 +22,6 @@ constexpr std::size_t kMaxNumServers = std::size_t{1} << 20;
 // allocation stays proportional to the bytes actually in the stream; this
 // caps the speculative reserve for forged counts.
 constexpr std::size_t kReserveCap = 4096;
-// Per-video variant ladders are the v2 parser's second header-driven
-// allocation; bound them the same way the server count is bounded.
-constexpr std::size_t kMaxVariants = 64;
-
-void check_asset_metadata(const PlacementFile& placement) {
-  const std::size_t m = placement.layout.num_videos();
-  require(placement.prefix_fraction.size() == m &&
-              placement.variant_bitrates_bps.size() == m,
-          "save_placement: asset metadata size mismatch");
-  for (std::size_t i = 0; i < m; ++i) {
-    const double f = placement.prefix_fraction[i];
-    require(std::isfinite(f) && f > 0.0 && f <= 1.0,
-            "save_placement: prefix fraction out of (0, 1]");
-    const std::vector<double>& rates = placement.variant_bitrates_bps[i];
-    require(!rates.empty() && rates.size() <= kMaxVariants,
-            "save_placement: variant count out of range");
-    double prev = 0.0;
-    for (double rate : rates) {
-      require(std::isfinite(rate) && rate > prev,
-              "save_placement: variant rates must be positive and ascending");
-      prev = rate;
-    }
-  }
-}
 
 }  // namespace
 
@@ -58,41 +32,15 @@ void save_placement(std::ostream& os, const PlacementFile& placement) {
                             placement.num_servers,
                             placement.layout.num_videos() *
                                 placement.num_servers);
-  if (!placement.has_asset_metadata()) {
-    require(placement.variant_bitrates_bps.empty(),
-            "save_placement: variant ladder without prefix fractions");
-    os << "vodrep-layout " << placement.layout.num_videos() << " "
-       << placement.num_servers << "\n";
-    for (std::size_t video = 0; video < placement.layout.num_videos();
-         ++video) {
-      const auto& servers = placement.layout.assignment[video];
-      require(!servers.empty(), "save_placement: video has no replica");
-      os << video << " " << servers.size();
-      for (std::size_t server : servers) os << " " << server;
-      os << "\n";
-    }
-    return;
-  }
-
-  check_asset_metadata(placement);
-  // max_digits10 makes the text round trip bit-exact for every finite
-  // double, which the fuzz oracle's save/load check relies on.
-  const std::streamsize saved_precision =
-      os.precision(std::numeric_limits<double>::max_digits10);
-  os << "vodrep-layout-v2 " << placement.layout.num_videos() << " "
+  os << "vodrep-layout " << placement.layout.num_videos() << " "
      << placement.num_servers << "\n";
   for (std::size_t video = 0; video < placement.layout.num_videos(); ++video) {
     const auto& servers = placement.layout.assignment[video];
     require(!servers.empty(), "save_placement: video has no replica");
-    const std::vector<double>& rates = placement.variant_bitrates_bps[video];
-    os << video << " " << placement.prefix_fraction[video] << " "
-       << rates.size();
-    for (double rate : rates) os << " " << rate;
-    os << " " << servers.size();
+    os << video << " " << servers.size();
     for (std::size_t server : servers) os << " " << server;
     os << "\n";
   }
-  os.precision(saved_precision);
 }
 
 PlacementFile load_placement(std::istream& is) {
@@ -100,8 +48,14 @@ PlacementFile load_placement(std::istream& is) {
   std::size_t num_videos = 0;
   PlacementFile placement;
   is >> magic >> num_videos >> placement.num_servers;
-  const bool v2 = magic == "vodrep-layout-v2";
-  require(static_cast<bool>(is) && (magic == "vodrep-layout" || v2),
+  // Another format of the family, such as the retired prefix-fraction one,
+  // fails by name rather than as a generic bad header.
+  require(magic == "vodrep-layout" || !magic.starts_with("vodrep-layout"),
+          [&] {
+            return "load_placement: unsupported layout format '" + magic +
+                   "'; only whole-file vodrep-layout files load";
+          });
+  require(static_cast<bool>(is) && magic == "vodrep-layout",
           "load_placement: missing vodrep-layout header");
   require(placement.num_servers <= kMaxNumServers,
           "load_placement: num_servers out of range");
@@ -113,8 +67,6 @@ PlacementFile load_placement(std::istream& is) {
   // header-driven pre-allocation is a crash, not a clean reject).
   struct Record {
     std::size_t video = 0;
-    double fraction = 1.0;
-    std::vector<double> rates;
     std::vector<std::size_t> servers;
   };
   std::vector<Record> records;
@@ -124,29 +76,6 @@ PlacementFile load_placement(std::istream& is) {
     is >> record.video;
     require(static_cast<bool>(is) && record.video < num_videos,
             "load_placement: bad video record");
-    if (v2) {
-      std::size_t num_variants = 0;
-      is >> record.fraction >> num_variants;
-      require(static_cast<bool>(is), "load_placement: truncated v2 record");
-      require(std::isfinite(record.fraction) && record.fraction > 0.0 &&
-                  record.fraction <= 1.0,
-              "load_placement: prefix fraction out of (0, 1]");
-      // Like the num_servers cap: "-1" wraps to SIZE_MAX, and the variant
-      // list is a header-driven allocation that must stay bounded.
-      require(num_variants >= 1 && num_variants <= kMaxVariants,
-              "load_placement: variant count out of range");
-      record.rates.reserve(num_variants);
-      double prev_rate = 0.0;
-      for (std::size_t v = 0; v < num_variants; ++v) {
-        double rate = 0.0;
-        is >> rate;
-        require(static_cast<bool>(is) && std::isfinite(rate) &&
-                    rate > prev_rate,
-                "load_placement: variant rates must be positive, ascending");
-        record.rates.push_back(rate);
-        prev_rate = rate;
-      }
-    }
     std::size_t replicas = 0;
     is >> replicas;
     require(static_cast<bool>(is), "load_placement: bad video record");
@@ -162,18 +91,10 @@ PlacementFile load_placement(std::istream& is) {
     records.push_back(std::move(record));
   }
   placement.layout.assignment.resize(num_videos);
-  if (v2) {
-    placement.prefix_fraction.assign(num_videos, 1.0);
-    placement.variant_bitrates_bps.resize(num_videos);
-  }
   for (auto& record : records) {
     auto& slot = placement.layout.assignment[record.video];
     require(slot.empty(), "load_placement: duplicate video record");
     slot = std::move(record.servers);
-    if (v2) {
-      placement.prefix_fraction[record.video] = record.fraction;
-      placement.variant_bitrates_bps[record.video] = std::move(record.rates);
-    }
   }
   placement.layout.validate(placement.layout.implied_plan(),
                             placement.num_servers,

@@ -3,24 +3,15 @@
 // Operational workflows need the computed placement to leave the process:
 // a planner writes it, the fleet tooling reads it, tomorrow's planner diffs
 // against it (see online/migration.h).  The format is line-oriented and
-// versioned.  v1 carries whole-file replicas:
+// carries whole-file replicas:
 //
 //   vodrep-layout <num_videos> <num_servers>
 //   <video_id> <replicas> <server_1> ... <server_r>
 //   ...
 //
-// v2 adds the segment/prefix asset metadata — a per-video stored prefix
-// fraction in (0, 1] and a strictly-ascending bitrate-variant ladder:
-//
-//   vodrep-layout-v2 <num_videos> <num_servers>
-//   <video_id> <prefix_fraction> <num_variants> <rate_bps_1> ...
-//       <replicas> <server_1> ... <server_r>
-//   ...
-//
-// load_placement auto-detects the version by magic; save_placement emits v1
-// (byte-identical to the pre-asset writer) when the file carries no prefix
-// metadata, v2 otherwise.  Doubles are written with max_digits10 precision
-// so a save/load round trip is bit-exact.
+// Records may appear in any order; each video appears exactly once.  Any
+// other `vodrep-layout-*` header, such as the retired format that carried
+// per-video prefix fractions, is rejected with an error naming it.
 #pragma once
 
 #include <iosfwd>
@@ -34,29 +25,17 @@ namespace vodrep {
 struct PlacementFile {
   std::size_t num_servers = 0;
   Layout layout;
-  /// v2 asset metadata; both empty for v1 files (whole-file replicas, one
-  /// implicit variant).  When present, each has one entry per video:
-  /// a stored prefix fraction in (0, 1] and a non-empty strictly-ascending
-  /// positive bitrate ladder.
-  std::vector<double> prefix_fraction;
-  std::vector<std::vector<double>> variant_bitrates_bps;
 
   /// The replication plan is implied: r_i = layout.assignment[i].size().
   [[nodiscard]] ReplicationPlan plan() const { return layout.implied_plan(); }
-  /// True when the file carries v2 prefix/variant metadata.
-  [[nodiscard]] bool has_asset_metadata() const {
-    return !prefix_fraction.empty();
-  }
 };
 
-/// Writes the placement (v1 without asset metadata, v2 with); throws
-/// InvalidArgumentError if the layout is internally inconsistent with
-/// `num_servers` or the asset metadata is malformed.
+/// Writes the placement; throws InvalidArgumentError if the layout is
+/// internally inconsistent with `num_servers`.
 void save_placement(std::ostream& os, const PlacementFile& placement);
 
-/// Parses the save_placement formats (v1 or v2, by magic); validates
-/// distinct, in-range servers and — for v2 — fraction ranges and variant
-/// ladders.  Throws InvalidArgumentError on malformed input.
+/// Parses the save_placement format; validates distinct, in-range servers.
+/// Throws InvalidArgumentError on malformed input.
 [[nodiscard]] PlacementFile load_placement(std::istream& is);
 
 }  // namespace vodrep

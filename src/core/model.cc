@@ -46,60 +46,6 @@ void FixedRateProblem::validate() const {
           "problem: cluster storage cannot hold one replica of every video");
 }
 
-double VideoAsset::replica_bytes() const {
-  double total = 0.0;
-  for (const BitrateVariant& v : variants) total += v.bytes;
-  return prefix_fraction * total;
-}
-
-std::size_t VideoAsset::num_prefix_segments() const {
-  if (segment_sec <= 0.0) return 0;
-  const double prefix_sec = prefix_fraction * duration_sec;
-  return static_cast<std::size_t>(std::ceil(prefix_sec / segment_sec));
-}
-
-void VideoAsset::validate() const {
-  require(duration_sec > 0.0, "asset: duration must be positive");
-  require(prefix_fraction > 0.0 && prefix_fraction <= 1.0,
-          "asset: prefix fraction must be in (0, 1]");
-  require(segment_sec >= 0.0, "asset: segment length must be non-negative");
-  require(!variants.empty(), "asset: need at least one bitrate variant");
-  double prev_rate = 0.0;
-  for (const BitrateVariant& v : variants) {
-    require(v.bitrate_bps > prev_rate,
-            "asset: variant bit rates must be positive and strictly ascending");
-    require(v.bytes > 0.0, "asset: variant size must be positive");
-    prev_rate = v.bitrate_bps;
-  }
-}
-
-void AssetCatalog::validate() const {
-  require(!assets.empty(), "catalog: need at least one asset");
-  require(assets.size() == popularity.size(),
-          "catalog: asset/popularity size mismatch");
-  require(is_popularity_vector(popularity),
-          "catalog: popularity must be normalized and non-increasing");
-  for (const VideoAsset& asset : assets) asset.validate();
-}
-
-AssetCatalog make_whole_file_catalog(const VideoSet& videos,
-                                     double bitrate_bps) {
-  require(bitrate_bps > 0.0,
-          "make_whole_file_catalog: bit rate must be positive");
-  AssetCatalog catalog;
-  catalog.popularity = videos.popularity;
-  catalog.assets.reserve(videos.count());
-  for (std::size_t i = 0; i < videos.count(); ++i) {
-    VideoAsset asset;
-    asset.duration_sec = videos.duration_sec;
-    asset.variants.push_back(
-        {bitrate_bps, units::video_bytes(videos.duration_sec, bitrate_bps)});
-    catalog.assets.push_back(std::move(asset));
-  }
-  catalog.validate();
-  return catalog;
-}
-
 FixedRateProblem make_paper_problem(double theta, double replication_degree,
                                     std::size_t num_videos,
                                     std::size_t num_servers) {

@@ -67,63 +67,6 @@ struct FixedRateProblem {
   void validate() const;
 };
 
-/// One encoding of a video.  Segment-structured assets carry one variant per
-/// encoding ladder rung; whole-file assets carry exactly one.
-struct BitrateVariant {
-  double bitrate_bps = 0.0;  ///< constant encoding bit rate b_i
-  double bytes = 0.0;        ///< full-length size of this variant
-};
-
-/// A video as stored on the cluster: a prefix fraction of one or more
-/// bitrate variants, optionally cut into fixed-length segments.
-///
-/// This generalizes the paper's "one video = one whole-file replica" model
-/// (Eqs. 1-7): a replica of the asset occupies prefix_fraction * bytes of
-/// storage and carries prefix_fraction of the variant's expected bandwidth
-/// share.  prefix_fraction == 1.0 with a single variant and segment_sec == 0
-/// reduces bit-exactly to the original whole-file model.
-struct VideoAsset {
-  double duration_sec = 0.0;
-  /// Stored fraction of every variant, in (0, 1].  1.0 = whole file.
-  double prefix_fraction = 1.0;
-  /// Fixed segment length in seconds; 0 means unsegmented (whole prefix is
-  /// one object).  When > 0, segment boundaries quantize the prefix.
-  double segment_sec = 0.0;
-  /// At least one variant, bit rates strictly ascending.
-  std::vector<BitrateVariant> variants;
-
-  /// Bytes one replica of this asset occupies: prefix_fraction * total
-  /// variant bytes (every variant's prefix is co-located with the replica).
-  [[nodiscard]] double replica_bytes() const;
-  /// Number of stored segments of the prefix of variant `v`; 0 when
-  /// unsegmented.  Partial trailing segments round up (a prefix always ends
-  /// on a segment boundary on disk).
-  [[nodiscard]] std::size_t num_prefix_segments() const;
-  /// Throws InvalidArgumentError unless the asset is consistent: positive
-  /// duration, prefix_fraction in (0, 1], non-negative segment_sec, and a
-  /// non-empty strictly-ascending positive variant ladder.
-  void validate() const;
-};
-
-/// The asset view of a catalogue: one VideoAsset per video, popularity
-/// shared with the underlying VideoSet ranking.
-struct AssetCatalog {
-  std::vector<VideoAsset> assets;  ///< size M, rank order
-  std::vector<double> popularity;  ///< normalized, non-increasing, size M
-
-  [[nodiscard]] std::size_t count() const { return assets.size(); }
-  /// Throws InvalidArgumentError unless sizes match and every asset
-  /// validates.
-  void validate() const;
-};
-
-/// Builds the whole-file single-variant catalogue equivalent to `videos`
-/// encoded at `bitrate_bps`: every asset has prefix_fraction 1.0, no
-/// segmentation, and one variant sized by the video duration.  This is the
-/// bridge from the paper's model to the asset model.
-[[nodiscard]] AssetCatalog make_whole_file_catalog(const VideoSet& videos,
-                                                   double bitrate_bps);
-
 /// Builds the simulation setting of the paper's Section 5 with the storage
 /// sized for the requested replication degree: N=8 servers at 1.8 Gb/s,
 /// M videos (default 300) of 90 minutes at 4 Mb/s, Zipf skew `theta`.

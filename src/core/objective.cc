@@ -60,22 +60,9 @@ double objective_value(const std::vector<double>& bitrates_bps,
                        const std::vector<double>& loads,
                        std::size_t num_servers,
                        const ObjectiveWeights& weights) {
-  return objective_value(bitrates_bps, replicas, /*prefix_fraction=*/{}, loads,
-                         num_servers, weights);
-}
-
-double objective_value(const std::vector<double>& bitrates_bps,
-                       const std::vector<std::size_t>& replicas,
-                       const std::vector<double>& prefix_fraction,
-                       const std::vector<double>& loads,
-                       std::size_t num_servers,
-                       const ObjectiveWeights& weights) {
   require(!bitrates_bps.empty(), "objective: empty bit-rate vector");
   require(bitrates_bps.size() == replicas.size(),
           "objective: bit-rate/replica size mismatch");
-  require(prefix_fraction.empty() ||
-              prefix_fraction.size() == replicas.size(),
-          "objective: prefix-fraction size mismatch");
   require(num_servers >= 1, "objective: need at least one server");
   const auto m = static_cast<double>(bitrates_bps.size());
   double rate_sum = 0.0;
@@ -84,13 +71,7 @@ double objective_value(const std::vector<double>& bitrates_bps,
     require(bitrates_bps[i] > 0.0, "objective: bit rates must be positive");
     require(replicas[i] >= 1, "objective: r_i must be >= 1");
     rate_sum += units::to_mbps(bitrates_bps[i]);
-    if (prefix_fraction.empty()) {
-      replica_sum += static_cast<double>(replicas[i]);
-    } else {
-      require(prefix_fraction[i] > 0.0 && prefix_fraction[i] <= 1.0,
-              "objective: prefix fraction must be in (0, 1]");
-      replica_sum += static_cast<double>(replicas[i]) * prefix_fraction[i];
-    }
+    replica_sum += static_cast<double>(replicas[i]);
   }
   const double mean_rate_mbps = rate_sum / m;
   const double mean_degree_normalized =

@@ -50,18 +50,4 @@ struct ObjectiveWeights {
                                      std::size_t num_servers,
                                      const ObjectiveWeights& weights);
 
-/// Eq. 1 generalized to prefix assets: the replication term becomes the mean
-/// *stored* degree sum_i r_i * f_i / (M * N), where f_i is video i's prefix
-/// fraction.  `prefix_fraction` is either empty (every f_i = 1.0, reducing
-/// bit-exactly to the whole-file overload above) or one fraction in (0, 1]
-/// per video.  The rate and imbalance terms are unchanged: partial replicas
-/// stream at the full encoding rate, and `loads` already reflect whatever
-/// bandwidth model produced them.
-[[nodiscard]] double objective_value(const std::vector<double>& bitrates_bps,
-                                     const std::vector<std::size_t>& replicas,
-                                     const std::vector<double>& prefix_fraction,
-                                     const std::vector<double>& loads,
-                                     std::size_t num_servers,
-                                     const ObjectiveWeights& weights);
-
 }  // namespace vodrep

@@ -1,6 +1,5 @@
 #include "src/core/sa_solver.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,12 +35,6 @@ ScalableSaProblem::ScalableSaProblem(const ScalableProblem& problem,
   require(options_.shrink_probability >= 0.0 &&
               options_.shrink_probability <= 1.0,
           "ScalableSaProblem: shrink_probability out of [0, 1]");
-  require(options_.prefix_fraction_probability >= 0.0 &&
-              options_.prefix_fraction_probability <= 1.0,
-          "ScalableSaProblem: prefix_fraction_probability out of [0, 1]");
-  require(options_.prefix_fraction_step > 0.0 &&
-              options_.prefix_fraction_step <= 1.0,
-          "ScalableSaProblem: prefix_fraction_step out of (0, 1]");
 }
 
 ScalableSolution ScalableSaProblem::initial(Rng& rng) const {
@@ -124,27 +117,8 @@ bool ScalableSaProblem::repair_incremental(IncrementalState& inc) const {
       }
     }
     if (pick == kNone) {
-      // Everything on the server is at the floor rate with a single replica.
-      // Last resort under the prefix model: snap one video's stored fraction
-      // to the floor (one-shot per video, strictly decreasing, so the loop
-      // still terminates).  Pick the fullest prefix, ties to the colder
-      // (higher-index) video — a strict total order like the main pick.
-      const double fraction_floor = problem_.min_prefix_fraction;
-      std::uint32_t frac_pick = kNone;
-      double frac_best = fraction_floor;
-      for (std::uint32_t video : inc.videos_on(worst)) {
-        const double f = inc.prefix_fraction(video);
-        if (f > frac_best || (f == frac_best && f > fraction_floor &&
-                              (frac_pick == kNone || video > frac_pick))) {
-          frac_pick = video;
-          frac_best = f;
-        }
-      }
-      if (frac_pick != kNone) {
-        inc.set_prefix_fraction(frac_pick, fraction_floor);
-        continue;
-      }
-      // Storage overflow is then unfixable; bandwidth overflow is tolerated
+      // Everything on the server is at the floor rate with a single replica:
+      // storage overflow is then unfixable; bandwidth overflow is tolerated
       // (soft constraint, penalized in the cost).
       return !inc.any_storage_overflow();
     }
@@ -226,31 +200,6 @@ bool ScalableSaProblem::propose_move(IncrementalState& inc,
     return true;
   };
 
-  auto try_prefix_fraction = [&]() {
-    // Nudge one hosted video's stored prefix fraction by one step, clamped
-    // to [min_prefix_fraction, 1].  Shrinking trades rejection-free quality
-    // for storage headroom; growing moves back toward whole files.
-    const double floor = problem_.min_prefix_fraction;
-    candidates.clear();
-    for (std::uint32_t v : inc.videos_on(server)) candidates.push_back(v);
-    if (candidates.empty()) return false;
-    const std::uint32_t pick = candidates[rng.uniform_index(candidates.size())];
-    const double current = inc.prefix_fraction(pick);
-    const double step = options_.prefix_fraction_step;
-    const double target = rng.bernoulli(0.5)
-                              ? std::min(1.0, current + step)
-                              : std::max(floor, current - step);
-    if (target == current) return false;  // already at the clamp boundary
-    inc.set_prefix_fraction(pick, target);
-    return true;
-  };
-
-  // The probability gate short-circuits at the default 0.0 before consuming
-  // a draw, so disabled runs replay the pre-asset RNG stream exactly.
-  if (options_.prefix_fraction_probability > 0.0 &&
-      rng.bernoulli(options_.prefix_fraction_probability)) {
-    return try_prefix_fraction();
-  }
   if (rng.bernoulli(options_.shrink_probability)) {
     return try_shrink();
   }
@@ -361,10 +310,8 @@ SaSolverResult solve_scalable(const ScalableProblem& problem,
     Rng rng(seed);
     result.anneal = anneal(sa_problem, rng, options.anneal);
   } else {
-    AnnealOptions pt_options = options.anneal;
-    pt_options.chains = options.chains;
-    result.anneal =
-        anneal_parallel_tempering(sa_problem, seed, pt_options, pool);
+    result.anneal = anneal_parallel_tempering(sa_problem, seed, options.chains,
+                                              options.anneal, pool);
   }
   {
     VODREP_TRACE_SCOPE("extract");

@@ -53,15 +53,6 @@ struct SaSolverOptions {
   /// annealer re-pack storage across servers.  0 reproduces the paper's
   /// neighborhood verbatim.
   double shrink_probability = 0.2;
-  /// Probability of proposing a prefix-fraction move instead of the regular
-  /// neighborhood (segment/prefix content model): nudge one hosted video's
-  /// stored fraction by +-prefix_fraction_step, clamped to
-  /// [problem.min_prefix_fraction, 1].  0 (the default) disables the knob
-  /// and — checked before any RNG draw — leaves the random stream, and thus
-  /// every seeded result, bit-identical to the pre-asset solver.
-  double prefix_fraction_probability = 0.0;
-  /// Step size of one prefix-fraction move, in fraction units.
-  double prefix_fraction_step = 0.25;
 };
 
 struct SaSolverResult {

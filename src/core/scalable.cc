@@ -36,8 +36,6 @@ void ScalableProblem::validate() const {
   ladder.validate();
   require(expected_peak_requests >= 0.0,
           "ScalableProblem: negative peak request volume");
-  require(min_prefix_fraction > 0.0 && min_prefix_fraction <= 1.0,
-          "ScalableProblem: min prefix fraction must be in (0, 1]");
 }
 
 std::vector<std::size_t> ScalableSolution::replicas() const {
@@ -64,9 +62,6 @@ ServerUsage compute_usage(const ScalableProblem& problem,
   require(solution.bitrate_index.size() == problem.videos.count() &&
               solution.placement.size() == problem.videos.count(),
           "compute_usage: solution/problem size mismatch");
-  require(solution.prefix_fraction.empty() ||
-              solution.prefix_fraction.size() == problem.videos.count(),
-          "compute_usage: prefix-fraction size mismatch");
   ServerUsage usage;
   usage.storage_bytes.assign(n, 0.0);
   usage.bandwidth_bps.assign(n, 0.0);
@@ -78,14 +73,10 @@ ServerUsage compute_usage(const ScalableProblem& problem,
     const double per_replica_requests =
         problem.expected_peak_requests * problem.videos.popularity[i] /
         static_cast<double>(servers.size());
-    // A replica stores and serves only the f_i prefix; f_i == 1.0 multiplies
-    // the whole-file terms by exactly 1 (IEEE), keeping the pre-asset
-    // accounting bit-identical.
-    const double fraction = solution.fraction_of(i);
     for (std::size_t s : servers) {
       require(s < n, "compute_usage: server index out of range");
-      usage.storage_bytes[s] += fraction * bytes;
-      usage.bandwidth_bps[s] += fraction * (per_replica_requests * rate);
+      usage.storage_bytes[s] += bytes;
+      usage.bandwidth_bps[s] += per_replica_requests * rate;
     }
   }
   return usage;
@@ -102,14 +93,6 @@ bool is_feasible(const ScalableProblem& problem,
       return false;
     }
     if (sorted.back() >= n) return false;
-  }
-  if (!solution.prefix_fraction.empty()) {
-    if (solution.prefix_fraction.size() != solution.placement.size()) {
-      return false;
-    }
-    for (double f : solution.prefix_fraction) {
-      if (!(f >= problem.min_prefix_fraction && f <= 1.0)) return false;
-    }
   }
   const ServerUsage usage = compute_usage(problem, solution);
   // A hair of tolerance absorbs float accumulation; the constraints are on
@@ -132,9 +115,8 @@ double solution_objective(const ScalableProblem& problem,
                           const ScalableSolution& solution) {
   const ServerUsage usage = compute_usage(problem, solution);
   return objective_value(solution.bitrates(problem.ladder),
-                         solution.replicas(), solution.prefix_fraction,
-                         usage.bandwidth_bps, problem.cluster.num_servers,
-                         problem.weights);
+                         solution.replicas(), usage.bandwidth_bps,
+                         problem.cluster.num_servers, problem.weights);
 }
 
 ScalableSolution lowest_rate_round_robin(const ScalableProblem& problem) {

@@ -44,11 +44,6 @@ struct ScalableProblem {
   /// the normalized popularities into request counts for Eq. 5.
   double expected_peak_requests = 0.0;
   ObjectiveWeights weights;
-  /// Lower bound for the per-video stored prefix fraction (segment/prefix
-  /// content model, DESIGN.md section 9).  1.0 (the default) pins every
-  /// replica to a whole file — the paper's original decision space; values
-  /// in (0, 1) open the continuous prefix-fraction knob to the solver.
-  double min_prefix_fraction = 1.0;
 
   void validate() const;
 };
@@ -57,21 +52,12 @@ struct ScalableProblem {
 struct ScalableSolution {
   std::vector<std::size_t> bitrate_index;            ///< into ladder.rates_bps
   std::vector<std::vector<std::size_t>> placement;   ///< distinct servers per video
-  /// Per-video stored prefix fraction in (0, 1].  Empty means every video is
-  /// stored whole (fraction exactly 1.0), which evaluates bit-exactly like
-  /// the pre-asset whole-file model.  A replica of video i occupies
-  /// f_i * bytes of storage and carries f_i of the Eq. 5 bandwidth share.
-  std::vector<double> prefix_fraction;
 
   [[nodiscard]] std::size_t num_videos() const { return bitrate_index.size(); }
   /// Per-video replica counts.
   [[nodiscard]] std::vector<std::size_t> replicas() const;
   /// Per-video encoding bit rates in b/s.
   [[nodiscard]] std::vector<double> bitrates(const BitrateLadder& ladder) const;
-  /// Prefix fraction of one video (1.0 when `prefix_fraction` is empty).
-  [[nodiscard]] double fraction_of(std::size_t video) const {
-    return prefix_fraction.empty() ? 1.0 : prefix_fraction[video];
-  }
 };
 
 /// Per-server resource usage of a solution.

@@ -10,25 +10,18 @@ namespace vodrep::obs {
 
 void TimeseriesConfig::validate() const {
   require(interval_sec > 0.0, "TimeseriesConfig: interval_sec must be > 0");
-  require(max_samples >= 2 && max_samples % 2 == 0,
-          "TimeseriesConfig: max_samples must be even and >= 2");
-  require(max_annotations >= 1,
-          "TimeseriesConfig: max_annotations must be >= 1");
 }
 
 TimeseriesCollector::TimeseriesCollector(const TimeseriesConfig& config,
                                          std::size_t num_servers)
-    : num_servers_(num_servers),
-      interval_sec_(config.interval_sec),
-      max_samples_(config.max_samples),
-      max_annotations_(config.max_annotations) {
+    : num_servers_(num_servers), interval_sec_(config.interval_sec) {
   config.validate();
   require(num_servers >= 1, "TimeseriesCollector: need at least one server");
-  samples_.resize(max_samples_);
+  samples_.resize(kTimelineMaxSamples);
   for (TimeSample& sample : samples_) {
     sample.utilization.assign(num_servers_, 0.0);
   }
-  annotations_.reserve(max_annotations_);
+  annotations_.reserve(kTimelineMaxAnnotations);
 }
 
 void TimeseriesCollector::record(double eq2, double mean_util, double max_util,
@@ -38,7 +31,7 @@ void TimeseriesCollector::record(double eq2, double mean_util, double max_util,
                                  std::uint64_t cache_misses) {
   VODREP_DCHECK(utilization.size() == num_servers_,
                 "TimeseriesCollector: utilization size mismatch");
-  if (size_ == max_samples_) compact();
+  if (size_ == kTimelineMaxSamples) compact();
   TimeSample& slot = samples_[size_++];
   slot.time = next_due_global_;
   slot.imbalance_eq2 = eq2;
@@ -73,8 +66,7 @@ void TimeseriesCollector::merge_shards(
   require(size_ == 0 && downsample_factor_ == 1 && offset_ == 0.0,
           "merge_shards: target collector must be fresh");
   const TimeseriesCollector& first = *shards.front();
-  require(first.num_servers_ == num_servers_ &&
-              first.max_samples_ == max_samples_,
+  require(first.num_servers_ == num_servers_,
           "merge_shards: target collector configured unlike the shards");
   for (const TimeseriesCollector* shard : shards) {
     require(shard->num_servers_ == num_servers_ &&
@@ -112,7 +104,7 @@ void TimeseriesCollector::merge_shards(
 }
 
 void TimeseriesCollector::annotate(double global_time, std::string label) {
-  if (annotations_.size() >= max_annotations_) {
+  if (annotations_.size() >= kTimelineMaxAnnotations) {
     ++annotations_dropped_;
     return;
   }

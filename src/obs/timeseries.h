@@ -5,7 +5,7 @@
 // fixed simulated-time intervals.  The buffer is bounded: when a run
 // outlives it, the collector compacts in place — it keeps every second
 // sample and doubles the sampling interval — so an arbitrarily long run
-// always yields at most `max_samples` samples on a uniform grid.  The
+// always yields at most kTimelineMaxSamples samples on a uniform grid.  The
 // compaction is a pure function of the record sequence, so the same run
 // produces a bit-identical series every time (asserted by
 // tests/timeseries_test.cc).
@@ -43,10 +43,13 @@ namespace vodrep::obs {
              : 0.0;
 }
 
+/// Compaction bound of every collector (even, so a compaction halves it).
+inline constexpr std::size_t kTimelineMaxSamples = 512;
+/// Annotations a collector keeps; later ones are dropped and counted.
+inline constexpr std::size_t kTimelineMaxAnnotations = 256;
+
 struct TimeseriesConfig {
-  double interval_sec = 0.0;        ///< initial sampling interval, > 0
-  std::size_t max_samples = 512;    ///< even, >= 2; compaction bound
-  std::size_t max_annotations = 256;
+  double interval_sec = 0.0;  ///< initial sampling interval, > 0
 
   void validate() const;
 };
@@ -98,7 +101,7 @@ class TimeseriesCollector {
               std::uint64_t cache_hits = 0, std::uint64_t cache_misses = 0);
 
   /// Appends an annotation at *global* time (bounded; dropped-and-counted
-  /// beyond max_annotations).
+  /// beyond kTimelineMaxAnnotations).
   void annotate(double global_time, std::string label);
 
   /// Sharded-merge support (src/sim/sharded_engine.h): fills this *fresh*
@@ -138,11 +141,6 @@ class TimeseriesCollector {
   [[nodiscard]] std::size_t num_servers() const noexcept {
     return num_servers_;
   }
-  /// Compaction bound (TimeseriesConfig::max_samples); lets a sharded
-  /// driver clone per-shard collectors on the same grid.
-  [[nodiscard]] std::size_t max_samples() const noexcept {
-    return max_samples_;
-  }
 
   /// Columnar export: {"interval_sec":..,"downsample_factor":..,
   /// "num_samples":..,"time":[..],"imbalance_eq2":[..],
@@ -158,8 +156,6 @@ class TimeseriesCollector {
 
   std::size_t num_servers_ = 0;
   double interval_sec_ = 0.0;
-  std::size_t max_samples_ = 0;
-  std::size_t max_annotations_ = 0;
   double offset_ = 0.0;
   double next_due_global_ = 0.0;
   std::uint64_t downsample_factor_ = 1;

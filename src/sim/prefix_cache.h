@@ -1,5 +1,5 @@
 // The edge tier's cache: a deterministic prefix cache in front of the
-// replicated origin (the segment/prefix content model, DESIGN.md §9).
+// replicated origin (the edge cache tier, DESIGN.md §9).
 // ReplicatedPolicy (src/sim/replicated_policy.h) consults it when its
 // PrefixCacheOptions give the tier a capacity; the hit/miss semantics and
 // the rejection attribution live there.

@@ -3,7 +3,7 @@
 // static round-robin with the optional redirection, backbone-proxy, and
 // batching extensions (src/sim/dispatcher.h).
 //
-// An optional edge tier (the segment/prefix content model, DESIGN.md §9)
+// An optional edge tier (DESIGN.md §9)
 // sits in front of the origin servers when PrefixCacheOptions give it a
 // capacity.  The tier holds the first `prefix_fraction` of each video (the
 // prefix a viewer watches before the origin can stage the suffix), and a

@@ -125,11 +125,9 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
       if (timeline != nullptr) {
         // Cloned from the caller's collector, so a collector sized for the
         // wrong server count fails attach_timeline here as it does at S=1.
-        obs::TimeseriesConfig ts_config;
-        ts_config.interval_sec = timeline->interval_sec();
-        ts_config.max_samples = timeline->max_samples();
         shard_timelines.push_back(std::make_unique<obs::TimeseriesCollector>(
-            ts_config, timeline->num_servers()));
+            obs::TimeseriesConfig{timeline->interval_sec()},
+            timeline->num_servers()));
         engines[s]->attach_timeline(shard_timelines[s].get());
       }
       if (event_log != nullptr) {

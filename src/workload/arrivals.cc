@@ -9,8 +9,12 @@
 namespace vodrep {
 
 std::vector<double> poisson_arrivals(Rng& rng, double rate, double horizon) {
-  require(rate >= 0.0, "poisson_arrivals: rate must be non-negative");
-  require(horizon >= 0.0, "poisson_arrivals: horizon must be non-negative");
+  // An infinite rate makes every gap 0 and an infinite horizon never ends:
+  // either way the loop below would grow `times` without bound.
+  require(std::isfinite(rate) && rate >= 0.0,
+          "poisson_arrivals: rate must be finite and non-negative");
+  require(std::isfinite(horizon) && horizon >= 0.0,
+          "poisson_arrivals: horizon must be finite and non-negative");
   std::vector<double> times;
   if (rate == 0.0 || horizon == 0.0) return times;
   times.reserve(static_cast<std::size_t>(rate * horizon * 1.2) + 16);
@@ -24,9 +28,10 @@ std::vector<double> poisson_arrivals(Rng& rng, double rate, double horizon) {
 
 std::vector<double> poisson_arrivals_block(Rng& rng, double rate,
                                            double horizon, std::size_t block) {
-  require(rate >= 0.0, "poisson_arrivals_block: rate must be non-negative");
-  require(horizon >= 0.0,
-          "poisson_arrivals_block: horizon must be non-negative");
+  require(std::isfinite(rate) && rate >= 0.0,
+          "poisson_arrivals_block: rate must be finite and non-negative");
+  require(std::isfinite(horizon) && horizon >= 0.0,
+          "poisson_arrivals_block: horizon must be finite and non-negative");
   require(block >= 1, "poisson_arrivals_block: block size must be >= 1");
   std::vector<double> times;
   if (rate == 0.0 || horizon == 0.0) return times;

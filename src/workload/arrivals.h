@@ -15,7 +15,8 @@ namespace vodrep {
 
 /// One realization of a homogeneous Poisson process: strictly increasing
 /// arrival times in [0, horizon).  `rate` is in events per unit time (the
-/// simulator uses seconds).  rate == 0 yields no arrivals.
+/// simulator uses seconds).  rate == 0 yields no arrivals; an infinite or
+/// NaN rate or horizon throws InvalidArgumentError.
 [[nodiscard]] std::vector<double> poisson_arrivals(Rng& rng, double rate,
                                                    double horizon);
 

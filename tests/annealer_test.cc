@@ -97,8 +97,7 @@ TEST(Annealer, EscapesLocalMinimum) {
   options.initial_temperature = 200.0;
   options.moves_per_temperature = 300;
   options.stall_steps = 0;  // run the full schedule
-  const auto schedule = geometric_cooling(0.9);
-  const auto result = anneal(problem, rng, options, *schedule);
+  const auto result = anneal(problem, rng, options);
   EXPECT_EQ(result.best_state, 80);
   EXPECT_DOUBLE_EQ(result.best_cost, -500.0);
 }
@@ -213,18 +212,21 @@ TEST(Annealer, InPlaceDeterministicGivenSeed) {
 }
 
 TEST(Annealer, TrajectoryStaysUnderTheSampleCap) {
+  // Enough one-move temperature steps to cross the cap once.
+  constexpr std::size_t kSteps = kAnnealTrajectoryMaxSamples + 1000;
   QuadraticProblem problem;
   Rng rng(14);
   AnnealOptions options;
   options.initial_temperature = 100.0;
-  options.final_temperature = 1e-12;
+  options.final_temperature = 1e-300;
   options.stall_steps = 0;
-  options.max_temperature_steps = 300;
-  options.trajectory_max_samples = 16;
+  options.moves_per_temperature = 1;
+  options.max_temperature_steps = kSteps;
   const auto result = anneal(problem, rng, options);
-  EXPECT_EQ(result.temperature_steps, 300u);
-  EXPECT_LE(result.trajectory.size(), 16u);
-  EXPECT_GE(result.trajectory.size(), 8u);  // decimation halves, no further
+  EXPECT_EQ(result.temperature_steps, kSteps);
+  EXPECT_LE(result.trajectory.size(), kAnnealTrajectoryMaxSamples);
+  // Decimation halves, no further.
+  EXPECT_GE(result.trajectory.size(), kAnnealTrajectoryMaxSamples / 2);
   // The decimated samples keep the per-step semantics: temperatures strictly
   // cooling, best cost non-increasing, starting at the first step.
   EXPECT_DOUBLE_EQ(result.trajectory.front().first, 100.0);
@@ -234,7 +236,7 @@ TEST(Annealer, TrajectoryStaysUnderTheSampleCap) {
   }
 }
 
-TEST(Annealer, TrajectoryCapZeroKeepsEverySample) {
+TEST(Annealer, TrajectoryUnderTheCapKeepsEverySample) {
   QuadraticProblem problem;
   Rng rng(15);
   AnnealOptions options;
@@ -242,9 +244,47 @@ TEST(Annealer, TrajectoryCapZeroKeepsEverySample) {
   options.final_temperature = 1e-12;
   options.stall_steps = 0;
   options.max_temperature_steps = 120;
-  options.trajectory_max_samples = 0;
   const auto result = anneal(problem, rng, options);
+  EXPECT_EQ(result.temperature_steps, 120u);
   EXPECT_EQ(result.trajectory.size(), result.temperature_steps);
+}
+
+TEST(GeometricCooling, MultipliesByAlpha) {
+  // Every temperature step ends with T <- kCoolingRatio * T, exactly.
+  QuadraticProblem problem;
+  Rng rng(16);
+  AnnealOptions options;
+  options.initial_temperature = 10.0;
+  options.final_temperature = 1e-12;
+  options.stall_steps = 0;
+  options.moves_per_temperature = 1;
+  AnnealChain<QuadraticProblem> chain(problem, rng, options);
+  double expected = 10.0;
+  EXPECT_EQ(chain.temperature(), expected);
+  for (int step = 0; step < 50; ++step) {
+    ASSERT_TRUE(chain.step());
+    expected *= kCoolingRatio;
+    EXPECT_EQ(chain.temperature(), expected) << step;
+  }
+}
+
+TEST(AllSchedules, StrictlyDecreaseTemperature) {
+  // The chain's one cooling step strictly lowers the temperature at every
+  // step, whatever the moves accepted.
+  QuadraticProblem problem;
+  Rng rng(17);
+  AnnealOptions options;
+  options.initial_temperature = 1.0;
+  options.final_temperature = 1e-12;
+  options.stall_steps = 0;
+  options.moves_per_temperature = 10;
+  AnnealChain<QuadraticProblem> chain(problem, rng, options);
+  double t = chain.temperature();
+  for (int step = 0; step < 50; ++step) {
+    ASSERT_TRUE(chain.step());
+    EXPECT_LT(chain.temperature(), t) << step;
+    t = chain.temperature();
+  }
 }
 
 TEST(Annealer, AcceptanceCountsAreConsistent) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "src/util/error.h"
@@ -56,6 +57,19 @@ TEST(PoissonArrivals, RejectsNegativeArguments) {
   Rng rng(5);
   EXPECT_THROW((void)poisson_arrivals(rng, -1.0, 10.0), InvalidArgumentError);
   EXPECT_THROW((void)poisson_arrivals(rng, 1.0, -10.0), InvalidArgumentError);
+}
+
+TEST(PoissonArrivals, RejectsInfiniteRateOrHorizon) {
+  // An infinite rate makes every gap 0 and an infinite horizon never ends;
+  // both generators must refuse them rather than grow without bound.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(7);
+  EXPECT_THROW((void)poisson_arrivals(rng, kInf, 10.0), InvalidArgumentError);
+  EXPECT_THROW((void)poisson_arrivals(rng, 1.0, kInf), InvalidArgumentError);
+  EXPECT_THROW((void)poisson_arrivals_block(rng, kInf, 10.0, 64),
+               InvalidArgumentError);
+  EXPECT_THROW((void)poisson_arrivals_block(rng, 1.0, kInf, 64),
+               InvalidArgumentError);
 }
 
 TEST(PoissonArrivals, DeterministicGivenSeed) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "src/core/adams_replication.h"
 #include "src/core/slf_placement.h"
@@ -65,6 +66,20 @@ TEST(LayoutIo, SaveRejectsDuplicateServers) {
 TEST(LayoutIo, LoadRejectsBadHeader) {
   std::stringstream ss("not-a-layout 1 2\n0 1 0\n");
   EXPECT_THROW((void)load_placement(ss), InvalidArgumentError);
+}
+
+TEST(LayoutIo, LoadRejectsV2HeaderWithNamedError) {
+  // The retired prefix-fraction format must fail by name, not as a generic
+  // bad header.
+  std::stringstream ss("vodrep-layout-v2 1 2\n0 0.5 1 4000000 1 0\n");
+  try {
+    (void)load_placement(ss);
+    FAIL() << "a vodrep-layout-v2 file loaded";
+  } catch (const InvalidArgumentError& error) {
+    EXPECT_NE(std::string(error.what()).find("vodrep-layout-v2"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(LayoutIo, LoadRejectsTruncatedBody) {

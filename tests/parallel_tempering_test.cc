@@ -107,9 +107,7 @@ TEST(ParallelTempering, SingleChainReproducesAnneal) {
   const AnnealOptions options = rugged_options();
   Rng rng(0x600D);  // pt_chain_seed(base, 0) == base
   const auto single = anneal(problem, rng, options);
-  AnnealOptions pt = options;
-  pt.chains = 1;
-  const auto tempered = anneal_parallel_tempering(problem, 0x600D, pt);
+  const auto tempered = anneal_parallel_tempering(problem, 0x600D, 1, options);
   EXPECT_EQ(tempered.best_state, single.best_state);
   EXPECT_EQ(tempered.best_cost, single.best_cost);
   EXPECT_EQ(tempered.moves_proposed, single.moves_proposed);
@@ -129,7 +127,7 @@ TEST(ParallelTempering, SingleChainReproducesAnnealInPlace) {
   options.max_temperature_steps = 150;
   Rng rng(42);
   const auto single = anneal(problem, rng, options);
-  const auto tempered = anneal_parallel_tempering(problem, 42, options);
+  const auto tempered = anneal_parallel_tempering(problem, 42, 1, options);
   EXPECT_EQ(tempered.best_state, single.best_state);
   EXPECT_EQ(tempered.best_cost, single.best_cost);
   EXPECT_EQ(tempered.moves_proposed, single.moves_proposed);
@@ -141,17 +139,18 @@ TEST(ParallelTempering, SingleChainReproducesAnnealInPlace) {
 TEST(ParallelTempering, DeterministicAcrossPoolSizes) {
   RuggedProblem problem;
   AnnealOptions options = rugged_options();
-  options.chains = 4;
   options.swap_period = 4;
-  const auto serial = anneal_parallel_tempering(problem, 77, options);
+  const auto serial = anneal_parallel_tempering(problem, 77, 4, options);
   ThreadPool pool1(1);
-  const auto pooled1 = anneal_parallel_tempering(problem, 77, options, &pool1);
+  const auto pooled1 =
+      anneal_parallel_tempering(problem, 77, 4, options, &pool1);
   ThreadPool pool4(4);
-  const auto pooled4 = anneal_parallel_tempering(problem, 77, options, &pool4);
+  const auto pooled4 =
+      anneal_parallel_tempering(problem, 77, 4, options, &pool4);
   const unsigned hw = std::max(2u, std::thread::hardware_concurrency());
   ThreadPool pool_hw(hw);
   const auto pooled_hw =
-      anneal_parallel_tempering(problem, 77, options, &pool_hw);
+      anneal_parallel_tempering(problem, 77, 4, options, &pool_hw);
 
   for (const auto* run : {&pooled1, &pooled4, &pooled_hw}) {
     EXPECT_EQ(run->best_state, serial.best_state);
@@ -177,9 +176,8 @@ TEST(ParallelTempering, DeterministicAcrossPoolSizes) {
 TEST(ParallelTempering, ExchangesHappenAndAccountingCloses) {
   RuggedProblem problem;
   AnnealOptions options = rugged_options();
-  options.chains = 4;
   options.swap_period = 2;
-  const auto result = anneal_parallel_tempering(problem, 5, options);
+  const auto result = anneal_parallel_tempering(problem, 5, 4, options);
 
   EXPECT_GT(result.swap_attempts, 0u);
   EXPECT_LE(result.swap_accepts, result.swap_attempts);
@@ -214,12 +212,11 @@ TEST(ParallelTempering, ExchangesHappenAndAccountingCloses) {
 TEST(ParallelTempering, HotterChainsStartHotter) {
   RuggedProblem problem;
   AnnealOptions options = rugged_options();
-  options.chains = 3;
   options.temperature_spread = 2.0;
   options.stall_steps = 0;
   options.max_temperature_steps = 5;  // few steps: final temps stay ordered
   options.swap_period = 100;          // no exchanges interfere
-  const auto result = anneal_parallel_tempering(problem, 9, options);
+  const auto result = anneal_parallel_tempering(problem, 9, 3, options);
   ASSERT_EQ(result.chains.size(), 3u);
   EXPECT_LT(result.chains[0].final_temperature,
             result.chains[1].final_temperature);
@@ -230,16 +227,14 @@ TEST(ParallelTempering, HotterChainsStartHotter) {
 TEST(ParallelTempering, RejectsBadOptions) {
   RuggedProblem problem;
   AnnealOptions options = rugged_options();
-  options.chains = 0;
-  EXPECT_THROW((void)anneal_parallel_tempering(problem, 1, options),
+  EXPECT_THROW((void)anneal_parallel_tempering(problem, 1, 0, options),
                InvalidArgumentError);
-  options.chains = 2;
   options.swap_period = 0;
-  EXPECT_THROW((void)anneal_parallel_tempering(problem, 1, options),
+  EXPECT_THROW((void)anneal_parallel_tempering(problem, 1, 2, options),
                InvalidArgumentError);
   options.swap_period = 8;
   options.temperature_spread = 0.5;
-  EXPECT_THROW((void)anneal_parallel_tempering(problem, 1, options),
+  EXPECT_THROW((void)anneal_parallel_tempering(problem, 1, 2, options),
                InvalidArgumentError);
 }
 

@@ -228,10 +228,9 @@ SimResult run_monolithic(StoragePolicy& policy, const SimConfig& config,
 }
 
 obs::TimeseriesConfig timeline_config() {
-  obs::TimeseriesConfig config;
-  config.interval_sec = 5.0;
-  config.max_samples = 64;  // small so compaction triggers in most worlds
-  return config;
+  // Fine enough that the kTimelineMaxSamples buffer fills (at 320 s) and
+  // compaction triggers in most worlds.
+  return obs::TimeseriesConfig{0.625};
 }
 
 constexpr std::size_t kEventLogCapacity = 200;  // forces drops in most worlds

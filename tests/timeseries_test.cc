@@ -17,13 +17,6 @@
 namespace vodrep::obs {
 namespace {
 
-TimeseriesConfig small_config(double interval, std::size_t max_samples) {
-  TimeseriesConfig config;
-  config.interval_sec = interval;
-  config.max_samples = max_samples;
-  return config;
-}
-
 /// Feeds `n` synthetic samples whose payloads encode the record index, so a
 /// surviving sample identifies which record it came from.
 void feed(TimeseriesCollector& collector, std::size_t n,
@@ -40,15 +33,13 @@ void feed(TimeseriesCollector& collector, std::size_t n,
 }
 
 TEST(TimeseriesConfigTest, RejectsInvalidConfigs) {
-  EXPECT_THROW(small_config(0.0, 4).validate(), InvalidArgumentError);
-  EXPECT_THROW(small_config(-1.0, 4).validate(), InvalidArgumentError);
-  EXPECT_THROW(small_config(1.0, 0).validate(), InvalidArgumentError);
-  EXPECT_THROW(small_config(1.0, 3).validate(), InvalidArgumentError);
-  EXPECT_NO_THROW(small_config(1.0, 2).validate());
+  EXPECT_THROW(TimeseriesConfig{0.0}.validate(), InvalidArgumentError);
+  EXPECT_THROW(TimeseriesConfig{-1.0}.validate(), InvalidArgumentError);
+  EXPECT_NO_THROW(TimeseriesConfig{1.0}.validate());
 }
 
 TEST(TimeseriesTest, RecordsOnAUniformGridStartingAtZero) {
-  TimeseriesCollector collector(small_config(2.5, 8), 2);
+  TimeseriesCollector collector(TimeseriesConfig{2.5}, 2);
   EXPECT_DOUBLE_EQ(collector.next_due(), 0.0);
   feed(collector, 4, 2);
   ASSERT_EQ(collector.size(), 4u);
@@ -61,21 +52,26 @@ TEST(TimeseriesTest, RecordsOnAUniformGridStartingAtZero) {
 }
 
 TEST(TimeseriesTest, CompactionKeepsEvenIndicesAndDoublesInterval) {
-  // interval 1, capacity 4: records 0..7 compact twice.  Trace by hand:
-  //   0,1,2,3 fill the buffer; record 4 compacts to [0,2] (interval 2) and
-  //   appends at t=4; record 5 appends at t=6; record 6 compacts to [0,4]
-  //   (interval 4) and appends at t=8; record 7 appends at t=12.
-  TimeseriesCollector collector(small_config(1.0, 4), 1);
-  feed(collector, 8, 1);
-  ASSERT_EQ(collector.size(), 4u);
+  // interval 1, capacity C: records 0..2C-1 compact twice.  Records 0..C-1
+  // fill the buffer at t = 0..C-1; record C compacts to the even times
+  // 0..C-2 (interval 2) and appends at t = C; records up to 3C/2 - 1 append
+  // every 2 s; record 3C/2 compacts to the times 0, 4, .., 2C-4 (interval 4)
+  // and appends at t = 2C; the rest append every 4 s.  (C = 4: payloads 0,
+  // 4, 6, 7 at times 0, 4, 8, 12.)
+  constexpr std::size_t kCap = kTimelineMaxSamples;
+  TimeseriesCollector collector(TimeseriesConfig{1.0}, 1);
+  feed(collector, 2 * kCap, 1);
+  ASSERT_EQ(collector.size(), kCap);
   EXPECT_EQ(collector.downsample_factor(), 4u);
   EXPECT_DOUBLE_EQ(collector.interval_sec(), 4.0);
-  const std::vector<double> expected_times = {0.0, 4.0, 8.0, 12.0};
-  const std::vector<double> expected_payloads = {0.0, 4.0, 6.0, 7.0};
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ(collector.sample(i).time, expected_times[i]) << i;
-    EXPECT_DOUBLE_EQ(collector.sample(i).imbalance_eq2, expected_payloads[i])
-        << i;
+  const auto cap = static_cast<double>(kCap);
+  for (std::size_t i = 0; i < kCap; ++i) {
+    const double t = 4.0 * static_cast<double>(i);
+    const double payload = t < cap         ? t
+                           : t < 2.0 * cap ? cap + (t - cap) / 2.0
+                                           : 1.5 * cap + (t - 2.0 * cap) / 4.0;
+    EXPECT_DOUBLE_EQ(collector.sample(i).time, t) << i;
+    EXPECT_DOUBLE_EQ(collector.sample(i).imbalance_eq2, payload) << i;
   }
   // The grid stays uniform after compaction: consecutive surviving times
   // differ by exactly the (doubled) interval.
@@ -93,9 +89,10 @@ TEST(TimeseriesTest, DownsamplingIsDeterministic) {
   // records half as often; the final factor is the smallest power of two
   // that fits the horizon in the buffer.
   constexpr std::size_t kServers = 3;
-  constexpr double kHorizon = 1000.0;
-  TimeseriesCollector a(small_config(0.5, 16), kServers);
-  TimeseriesCollector b(small_config(0.5, 16), kServers);
+  constexpr double kHorizon =
+      64.0 * static_cast<double>(kTimelineMaxSamples - 1);
+  TimeseriesCollector a(TimeseriesConfig{0.5}, kServers);
+  TimeseriesCollector b(TimeseriesConfig{0.5}, kServers);
   Rng rng_a(0x75AA);
   Rng rng_b(0x75AA);
   std::vector<double> util(kServers);
@@ -114,11 +111,12 @@ TEST(TimeseriesTest, DownsamplingIsDeterministic) {
   EXPECT_EQ(a.downsample_factor(), b.downsample_factor());
   EXPECT_DOUBLE_EQ(a.interval_sec(), b.interval_sec());
   EXPECT_EQ(a.samples(), b.samples());
-  // 2000 fine-grid points into 16 slots: the interval doubles 0.5 -> 64
-  // (factor 128), leaving a full buffer on the 64 s grid.
+  // 65409 fine-grid points (0.5 s over 32704 s) into 512 slots: the
+  // interval doubles 0.5 -> 64 (factor 128), leaving a full buffer on the
+  // 64 s grid.
   EXPECT_EQ(a.downsample_factor(), 128u);
   EXPECT_DOUBLE_EQ(a.interval_sec(), 64.0);
-  ASSERT_EQ(a.size(), 16u);
+  ASSERT_EQ(a.size(), kTimelineMaxSamples);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.sample(i).time,
                      64.0 * static_cast<double>(i));
@@ -126,7 +124,7 @@ TEST(TimeseriesTest, DownsamplingIsDeterministic) {
 }
 
 TEST(TimeseriesTest, TimeOffsetConcatenatesEpochs) {
-  TimeseriesCollector collector(small_config(10.0, 8), 1);
+  TimeseriesCollector collector(TimeseriesConfig{10.0}, 1);
   feed(collector, 2, 1);  // epoch 0: samples at global 0, 10
   EXPECT_DOUBLE_EQ(collector.next_due(), 20.0);
   collector.set_time_offset(100.0);
@@ -143,22 +141,23 @@ TEST(TimeseriesTest, TimeOffsetConcatenatesEpochs) {
 }
 
 TEST(TimeseriesTest, AnnotationsAreBoundedWithDropAccounting) {
-  TimeseriesConfig config = small_config(1.0, 4);
-  config.max_annotations = 2;
-  TimeseriesCollector collector(config, 1);
-  collector.annotate(10.0, "replan");
-  collector.annotate(20.0, "replan_skipped");
-  collector.annotate(30.0, "replan");
-  collector.annotate(40.0, "replan");
-  ASSERT_EQ(collector.annotations().size(), 2u);
+  TimeseriesCollector collector(TimeseriesConfig{1.0}, 1);
+  for (std::size_t i = 0; i < kTimelineMaxAnnotations + 2; ++i) {
+    collector.annotate(10.0 * static_cast<double>(i + 1),
+                       i == 1 ? "replan_skipped" : "replan");
+  }
+  ASSERT_EQ(collector.annotations().size(), kTimelineMaxAnnotations);
   EXPECT_EQ(collector.annotations_dropped(), 2u);
   EXPECT_DOUBLE_EQ(collector.annotations()[0].time, 10.0);
   EXPECT_EQ(collector.annotations()[0].label, "replan");
   EXPECT_EQ(collector.annotations()[1].label, "replan_skipped");
+  // The kept annotations are the first ones, in arrival order.
+  EXPECT_DOUBLE_EQ(collector.annotations().back().time,
+                   10.0 * static_cast<double>(kTimelineMaxAnnotations));
 }
 
 TEST(TimeseriesTest, JsonExportIsColumnarAndSized) {
-  TimeseriesCollector collector(small_config(1.0, 8), 2);
+  TimeseriesCollector collector(TimeseriesConfig{1.0}, 2);
   feed(collector, 5, 2);
   collector.annotate(3.0, "replan");
   const JsonValue json = collector.to_json();

@@ -13,6 +13,7 @@
 //
 //   # inspect an existing layout
 //   vodrep_plan --inspect=layout.txt
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -161,6 +162,30 @@ class ObsExports {
   std::string profile_path_;
 };
 
+// Rejects bad numeric flags before anything divides by or casts them: a
+// zero --servers divides by zero, a negative --degree is undefined when
+// cast to a replica budget, a negative --sa-moves wraps to an endless move
+// count, and a zero --bitrate-mbps sizes the report's arrival rate to
+// infinity.
+void validate_numeric_flags(const CliFlags& flags) {
+  for (const char* name : {"servers", "videos", "event-log-cap", "sim-shards",
+                           "sa-temp-steps", "sa-moves", "sa-swap-period"}) {
+    require(flags.get_int(name) >= 1,
+            [&] { return std::string("--") + name + " must be >= 1"; });
+  }
+  for (const char* name :
+       {"degree", "bandwidth-gbps", "bitrate-mbps", "duration-min"}) {
+    const double value = flags.get_double(name);
+    require(std::isfinite(value) && value > 0.0, [&] {
+      return std::string("--") + name + " must be finite and positive";
+    });
+  }
+  const double lambda = flags.get_double("sim-lambda");
+  require(std::isfinite(lambda) && lambda >= 0.0,
+          "--sim-lambda must be finite and non-negative");
+  require(flags.get_int("sa-chains") >= 0, "--sa-chains must be >= 0");
+}
+
 // Parses the --cache-* flags into prefix-cache tier options.
 PrefixCacheOptions make_cache_options(const CliFlags& flags) {
   PrefixCacheOptions options;
@@ -189,10 +214,8 @@ SimResult run_sim(const CliFlags& flags, const Layout& layout,
                   const SimConfig& config, const RequestTrace& trace,
                   obs::TimeseriesCollector* timeline,
                   obs::EventLog* event_log) {
-  const long long shards_flag = flags.get_int("sim-shards");
-  require(shards_flag >= 1, "--sim-shards must be >= 1");
   SimOptions options;
-  options.num_shards = static_cast<std::size_t>(shards_flag);
+  options.num_shards = static_cast<std::size_t>(flags.get_int("sim-shards"));
   options.timeline = timeline;
   options.event_log = event_log;
   std::unique_ptr<ThreadPool> pool;
@@ -301,6 +324,7 @@ int run(int argc, char** argv) {
   flags.add_double("storage-gb", 120.0,
                    "per-server storage budget for --sa-chains, GB");
   if (!flags.parse(argc, argv)) return EXIT_SUCCESS;
+  validate_numeric_flags(flags);
 
   const ObsExports exports(flags.get_string("metrics-out"),
                            flags.get_string("trace-out"),
@@ -406,7 +430,6 @@ int run(int argc, char** argv) {
         static_cast<std::size_t>(flags.get_int("videos")),
         flags.get_double("theta"));
   }
-  require(flags.get_int("sa-chains") >= 0, "--sa-chains must be >= 0");
   const auto sa_chains = static_cast<std::size_t>(flags.get_int("sa-chains"));
   if (sa_chains >= 1) {
     // Scalable-rate planning (paper Section 4.3): jointly choose encoding
