@@ -1,5 +1,8 @@
 #include "src/obs/event_log.h"
 
+#include <span>
+#include <string>
+
 #include "src/util/error.h"
 
 namespace vodrep::obs {
@@ -41,24 +44,52 @@ EventLog::EventLog(std::size_t capacity) : capacity_(capacity) {
   records_.reserve(capacity);
 }
 
-JsonValue EventLog::to_json() const {
+JsonValue EventLog::to_json(const EventLog* log) {
+  const std::span<const RequestRecord> records =
+      log != nullptr ? std::span<const RequestRecord>(log->records_)
+                     : std::span<const RequestRecord>();
   JsonValue root = JsonValue::object();
-  root.set("capacity", JsonValue::integer_u64(capacity_));
-  root.set("seen", JsonValue::integer_u64(seen_));
-  root.set("dropped", JsonValue::integer_u64(dropped_));
-  JsonValue records = JsonValue::array();
-  for (const RequestRecord& record : records_) {
-    JsonValue entry = JsonValue::object();
-    entry.set("t", JsonValue::number(record.arrival_time));
-    entry.set("video", JsonValue::integer_u64(record.video));
-    entry.set("server", JsonValue::integer(record.server));
-    entry.set("outcome",
-              JsonValue::string(std::string(request_outcome_name(record.outcome))));
-    entry.set("reason",
-              JsonValue::string(std::string(reject_reason_name(record.reason))));
-    records.push_back(std::move(entry));
+  root.set("capacity",
+           JsonValue::integer_u64(log != nullptr ? log->capacity_ : 0));
+  root.set("seen", JsonValue::integer_u64(log != nullptr ? log->seen_ : 0));
+  root.set("dropped",
+           JsonValue::integer_u64(log != nullptr ? log->dropped_ : 0));
+  root.set("num_records", JsonValue::integer_u64(records.size()));
+  JsonValue outcome_names = JsonValue::array();
+  for (std::size_t code = 0; code < kNumRequestOutcomes; ++code) {
+    outcome_names.push_back(JsonValue::string(std::string(
+        request_outcome_name(static_cast<RequestOutcome>(code)))));
   }
-  root.set("records", std::move(records));
+  root.set("outcome_names", std::move(outcome_names));
+  JsonValue reason_names = JsonValue::array();
+  for (std::size_t code = 0; code < kNumRejectReasons; ++code) {
+    reason_names.push_back(JsonValue::string(
+        std::string(reject_reason_name(static_cast<RejectReason>(code)))));
+  }
+  root.set("reason_names", std::move(reason_names));
+
+  JsonValue t = JsonValue::array();
+  JsonValue video = JsonValue::array();
+  JsonValue server = JsonValue::array();
+  JsonValue outcome = JsonValue::array();
+  JsonValue reason = JsonValue::array();
+  for (JsonValue* column : {&t, &video, &server, &outcome, &reason}) {
+    column->reserve(records.size());
+  }
+  for (const RequestRecord& record : records) {
+    t.push_back(JsonValue::number(record.arrival_time));
+    video.push_back(JsonValue::integer_u64(record.video));
+    server.push_back(JsonValue::integer(record.server));
+    outcome.push_back(
+        JsonValue::integer(static_cast<std::int64_t>(record.outcome)));
+    reason.push_back(
+        JsonValue::integer(static_cast<std::int64_t>(record.reason)));
+  }
+  root.set("t", std::move(t));
+  root.set("video", std::move(video));
+  root.set("server", std::move(server));
+  root.set("outcome", std::move(outcome));
+  root.set("reason", std::move(reason));
   return root;
 }
 

@@ -47,6 +47,7 @@ enum class RequestOutcome : std::uint8_t {
   kBatched,      ///< joined an existing stream
   kRejected,
 };
+inline constexpr std::size_t kNumRequestOutcomes = 5;
 
 [[nodiscard]] std::string_view request_outcome_name(RequestOutcome outcome);
 
@@ -98,8 +99,13 @@ class EventLog {
   [[nodiscard]] std::uint64_t seen() const noexcept { return seen_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
-  /// {"capacity":..,"seen":..,"dropped":..,"records":[{...},...]}.
-  [[nodiscard]] JsonValue to_json() const;
+  /// The run report's `events` section, column-wise like the timeline:
+  /// {"capacity","seen","dropped","num_records","outcome_names",
+  /// "reason_names","t":[..],"video":[..],"server":[..],"outcome":[..],
+  /// "reason":[..]}, where outcome and reason are integer codes into the two
+  /// name tables.  A null `log` gives the same shape with capacity 0 and no
+  /// records.
+  [[nodiscard]] static JsonValue to_json(const EventLog* log);
 
   void clear();
 

@@ -1,11 +1,8 @@
 #include "src/obs/json_lite.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
-#include <sstream>
 
 #include "src/util/error.h"
 
@@ -13,15 +10,13 @@ namespace vodrep::obs {
 
 JsonValue JsonValue::boolean(bool b) {
   JsonValue v;
-  v.kind_ = Kind::kBool;
-  v.bool_ = b;
+  v.value_.emplace<bool>(b);
   return v;
 }
 
 JsonValue JsonValue::integer(std::int64_t i) {
   JsonValue v;
-  v.kind_ = Kind::kInt;
-  v.int_ = i;
+  v.value_.emplace<std::int64_t>(i);
   return v;
 }
 
@@ -36,187 +31,216 @@ JsonValue JsonValue::integer_u64(std::uint64_t u) {
 
 JsonValue JsonValue::number(double d) {
   JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.number_ = d;
+  v.value_.emplace<double>(d);
   return v;
 }
 
 JsonValue JsonValue::string(std::string s) {
   JsonValue v;
-  v.kind_ = Kind::kString;
-  v.string_ = std::move(s);
+  v.value_.emplace<std::string>(std::move(s));
   return v;
 }
 
 JsonValue JsonValue::array() {
   JsonValue v;
-  v.kind_ = Kind::kArray;
+  v.value_.emplace<std::vector<JsonValue>>();
   return v;
 }
 
 JsonValue JsonValue::object() {
   JsonValue v;
-  v.kind_ = Kind::kObject;
+  v.value_.emplace<std::vector<Member>>();
   return v;
 }
 
 bool JsonValue::as_bool() const {
-  require(kind_ == Kind::kBool, "JsonValue: not a bool");
-  return bool_;
+  require(is_bool(), "JsonValue: not a bool");
+  return std::get<bool>(value_);
 }
 
 double JsonValue::as_number() const {
   require(is_number(), "JsonValue: not a number");
-  return kind_ == Kind::kInt ? static_cast<double>(int_) : number_;
+  if (kind() == Kind::kInt) {
+    return static_cast<double>(std::get<std::int64_t>(value_));
+  }
+  return std::get<double>(value_);
 }
 
 std::int64_t JsonValue::as_int() const {
-  require(kind_ == Kind::kInt, "JsonValue: not an integer");
-  return int_;
+  require(kind() == Kind::kInt, "JsonValue: not an integer");
+  return std::get<std::int64_t>(value_);
 }
 
 std::uint64_t JsonValue::as_uint() const {
-  require(kind_ == Kind::kInt && int_ >= 0,
+  require(kind() == Kind::kInt && std::get<std::int64_t>(value_) >= 0,
           "JsonValue: not a non-negative integer");
-  return static_cast<std::uint64_t>(int_);
+  return static_cast<std::uint64_t>(std::get<std::int64_t>(value_));
 }
 
 const std::string& JsonValue::as_string() const {
-  require(kind_ == Kind::kString, "JsonValue: not a string");
-  return string_;
+  require(is_string(), "JsonValue: not a string");
+  return std::get<std::string>(value_);
 }
 
 const std::vector<JsonValue>& JsonValue::items() const {
-  require(kind_ == Kind::kArray, "JsonValue: not an array");
-  return array_;
+  require(is_array(), "JsonValue: not an array");
+  return std::get<std::vector<JsonValue>>(value_);
 }
 
 const std::vector<JsonValue::Member>& JsonValue::members() const {
-  require(kind_ == Kind::kObject, "JsonValue: not an object");
-  return object_;
+  require(is_object(), "JsonValue: not an object");
+  return std::get<std::vector<Member>>(value_);
 }
 
 void JsonValue::push_back(JsonValue value) {
-  require(kind_ == Kind::kArray, "JsonValue: push_back on a non-array");
-  array_.push_back(std::move(value));
+  auto* items = std::get_if<std::vector<JsonValue>>(&value_);
+  require(items != nullptr, "JsonValue: push_back on a non-array");
+  items->push_back(std::move(value));
 }
 
 void JsonValue::set(std::string key, JsonValue value) {
-  require(kind_ == Kind::kObject, "JsonValue: set on a non-object");
-  object_.emplace_back(std::move(key), std::move(value));
+  auto* members = std::get_if<std::vector<Member>>(&value_);
+  require(members != nullptr, "JsonValue: set on a non-object");
+  members->emplace_back(std::move(key), std::move(value));
+}
+
+void JsonValue::reserve(std::size_t count) {
+  auto* items = std::get_if<std::vector<JsonValue>>(&value_);
+  require(items != nullptr, "JsonValue: reserve on a non-array");
+  items->reserve(count);
 }
 
 const JsonValue& JsonValue::at(std::string_view key) const {
-  require(kind_ == Kind::kObject, "JsonValue: at() on a non-object");
-  for (const Member& member : object_) {
+  require(is_object(), "JsonValue: at() on a non-object");
+  for (const Member& member : std::get<std::vector<Member>>(value_)) {
     if (member.first == key) return member.second;
   }
   detail::throw_invalid("JsonValue: missing key '" + std::string(key) + "'");
 }
 
 bool JsonValue::has(std::string_view key) const {
-  if (kind_ != Kind::kObject) return false;
-  for (const Member& member : object_) {
+  const auto* members = std::get_if<std::vector<Member>>(&value_);
+  if (members == nullptr) return false;
+  for (const Member& member : *members) {
     if (member.first == key) return true;
   }
   return false;
 }
 
 std::size_t JsonValue::size() const {
-  if (kind_ == Kind::kArray) return array_.size();
-  if (kind_ == Kind::kObject) return object_.size();
+  if (is_array()) return std::get<std::vector<JsonValue>>(value_).size();
+  if (is_object()) return std::get<std::vector<Member>>(value_).size();
   detail::throw_invalid("JsonValue: size() on a scalar");
-}
-
-void write_json_string(std::ostream& os, std::string_view text) {
-  os << '"';
-  for (char c : text) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\b': os << "\\b"; break;
-      case '\f': os << "\\f"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buffer;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
 }
 
 namespace {
 
-void write_double(std::ostream& os, double d) {
-  require(std::isfinite(d), "JsonValue: NaN/Inf is not representable in JSON");
-  // Round-trip exact: shortest representation that parses back to the same
-  // double.
+/// Appends `text` as a JSON string literal: runs that need no escape are
+/// copied in one append each.
+void append_json_string(std::string& out, std::string_view text) {
+  out.push_back('"');
+  std::size_t run = 0;  // start of the pending unescaped run
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto byte = static_cast<unsigned char>(text[i]);
+    if (byte >= 0x20 && byte != '"' && byte != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
+    switch (byte) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[byte >> 4],
+                               kHex[byte & 0xF]};
+        out.append(escape, sizeof escape);
+      }
+    }
+  }
+  out.append(text.data() + run, text.size() - run);
+  out.push_back('"');
+}
+
+template <typename Number>
+void append_number(std::string& out, Number value) {
+  // Room for any int64 and the shortest round-trip form of any double
+  // (at most 24 bytes, as in "-2.2250738585072014e-308").
   char buffer[32];
-  const auto [end, ec] =
-      std::to_chars(buffer, buffer + sizeof buffer, d);
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, value);
   require(ec == std::errc(), "JsonValue: number formatting failed");
-  os.write(buffer, end - buffer);
+  out.append(buffer, static_cast<std::size_t>(end - buffer));
 }
 
 }  // namespace
 
-void JsonValue::write(std::ostream& os) const {
-  switch (kind_) {
-    case Kind::kNull: os << "null"; return;
-    case Kind::kBool: os << (bool_ ? "true" : "false"); return;
-    case Kind::kInt: os << int_; return;
-    case Kind::kNumber: write_double(os, number_); return;
-    case Kind::kString: write_json_string(os, string_); return;
+void write_json_string(std::ostream& os, std::string_view text) {
+  std::string out;
+  append_json_string(out, text);
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
+}
+
+void JsonValue::append_to(std::string& out) const {
+  switch (kind()) {
+    case Kind::kNull: out += "null"; return;
+    case Kind::kBool: out += std::get<bool>(value_) ? "true" : "false"; return;
+    case Kind::kInt: append_number(out, std::get<std::int64_t>(value_)); return;
+    case Kind::kNumber: {
+      const double d = std::get<double>(value_);
+      require(std::isfinite(d),
+              "JsonValue: NaN/Inf is not representable in JSON");
+      // Round-trip exact: shortest representation that parses back to the
+      // same double.
+      append_number(out, d);
+      return;
+    }
+    case Kind::kString:
+      append_json_string(out, std::get<std::string>(value_));
+      return;
     case Kind::kArray: {
-      os << '[';
-      for (std::size_t i = 0; i < array_.size(); ++i) {
-        if (i != 0) os << ',';
-        array_[i].write(os);
+      const auto& items = std::get<std::vector<JsonValue>>(value_);
+      out.push_back('[');
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        if (i != 0) out.push_back(',');
+        items[i].append_to(out);
       }
-      os << ']';
+      out.push_back(']');
       return;
     }
     case Kind::kObject: {
-      os << '{';
-      for (std::size_t i = 0; i < object_.size(); ++i) {
-        if (i != 0) os << ',';
-        write_json_string(os, object_[i].first);
-        os << ':';
-        object_[i].second.write(os);
+      const auto& members = std::get<std::vector<Member>>(value_);
+      out.push_back('{');
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        if (i != 0) out.push_back(',');
+        append_json_string(out, members[i].first);
+        out.push_back(':');
+        members[i].second.append_to(out);
       }
-      os << '}';
+      out.push_back('}');
       return;
     }
   }
 }
 
+void JsonValue::write(std::ostream& os) const {
+  const std::string text = dump();
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
+
 std::string JsonValue::dump() const {
-  std::ostringstream os;
-  write(os);
-  return os.str();
+  std::string out;
+  append_to(out);
+  return out;
 }
 
 bool operator==(const JsonValue& a, const JsonValue& b) {
-  if (a.is_number() && b.is_number()) return a.as_number() == b.as_number();
-  if (a.kind_ != b.kind_) return false;
-  switch (a.kind_) {
-    case JsonValue::Kind::kNull: return true;
-    case JsonValue::Kind::kBool: return a.bool_ == b.bool_;
-    case JsonValue::Kind::kInt:
-    case JsonValue::Kind::kNumber: return true;  // handled above
-    case JsonValue::Kind::kString: return a.string_ == b.string_;
-    case JsonValue::Kind::kArray: return a.array_ == b.array_;
-    case JsonValue::Kind::kObject: return a.object_ == b.object_;
+  if (a.kind() != b.kind() && a.is_number() && b.is_number()) {
+    return a.as_number() == b.as_number();
   }
-  return false;
+  return a.value_ == b.value_;
 }
 
 namespace {
@@ -338,14 +362,15 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
-      require(pos_ < text_.size(),
-              [&] { return error("unterminated string"); });
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
+      // Everything up to the next quote or backslash is copied verbatim.
+      const std::size_t stop = text_.find_first_of("\"\\", pos_);
+      if (stop == std::string_view::npos) {
+        pos_ = text_.size();
+        detail::throw_invalid(error("unterminated string"));
       }
+      out.append(text_.data() + pos_, stop - pos_);
+      pos_ = stop + 1;
+      if (text_[stop] == '"') return out;
       require(pos_ < text_.size(), [&] { return error("dangling escape"); });
       const char escape = text_[pos_++];
       switch (escape) {
@@ -417,7 +442,10 @@ class Parser {
       std::int64_t value = 0;
       const auto [end, ec] =
           std::from_chars(token.data(), token.data() + token.size(), value);
-      if (ec == std::errc() && end == token.data() + token.size()) {
+      // "-0" is how the writer spells the double -0.0 (int64 has no negative
+      // zero), so it takes the double path to round-trip bit for bit.
+      if (ec == std::errc() && end == token.data() + token.size() &&
+          !(value == 0 && token.front() == '-')) {
         return JsonValue::integer(value);
       }
       // Out of int64 range: fall through to the double path.

@@ -1,12 +1,14 @@
 // Minimal JSON document model: enough to emit the observability exports
-// (metrics snapshots, chrome://tracing event streams) deterministically and
-// to parse them back for validation in tests and tools.
+// (metrics snapshots, chrome://tracing event streams, run reports)
+// deterministically and to parse them back for validation in tests and
+// tools.
 //
 // Not a general JSON library: numbers are doubles (plus an exact-integer
 // fast path so uint64 counters survive a round trip), object key order is
 // preserved as written, and parse errors throw InvalidArgumentError with a
-// byte offset.  Serialization uses max_digits10 so parse(dump(v)) is
-// value-exact for every number we emit.
+// byte offset.  Serialization writes the shortest representation that
+// parses back to the same double, so parse(dump(v)) is value-exact for
+// every number we emit.
 #pragma once
 
 #include <cstdint>
@@ -14,12 +16,14 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace vodrep::obs {
 
-/// One JSON value; a tagged union over the seven JSON shapes (integers are
+/// One JSON value: a std::variant over the seven JSON shapes (integers are
 /// tracked separately from general numbers so counter exports stay exact).
+/// The alternatives are in Kind order, so kind() is the variant's index.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kInt, kNumber, kString, kArray, kObject };
@@ -35,15 +39,15 @@ class JsonValue {
   static JsonValue array();
   static JsonValue object();
 
-  [[nodiscard]] Kind kind() const { return kind_; }
-  [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
-  [[nodiscard]] bool is_bool() const { return kind_ == Kind::kBool; }
+  [[nodiscard]] Kind kind() const { return static_cast<Kind>(value_.index()); }
+  [[nodiscard]] bool is_null() const { return kind() == Kind::kNull; }
+  [[nodiscard]] bool is_bool() const { return kind() == Kind::kBool; }
   [[nodiscard]] bool is_number() const {
-    return kind_ == Kind::kNumber || kind_ == Kind::kInt;
+    return kind() == Kind::kNumber || kind() == Kind::kInt;
   }
-  [[nodiscard]] bool is_string() const { return kind_ == Kind::kString; }
-  [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
-  [[nodiscard]] bool is_object() const { return kind_ == Kind::kObject; }
+  [[nodiscard]] bool is_string() const { return kind() == Kind::kString; }
+  [[nodiscard]] bool is_array() const { return kind() == Kind::kArray; }
+  [[nodiscard]] bool is_object() const { return kind() == Kind::kObject; }
 
   [[nodiscard]] bool as_bool() const;
   /// Numeric value; exact for kInt within int64 range.
@@ -58,6 +62,9 @@ class JsonValue {
   /// below never emit duplicates).
   void push_back(JsonValue value);
   void set(std::string key, JsonValue value);
+  /// Reserves room for `count` array elements, so a column of known length
+  /// is built without regrowing.
+  void reserve(std::size_t count);
 
   /// Object lookup; throws InvalidArgumentError when absent or not an object.
   [[nodiscard]] const JsonValue& at(std::string_view key) const;
@@ -65,21 +72,23 @@ class JsonValue {
   /// Array element count / object member count.
   [[nodiscard]] std::size_t size() const;
 
-  /// Compact single-line serialization (valid JSON).
+  /// Compact single-line serialization (valid JSON), built in one string
+  /// and handed to the stream in a single write.
   void write(std::ostream& os) const;
   [[nodiscard]] std::string dump() const;
 
-  /// Structural equality (kInt 3 == kNumber 3.0 compares equal).
+  /// The variant's equality, except that a kInt and a kNumber compare by
+  /// numeric value (kInt 3 == kNumber 3.0).
   friend bool operator==(const JsonValue& a, const JsonValue& b);
 
  private:
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> array_;
-  std::vector<Member> object_;
+  using Value = std::variant<std::monostate, bool, std::int64_t, double,
+                             std::string, std::vector<JsonValue>,
+                             std::vector<Member>>;
+
+  void append_to(std::string& out) const;
+
+  Value value_;
 };
 
 /// Writes `text` as a JSON string literal (quotes + escapes) to `os`.

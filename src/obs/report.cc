@@ -1,5 +1,6 @@
 #include "src/obs/report.h"
 
+#include <algorithm>
 #include <cstddef>
 
 namespace vodrep::obs {
@@ -72,6 +73,83 @@ void check_array_sizes(const JsonValue& timeline, const char* key,
                    std::to_string(value.size()) + " entries, expected " +
                    std::to_string(expected));
   }
+}
+
+/// Entry count of the name table `events[key]`, or 0 (so that no code
+/// indexes it) after reporting a table that is not an array of strings.
+std::size_t name_table_size(const JsonValue& events, const char* key,
+                            std::vector<std::string>* out) {
+  if (events.has(key) && events.at(key).is_array()) {
+    const auto& names = events.at(key).items();
+    if (std::all_of(names.begin(), names.end(),
+                    [](const JsonValue& name) { return name.is_string(); })) {
+      return names.size();
+    }
+  }
+  out->push_back(std::string("events.") + key + " is not an array of strings");
+  return 0;
+}
+
+/// The column-wise event log: four counters, two name tables and five
+/// columns of num_records entries each, every entry of the right type and
+/// every outcome and reason code an index into its table.  One problem per
+/// column at most, so a long log with one bad shape does not flood the list.
+void check_events(const JsonValue& events, std::vector<std::string>* out) {
+  if (!events.is_object()) {
+    out->push_back("events is not an object");
+    return;
+  }
+  bool counts_ok = true;
+  for (const char* key : {"capacity", "seen", "dropped", "num_records"}) {
+    if (!events.has(key) || !is_uint(events.at(key))) {
+      out->push_back(std::string("events.") + key +
+                     " is not a non-negative integer");
+      counts_ok = false;
+    }
+  }
+  if (!counts_ok) return;
+  const std::uint64_t records = events.at("num_records").as_uint();
+  if (events.at("seen").as_uint() != records + events.at("dropped").as_uint()) {
+    out->push_back("events.seen is not num_records + dropped");
+  }
+  if (records > events.at("capacity").as_uint()) {
+    out->push_back("events.num_records exceeds events.capacity");
+  }
+  const std::size_t outcomes = name_table_size(events, "outcome_names", out);
+  const std::size_t reasons = name_table_size(events, "reason_names", out);
+
+  const auto check_column = [&](const char* key, const char* entry,
+                                const auto& valid) {
+    if (!events.has(key) || !events.at(key).is_array()) {
+      out->push_back(std::string("events.") + key + " is not an array");
+      return;
+    }
+    const auto& entries = events.at(key).items();
+    if (entries.size() != records) {
+      out->push_back(std::string("events.") + key + " has " +
+                     std::to_string(entries.size()) + " entries, expected " +
+                     std::to_string(records));
+      return;
+    }
+    const auto bad = std::find_if_not(entries.begin(), entries.end(), valid);
+    if (bad != entries.end()) {
+      out->push_back(std::string("events.") + key + "[" +
+                     std::to_string(bad - entries.begin()) + "] is not " +
+                     entry);
+    }
+  };
+  check_column("t", "a number",
+               [](const JsonValue& v) { return v.is_number(); });
+  check_column("video", "a non-negative integer", is_uint);
+  check_column("server", "an integer", is_int);
+  check_column("outcome", "a code into events.outcome_names",
+               [outcomes](const JsonValue& v) {
+                 return is_uint(v) && v.as_uint() < outcomes;
+               });
+  check_column("reason", "a code into events.reason_names",
+               [reasons](const JsonValue& v) {
+                 return is_uint(v) && v.as_uint() < reasons;
+               });
 }
 
 }  // namespace
@@ -186,14 +264,7 @@ std::vector<std::string> validate_run_report(const JsonValue& report) {
     }
   }
 
-  const JsonValue& events = report.at("events");
-  if (!events.is_object() || !events.has("capacity") || !events.has("seen") ||
-      !events.has("dropped") || !events.has("records") ||
-      !events.at("records").is_array()) {
-    problems.push_back(
-        "events must carry 'capacity', 'seen', 'dropped', and array "
-        "'records'");
-  }
+  check_events(report.at("events"), &problems);
 
   // The profile section is optional (reports from runs without --profile-out
   // stay valid), but when present it must be the versioned profile_json

@@ -22,7 +22,9 @@
 
 namespace vodrep::obs {
 
-inline constexpr std::int64_t kRunReportSchemaVersion = 1;
+/// Version 2 writes the event log column-wise (src/obs/event_log.h); a
+/// version-1 report, with its `events.records` objects, no longer validates.
+inline constexpr std::int64_t kRunReportSchemaVersion = 2;
 inline constexpr const char* kRunReportKind = "vodrep_run_report";
 /// Version of the optional `profile` section (obs::profile_json, which
 /// stamps this constant).
@@ -32,10 +34,12 @@ inline constexpr std::int64_t kRunProfileVersion = 1;
 [[nodiscard]] const std::vector<std::string>& run_report_required_keys();
 
 /// Structural validation: every required top-level key present with the
-/// right JSON shape, schema_version/kind correct, the timeline's columnar
-/// arrays equally sized, and the per-reason rejection counts summing to the
-/// rejection total.  Returns a human-readable problem per violation; empty
-/// means the report is valid.
+/// right JSON shape, schema_version/kind correct, the timeline's and the
+/// event log's columnar arrays equally sized, every event's outcome and
+/// reason code inside its name table, the event log's seen count equal to
+/// kept plus dropped records, and the per-reason rejection counts summing to
+/// the rejection total.  Returns a human-readable problem per violation;
+/// empty means the report is valid.  Never throws on a parsed document.
 [[nodiscard]] std::vector<std::string> validate_run_report(
     const JsonValue& report);
 

@@ -115,16 +115,6 @@ obs::JsonValue empty_timeline_json() {
   return out;
 }
 
-obs::JsonValue empty_events_json() {
-  using obs::JsonValue;
-  JsonValue out = JsonValue::object();
-  out.set("capacity", JsonValue::integer_u64(0));
-  out.set("seen", JsonValue::integer_u64(0));
-  out.set("dropped", JsonValue::integer_u64(0));
-  out.set("records", JsonValue::array());
-  return out;
-}
-
 }  // namespace
 
 SimResult aggregate_results(const std::vector<SimResult>& results) {
@@ -188,8 +178,7 @@ obs::JsonValue build_run_report(const SimConfig& config,
              timeline != nullptr ? timeline->to_json() : empty_timeline_json());
   report.set("annotations", timeline != nullptr ? timeline->annotations_json()
                                                 : JsonValue::array());
-  report.set("events",
-             events != nullptr ? events->to_json() : empty_events_json());
+  report.set("events", obs::EventLog::to_json(events));
   require(profile.is_null() || profile.is_object(),
           "build_run_report: profile must be null or an object");
   if (profile.is_object()) report.set("profile", std::move(profile));

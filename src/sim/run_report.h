@@ -25,11 +25,12 @@ namespace vodrep {
 /// server count.
 [[nodiscard]] SimResult aggregate_results(const std::vector<SimResult>& results);
 
-/// Builds a schema-version-1 run report (obs::validate_run_report passes on
-/// the output by construction).  `timeline` and `events` may be null — the
-/// corresponding sections then carry zero samples / records.  `config_extra`
-/// must be a JSON object; its members are merged into the `config` echo on
-/// top of the SimConfig fields (callers add trace/driver parameters there).
+/// Builds a run report at obs::kRunReportSchemaVersion
+/// (obs::validate_run_report passes on the output by construction).
+/// `timeline` and `events` may be null — the corresponding sections then
+/// carry zero samples / records.  `config_extra` must be a JSON object; its
+/// members are merged into the `config` echo on top of the SimConfig fields
+/// (callers add trace/driver parameters there).
 /// `profile` is the optional obs::profile_json() export; pass null (the
 /// default) to omit the section.
 [[nodiscard]] obs::JsonValue build_run_report(

@@ -17,6 +17,9 @@ std::vector<double> poisson_arrivals(Rng& rng, double rate, double horizon) {
           "poisson_arrivals: horizon must be finite and non-negative");
   std::vector<double> times;
   if (rate == 0.0 || horizon == 0.0) return times;
+  require(rate * horizon <= kMaxExpectedArrivals,
+          "poisson_arrivals: expected arrival count rate x horizon exceeds "
+          "kMaxExpectedArrivals (1e9)");
   times.reserve(static_cast<std::size_t>(rate * horizon * 1.2) + 16);
   double t = rng.exponential(rate);
   while (t < horizon) {
@@ -35,6 +38,9 @@ std::vector<double> poisson_arrivals_block(Rng& rng, double rate,
   require(block >= 1, "poisson_arrivals_block: block size must be >= 1");
   std::vector<double> times;
   if (rate == 0.0 || horizon == 0.0) return times;
+  require(rate * horizon <= kMaxExpectedArrivals,
+          "poisson_arrivals_block: expected arrival count rate x horizon "
+          "exceeds kMaxExpectedArrivals (1e9)");
   times.reserve(static_cast<std::size_t>(rate * horizon * 1.2) + 16);
   std::vector<std::uint64_t> raw(block);
   std::vector<double> gaps(block);

@@ -13,10 +13,17 @@
 
 namespace vodrep {
 
+/// Largest expected arrival count, rate × horizon, that the Poisson
+/// generators accept.  It is far above any run here (a simulated month is
+/// about 766k requests), and below it the generators' reserve is a defined
+/// size_t and the loop ends in bounded time.
+inline constexpr double kMaxExpectedArrivals = 1e9;
+
 /// One realization of a homogeneous Poisson process: strictly increasing
 /// arrival times in [0, horizon).  `rate` is in events per unit time (the
 /// simulator uses seconds).  rate == 0 yields no arrivals; an infinite or
-/// NaN rate or horizon throws InvalidArgumentError.
+/// NaN rate or horizon, or rate × horizon above kMaxExpectedArrivals,
+/// throws InvalidArgumentError.
 [[nodiscard]] std::vector<double> poisson_arrivals(Rng& rng, double rate,
                                                    double horizon);
 

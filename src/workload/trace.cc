@@ -1,5 +1,6 @@
 #include "src/workload/trace.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -9,6 +10,15 @@
 #include "src/workload/arrivals.h"
 
 namespace vodrep {
+
+namespace {
+
+// The header's request count is outside input: the reader reserves at most
+// this many up front and grows with the lines actually present, so a forged
+// count fails as a truncated body instead of sizing the buffer.
+constexpr std::size_t kReserveCap = 4096;
+
+}  // namespace
 
 std::vector<std::size_t> RequestTrace::video_counts(
     std::size_t num_videos) const {
@@ -76,7 +86,7 @@ RequestTrace load_trace(std::istream& is) {
   is >> magic >> count >> trace.horizon;
   require(static_cast<bool>(is) && magic == "vodrep-trace",
           "load_trace: missing vodrep-trace header");
-  trace.requests.reserve(count);
+  trace.requests.reserve(std::min(count, kReserveCap));
   for (std::size_t i = 0; i < count; ++i) {
     Request r;
     is >> r.arrival_time >> r.video >> r.watch_fraction;

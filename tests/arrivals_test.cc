@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/util/error.h"
@@ -70,6 +73,37 @@ TEST(PoissonArrivals, RejectsInfiniteRateOrHorizon) {
                InvalidArgumentError);
   EXPECT_THROW((void)poisson_arrivals_block(rng, 1.0, kInf, 64),
                InvalidArgumentError);
+}
+
+TEST(PoissonArrivals, RejectsExpectedCountsAboveTheCap) {
+  // A finite but huge rate would make gaps of about 1/rate and a reserve
+  // cast past SIZE_MAX; both generators must refuse it before either, and
+  // without drawing from the generator.
+  const double just_over = std::nextafter(
+      kMaxExpectedArrivals, std::numeric_limits<double>::infinity());
+  for (const auto& [rate, horizon] :
+       {std::pair{1e300, 10.0}, std::pair{just_over, 1.0},
+        std::pair{1.0, just_over}}) {
+    Rng rng(8);
+    const Rng before = rng;
+    EXPECT_THROW((void)poisson_arrivals(rng, rate, horizon),
+                 InvalidArgumentError)
+        << rate << " x " << horizon;
+    EXPECT_THROW((void)poisson_arrivals_block(rng, rate, horizon, 64),
+                 InvalidArgumentError)
+        << rate << " x " << horizon;
+    Rng untouched = before;
+    EXPECT_EQ(rng.next_u64(), untouched.next_u64());
+  }
+  Rng rng(9);
+  try {
+    (void)poisson_arrivals_block(rng, 1e300, 10.0, 64);
+    FAIL() << "expected InvalidArgumentError";
+  } catch (const InvalidArgumentError& error) {
+    EXPECT_NE(std::string(error.what()).find("kMaxExpectedArrivals"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(PoissonArrivals, DeterministicGivenSeed) {

@@ -2,7 +2,7 @@
 // test: capacity is reserved up front and never exceeded, overflow drops
 // and counts instead of allocating, seen == kept + dropped always, the
 // epoch time offset shifts stored times (global timeline), and the JSON
-// export carries the drop accounting alongside the kept records.
+// export carries the drop accounting alongside the kept records' columns.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -92,21 +92,46 @@ TEST(EventLogTest, JsonExportCarriesDropAccountingAndNames) {
   log.record(make_record(2.5, 10, -1, RequestOutcome::kRejected,
                          RejectReason::kStripeUnavailable));
   log.record(make_record(3.5, 11, 0, RequestOutcome::kServed));  // dropped
-  const JsonValue json = log.to_json();
+  const JsonValue json = EventLog::to_json(&log);
   EXPECT_EQ(json.at("capacity").as_uint(), 2u);
   EXPECT_EQ(json.at("seen").as_uint(), 3u);
   EXPECT_EQ(json.at("dropped").as_uint(), 1u);
-  ASSERT_EQ(json.at("records").size(), 2u);
-  const JsonValue& first = json.at("records").items()[0];
-  EXPECT_DOUBLE_EQ(first.at("t").as_number(), 1.5);
-  EXPECT_EQ(first.at("video").as_uint(), 9u);
-  EXPECT_EQ(first.at("server").as_int(), 3);
-  EXPECT_EQ(first.at("outcome").as_string(), "batched");
-  EXPECT_EQ(first.at("reason").as_string(), "none");
-  const JsonValue& second = json.at("records").items()[1];
-  EXPECT_EQ(second.at("outcome").as_string(), "rejected");
-  EXPECT_EQ(second.at("reason").as_string(), "stripe_unavailable");
-  EXPECT_EQ(second.at("server").as_int(), -1);
+  EXPECT_EQ(json.at("num_records").as_uint(), 2u);
+  for (const char* column : {"t", "video", "server", "outcome", "reason"}) {
+    ASSERT_EQ(json.at(column).size(), 2u) << column;
+  }
+  // Outcome and reason are codes into the name tables.
+  const auto outcome_name = [&](std::size_t i) {
+    const auto code = json.at("outcome").items()[i].as_uint();
+    return json.at("outcome_names").items().at(code).as_string();
+  };
+  const auto reason_name = [&](std::size_t i) {
+    const auto code = json.at("reason").items()[i].as_uint();
+    return json.at("reason_names").items().at(code).as_string();
+  };
+  EXPECT_DOUBLE_EQ(json.at("t").items()[0].as_number(), 1.5);
+  EXPECT_EQ(json.at("video").items()[0].as_uint(), 9u);
+  EXPECT_EQ(json.at("server").items()[0].as_int(), 3);
+  EXPECT_EQ(outcome_name(0), "batched");
+  EXPECT_EQ(reason_name(0), "none");
+  EXPECT_DOUBLE_EQ(json.at("t").items()[1].as_number(), 2.5);
+  EXPECT_EQ(json.at("video").items()[1].as_uint(), 10u);
+  EXPECT_EQ(json.at("server").items()[1].as_int(), -1);
+  EXPECT_EQ(outcome_name(1), "rejected");
+  EXPECT_EQ(reason_name(1), "stripe_unavailable");
+  EXPECT_EQ(json.at("outcome_names").size(), kNumRequestOutcomes);
+  EXPECT_EQ(json.at("reason_names").size(), kNumRejectReasons);
+
+  // A null log exports the same shape, empty.
+  const JsonValue empty = EventLog::to_json(nullptr);
+  ASSERT_EQ(empty.size(), json.size());
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    EXPECT_EQ(empty.members()[i].first, json.members()[i].first);
+  }
+  EXPECT_EQ(empty.at("capacity").as_uint(), 0u);
+  EXPECT_EQ(empty.at("num_records").as_uint(), 0u);
+  EXPECT_EQ(empty.at("t").size(), 0u);
+  EXPECT_EQ(empty.at("reason_names"), json.at("reason_names"));
 }
 
 TEST(EventLogTest, ReasonAndOutcomeNamesAreStable) {

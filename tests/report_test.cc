@@ -157,7 +157,7 @@ TEST(RunReportTest, NullCollectorsYieldEmptyButValidSections) {
   EXPECT_TRUE(obs::validate_run_report(report).empty());
   EXPECT_EQ(report.at("timeline").at("num_samples").as_uint(), 0u);
   EXPECT_EQ(report.at("annotations").size(), 0u);
-  EXPECT_EQ(report.at("events").at("records").size(), 0u);
+  EXPECT_EQ(report.at("events").at("num_records").as_uint(), 0u);
 }
 
 TEST(RunReportValidatorTest, FlagsMissingTopLevelKey) {
@@ -195,6 +195,100 @@ TEST(RunReportValidatorTest, FlagsColumnarSizeMismatch) {
   const auto problems = obs::validate_run_report(
       replaced(fixture.report, "timeline", std::move(timeline)));
   EXPECT_TRUE(any_problem_contains(problems, "timeline.time"));
+}
+
+/// `report` with events[key] replaced by `value`.
+JsonValue with_event_field(const JsonValue& report, const std::string& key,
+                           JsonValue value) {
+  return replaced(report, "events",
+                  replaced(report.at("events"), key, std::move(value)));
+}
+
+/// Copy of the array `column` with entry `index` replaced by `value`.
+JsonValue with_entry(const JsonValue& column, std::size_t index,
+                     JsonValue value) {
+  JsonValue out = JsonValue::array();
+  for (std::size_t i = 0; i < column.size(); ++i) {
+    out.push_back(i == index ? value : column.items()[i]);
+  }
+  return out;
+}
+
+TEST(RunReportValidatorTest, FlagsRaggedEventColumns) {
+  const RunFixture fixture = run_small_world();
+  const JsonValue& events = fixture.report.at("events");
+  ASSERT_GE(events.at("num_records").as_uint(), 2u);
+  JsonValue shorter = JsonValue::array();
+  for (std::size_t i = 1; i < events.at("video").size(); ++i) {
+    shorter.push_back(events.at("video").items()[i]);
+  }
+  const auto problems = obs::validate_run_report(
+      with_event_field(fixture.report, "video", std::move(shorter)));
+  EXPECT_TRUE(any_problem_contains(problems, "events.video has"));
+}
+
+TEST(RunReportValidatorTest, FlagsEventCodesOutsideTheirTables) {
+  const RunFixture fixture = run_small_world();
+  const JsonValue& events = fixture.report.at("events");
+  const auto outcome_codes = events.at("outcome_names").size();
+  const auto out_of_range = obs::validate_run_report(with_event_field(
+      fixture.report, "outcome",
+      with_entry(events.at("outcome"), 1,
+                 JsonValue::integer_u64(outcome_codes))));
+  EXPECT_TRUE(
+      any_problem_contains(out_of_range, "events.outcome[1] is not a code "
+                                         "into events.outcome_names"));
+  const auto negative = obs::validate_run_report(with_event_field(
+      fixture.report, "reason",
+      with_entry(events.at("reason"), 0, JsonValue::integer(-1))));
+  EXPECT_TRUE(any_problem_contains(negative, "events.reason[0]"));
+  for (JsonValue not_an_integer :
+       {JsonValue::number(1.5), JsonValue::string("rejected")}) {
+    const auto problems = obs::validate_run_report(with_event_field(
+        fixture.report, "reason",
+        with_entry(events.at("reason"), 0, std::move(not_an_integer))));
+    EXPECT_TRUE(any_problem_contains(
+        problems, "events.reason[0] is not a code into events.reason_names"));
+  }
+}
+
+TEST(RunReportValidatorTest, FlagsEventAccountingMismatch) {
+  const RunFixture fixture = run_small_world();
+  const JsonValue& events = fixture.report.at("events");
+  const auto seen = events.at("seen").as_uint();
+  const auto unbalanced = obs::validate_run_report(with_event_field(
+      fixture.report, "seen", JsonValue::integer_u64(seen + 1)));
+  EXPECT_TRUE(any_problem_contains(unbalanced,
+                                   "events.seen is not num_records + dropped"));
+  const auto over_capacity = obs::validate_run_report(with_event_field(
+      fixture.report, "capacity",
+      JsonValue::integer_u64(events.at("num_records").as_uint() - 1)));
+  EXPECT_TRUE(any_problem_contains(
+      over_capacity, "events.num_records exceeds events.capacity"));
+}
+
+TEST(RunReportValidatorTest, FlagsVersionOneEventRecords) {
+  const RunFixture fixture = run_small_world();
+  // A version-1 report: per-record objects under events.records.
+  JsonValue record = JsonValue::object();
+  record.set("t", JsonValue::number(1.0));
+  record.set("video", JsonValue::integer(0));
+  record.set("server", JsonValue::integer(0));
+  record.set("outcome", JsonValue::string("served"));
+  record.set("reason", JsonValue::string("none"));
+  JsonValue records = JsonValue::array();
+  records.push_back(std::move(record));
+  JsonValue events = JsonValue::object();
+  events.set("capacity", JsonValue::integer(1));
+  events.set("seen", JsonValue::integer(1));
+  events.set("dropped", JsonValue::integer(0));
+  events.set("records", std::move(records));
+  const JsonValue v1 = replaced(
+      replaced(fixture.report, "schema_version", JsonValue::integer(1)),
+      "events", std::move(events));
+  const auto problems = obs::validate_run_report(v1);
+  EXPECT_TRUE(any_problem_contains(problems, "schema_version is not 2"));
+  EXPECT_TRUE(any_problem_contains(problems, "events.num_records"));
 }
 
 TEST(RunReportValidatorTest, FlagsNonObjectInput) {

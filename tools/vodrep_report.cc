@@ -233,7 +233,7 @@ void write_stat_tiles(std::ostream& os, const JsonValue& final_section,
   tile("mean utilization",
        fmt(100.0 * final_section.at("mean_utilization").as_number()) + "%");
   tile("event log",
-       std::to_string(events.at("records").size()) + " kept / " +
+       std::to_string(events.at("num_records").as_uint()) + " kept / " +
            std::to_string(events.at("dropped").as_uint()) + " dropped");
   os << "</div>\n";
 }
