@@ -96,6 +96,31 @@ ScalableSolution IncrementalState::to_solution() const {
   return solution;
 }
 
+ScalableSolution IncrementalState::solution_at(Checkpoint mark) const {
+  require(mark <= journal_.size(), "solution_at: checkpoint from the future");
+  ScalableSolution solution = to_solution();
+  // rollback()'s undo, most recent first, on the solution's replica lists:
+  // an undone add swap-removes like remove_replica_at, an undone drop
+  // appends like push_replica.
+  for (std::size_t e = journal_.size(); e > mark; --e) {
+    const JournalEntry& entry = journal_[e - 1];
+    std::vector<std::size_t>& servers = solution.placement[entry.video];
+    switch (entry.op) {
+      case Op::kSetBitrate:
+        solution.bitrate_index[entry.video] = entry.aux;
+        break;
+      case Op::kAddReplica:
+        *std::find(servers.begin(), servers.end(), entry.aux) = servers.back();
+        servers.pop_back();
+        break;
+      case Op::kDropReplica:
+        servers.push_back(entry.aux);
+        break;
+    }
+  }
+  return solution;
+}
+
 std::pair<std::uint32_t*, std::uint32_t*> IncrementalState::replica_arrays(
     std::uint32_t video) {
   if (replica_count_[video] <= kInlineReplicas) {

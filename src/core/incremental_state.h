@@ -84,6 +84,11 @@ class IncrementalState {
   /// The SoA layout keeps no solution object live, so this is a snapshot
   /// for extraction, auditing, and interop — never call it per move.
   [[nodiscard]] ScalableSolution to_solution() const;
+  /// to_solution() of the configuration at `mark`, without rolling back:
+  /// exactly what rollback(mark) followed by to_solution() would return,
+  /// replica order included, at the cost of one solution instead of a copy
+  /// of the state.
+  [[nodiscard]] ScalableSolution solution_at(Checkpoint mark) const;
 
   [[nodiscard]] std::size_t num_videos() const { return bitrate_index_.size(); }
   [[nodiscard]] std::size_t bitrate_index(std::size_t video) const {

@@ -223,7 +223,7 @@ ScalableSolution ScalableSaProblem::neighbor(const State& state,
 
 ScalableSaProblem::Scratch ScalableSaProblem::make_scratch(State state) const {
   Scratch scratch{IncrementalState(problem_, std::move(state)), 0, 0.0, 0.0,
-                  0,   0.0, {}};
+                  0,   0.0, {}, {}};
   scratch.cost_before = incremental_cost(scratch.state);
   scratch.cost_after = scratch.cost_before;
   scratch.best_cost = scratch.cost_before;
@@ -264,17 +264,27 @@ void ScalableSaProblem::commit(Scratch& scratch) const {
   // mark assignment; extract_best() pays the single O(M) materialization at
   // the end of the chain.
   scratch.cost_before = scratch.cost_after;
+  IncrementalState& state = scratch.state;
   if (scratch.cost_after < scratch.best_cost) {
     scratch.best_cost = scratch.cost_after;
-    scratch.best_mark = scratch.state.checkpoint();
+    scratch.best_mark = state.checkpoint();
+    scratch.best_snapshot.reset();
     // The prefix behind the best mark can never be rolled back to again;
-    // dropping it (rarely — the erase is O(journal)) bounds journal memory
-    // to the since-best tail.
-    constexpr IncrementalState::Checkpoint kTrimThreshold = 1u << 16;
-    if (scratch.best_mark >= kTrimThreshold) {
-      scratch.state.forget_history(scratch.best_mark);
+    // dropping it (rarely — the erase is O(journal)) bounds the journal to
+    // the since-best tail.
+    if (scratch.best_mark >= kSaJournalTrimEntries) {
+      state.forget_history(scratch.best_mark);
       scratch.best_mark = 0;
     }
+  } else if (state.checkpoint() - scratch.best_mark >
+             kSaJournalTailPerVideo * problem_.videos.count()) {
+    // A walker on a plateau: materialize the best (once per best), then
+    // drop the whole journal.
+    if (!scratch.best_snapshot) {
+      scratch.best_snapshot = state.solution_at(scratch.best_mark);
+    }
+    state.commit();
+    scratch.best_mark = 0;
   }
 }
 
@@ -289,6 +299,7 @@ ScalableSolution ScalableSaProblem::extract(const Scratch& scratch) const {
 }
 
 ScalableSolution ScalableSaProblem::extract_best(Scratch& scratch) const {
+  if (scratch.best_snapshot) return std::move(*scratch.best_snapshot);
   scratch.state.rollback(scratch.best_mark);
   return scratch.state.to_solution();
 }

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/anneal/annealer.h"
@@ -35,6 +36,15 @@ inline constexpr double kSaBandwidthPenalty = 100.0;
 /// (otherwise it tries to add a replica first; each falls back to the other
 /// when its preconditions fail).
 inline constexpr double kSaIncreaseRateProbability = 0.5;
+/// A chain's undo journal holds at most this many entries per video behind
+/// its best configuration: past that, commit() materializes the best as a
+/// ScalableSolution and drops the journal.  A snapshot costs O(M), so one
+/// per kSaJournalTailPerVideo * M commits keeps the cost per commit O(1).
+inline constexpr std::size_t kSaJournalTailPerVideo = 8;
+/// A new best past this many journal entries drops the prefix behind it, so
+/// a chain's journal never exceeds kSaJournalTrimEntries +
+/// kSaJournalTailPerVideo * M entries.
+inline constexpr std::size_t kSaJournalTrimEntries = std::size_t{1} << 16;
 
 struct SaSolverOptions {
   AnnealOptions anneal;
@@ -80,10 +90,15 @@ struct SaScratch {
   /// alive across commits, best_mark points at the best configuration seen
   /// by this walker, and extract_best() rolls back to it once at the end —
   /// so a new best costs O(1) instead of an O(M) solution snapshot.
-  /// commit() trims the journal prefix behind best_mark when it grows past
-  /// a threshold, keeping memory proportional to the since-best tail.
+  /// commit() bounds the journal (kSaJournalTrimEntries,
+  /// kSaJournalTailPerVideo): a tail that grows too long behind best_mark
+  /// becomes `best_snapshot` and the journal is dropped.  A replica
+  /// exchange swaps whole scratches, so the snapshot travels with its walker.
   IncrementalState::Checkpoint best_mark = 0;
   double best_cost = 0.0;
+  /// The best configuration once the journal behind it was dropped; empty
+  /// while best_mark still reaches it by rollback.
+  std::optional<ScalableSolution> best_snapshot;
   std::vector<std::uint32_t> candidates;
 };
 
@@ -121,9 +136,10 @@ class ScalableSaProblem {
   void commit(Scratch& scratch) const;
   void revert(Scratch& scratch) const;
   [[nodiscard]] State extract(const Scratch& scratch) const;
-  /// DeferredBestAnnealProblem hook: rolls the scratch back to the best
-  /// configuration its journal has seen and materializes it.  Consumes the
-  /// scratch (call once, at the end of a chain).
+  /// DeferredBestAnnealProblem hook: returns the best snapshot, or rolls
+  /// the scratch back to the best configuration its journal has seen and
+  /// materializes it.  Consumes the scratch (call once, at the end of a
+  /// chain).
   [[nodiscard]] State extract_best(Scratch& scratch) const;
 
   /// Evaluation-path instrumentation, summed across every chain driving this

@@ -1,25 +1,45 @@
-// The paper's evaluation experiments (Figures 4-6) and the extensions
-// indexed in DESIGN.md, each returning a printable Table whose rows/series
-// mirror the corresponding figure.
+// The experiment catalogue: every table of EXPERIMENTS.md as one entry
+// {id, title, run}.  E1-E8 reproduce the paper's figures and theorems,
+// E10-E20 are the extensions indexed in DESIGN.md, and E21 is the edge
+// prefix-cache comparison; E9 is google-benchmark (vodrep_micro_algorithms).
+//
+// An entry's run replays its grid, quick or full, and returns captioned
+// tables.  Cells measured over repeated runs keep their per-run statistics
+// (Measured), so tests/experiment_verdicts_test.cc asserts the paper's
+// verdicts against the cells' own confidence margins.
+// bench/vodrep_experiments prints the catalogue.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "src/exp/scenario.h"
 #include "src/util/table.h"
+#include "src/util/thread_pool.h"
 
 namespace vodrep {
 
-struct ExperimentOptions {
-  std::size_t runs = 20;            ///< workload realizations per cell
-  std::size_t sweep_points = 12;    ///< arrival-rate points per curve
-  std::uint64_t seed = 0x0DDB1A5E5BA5E5EDULL;
-  std::size_t num_videos = 300;
-  std::size_t threads = 0;          ///< 0: hardware concurrency
+/// The quick grid is the CI smoke size (fewer videos, runs and sweep
+/// points); the full grid is the size EXPERIMENTS.md reports.
+enum class Grid { kQuick, kFull };
+
+/// One printed table of an experiment, under its caption.
+struct Section {
+  std::string caption;
+  Table table;
 };
+
+struct Experiment {
+  std::string_view id;     ///< "E1" ... "E21"
+  std::string_view title;
+  std::vector<Section> (*run)(Grid grid, ThreadPool& pool);
+};
+
+/// Every entry, in id order.
+[[nodiscard]] const std::vector<Experiment>& experiments();
+
+/// The entry with `id`, or nullptr.
+[[nodiscard]] const Experiment* find_experiment(std::string_view id);
 
 /// A replication+placement pairing as used in Figures 4-6.
 struct AlgorithmCombo {
@@ -33,41 +53,5 @@ struct AlgorithmCombo {
 
 /// The four combinations the paper compares.
 [[nodiscard]] std::vector<AlgorithmCombo> paper_combos();
-
-/// Figure 4 (one subplot): rejection rate (%) vs arrival rate (req/min) for
-/// replication degrees {1.0, 1.2, 1.4, 1.6, 1.8}, using the given algorithm
-/// combination and Zipf skew theta.  Columns: rate, then one per degree.
-[[nodiscard]] Table fig4_panel(const AlgorithmCombo& combo, double theta,
-                               const ExperimentOptions& options);
-
-/// Figure 5 (one subplot): rejection rate (%) vs arrival rate for the four
-/// algorithm combinations at a fixed replication degree and skew.
-[[nodiscard]] Table fig5_panel(double theta, double replication_degree,
-                               const ExperimentOptions& options);
-
-/// Figure 6 (one subplot): time-averaged load-imbalance degree L (%) (Eq. 2)
-/// vs arrival rate for the four combinations at a fixed degree; the paper
-/// shows theta = 1.0.
-[[nodiscard]] Table fig6_panel(double theta, double replication_degree,
-                               const ExperimentOptions& options);
-
-/// Figure 6 companion (paper §5.3 remark): L (%) vs arrival rate for
-/// zipf+slf across the replication degrees {1.0 .. 1.8}, extending past the
-/// throughput capacity — "the performance curves of all replication degrees
-/// almost merged because all servers were overloaded".
-[[nodiscard]] Table fig6_degree_merge_panel(double theta,
-                                            const ExperimentOptions& options);
-
-/// E10 ablation: rejection rate with and without backbone-assisted request
-/// redirection (the paper's future-work strategy), zipf+slf at the given
-/// degree/skew.  Columns: rate, strict-RR %, redirect %, redirected share %.
-[[nodiscard]] Table redirect_ablation(double theta, double replication_degree,
-                                      const ExperimentOptions& options);
-
-/// E8: for each replication degree, the Theorem 4.2 quantities of the
-/// zipf+slf provisioning: achieved expected-load spread, the bound
-/// max w - min w, and the Eq. 2 imbalance of the expected loads.
-[[nodiscard]] Table bound_check_table(double theta,
-                                      const ExperimentOptions& options);
 
 }  // namespace vodrep

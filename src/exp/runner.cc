@@ -6,22 +6,26 @@
 #include "src/sim/replicated_policy.h"
 #include "src/sim/sharded_engine.h"
 #include "src/util/error.h"
-#include "src/util/rng.h"
-#include "src/workload/trace.h"
 
 namespace vodrep {
+namespace {
 
-CellStats run_cell(const Layout& layout, const SimConfig& config,
-                   const TraceSpec& spec, const RunnerOptions& options,
-                   ThreadPool* pool) {
+double share(std::size_t count, std::size_t total) {
+  return total == 0 ? 0.0
+                    : static_cast<double>(count) / static_cast<double>(total);
+}
+
+}  // namespace
+
+CellStats run_cell(const Replay& replay, const TraceSource& traces,
+                   const RunnerOptions& options, ThreadPool* pool) {
   VODREP_TRACE_SCOPE("exp.run_cell");
   require(options.runs >= 1, "run_cell: need at least one run");
   std::vector<SimResult> results(options.runs);
 
   auto one_run = [&](std::size_t run) {
     Rng rng(options.base_seed ^ (0x9e3779b97f4a7c15ULL * (run + 1)));
-    const RequestTrace trace = generate_trace(rng, spec);
-    results[run] = simulate(ReplicatedPolicy(layout, config), trace);
+    results[run] = replay(traces(rng));
   };
 
   if (pool != nullptr) {
@@ -37,19 +41,30 @@ CellStats run_cell(const Layout& layout, const SimConfig& config,
     stats.mean_imbalance_cv.add(r.mean_imbalance_cv);
     stats.mean_imbalance_capacity.add(r.mean_imbalance_capacity);
     stats.peak_imbalance_eq2.add(r.peak_imbalance_eq2);
-    stats.redirected_fraction.add(
-        r.total_requests == 0
-            ? 0.0
-            : static_cast<double>(r.redirected) /
-                  static_cast<double>(r.total_requests));
-    stats.batched_fraction.add(
-        r.total_requests == 0
-            ? 0.0
-            : static_cast<double>(r.batched) /
-                  static_cast<double>(r.total_requests));
+    stats.redirected_fraction.add(share(r.redirected, r.total_requests));
+    stats.batched_fraction.add(share(r.batched, r.total_requests));
+    stats.disrupted_fraction.add(share(r.disrupted, r.total_requests));
+    stats.cache_hit_ratio.add(r.cache_hit_ratio());
     stats.mean_utilization.add(r.mean_utilization());
   }
   return stats;
+}
+
+CellStats run_cell(const Replay& replay, const TraceSpec& spec,
+                   const RunnerOptions& options, ThreadPool* pool) {
+  return run_cell(
+      replay, [&spec](Rng& rng) { return generate_trace(rng, spec); },
+      options, pool);
+}
+
+CellStats run_cell(const Layout& layout, const SimConfig& config,
+                   const TraceSpec& spec, const RunnerOptions& options,
+                   ThreadPool* pool) {
+  return run_cell(
+      [&](const RequestTrace& trace) {
+        return simulate(ReplicatedPolicy(layout, config), trace);
+      },
+      spec, options, pool);
 }
 
 }  // namespace vodrep

@@ -1,20 +1,25 @@
-// Replicated simulation runs: one (layout, arrival-rate) cell of a paper
-// figure, averaged over R independent workload realizations.
+// Replicated simulation runs: one cell of an experiment table, averaged
+// over R independent workload realizations.
 //
 // The provisioning pipeline (replication + placement) is deterministic, so
-// it runs once per cell; only the request trace is re-randomized per run,
-// with seeds derived as base_seed ^ run_index so results are independent of
-// thread count and ordering.
+// a cell's layout is built once; only the request trace is re-randomized per
+// run, with seeds derived from (base_seed, run index) so results are
+// independent of thread count and ordering.  run_cell is the one seed loop
+// of the experiment catalogue: every storage organization, configuration
+// and trace generator reaches it through the Replay and TraceSource
+// callables.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 
 #include "src/core/layout.h"
-#include "src/exp/scenario.h"
 #include "src/sim/engine.h"
+#include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/thread_pool.h"
+#include "src/workload/trace.h"
 
 namespace vodrep {
 
@@ -27,6 +32,8 @@ struct CellStats {
   OnlineStats peak_imbalance_eq2;
   OnlineStats redirected_fraction;  ///< redirected / total per run
   OnlineStats batched_fraction;     ///< batched / total per run
+  OnlineStats disrupted_fraction;   ///< disrupted / total per run
+  OnlineStats cache_hit_ratio;      ///< edge-tier hits / lookups per run
   OnlineStats mean_utilization;
 };
 
@@ -35,8 +42,26 @@ struct RunnerOptions {
   std::uint64_t base_seed = 0x5eed5eed5eedULL;
 };
 
-/// Simulates `runs` independent traces of `spec` against `layout` and
-/// aggregates the metrics.  Uses `pool` when non-null.
+/// Replays one trace.  Called concurrently from the pool's workers, so it
+/// must only read shared state.
+using Replay = std::function<SimResult(const RequestTrace&)>;
+/// Draws one run's trace from that run's generator.
+using TraceSource = std::function<RequestTrace(Rng&)>;
+
+/// Replays `runs` independent traces of `traces` and aggregates the
+/// metrics.  Run r draws from Rng(base_seed ^ (0x9e3779b97f4a7c15 * (r+1))).
+/// Uses `pool` when non-null.
+[[nodiscard]] CellStats run_cell(const Replay& replay,
+                                 const TraceSource& traces,
+                                 const RunnerOptions& options,
+                                 ThreadPool* pool = nullptr);
+
+/// run_cell on traces generated from `spec`.
+[[nodiscard]] CellStats run_cell(const Replay& replay, const TraceSpec& spec,
+                                 const RunnerOptions& options,
+                                 ThreadPool* pool = nullptr);
+
+/// run_cell of the replicated organization: `layout` under `config`.
 [[nodiscard]] CellStats run_cell(const Layout& layout, const SimConfig& config,
                                  const TraceSpec& spec,
                                  const RunnerOptions& options,

@@ -9,7 +9,7 @@
 // fleet the rule degenerates to exactly the greedy best-fit placement.
 //
 // The naive alternative (balance absolute loads, ignoring B_j) is the
-// ablation baseline in the vodrep_hetero_cluster benchmark.
+// ablation baseline of experiment E15 (src/exp/experiments.cc).
 #pragma once
 
 #include <cstddef>

@@ -26,9 +26,41 @@ void Table::set_precision(int digits) {
 std::string Table::format_cell(const Cell& cell) const {
   if (const auto* s = std::get_if<std::string>(&cell)) return *s;
   if (const auto* i = std::get_if<long long>(&cell)) return std::to_string(*i);
+  const auto* m = std::get_if<Measured>(&cell);
   std::ostringstream os;
-  os << std::fixed << std::setprecision(precision_) << std::get<double>(cell);
+  os << std::fixed << std::setprecision(precision_)
+     << (m != nullptr ? m->scale * m->stats.mean() : std::get<double>(cell));
   return os.str();
+}
+
+const Table::Cell& Table::at(std::size_t row, std::string_view column) const {
+  require(row < rows_.size(), "Table: row out of range");
+  const auto it = std::find(headers_.begin(), headers_.end(), column);
+  require(it != headers_.end(),
+          [&] { return "Table: no column " + std::string(column); });
+  return rows_[row][static_cast<std::size_t>(it - headers_.begin())];
+}
+
+double Table::value(std::size_t row, std::string_view column) const {
+  const Cell& cell = at(row, column);
+  if (const auto* m = std::get_if<Measured>(&cell)) {
+    return m->scale * m->stats.mean();
+  }
+  if (const auto* i = std::get_if<long long>(&cell)) {
+    return static_cast<double>(*i);
+  }
+  require(std::holds_alternative<double>(cell),
+          [&] { return "Table: column " + std::string(column) + " is text"; });
+  return std::get<double>(cell);
+}
+
+double Table::margin(std::size_t row, std::string_view column) const {
+  const auto* m = std::get_if<Measured>(&at(row, column));
+  return m != nullptr ? m->scale * m->stats.ci95_halfwidth() : 0.0;
+}
+
+std::string Table::text(std::size_t row, std::string_view column) const {
+  return format_cell(at(row, column));
 }
 
 void Table::print(std::ostream& os) const {

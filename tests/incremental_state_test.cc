@@ -177,6 +177,36 @@ TEST(IncrementalState, RollbackRestoresTheSolution) {
   verify_against_recompute(p, inc);
 }
 
+// solution_at(mark) is the rollback-then-materialize of a copy, replica
+// order included (six servers cross the four-entry inline strip), and
+// leaves the state and its journal untouched.
+TEST(IncrementalState, SolutionAtMatchesACopyRolledBack) {
+  const ScalableProblem p = test_problem();
+  IncrementalState inc(p, lowest_rate_round_robin(p));
+  Rng rng(22);
+  for (int round = 0; round < 300; ++round) {
+    const auto mark = inc.checkpoint();
+    const auto ops = 1 + rng.uniform_index(40);
+    for (std::size_t op = 0; op < ops; ++op) {
+      (void)random_mutation(p, inc, rng);
+    }
+    const auto end = inc.checkpoint();
+    const ScalableSolution current = inc.to_solution();
+    IncrementalState copy = inc;
+    copy.rollback(mark);
+    const ScalableSolution expected = copy.to_solution();
+    const ScalableSolution at_mark = inc.solution_at(mark);
+    EXPECT_EQ(at_mark.bitrate_index, expected.bitrate_index);
+    EXPECT_EQ(at_mark.placement, expected.placement);
+    EXPECT_EQ(inc.checkpoint(), end);
+    EXPECT_EQ(inc.to_solution().placement, current.placement);
+    if (rng.bernoulli(0.3)) inc.commit();
+    if (HasFailure()) return;
+  }
+  EXPECT_THROW((void)inc.solution_at(inc.checkpoint() + 1),
+               InvalidArgumentError);
+}
+
 TEST(IncrementalState, LazyMaxSurvivesLoweringTheMaxServer) {
   const ScalableProblem p = test_problem();
   IncrementalState inc(p, lowest_rate_round_robin(p));

@@ -75,62 +75,34 @@ TEST(Integration, HigherDegreeNeverMuchWorse) {
   EXPECT_LE(d18, d12 + 0.02);
 }
 
-TEST(Integration, Fig4TableHasExpectedShape) {
-  ExperimentOptions options;
-  options.runs = 2;
-  options.sweep_points = 3;
-  options.num_videos = 40;
-  const Table table =
-      fig4_panel(AlgorithmCombo{"zipf", "slf"}, 0.75, options);
-  EXPECT_EQ(table.columns(), 6u);  // rate + 5 degrees
-  EXPECT_EQ(table.rows(), 3u);
-}
-
-TEST(Integration, Fig5TableHasExpectedShape) {
-  ExperimentOptions options;
-  options.runs = 2;
-  options.sweep_points = 3;
-  options.num_videos = 40;
-  const Table table = fig5_panel(0.75, 1.2, options);
-  EXPECT_EQ(table.columns(), 5u);  // rate + 4 combos
-  EXPECT_EQ(table.rows(), 3u);
+std::vector<Section> fig6_quick() {
+  ThreadPool pool;
+  return find_experiment("E6")->run(Grid::kQuick, pool);
 }
 
 TEST(Integration, Fig6TableHasExpectedShape) {
-  ExperimentOptions options;
-  options.runs = 2;
-  options.sweep_points = 3;
-  options.num_videos = 40;
-  const Table table = fig6_panel(1.0, 1.2, options);
-  EXPECT_EQ(table.columns(), 5u);
-  EXPECT_EQ(table.rows(), 3u);
+  const std::vector<Section> panels = fig6_quick();
+  ASSERT_EQ(panels.size(), 3u);
+  for (std::size_t p = 0; p < 2; ++p) {
+    const Table& table = panels[p].table;
+    EXPECT_EQ(table.columns(), 5u);  // rate + 4 combos
+    EXPECT_EQ(table.rows(), 6u);     // the quick grid's arrival rates
+    for (const auto& combo : paper_combos()) {
+      EXPECT_NO_THROW((void)table.value(0, "L%_" + combo.label()));
+    }
+  }
 }
 
 TEST(Integration, Fig6DegreeMergePanelHasExpectedShape) {
-  ExperimentOptions options;
-  options.runs = 2;
-  options.sweep_points = 3;
-  options.num_videos = 40;
-  const Table table = fig6_degree_merge_panel(1.0, options);
+  const std::vector<Section> panels = fig6_quick();
+  ASSERT_EQ(panels.size(), 3u);
+  const Table& table = panels[2].table;
   EXPECT_EQ(table.columns(), 6u);  // rate + 5 degrees
-  EXPECT_EQ(table.rows(), 3u);
-}
-
-TEST(Integration, RedirectAblationNeverHurts) {
-  ExperimentOptions options;
-  options.runs = 3;
-  options.sweep_points = 3;
-  options.num_videos = 40;
-  const Table table = redirect_ablation(0.75, 1.2, options);
-  EXPECT_EQ(table.rows(), 3u);
-  EXPECT_EQ(table.columns(), 5u);
-}
-
-TEST(Integration, BoundCheckTableCoversAllDegrees) {
-  ExperimentOptions options;
-  options.num_videos = 40;
-  const Table table = bound_check_table(0.75, options);
-  EXPECT_EQ(table.rows(), 5u);
+  EXPECT_EQ(table.rows(), 6u);
+  for (const char* column : {"L%_d=1", "L%_d=1.2", "L%_d=1.4", "L%_d=1.6",
+                             "L%_d=1.8"}) {
+    EXPECT_NO_THROW((void)table.value(0, column)) << column;
+  }
 }
 
 TEST(Integration, PaperCombosAreTheFourOfTheEvaluation) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/pipeline.h"
+#include "src/exp/scenario.h"
 #include "src/util/error.h"
 
 namespace vodrep {

@@ -122,6 +122,45 @@ TEST(ScalableSaProblem, InPlaceMovesMatchReferenceCost) {
   }
 }
 
+TEST(ScalableSaProblem, JournalStaysBoundedOnAPlateau) {
+  // A walk that commits every applied move, at ten times the quick
+  // options' moves per temperature step: new bests soon stop landing, so
+  // without the tail bound the journal would grow by every commit.  After
+  // every commit the journal stays within its bound, and extract_best()
+  // still returns the best configuration the walk committed.
+  const ScalableProblem p = test_problem(15.0);
+  const ScalableSaProblem sa(p, quick_options());
+  Rng rng(8);
+  ScalableSaProblem::Scratch scratch = sa.make_scratch(sa.initial(rng));
+  const std::size_t bound =
+      kSaJournalTrimEntries + kSaJournalTailPerVideo * p.videos.count();
+  auto sorted = [](ScalableSolution s) {
+    for (auto& servers : s.placement) std::sort(servers.begin(), servers.end());
+    return s;
+  };
+  ScalableSolution best = sorted(sa.extract(scratch));
+  std::size_t commits = 0;
+  bool snapshotted = false;
+  for (int step = 0; step < 150; ++step) {
+    for (std::size_t move = 0;
+         move < 10 * quick_options().anneal.moves_per_temperature; ++move) {
+      if (!sa.propose(scratch, rng)) continue;
+      (void)sa.delta_cost(scratch);
+      const double best_cost = scratch.best_cost;
+      sa.commit(scratch);
+      ++commits;
+      ASSERT_LE(scratch.state.checkpoint(), bound) << "commit " << commits;
+      if (scratch.best_cost < best_cost) best = sorted(sa.extract(scratch));
+      snapshotted = snapshotted || scratch.best_snapshot.has_value();
+    }
+  }
+  EXPECT_GT(commits, bound);  // the unbounded journal would have passed it
+  EXPECT_TRUE(snapshotted);
+  const ScalableSolution extracted = sorted(sa.extract_best(scratch));
+  EXPECT_EQ(extracted.bitrate_index, best.bitrate_index);
+  EXPECT_EQ(extracted.placement, best.placement);
+}
+
 TEST(SolveScalable, SaturatedNeighborhoodReportsNoopMoves) {
   // Three videos on two servers with abundant resources: the annealer soon
   // hosts everything everywhere at the top rate, after which every growth

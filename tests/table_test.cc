@@ -50,6 +50,23 @@ TEST(Table, IntegerCellsHaveNoDecimals) {
   EXPECT_EQ(t.to_string().find("42.0"), std::string::npos);
 }
 
+TEST(Table, MeasuredCellsPrintTheScaledMeanAndKeepTheirMargin) {
+  OnlineStats stats;
+  for (double x : {0.01, 0.02, 0.03}) stats.add(x);
+  Table t({"rate", "reject%", "verdict"});
+  t.set_precision(2);
+  t.add_row({4.0, Measured{stats, 100.0}, std::string("yes")});
+  EXPECT_NE(t.to_string().find("2.00"), std::string::npos);
+  EXPECT_DOUBLE_EQ(t.value(0, "reject%"), 100.0 * stats.mean());
+  EXPECT_DOUBLE_EQ(t.margin(0, "reject%"), 100.0 * stats.ci95_halfwidth());
+  EXPECT_DOUBLE_EQ(t.value(0, "rate"), 4.0);
+  EXPECT_DOUBLE_EQ(t.margin(0, "rate"), 0.0);
+  EXPECT_EQ(t.text(0, "verdict"), "yes");
+  EXPECT_THROW((void)t.value(0, "verdict"), InvalidArgumentError);
+  EXPECT_THROW((void)t.value(0, "missing"), InvalidArgumentError);
+  EXPECT_THROW((void)t.value(1, "rate"), InvalidArgumentError);
+}
+
 TEST(Table, CsvEscapesSpecialCharacters) {
   Table t({"name", "value"});
   t.add_row({std::string("a,b"), std::string("say \"hi\"")});
