@@ -29,12 +29,12 @@ void add(AuditReport& report, ViolationKind kind, std::size_t video,
   report.violations.push_back(Violation{kind, video, server, actual, limit});
 }
 
-/// Eq. 6/7 structural checks for one video's host list.  Out-of-range hosts
-/// are reported here and skipped by the usage accumulation.
-void check_structure(AuditReport& report, std::size_t video,
-                     const std::vector<std::size_t>& servers,
-                     std::size_t num_servers) {
-  report.checks_performed += 3;
+/// Reports every Eq. 6/7 violation of one video's host list, in a fixed
+/// order: no replica, too many, duplicates by server, then out-of-range
+/// hosts in list order.
+void report_structure(AuditReport& report, std::size_t video,
+                      const std::vector<std::size_t>& servers,
+                      std::size_t num_servers) {
   if (servers.empty()) {
     add(report, ViolationKind::kNoReplica, video, Violation::kNone,
         /*actual=*/0.0, /*limit=*/1.0);
@@ -60,6 +60,24 @@ void check_structure(AuditReport& report, std::size_t video,
           static_cast<double>(s), static_cast<double>(num_servers) - 1.0);
     }
   }
+}
+
+/// Eq. 6/7 structural checks for one video's host list.  Out-of-range hosts
+/// are reported here and skipped by the usage accumulation.  `stamp` holds
+/// one entry per server, shared by every video of one audit: the last video
+/// (plus one) that listed the server, so a clean list is checked in one
+/// pass without a copy, and only a list with a violation is sorted.
+void check_structure(AuditReport& report, std::size_t video,
+                     const std::vector<std::size_t>& servers,
+                     std::size_t num_servers, std::vector<std::size_t>& stamp) {
+  report.checks_performed += 3;
+  bool clean = !servers.empty() && servers.size() <= num_servers;
+  for (std::size_t k = 0; clean && k < servers.size(); ++k) {
+    const std::size_t s = servers[k];
+    clean = s < num_servers && stamp[s] != video + 1;
+    if (clean) stamp[s] = video + 1;
+  }
+  if (!clean) report_structure(report, video, servers, num_servers);
 }
 
 /// From-first-principles per-server usage of a scalable solution, plus the
@@ -230,6 +248,7 @@ AuditReport LayoutAuditor::audit(
 
   std::vector<std::size_t> stored(n, 0);
   std::vector<double> load_share(n, 0.0);
+  std::vector<std::size_t> stamp(n, 0);
   for (std::size_t i = 0; i < m; ++i) {
     const auto& servers = layout.assignment[i];
     if (plan != nullptr && i < plan->replicas.size() &&
@@ -238,7 +257,7 @@ AuditReport LayoutAuditor::audit(
           static_cast<double>(servers.size()),
           static_cast<double>(plan->replicas[i]));
     }
-    check_structure(report, i, servers, n);
+    check_structure(report, i, servers, n, stamp);
     const double share =
         popularity == nullptr || servers.empty()
             ? 0.0
@@ -285,6 +304,7 @@ AuditReport LayoutAuditor::audit_solution(const ScalableProblem& problem,
           "LayoutAuditor: solution/problem size mismatch");
 
   AuditReport report;
+  std::vector<std::size_t> stamp(n, 0);
   for (std::size_t i = 0; i < solution.num_videos(); ++i) {
     ++report.checks_performed;
     if (solution.bitrate_index[i] >= problem.ladder.size()) {
@@ -292,7 +312,7 @@ AuditReport LayoutAuditor::audit_solution(const ScalableProblem& problem,
           static_cast<double>(solution.bitrate_index[i]),
           static_cast<double>(problem.ladder.size()) - 1.0);
     }
-    check_structure(report, i, solution.placement[i], n);
+    check_structure(report, i, solution.placement[i], n, stamp);
   }
 
   const FreshUsage usage = recompute_usage(problem, solution);

@@ -20,7 +20,7 @@ Layout BestFitPlacement::place(const ReplicationPlan& plan,
   std::vector<double> loads(num_servers, 0.0);
   std::vector<std::size_t> stored(num_servers, 0);
 
-  for (std::size_t video : videos_by_weight(plan, popularity)) {
+  for (std::size_t video : videos_by_weight(weights)) {
     for (std::size_t k = 0; k < plan.replicas[video]; ++k) {
       std::size_t best = num_servers;
       double best_load = std::numeric_limits<double>::infinity();

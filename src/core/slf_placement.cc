@@ -46,7 +46,8 @@ Layout SmallestLoadFirstPlacement::place_traced(
   // Steps 1-2 of Algorithm 1: all replicas, grouped by video, groups in
   // non-increasing weight order; each round takes the next N of them.
   std::size_t placed = 0;
-  for (std::size_t video : videos_by_weight(plan, popularity)) {
+  for (std::size_t video : videos_by_weight(weights)) {
+    layout.assignment[video].reserve(plan.replicas[video]);
     for (std::size_t k = 0; k < plan.replicas[video]; ++k, ++placed) {
       if (placed % num_servers == 0) {
         // A server's load changes only when it receives a replica, and then

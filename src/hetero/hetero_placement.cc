@@ -36,7 +36,7 @@ Layout weighted_greedy_place(const ReplicationPlan& plan,
   std::vector<double> loads(n, 0.0);
   std::vector<std::size_t> stored(n, 0);
 
-  for (std::size_t video : videos_by_weight(plan, popularity)) {
+  for (std::size_t video : videos_by_weight(weights)) {
     for (std::size_t k = 0; k < plan.replicas[video]; ++k) {
       const auto& hosting = layout.assignment[video];
       std::size_t best = n;

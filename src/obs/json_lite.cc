@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "src/util/error.h"
@@ -44,6 +45,12 @@ JsonValue JsonValue::string(std::string s) {
 JsonValue JsonValue::array() {
   JsonValue v;
   v.value_.emplace<std::vector<JsonValue>>();
+  return v;
+}
+
+JsonValue JsonValue::array(std::vector<JsonValue> items) {
+  JsonValue v;
+  v.value_.emplace<std::vector<JsonValue>>(std::move(items));
   return v;
 }
 
@@ -249,7 +256,8 @@ namespace {
 /// pathological input cannot blow the stack.
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit Parser(std::string_view text)
+      : text_(text), elements_(kMaxDepth) {}
 
   JsonValue parse_document() {
     JsonValue value = parse_value(0);
@@ -340,20 +348,27 @@ class Parser {
 
   JsonValue parse_array(std::size_t depth) {
     expect('[');
-    JsonValue array = JsonValue::array();
     skip_whitespace();
     if (peek() == ']') {
       ++pos_;
-      return array;
+      return JsonValue::array();
     }
+    // The elements collect in this depth's buffer, reused by every array at
+    // the depth (one is open at a time), and move once into an exactly
+    // sized vector, so an array's own storage never regrows.
+    std::vector<JsonValue>& elements = elements_[depth];
     for (;;) {
-      array.push_back(parse_value(depth + 1));
+      elements.push_back(parse_value(depth + 1));
       skip_whitespace();
       if (peek() == ',') {
         ++pos_;
         continue;
       }
       expect(']');
+      JsonValue array = JsonValue::array(
+          std::vector<JsonValue>(std::make_move_iterator(elements.begin()),
+                                 std::make_move_iterator(elements.end())));
+      elements.clear();
       return array;
     }
   }
@@ -460,6 +475,8 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  /// Per-depth element buffers of the arrays being parsed.
+  std::vector<std::vector<JsonValue>> elements_;
 };
 
 }  // namespace

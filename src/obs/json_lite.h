@@ -37,6 +37,7 @@ class JsonValue {
   static JsonValue number(double d);
   static JsonValue string(std::string s);
   static JsonValue array();
+  static JsonValue array(std::vector<JsonValue> items);
   static JsonValue object();
 
   [[nodiscard]] Kind kind() const { return static_cast<Kind>(value_.index()); }

@@ -93,6 +93,30 @@ TEST(LayoutAudit, OutOfRangeServerIdFlagged) {
   }
 }
 
+TEST(LayoutAudit, FullVideoWithTripleDuplicateAndOutOfRangeHost) {
+  // One video at r = N lists server 1 three times and server 7 once.  Only
+  // that video's list is sorted and reported; the report below was recorded
+  // before clean lists skipped the sort, and must not move.
+  Fixture f;
+  f.layout.assignment[2] = {1, 7, 1, 1};
+  ASSERT_EQ(f.layout.assignment[2].size(), f.servers);
+  const AuditReport report =
+      LayoutAuditor(f.limits()).audit(f.layout, &f.plan, &f.popularity);
+  EXPECT_EQ(report.checks_performed, 34u);
+  std::ostringstream json;
+  report.write_json(json);
+  EXPECT_EQ(json.str(),
+            "{\"ok\": false, \"checks\": 34, \"violations\": ["
+            "{\"kind\": \"plan_mismatch\", \"video\": 2, \"actual\": 4, "
+            "\"limit\": 2, \"margin\": 2}, "
+            "{\"kind\": \"duplicate_server\", \"video\": 2, \"server\": 1, "
+            "\"actual\": 3, \"limit\": 1, \"margin\": 2}, "
+            "{\"kind\": \"server_out_of_range\", \"video\": 2, "
+            "\"server\": 7, \"actual\": 7, \"limit\": 3, \"margin\": 4}, "
+            "{\"kind\": \"storage_overflow\", \"server\": 1, \"actual\": 6, "
+            "\"limit\": 4, \"margin\": 2}]}\n");
+}
+
 TEST(LayoutAudit, MissingReplicaFlagged) {
   Fixture f;
   f.layout.assignment[5].clear();  // Eq. 7 lower bound: r_i >= 1

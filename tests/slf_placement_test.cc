@@ -8,6 +8,7 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "src/core/adams_replication.h"
@@ -178,9 +179,64 @@ TEST(SlfPlacement, DeterministicAcrossCalls) {
 
 // ---------------------------------------------------------------------------
 // Differential tier: the per-round server order against the O(N) scan per
-// replica it replaced, kept here verbatim as the oracle.
+// replica it replaced, and the run merge of videos_by_weight against the
+// stable sort it replaced, both kept here as the oracle.
 
 using Step = SmallestLoadFirstPlacement::Step;
+
+/// The group order before the run merge: the video indices stably sorted by
+/// weight, non-increasing.
+std::vector<std::size_t> stable_sort_order(const std::vector<double>& weights) {
+  std::vector<std::size_t> order(weights.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return weights[a] > weights[b];
+                   });
+  return order;
+}
+
+TEST(VideosByWeight, MatchesStableSortOnManyRuns) {
+  // Few distinct values, so the weights rise often and tie within and
+  // across runs.
+  Rng rng(2307);
+  std::size_t rises = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t m = rng.uniform_index(300);
+    const std::size_t levels = 1 + rng.uniform_index(8);
+    std::vector<double> weights(m);
+    for (double& w : weights) {
+      w = static_cast<double>(rng.uniform_index(levels)) / 7.0;
+    }
+    for (std::size_t i = 1; i < m; ++i) rises += weights[i] > weights[i - 1];
+    EXPECT_EQ(videos_by_weight(weights), stable_sort_order(weights))
+        << "trial " << trial;
+  }
+  EXPECT_GT(rises, 10000u);
+}
+
+TEST(VideosByWeight, MatchesStableSortOnRandomPlans) {
+  // Replica counts drawn apart from popularity: w_i = p_i / r_i has a run
+  // per rise of r_i, and uniform popularity ties every video with equal r_i.
+  Rng rng(2308);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t m = 1 + rng.uniform_index(500);
+    const std::size_t n = 1 + rng.uniform_index(32);
+    const double theta = rng.bernoulli(0.25) ? 0.0 : rng.uniform(0.0, 1.2);
+    const auto popularity = zipf_popularity(m, theta);
+    ReplicationPlan plan;
+    plan.replicas.resize(m);
+    for (std::size_t& r : plan.replicas) r = 1 + rng.uniform_index(n);
+    const std::vector<double> weights = plan.weights(popularity);
+    EXPECT_EQ(videos_by_weight(weights), stable_sort_order(weights))
+        << "trial " << trial;
+  }
+  // An Adams plan at catalogue scale: one run per replica count.
+  const auto popularity = zipf_popularity(100'000, 0.75);
+  const std::vector<double> weights =
+      AdamsReplication().replicate(popularity, 256, 120'000).weights(popularity);
+  EXPECT_EQ(videos_by_weight(weights), stable_sort_order(weights));
+}
 
 Layout scan_slf(const ReplicationPlan& plan,
                 const std::vector<double>& popularity,
@@ -197,7 +253,7 @@ Layout scan_slf(const ReplicationPlan& plan,
   layout.assignment.resize(plan.replicas.size());
 
   std::deque<PendingReplica> pending;
-  for (std::size_t video : videos_by_weight(plan, popularity)) {
+  for (std::size_t video : stable_sort_order(weights)) {
     for (std::size_t k = 0; k < plan.replicas[video]; ++k) {
       pending.push_back(PendingReplica{video, weights[video]});
     }
