@@ -256,8 +256,14 @@ namespace {
 /// pathological input cannot blow the stack.
 class Parser {
  public:
-  explicit Parser(std::string_view text)
-      : text_(text), elements_(kMaxDepth) {}
+  static constexpr std::size_t kMaxDepth = 64;
+
+  /// Per-depth element buffers of the arrays being parsed; kMaxDepth of
+  /// them, empty between parses.
+  using Buffers = std::vector<std::vector<JsonValue>>;
+
+  Parser(std::string_view text, Buffers& elements)
+      : text_(text), elements_(elements) {}
 
   JsonValue parse_document() {
     JsonValue value = parse_value(0);
@@ -268,8 +274,6 @@ class Parser {
   }
 
  private:
-  static constexpr std::size_t kMaxDepth = 64;
-
   [[nodiscard]] std::string error(const std::string& what) const {
     return "json parse error at byte " + std::to_string(pos_) + ": " + what;
   }
@@ -475,15 +479,23 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
-  /// Per-depth element buffers of the arrays being parsed.
-  std::vector<std::vector<JsonValue>> elements_;
+  Buffers& elements_;
 };
 
 }  // namespace
 
 JsonValue parse_json(std::string_view text) {
-  Parser parser(text);
-  return parser.parse_document();
+  // The buffers outlive the call, so their capacity is paid once per
+  // thread rather than regrown on every parse.  A parse that throws leaves
+  // elements behind in the open arrays' buffers; they are dropped here.
+  thread_local Parser::Buffers elements(Parser::kMaxDepth);
+  Parser parser(text, elements);
+  try {
+    return parser.parse_document();
+  } catch (...) {
+    for (std::vector<JsonValue>& buffer : elements) buffer.clear();
+    throw;
+  }
 }
 
 }  // namespace vodrep::obs

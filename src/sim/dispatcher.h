@@ -92,7 +92,7 @@ class Dispatcher {
   /// Replays a precomputed holder-pick sequence instead of the internal
   /// per-video round-robin counters: element i is the holder *index* (into
   /// layout.assignment[video]) the i-th dispatch() call must schedule.
-  /// The sharded replay (src/sim/shard_plan.h) pre-computes every pick —
+  /// The routed replay (src/sim/sharded_engine.h) pre-computes every pick —
   /// the round-robin advance is unconditional, so the pick sequence is a
   /// pure function of the request order — routes each request to the shard
   /// owning its picked holder, and replays the picks there; everything

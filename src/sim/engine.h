@@ -33,8 +33,9 @@
 // event log and load timeline, each behind a pointer test.
 //
 // Callers replay a trace through simulate() (src/sim/sharded_engine.h),
-// which builds the engine from the policy's own SimConfig and, at more
-// than one shard, asks the policy for its partition (StoragePolicy::shard).
+// which builds the engine from the policy's own SimConfig.  Only a
+// ReplicatedPolicy under static round-robin dispatch shards (the routed
+// replay); every other replay runs whole on one engine.
 #pragma once
 
 #include <algorithm>
@@ -42,7 +43,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/obs/event_log.h"
@@ -51,7 +51,6 @@
 #include "src/sim/dispatcher.h"  // RedirectMode / BatchingMode
 #include "src/sim/event_heap.h"
 #include "src/sim/server.h"
-#include "src/sim/shard_plan.h"
 #include "src/util/stats.h"
 #include "src/workload/trace.h"
 
@@ -263,9 +262,9 @@ class SimEngine {
 
   // --- stepping interface ---
   // run() is composed of exactly these four calls, so a driver that feeds
-  // requests incrementally (the sharded runner replaying a routed
-  // sub-trace epoch by epoch, src/sim/sharded_engine.h) produces the same
-  // state transitions as a monolithic run() over the same request
+  // requests incrementally (the sharded runner replaying one shard's
+  // routed requests epoch by epoch, src/sim/sharded_engine.h) produces the
+  // same state transitions as a monolithic run() over the same request
   // sequence.  Call order: begin_stepping once, then step()/advance_to()
   // with non-decreasing times, then finish_stepping once.
 
@@ -419,14 +418,12 @@ class SimEngine {
   SimResult result_;
 };
 
-struct PolicyShards;
-
 /// How one storage organization maps requests to bandwidth reservations.
 /// Implementations keep per-stream records, reserve and free bandwidth only
 /// through the engine, and schedule/cancel departures for the streams they
-/// open.  A new organization is one subclass: the four replay hooks below
-/// plus its shard hook, after which simulate() runs it monolithically or
-/// sharded with no other change (DESIGN.md, "Simulation engine").
+/// open.  A new organization is one subclass with the four replay hooks
+/// below, after which simulate() replays it with no other change
+/// (DESIGN.md, "Simulation engine").
 class StoragePolicy {
  public:
   /// The config is copied, so a temporary (e.g. `scenario.sim_config()`)
@@ -464,25 +461,8 @@ class StoragePolicy {
     return nullptr;
   }
 
-  /// The shard hook: partitions `trace` into `num_shards` shards whose
-  /// replays touch disjoint server sets (the closure rules are listed in
-  /// src/sim/shard_plan.h) and returns the plan together with one fresh,
-  /// unbound policy per shard, routed picks installed, ready to replay
-  /// plan.sub_traces[s].  Throws a named InvalidArgumentError when this
-  /// configuration cannot shard.  simulate() calls it once per run at more
-  /// than one shard and never at one.
-  [[nodiscard]] virtual PolicyShards shard(const RequestTrace& trace,
-                                           std::size_t num_shards) const = 0;
-
  protected:
   const SimConfig config_;
-};
-
-/// One policy's partition of a trace (StoragePolicy::shard).
-struct PolicyShards {
-  ShardPlan plan;
-  /// policies[s] replays plan.sub_traces[s]; size plan.num_shards.
-  std::vector<std::unique_ptr<StoragePolicy>> policies;
 };
 
 VODREP_OBS_HOOKS_NS_END

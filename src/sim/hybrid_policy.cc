@@ -1,7 +1,6 @@
 #include "src/sim/hybrid_policy.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "src/util/error.h"
 
@@ -88,30 +87,6 @@ std::size_t HybridPolicy::on_crash(std::size_t server) {
     streams_.close(stream);
   });
   return disrupted;
-}
-
-PolicyShards HybridPolicy::shard(const RequestTrace& trace,
-                                 std::size_t num_shards) const {
-  UnionFind uf(config_.num_servers);
-  std::vector<std::size_t> anchor(layout_.groups.size(), 0);
-  for (std::size_t v = 0; v < layout_.groups.size(); ++v) {
-    const auto& copies = layout_.groups[v];
-    require(!copies.empty() && !copies[0].empty(),
-            "shard plan: video has no stripe-group copy");
-    anchor[v] = copies[0][0];
-    // The per-video rotation couples every copy: union all members.
-    for (const auto& group : copies) {
-      for (const std::size_t member : group) {
-        uf.merge(anchor[v], member);
-      }
-    }
-  }
-  PolicyShards out{
-      component_plan(uf, config_.num_servers, anchor, trace, num_shards), {}};
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    out.policies.push_back(std::make_unique<HybridPolicy>(layout_, config_));
-  }
-  return out;
 }
 
 }  // namespace vodrep

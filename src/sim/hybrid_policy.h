@@ -34,9 +34,6 @@ class HybridPolicy final : public StoragePolicy {
   PolicyDecision dispatch(const Request& request) override;
   void on_departure(std::size_t stream) override;
   std::size_t on_crash(std::size_t server) override;
-  /// Co-shards every member of every copy of a video.
-  [[nodiscard]] PolicyShards shard(const RequestTrace& trace,
-                                   std::size_t num_shards) const override;
 
  private:
   /// One active stream on a specific stripe-group copy of its video.

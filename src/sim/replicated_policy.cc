@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <utility>
 
 #include "src/util/error.h"
@@ -35,72 +34,6 @@ void validate_tier(const PrefixCacheOptions& options, std::size_t num_videos) {
           "ReplicatedPolicy: prefix fraction must be in (0, 1]");
 }
 
-/// The tier's shard rule: capacity eviction couples every video, and cache
-/// residency depends on origin admissions, so every server joins one
-/// component.  The padding shards stay idle, but the run still takes the
-/// sharded merge path, so invariance holds by construction.
-ShardPlan fused_plan(const Layout& layout, const SimConfig& config,
-                     const RequestTrace& trace, std::size_t num_shards) {
-  require_shardable_redirect(config.redirect, num_shards);
-  const std::size_t n = config.num_servers;
-  UnionFind uf(n);
-  for (std::size_t s = 1; s < n; ++s) uf.merge(0, s);
-  const std::vector<std::size_t> anchor(layout.num_videos(), 0);
-  return component_plan(uf, n, anchor, trace, num_shards);
-}
-
-/// The tier-less shard rules (src/sim/shard_plan.h).
-ShardPlan holder_plan(const Layout& layout, const SimConfig& config,
-                      const RequestTrace& trace, std::size_t num_shards) {
-  require_shardable_redirect(config.redirect, num_shards);
-  const std::size_t n = config.num_servers;
-
-  if (config.redirect == RedirectMode::kOtherHolders) {
-    // Redirect retries read every holder's live load: co-shard holders.
-    UnionFind uf(n);
-    std::vector<std::size_t> anchor(layout.num_videos(), 0);
-    for (std::size_t v = 0; v < layout.num_videos(); ++v) {
-      const auto& holders = layout.assignment[v];
-      require(!holders.empty(), "shard plan: video has no replica");
-      anchor[v] = holders[0];
-      for (std::size_t k = 1; k < holders.size(); ++k) {
-        uf.merge(holders[0], holders[k]);
-      }
-    }
-    return component_plan(uf, n, anchor, trace, num_shards);
-  }
-
-  // kNone: per-server granularity.  Replay the unconditional round-robin
-  // advance in a sequential pre-pass and route each request to the shard
-  // owning its picked holder, recording the pick for the shard's
-  // dispatcher to replay verbatim.
-  ShardPlan plan;
-  plan.num_shards = num_shards;
-  plan.shard_of_server.resize(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    plan.shard_of_server[s] = static_cast<std::uint32_t>(s % num_shards);
-  }
-  plan.sub_traces.resize(num_shards);
-  for (RequestTrace& sub : plan.sub_traces) sub.horizon = trace.horizon;
-  plan.routed_pick_indices.resize(num_shards);
-  plan.shard_of_request.reserve(trace.size());
-  std::vector<std::size_t> rr(layout.num_videos(), 0);
-  for (const Request& request : trace.requests) {
-    require(request.video < layout.num_videos(),
-            "shard plan: request video out of range");
-    const auto& holders = layout.assignment[request.video];
-    require(!holders.empty(), "shard plan: video has no replica");
-    const std::size_t pick_index = rr[request.video] % holders.size();
-    ++rr[request.video];
-    const std::uint32_t shard = plan.shard_of_server[holders[pick_index]];
-    plan.shard_of_request.push_back(shard);
-    plan.sub_traces[shard].requests.push_back(request);
-    plan.routed_pick_indices[shard].push_back(
-        static_cast<std::uint32_t>(pick_index));
-  }
-  return plan;
-}
-
 }  // namespace
 
 ReplicatedPolicy::ReplicatedPolicy(const Layout& layout,
@@ -123,7 +56,7 @@ ReplicatedPolicy::ReplicatedPolicy(const Layout& layout,
   std::vector<double> entry_bytes;
   entry_bytes.reserve(num_videos);
   for (const double f : fractions) entry_bytes.push_back(whole * f);
-  tier_.emplace(cache, std::move(fractions),
+  tier_.emplace(std::move(fractions),
                 PrefixCache(cache.eviction, cache.capacity_bytes,
                             std::move(entry_bytes)));
 }
@@ -222,23 +155,6 @@ std::size_t ReplicatedPolicy::on_crash(std::size_t server) {
   const std::size_t disrupted = engine_->fail(server);
   dispatcher_.on_server_failed(server);
   return disrupted;
-}
-
-PolicyShards ReplicatedPolicy::shard(const RequestTrace& trace,
-                                     std::size_t num_shards) const {
-  PolicyShards out{tier_ ? fused_plan(layout_, config_, trace, num_shards)
-                         : holder_plan(layout_, config_, trace, num_shards),
-                   {}};
-  const PrefixCacheOptions cache =
-      tier_ ? tier_->options : PrefixCacheOptions{};
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    auto policy = std::make_unique<ReplicatedPolicy>(layout_, config_, cache);
-    if (out.plan.is_routed()) {
-      policy->set_routed_picks(out.plan.routed_pick_indices[s]);
-    }
-    out.policies.push_back(std::move(policy));
-  }
-  return out;
 }
 
 VODREP_OBS_HOOKS_NS_END

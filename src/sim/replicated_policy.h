@@ -58,18 +58,14 @@ class ReplicatedPolicy final : public StoragePolicy {
   /// The tier's counters; nullptr without a tier, so a zero-capacity run is
   /// indistinguishable from a tier-less one (metrics series included).
   [[nodiscard]] const CacheTierStats* cache_stats() const override;
-  /// Without a tier, kNone routes per server through a round-robin pre-pass
-  /// that records every pick, kOtherHolders co-shards each video's holders,
-  /// and kBackboneProxy throws at more than one shard.  A live tier fuses
-  /// every server into one component.
-  [[nodiscard]] PolicyShards shard(const RequestTrace& trace,
-                                   std::size_t num_shards) const override;
 
-  /// Installs a precomputed holder-pick sequence for a routed sub-trace
-  /// replay (sharded simulation; see Dispatcher::set_routed_picks).  Only
-  /// valid without a tier: a prefix hit that ends inside the prefix never
-  /// consults the dispatcher, so a pick sequence cannot stay aligned with
-  /// the dispatch calls.
+  [[nodiscard]] const Layout& layout() const { return layout_; }
+
+  /// Installs a precomputed holder-pick sequence for one shard of a routed
+  /// replay (src/sim/sharded_engine.h; see Dispatcher::set_routed_picks).
+  /// Only valid without a tier: a prefix hit that ends inside the prefix
+  /// never consults the dispatcher, so a pick sequence cannot stay aligned
+  /// with the dispatch calls.
   void set_routed_picks(std::vector<std::uint32_t> picks);
 
  private:
@@ -82,7 +78,6 @@ class ReplicatedPolicy final : public StoragePolicy {
 
   /// The edge tier, present only with a positive capacity.
   struct EdgeTier {
-    PrefixCacheOptions options;           ///< copied into shard policies
     std::vector<double> prefix_fraction;  ///< size M, each in (0, 1]
     PrefixCache cache;
   };

@@ -4,6 +4,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "src/obs/clock.h"
 #include "src/obs/metrics.h"
@@ -12,6 +13,32 @@
 #include "src/util/error.h"
 
 namespace vodrep {
+
+RoutedPlan plan_routed_replay(const Layout& layout, std::size_t num_servers,
+                              const RequestTrace& trace,
+                              std::size_t num_shards) {
+  require(num_shards >= 1 && num_servers >= 1,
+          "routed plan: need at least one shard and one server");
+  require(trace.size() <= std::numeric_limits<std::uint32_t>::max(),
+          "routed plan: more requests than 32-bit request indices address");
+  const std::size_t shards = std::min(num_shards, num_servers);
+  RoutedPlan plan;
+  plan.requests.resize(shards);
+  plan.picks.resize(shards);
+  std::vector<std::size_t> rr(layout.num_videos(), 0);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const std::size_t video = trace.requests[i].video;
+    require(video < layout.num_videos(),
+            "routed plan: request video out of range");
+    const auto& holders = layout.assignment[video];
+    require(!holders.empty(), "routed plan: video has no replica");
+    const std::size_t pick = rr[video]++ % holders.size();
+    const std::size_t shard = holders[pick] % shards;
+    plan.requests[shard].push_back(static_cast<std::uint32_t>(i));
+    plan.picks[shard].push_back(static_cast<std::uint32_t>(pick));
+  }
+  return plan;
+}
 
 void merge_load_segments(const std::vector<std::vector<LoadSegment>>& logs,
                          double epoch_start, std::size_t num_servers,
@@ -60,71 +87,95 @@ void merge_load_segments(const std::vector<std::vector<LoadSegment>>& logs,
 
 namespace {
 
-/// Merges the per-shard event logs into the caller's log by walking the
-/// plan's global request order with one cursor per shard.  A shard log
-/// keeps the first `capacity` records of its own sub-trace, so a record it
-/// dropped has >= capacity shard-local — hence global — predecessors and
-/// the monolithic log would have dropped it too; offering a placeholder
-/// keeps the merged seen/dropped tallies exact (the placeholder can never
-/// be stored: the caller's buffer is provably full by then).
-void merge_event_logs(const ShardPlan& plan,
-                      const std::vector<std::unique_ptr<obs::EventLog>>& logs,
-                      obs::EventLog& into) {
-  std::vector<std::size_t> cursor(plan.num_shards, 0);
-  for (const std::uint32_t shard : plan.shard_of_request) {
-    const std::size_t k = cursor[shard]++;
-    const std::vector<obs::RequestRecord>& records = logs[shard]->records();
-    into.record(k < records.size() ? records[k] : obs::RequestRecord{});
-  }
+bool fresh(const obs::TimeseriesCollector* timeline) {
+  return timeline == nullptr ||
+         (timeline->size() == 0 && timeline->downsample_factor() == 1 &&
+          timeline->time_offset() == 0.0);
 }
 
-/// Replays the policy's partition and merges the shards; `config` is the
-/// caller's policy config (every shard policy carries a copy of it).
-SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
-                      const PolicyShards& shards, const SimOptions& options) {
-  const ShardPlan& plan = shards.plan;
-  const std::size_t num_shards = plan.num_shards;
+bool fresh(const obs::EventLog* event_log) {
+  return event_log == nullptr ||
+         (event_log->seen() == 0 && event_log->time_offset() == 0.0);
+}
+
+/// The policy to route when the one shard rule (sharded_engine.h) holds;
+/// nullptr when the replay runs whole.
+const ReplicatedPolicy* routable(const StoragePolicy& policy,
+                                 const SimOptions& options) {
+  const auto* replicated = dynamic_cast<const ReplicatedPolicy*>(&policy);
+  const bool routed = replicated != nullptr && options.num_shards > 1 &&
+                      policy.config().num_servers > 1 &&
+                      policy.config().redirect == RedirectMode::kNone &&
+                      policy.cache_stats() == nullptr &&
+                      fresh(options.timeline) && fresh(options.event_log);
+  return routed ? replicated : nullptr;
+}
+
+/// Merges the per-shard event logs into the caller's fresh log in global
+/// request order: request i belongs to the shard whose next listed request
+/// is i.  A shard log keeps the first `capacity` records of its own
+/// requests, so while the caller's log has room, the record it is offered
+/// has fewer than `capacity` global — hence shard-local — predecessors and
+/// its shard kept it.  Once the caller's log is full every later record is
+/// dropped whatever it holds, so placeholders keep the seen/dropped tallies
+/// exact without looking for owners.
+void merge_event_logs(const RoutedPlan& plan, std::size_t num_requests,
+                      const std::vector<std::unique_ptr<obs::EventLog>>& logs,
+                      obs::EventLog& into) {
+  std::vector<std::size_t> cursor(plan.num_shards(), 0);
+  std::size_t i = 0;
+  for (; i < num_requests && into.records().size() < into.capacity(); ++i) {
+    std::size_t s = 0;
+    while (cursor[s] == plan.requests[s].size() ||
+           plan.requests[s][cursor[s]] != i) {
+      ++s;
+    }
+    const std::size_t k = cursor[s]++;
+    const std::vector<obs::RequestRecord>& records = logs[s]->records();
+    into.record(k < records.size() ? records[k] : obs::RequestRecord{});
+  }
+  for (; i < num_requests; ++i) into.record(obs::RequestRecord{});
+}
+
+/// Plans the routed replay of `policy`, replays the shards and merges them.
+SimResult run_routed(const ReplicatedPolicy& policy, const RequestTrace& trace,
+                     const SimOptions& options) {
+  const SimConfig& config = policy.config();
   obs::TimeseriesCollector* const timeline = options.timeline;
   obs::EventLog* const event_log = options.event_log;
+  RoutedPlan plan;
+  {
+    // The well-formedness check is an O(n) trace scan: it stays inside a
+    // phase, or it would leak out of the phase forest's >= 95% coverage.
+    VODREP_TRACE_SCOPE("plan");
+    require(trace.is_well_formed(), "simulate: malformed trace");
+    plan = plan_routed_replay(policy.layout(), config.num_servers, trace,
+                              options.num_shards);
+  }
+  const std::size_t num_shards = plan.num_shards();
 
   // Per-shard replay state.  Every engine gets the full config (all servers,
   // the full failure schedule): foreign servers never see traffic, so their
   // contributions stay exactly zero, while the globally correct failed()
   // flags keep rejection attribution exact.
+  std::vector<std::unique_ptr<ReplicatedPolicy>> policies;
   std::vector<std::unique_ptr<SimEngine>> engines;
   std::vector<std::unique_ptr<obs::TimeseriesCollector>> shard_timelines;
   std::vector<std::unique_ptr<obs::EventLog>> shard_logs;
   std::vector<std::vector<LoadSegment>> segment_logs(num_shards);
+  policies.reserve(num_shards);
   engines.reserve(num_shards);
   {
-    // "setup" covers everything up to the first epoch: input validation
-    // (is_well_formed is an O(n) trace scan — it must not leak out of the
-    // phase forest's >= 95% coverage bar), engine construction, and the
-    // collector plumbing.
     VODREP_TRACE_SCOPE("setup");
-    require(trace.is_well_formed(), "run_sharded: malformed trace");
-    require(num_shards == options.num_shards &&
-                plan.sub_traces.size() == num_shards &&
-                shards.policies.size() == num_shards &&
-                plan.shard_of_server.size() == config.num_servers &&
-                plan.shard_of_request.size() == trace.size(),
-            "run_sharded: StoragePolicy::shard returned a malformed plan");
-    if (timeline != nullptr) {
-      require(timeline->size() == 0 && timeline->downsample_factor() == 1 &&
-                  timeline->time_offset() == 0.0,
-              "run_sharded: attach a freshly constructed timeline collector");
-    }
-    if (event_log != nullptr) {
-      require(event_log->seen() == 0 && event_log->time_offset() == 0.0,
-              "run_sharded: attach a freshly constructed event log");
-    }
     for (std::size_t s = 0; s < num_shards; ++s) {
-      engines.push_back(
-          std::make_unique<SimEngine>(shards.policies[s]->config()));
+      policies.push_back(
+          std::make_unique<ReplicatedPolicy>(policy.layout(), config));
+      policies[s]->set_routed_picks(std::move(plan.picks[s]));
+      engines.push_back(std::make_unique<SimEngine>(config));
       engines[s]->attach_segment_log(&segment_logs[s]);
       if (timeline != nullptr) {
         // Cloned from the caller's collector, so a collector sized for the
-        // wrong server count fails attach_timeline here as it does at S=1.
+        // wrong server count fails attach_timeline here as it does whole.
         shard_timelines.push_back(std::make_unique<obs::TimeseriesCollector>(
             obs::TimeseriesConfig{timeline->interval_sec()},
             timeline->num_servers()));
@@ -135,7 +186,7 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
             std::make_unique<obs::EventLog>(event_log->capacity()));
         engines[s]->attach_event_log(shard_logs[s].get());
       }
-      engines[s]->begin_stepping(*shards.policies[s]);
+      engines[s]->begin_stepping(*policies[s]);
     }
   }
 
@@ -152,8 +203,8 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
 
   LoadIntegrals merged;
   std::vector<std::size_t> next_request(num_shards, 0);
-  const bool inline_shards = options.pool == nullptr ||
-                             options.pool->size() <= 1 || num_shards <= 1;
+  const bool inline_shards =
+      options.pool == nullptr || options.pool->size() <= 1;
   // Per-shard thread-CPU attribution (sim.shard.<s>.cpu_ns): each shard's
   // replay work accrues CPU on whichever pool worker ran it; the deltas are
   // accumulated per shard (one task per shard at a time, so the per-element
@@ -169,15 +220,16 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
       const std::uint64_t cpu_start =
           account_cpu ? obs::thread_cpu_now_ns() : 0;
       SimEngine& engine = *engines[s];
-      StoragePolicy& policy = *shards.policies[s];
-      const std::vector<Request>& requests = plan.sub_traces[s].requests;
+      ReplicatedPolicy& shard_policy = *policies[s];
+      const std::vector<std::uint32_t>& indices = plan.requests[s];
       std::size_t& cur = next_request[s];
-      while (cur < requests.size() &&
-             (final_epoch || requests[cur].arrival_time < limit)) {
-        engine.step(policy, requests[cur]);
+      while (cur < indices.size()) {
+        const Request& request = trace.requests[indices[cur]];
+        if (!final_epoch && request.arrival_time >= limit) break;
+        engine.step(shard_policy, request);
         ++cur;
       }
-      engine.advance_to(policy, limit);
+      engine.advance_to(shard_policy, limit);
       if (account_cpu) {
         shard_cpu_ns[s] += obs::thread_cpu_now_ns() - cpu_start;
       }
@@ -201,91 +253,91 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
     epoch_start = limit;
   }
 
-  // Close every shard and fold the linear tallies.
+  // Close every shard and fold the linear tallies.  kNone never redirects
+  // and a routed policy has no tier, so the redirect and cache counters
+  // stay zero, as in the whole replay.
   SimResult out;
-  VODREP_TRACE_SCOPE("finish");
-  std::vector<SimResult> results;
-  results.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    results.push_back(engines[s]->finish_stepping(*shards.policies[s],
-                                                  trace.horizon));
-  }
-  out.total_requests = trace.size();
-  out.served_per_server.resize(config.num_servers);
-  out.utilization_per_server.assign(config.num_servers, 0.0);
-  for (const SimResult& r : results) {
-    out.rejected += r.rejected;
-    for (std::size_t i = 0; i < obs::kNumRejectReasons; ++i) {
-      out.rejected_by_reason[i] += r.rejected_by_reason[i];
-    }
-    out.redirected += r.redirected;
-    out.proxied += r.proxied;
-    out.batched += r.batched;
-    out.cache_hits += r.cache_hits;
-    out.cache_misses += r.cache_misses;
-    out.cache_evictions += r.cache_evictions;
-  }
-  // `disrupted` is a sum too, but every shard applies the full failure
-  // schedule and a foreign crash tears down zero streams, so the sum counts
-  // each disruption exactly once.
-  for (const SimResult& r : results) out.disrupted += r.disrupted;
-  for (std::size_t s = 0; s < config.num_servers; ++s) {
-    const SimResult& owner = results[plan.shard_of_server[s]];
-    out.served_per_server[s] = owner.served_per_server[s];
-    out.utilization_per_server[s] = owner.utilization_per_server[s];
-  }
-  out.mean_imbalance_eq2 = merged.imbalance_eq2.mean();
-  out.mean_imbalance_cv = merged.imbalance_cv.mean();
-  out.mean_imbalance_capacity = merged.imbalance_capacity.mean();
-  out.peak_imbalance_eq2 = merged.peak_eq2;
-
-  if (timeline != nullptr) {
-    std::vector<const obs::TimeseriesCollector*> views;
-    views.reserve(num_shards);
-    for (const auto& t : shard_timelines) views.push_back(t.get());
-    timeline->merge_shards(views);
-  }
-  if (event_log != nullptr) {
-    merge_event_logs(plan, shard_logs, *event_log);
-  }
-
-  if (obs::metrics_enabled()) {
-    // Every shard applies the full injected schedule, so the failures are
-    // reported once.  The heap high water is the sum of the per-shard
-    // peaks: an upper bound on the global peak of in-flight departures (the
-    // shards' peaks need not coincide in time).
-    SimEngine::EventStats events;
-    events.failures_applied = engines[0]->event_stats().failures_applied;
-    bool has_cache_tier = false;
-    obs::MetricsRegistry& registry = obs::metrics();
+  {
+    VODREP_TRACE_SCOPE("finish");
+    std::vector<SimResult> results;
+    results.reserve(num_shards);
     for (std::size_t s = 0; s < num_shards; ++s) {
-      const SimEngine::EventStats stats = engines[s]->event_stats();
-      events.departures_fired += stats.departures_fired;
-      events.departures_cancelled += stats.departures_cancelled;
-      events.heap_high_water += stats.heap_high_water;
-      if (shards.policies[s]->cache_stats() != nullptr) has_cache_tier = true;
-      const std::string lane = "sim.shard." + std::to_string(s) + ".";
-      registry.gauge(lane + "requests")
-          .set(static_cast<double>(results[s].total_requests));
-      registry.gauge(lane + "rejected")
-          .set(static_cast<double>(results[s].rejected));
-      registry.gauge(lane + "departures")
-          .set(static_cast<double>(stats.departures_fired));
-      registry.gauge(lane + "heap_high_water")
-          .set(static_cast<double>(stats.heap_high_water));
-      registry.gauge(lane + "cpu_ns")
-          .set(static_cast<double>(shard_cpu_ns[s]));
+      results.push_back(engines[s]->finish_stepping(*policies[s],
+                                                    trace.horizon));
     }
-    SimEngine::export_metrics(out, events, has_cache_tier);
+    out.total_requests = trace.size();
+    out.served_per_server.resize(config.num_servers);
+    out.utilization_per_server.assign(config.num_servers, 0.0);
+    // `disrupted` sums too: every shard applies the full failure schedule
+    // and a foreign crash tears down zero streams, so the sum counts each
+    // disruption exactly once.
+    for (const SimResult& r : results) {
+      out.rejected += r.rejected;
+      for (std::size_t i = 0; i < obs::kNumRejectReasons; ++i) {
+        out.rejected_by_reason[i] += r.rejected_by_reason[i];
+      }
+      out.batched += r.batched;
+      out.disrupted += r.disrupted;
+    }
+    for (std::size_t s = 0; s < config.num_servers; ++s) {
+      const SimResult& owner = results[s % num_shards];
+      out.served_per_server[s] = owner.served_per_server[s];
+      out.utilization_per_server[s] = owner.utilization_per_server[s];
+    }
+    out.mean_imbalance_eq2 = merged.imbalance_eq2.mean();
+    out.mean_imbalance_cv = merged.imbalance_cv.mean();
+    out.mean_imbalance_capacity = merged.imbalance_capacity.mean();
+    out.peak_imbalance_eq2 = merged.peak_eq2;
+
+    if (timeline != nullptr) {
+      std::vector<const obs::TimeseriesCollector*> views;
+      views.reserve(num_shards);
+      for (const auto& t : shard_timelines) views.push_back(t.get());
+      timeline->merge_shards(views);
+    }
+    if (event_log != nullptr) {
+      merge_event_logs(plan, trace.size(), shard_logs, *event_log);
+    }
+
+    if (obs::metrics_enabled()) {
+      // Every shard applies the full injected schedule, so the failures are
+      // reported once.  The heap high water is the sum of the per-shard
+      // peaks: an upper bound on the global peak of in-flight departures
+      // (the shards' peaks need not coincide in time).
+      SimEngine::EventStats events;
+      events.failures_applied = engines[0]->event_stats().failures_applied;
+      obs::MetricsRegistry& registry = obs::metrics();
+      for (std::size_t s = 0; s < num_shards; ++s) {
+        const SimEngine::EventStats stats = engines[s]->event_stats();
+        events.departures_fired += stats.departures_fired;
+        events.departures_cancelled += stats.departures_cancelled;
+        events.heap_high_water += stats.heap_high_water;
+        const std::string lane = "sim.shard." + std::to_string(s) + ".";
+        registry.gauge(lane + "requests")
+            .set(static_cast<double>(results[s].total_requests));
+        registry.gauge(lane + "rejected")
+            .set(static_cast<double>(results[s].rejected));
+        registry.gauge(lane + "departures")
+            .set(static_cast<double>(stats.departures_fired));
+        registry.gauge(lane + "heap_high_water")
+            .set(static_cast<double>(stats.heap_high_water));
+        registry.gauge(lane + "cpu_ns")
+            .set(static_cast<double>(shard_cpu_ns[s]));
+      }
+      SimEngine::export_metrics(out, events, /*has_cache_tier=*/false);
+    }
   }
-  // Tear the shard state down while the "finish" phase is still open —
-  // these vectors were declared before the phase, so their implicit
-  // destruction at return would otherwise land between "finish" closing and
-  // the caller's root phase closing, outside every named child.
-  engines.clear();
-  shard_timelines.clear();
-  shard_logs.clear();
-  segment_logs.clear();
+  {
+    // Freed inside a phase: their implicit destruction at return would land
+    // between the children of the caller's root phase.
+    VODREP_TRACE_SCOPE("teardown");
+    engines.clear();
+    policies.clear();
+    shard_timelines.clear();
+    shard_logs.clear();
+    segment_logs.clear();
+    plan = RoutedPlan{};
+  }
   return out;
 }
 
@@ -293,30 +345,15 @@ SimResult run_sharded(const SimConfig& config, const RequestTrace& trace,
 
 SimResult simulate(StoragePolicy& policy, const RequestTrace& trace,
                    const SimOptions& options) {
-  if (options.num_shards <= 1) {
-    require(options.num_shards == 1, "simulate: need >= 1 shard");
-    SimEngine engine(policy.config());
-    engine.attach_timeline(options.timeline);
-    engine.attach_event_log(options.event_log);
-    return engine.run(policy, trace);
+  require(options.num_shards >= 1, "simulate: need >= 1 shard");
+  if (const ReplicatedPolicy* routed = routable(policy, options)) {
+    VODREP_TRACE_SCOPE("sim.sharded");
+    return run_routed(*routed, trace, options);
   }
-  VODREP_TRACE_SCOPE("sim.sharded");
-  // The plan and shard policies are destroyed inside the "teardown" child
-  // phase rather than at scope exit: freeing the sub-trace copies is real,
-  // workload-proportional time that would otherwise land between children
-  // and break the phase forest's >= 95% wall-coverage contract
-  // (tests/report_test.cc).
-  PolicyShards shards;
-  {
-    VODREP_TRACE_SCOPE("plan");
-    shards = policy.shard(trace, options.num_shards);
-  }
-  SimResult out = run_sharded(policy.config(), trace, shards, options);
-  {
-    VODREP_TRACE_SCOPE("teardown");
-    shards = PolicyShards{};
-  }
-  return out;
+  SimEngine engine(policy.config());
+  engine.attach_timeline(options.timeline);
+  engine.attach_event_log(options.event_log);
+  return engine.run(policy, trace);
 }
 
 SimResult simulate_sharded(const Layout& layout, const SimConfig& config,

@@ -1,6 +1,7 @@
 #include "src/util/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -48,7 +49,39 @@ double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 double OnlineStats::ci95_halfwidth() const {
   if (count_ < 2) return 0.0;
-  return 1.96 * stddev() / std::sqrt(static_cast<double>(count_));
+  return student_t975(count_ - 1) * stddev() /
+         std::sqrt(static_cast<double>(count_));
+}
+
+double student_t975(std::size_t degrees_of_freedom) {
+  require(degrees_of_freedom >= 1, "student_t975: need >= 1 degree of freedom");
+  static constexpr std::array<double, 30> kTable = {
+      12.706204736174694, 4.302652729749463,  3.182446305283710,
+      2.776445105197794,  2.570581835636316,  2.446911851144971,
+      2.364624251592787,  2.306004135204166,  2.262157162798204,
+      2.228138851986276,  2.200985160091640,  2.178812829667226,
+      2.160368656462794,  2.144786687917803,  2.131449545559774,
+      2.119905299221256,  2.109815577833317,  2.100922040241039,
+      2.093024054408309,  2.085963447265866,  2.079613844727680,
+      2.073873067904027,  2.068657610419048,  2.063898561628027,
+      2.059538552753295,  2.055529438642875,  2.051830516480286,
+      2.048407141795248,  2.045229642132702,  2.042272456301236};
+  if (degrees_of_freedom <= kTable.size()) {
+    return kTable[degrees_of_freedom - 1];
+  }
+  // Fisher's (Cornish-Fisher) expansion of the t quantile around the
+  // normal quantile z = 1.959964 in powers of 1/df (Abramowitz & Stegun
+  // 26.7.5).
+  const double z = 1.959963984540054;
+  const double z2 = z * z;
+  const double g1 = z * (z2 + 1.0) / 4.0;
+  const double g2 = z * ((5.0 * z2 + 16.0) * z2 + 3.0) / 96.0;
+  const double g3 = z * (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / 384.0;
+  const double g4 =
+      z * ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) /
+      92160.0;
+  const double v = 1.0 / static_cast<double>(degrees_of_freedom);
+  return z + v * (g1 + v * (g2 + v * (g3 + v * g4)));
 }
 
 void TimeWeightedMean::add(double value, double duration) {

@@ -30,8 +30,9 @@ class OnlineStats {
   /// Largest observation; -inf when empty.
   [[nodiscard]] double max() const { return max_; }
 
-  /// Half-width of the (approximately) 95% confidence interval of the mean,
-  /// using the normal critical value 1.96.  0 when fewer than two samples.
+  /// Half-width of the 95% confidence interval of the mean: the Student-t
+  /// critical value at n - 1 degrees of freedom times the standard error.
+  /// 0 when fewer than two samples.
   [[nodiscard]] double ci95_halfwidth() const;
 
  private:
@@ -58,6 +59,12 @@ class TimeWeightedMean {
   double weighted_sum_ = 0.0;
   double total_time_ = 0.0;
 };
+
+/// The two-sided 95% critical value of Student's t, its 97.5% quantile, at
+/// `degrees_of_freedom` >= 1: tabulated up to 30 degrees of freedom, and
+/// Fisher's expansion in 1/df beyond, within 3e-8 there and falling to the
+/// normal 1.959964 as df grows.
+[[nodiscard]] double student_t975(std::size_t degrees_of_freedom);
 
 /// Linear-interpolation quantile (type 7, the numpy/R default) of `values`.
 /// `q` in [0, 1].  The input is copied and sorted.  Throws on empty input.

@@ -152,12 +152,10 @@ TEST(ExperimentVerdicts, E5CombinationOrderAtSaturationConvergesAtOverload) {
 }
 
 // Figure 6: classification+rr's L exceeds zipf+slf's at every rate in
-// both panels and peaks inside the sweep.  In panel (a) it is lower at the
-// top rate than at the peak; panel (b)'s fall (17.17 +- 0.96 at the peak,
-// 16.08 +- 0.93 at the top rate) is not resolved on the quick grid, and
-// EXPERIMENTS.md records it so.  In the degree sweep to 1.5x saturation
-// (the Section 5.3 remark), the unreplicated curve falls from its peak
-// toward the replicated ones once every server is overloaded.
+// both panels, peaks inside the sweep, and is lower at the top rate than
+// at the peak.  In the degree sweep to 1.5x saturation (the Section 5.3
+// remark), the unreplicated curve falls from its peak toward the
+// replicated ones once every server is overloaded.
 TEST(ExperimentVerdicts, E6ClassificationRrImbalanceRisesPeaksAndFalls) {
   const std::vector<Section> panels = run_quick("E6");
   for (std::size_t p = 0; p < 2; ++p) {
@@ -176,10 +174,8 @@ TEST(ExperimentVerdicts, E6ClassificationRrImbalanceRisesPeaksAndFalls) {
     const std::size_t top = table.rows() - 1;
     EXPECT_GT(peak, 0u);
     EXPECT_LT(peak, top);
-    if (p == 0) {
-      EXPECT_TRUE(below(at(table, top, "L%_classification+round-robin"),
-                        at(table, peak, "L%_classification+round-robin")));
-    }
+    EXPECT_TRUE(below(at(table, top, "L%_classification+round-robin"),
+                      at(table, peak, "L%_classification+round-robin")));
   }
   const Table& merge = panels[2].table;
   std::size_t peak = 0;

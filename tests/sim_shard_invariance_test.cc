@@ -1,13 +1,17 @@
-// Differential tier for the sharded simulation runner
-// (src/sim/sharded_engine.h): across many random worlds — random layouts,
-// heterogeneous fleets, failure injection, redirects, batching, and the
-// prefix-cache tier — the sharded replay at every shard count must agree
-// with the monolithic SimEngine: counters and per-server tallies bit-exact
-// (EXPECT_EQ), float metrics within 1e-7 (the Eq. 2/3 integrals are rebuilt
-// from per-shard segment streams, so only cross-server float associativity
-// differs), the per-reason rejection breakdown always summing exactly to
-// the rejection total, and merged timelines/event logs matching the
-// monolithic ones sample for sample and record for record.
+// Differential tier for simulate()'s one shard rule
+// (src/sim/sharded_engine.h).  A tier-less ReplicatedPolicy under
+// RedirectMode::kNone with fresh collectors routes over the shards; across
+// many random worlds — random layouts, heterogeneous fleets, failure
+// injection, batching, abandonment — its merged result at every shard count
+// must agree with the whole replay: counters and per-server tallies
+// bit-exact (EXPECT_EQ), float metrics within 1e-7 (the Eq. 2/3 integrals
+// are rebuilt from per-shard segment streams, so only cross-server float
+// associativity differs), the per-reason rejection breakdown always summing
+// exactly to the rejection total, and merged timelines/event logs matching
+// the whole replay's sample for sample and record for record.  Every other
+// configuration — striping, hybrid layouts, redirects, a live edge tier,
+// used collectors — replays whole at any shard count and must equal the
+// one-shard replay exactly.
 //
 // The small ShardedEngineThreads suite at the bottom reruns a handful of
 // worlds on a real ThreadPool; it is the surface the tsan preset exercises
@@ -21,17 +25,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/core/layout.h"
 #include "src/core/striping.h"
 #include "src/obs/event_log.h"
+#include "src/obs/profile.h"
 #include "src/obs/timeseries.h"
+#include "src/obs/trace.h"
 #include "src/sim/engine.h"
 #include "src/sim/hybrid_policy.h"
 #include "src/sim/prefix_cache.h"
 #include "src/sim/replicated_policy.h"
-#include "src/sim/shard_plan.h"
 #include "src/sim/sharded_engine.h"
 #include "src/util/error.h"
 #include "src/util/rng.h"
@@ -152,71 +158,86 @@ World random_world(Rng& rng, bool allow_extensions) {
 // Result comparison.
 // ---------------------------------------------------------------------------
 
-void expect_equivalent(const SimResult& mono, const SimResult& sharded) {
-  EXPECT_EQ(mono.total_requests, sharded.total_requests);
-  EXPECT_EQ(mono.rejected, sharded.rejected);
+/// The routed contract: counters and per-server tallies bit-exact, the
+/// cross-shard float integrals within kFloatTol.
+void expect_equivalent(const SimResult& whole, const SimResult& routed) {
+  EXPECT_EQ(whole.total_requests, routed.total_requests);
+  EXPECT_EQ(whole.rejected, routed.rejected);
   std::size_t reason_sum = 0;
   for (std::size_t r = 0; r < obs::kNumRejectReasons; ++r) {
-    EXPECT_EQ(mono.rejected_by_reason[r], sharded.rejected_by_reason[r])
+    EXPECT_EQ(whole.rejected_by_reason[r], routed.rejected_by_reason[r])
         << "reason " << r;
-    reason_sum += sharded.rejected_by_reason[r];
+    reason_sum += routed.rejected_by_reason[r];
   }
-  EXPECT_EQ(reason_sum, sharded.rejected);
-  EXPECT_EQ(mono.redirected, sharded.redirected);
-  EXPECT_EQ(mono.proxied, sharded.proxied);
-  EXPECT_EQ(mono.batched, sharded.batched);
-  EXPECT_EQ(mono.disrupted, sharded.disrupted);
-  EXPECT_EQ(mono.cache_hits, sharded.cache_hits);
-  EXPECT_EQ(mono.cache_misses, sharded.cache_misses);
-  EXPECT_EQ(mono.cache_evictions, sharded.cache_evictions);
-  EXPECT_EQ(mono.served_per_server, sharded.served_per_server);
-  ASSERT_EQ(mono.utilization_per_server.size(),
-            sharded.utilization_per_server.size());
-  for (std::size_t s = 0; s < mono.utilization_per_server.size(); ++s) {
+  EXPECT_EQ(reason_sum, routed.rejected);
+  EXPECT_EQ(whole.redirected, routed.redirected);
+  EXPECT_EQ(whole.proxied, routed.proxied);
+  EXPECT_EQ(whole.batched, routed.batched);
+  EXPECT_EQ(whole.disrupted, routed.disrupted);
+  EXPECT_EQ(whole.cache_hits, routed.cache_hits);
+  EXPECT_EQ(whole.cache_misses, routed.cache_misses);
+  EXPECT_EQ(whole.cache_evictions, routed.cache_evictions);
+  EXPECT_EQ(whole.served_per_server, routed.served_per_server);
+  ASSERT_EQ(whole.utilization_per_server.size(),
+            routed.utilization_per_server.size());
+  for (std::size_t s = 0; s < whole.utilization_per_server.size(); ++s) {
     // Per-server: every busy-bandwidth mutation of a server happens in its
-    // owning shard in monolithic order, so the integral is bit-exact.
-    EXPECT_EQ(mono.utilization_per_server[s],
-              sharded.utilization_per_server[s])
+    // owning shard in whole-replay order, so the integral is bit-exact.
+    EXPECT_EQ(whole.utilization_per_server[s],
+              routed.utilization_per_server[s])
         << "server " << s;
   }
-  EXPECT_NEAR(mono.mean_imbalance_eq2, sharded.mean_imbalance_eq2, kFloatTol);
-  EXPECT_NEAR(mono.mean_imbalance_cv, sharded.mean_imbalance_cv, kFloatTol);
-  EXPECT_NEAR(mono.mean_imbalance_capacity, sharded.mean_imbalance_capacity,
+  EXPECT_NEAR(whole.mean_imbalance_eq2, routed.mean_imbalance_eq2, kFloatTol);
+  EXPECT_NEAR(whole.mean_imbalance_cv, routed.mean_imbalance_cv, kFloatTol);
+  EXPECT_NEAR(whole.mean_imbalance_capacity, routed.mean_imbalance_capacity,
               kFloatTol);
-  EXPECT_NEAR(mono.peak_imbalance_eq2, sharded.peak_imbalance_eq2, kFloatTol);
+  EXPECT_NEAR(whole.peak_imbalance_eq2, routed.peak_imbalance_eq2, kFloatTol);
 }
 
-void expect_timelines_equivalent(const obs::TimeseriesCollector& mono,
-                                 const obs::TimeseriesCollector& sharded) {
-  ASSERT_EQ(mono.size(), sharded.size());
-  EXPECT_EQ(mono.interval_sec(), sharded.interval_sec());
-  EXPECT_EQ(mono.downsample_factor(), sharded.downsample_factor());
-  for (std::size_t i = 0; i < mono.size(); ++i) {
-    const obs::TimeSample& a = mono.sample(i);
-    const obs::TimeSample& b = sharded.sample(i);
-    EXPECT_EQ(a.time, b.time);
-    EXPECT_EQ(a.max_utilization, b.max_utilization);
-    EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.cache_hits, b.cache_hits);
-    EXPECT_EQ(a.cache_misses, b.cache_misses);
-    EXPECT_EQ(a.utilization, b.utilization);
-    EXPECT_NEAR(a.mean_utilization, b.mean_utilization, kFloatTol);
-    EXPECT_NEAR(a.imbalance_eq2, b.imbalance_eq2, kFloatTol);
+void expect_sample_equivalent(const obs::TimeSample& a,
+                              const obs::TimeSample& b) {
+  EXPECT_EQ(a.time, b.time);
+  EXPECT_EQ(a.max_utilization, b.max_utilization);
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.utilization, b.utilization);
+  EXPECT_NEAR(a.mean_utilization, b.mean_utilization, kFloatTol);
+  EXPECT_NEAR(a.imbalance_eq2, b.imbalance_eq2, kFloatTol);
+}
+
+void expect_timelines_equivalent(const obs::TimeseriesCollector& whole,
+                                 const obs::TimeseriesCollector& routed) {
+  ASSERT_EQ(whole.size(), routed.size());
+  EXPECT_EQ(whole.interval_sec(), routed.interval_sec());
+  EXPECT_EQ(whole.downsample_factor(), routed.downsample_factor());
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    expect_sample_equivalent(whole.sample(i), routed.sample(i));
   }
 }
 
-void expect_event_logs_identical(const obs::EventLog& mono,
-                                 const obs::EventLog& sharded) {
-  EXPECT_EQ(mono.seen(), sharded.seen());
-  EXPECT_EQ(mono.dropped(), sharded.dropped());
-  ASSERT_EQ(mono.records().size(), sharded.records().size());
-  for (std::size_t i = 0; i < mono.records().size(); ++i) {
-    EXPECT_EQ(mono.records()[i], sharded.records()[i]) << "record " << i;
+void expect_timelines_identical(const obs::TimeseriesCollector& whole,
+                                const obs::TimeseriesCollector& other) {
+  ASSERT_EQ(whole.size(), other.size());
+  EXPECT_EQ(whole.interval_sec(), other.interval_sec());
+  EXPECT_EQ(whole.downsample_factor(), other.downsample_factor());
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    EXPECT_TRUE(whole.sample(i) == other.sample(i)) << "sample " << i;
   }
 }
 
-/// Monolithic reference replay with timeline + event log attached.
+void expect_event_logs_identical(const obs::EventLog& whole,
+                                 const obs::EventLog& other) {
+  EXPECT_EQ(whole.seen(), other.seen());
+  EXPECT_EQ(whole.dropped(), other.dropped());
+  ASSERT_EQ(whole.records().size(), other.records().size());
+  for (std::size_t i = 0; i < whole.records().size(); ++i) {
+    EXPECT_EQ(whole.records()[i], other.records()[i]) << "record " << i;
+  }
+}
+
+/// Whole reference replay with timeline + event log attached.
 SimResult run_monolithic(StoragePolicy& policy, const SimConfig& config,
                          const RequestTrace& trace,
                          obs::TimeseriesCollector* timeline,
@@ -235,46 +256,68 @@ obs::TimeseriesConfig timeline_config() {
 
 constexpr std::size_t kEventLogCapacity = 200;  // forces drops in most worlds
 
+/// Replays the policy `make_policy()` builds whole, then through simulate()
+/// at every shard count of kShardCounts with fresh collectors, and checks
+/// every replay against the whole one: exactly when `exact` (the
+/// configuration replays whole), under the routed contract otherwise.
+template <typename MakePolicy>
+void expect_invariant_in_shards(const World& world,
+                                const MakePolicy& make_policy, bool exact) {
+  obs::TimeseriesCollector whole_timeline(timeline_config(),
+                                          world.num_servers);
+  obs::EventLog whole_log(kEventLogCapacity);
+  auto policy = make_policy();
+  const SimResult whole = run_monolithic(policy, world.config, world.trace,
+                                         &whole_timeline, &whole_log);
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    obs::TimeseriesCollector timeline(timeline_config(), world.num_servers);
+    obs::EventLog log(kEventLogCapacity);
+    SimOptions options;
+    options.num_shards = shards;
+    options.timeline = &timeline;
+    options.event_log = &log;
+    const SimResult result = simulate(make_policy(), world.trace, options);
+    if (exact) {
+      EXPECT_EQ(whole, result);
+      expect_timelines_identical(whole_timeline, timeline);
+    } else {
+      expect_equivalent(whole, result);
+      expect_timelines_equivalent(whole_timeline, timeline);
+    }
+    expect_event_logs_identical(whole_log, log);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The invariance sweeps: >= 50 worlds per organization, S in {1, 2, 4, 8}.
 // ---------------------------------------------------------------------------
 
 TEST(ShardInvariance, ReplicatedRandomWorlds) {
+  // kNone worlds route under the routed contract; kOtherHolders worlds
+  // replay whole and must match exactly.  The sweep runs until it has
+  // routed 50 worlds.
   Rng rng(0x5eed0001);
-  for (int world_id = 0; world_id < 50; ++world_id) {
+  int routed_worlds = 0;
+  for (int world_id = 0; routed_worlds < 50; ++world_id) {
+    SCOPED_TRACE("world " + std::to_string(world_id));
     const World world = random_world(rng, /*allow_extensions=*/true);
     const Layout layout =
         random_layout(rng, world.num_videos, world.num_servers, 4);
-    obs::TimeseriesCollector mono_timeline(timeline_config(),
-                                           world.num_servers);
-    obs::EventLog mono_log(kEventLogCapacity);
-    ReplicatedPolicy policy(layout, world.config);
-    const SimResult mono = run_monolithic(policy, world.config, world.trace,
-                                          &mono_timeline, &mono_log);
-    for (const std::size_t shards : kShardCounts) {
-      SCOPED_TRACE("world " + std::to_string(world_id) + " shards " +
-                   std::to_string(shards));
-      obs::TimeseriesCollector timeline(timeline_config(), world.num_servers);
-      obs::EventLog log(kEventLogCapacity);
-      SimOptions options;
-      options.num_shards = shards;
-      options.timeline = &timeline;
-      options.event_log = &log;
-      const SimResult sharded = simulate(
-          ReplicatedPolicy(layout, world.config), world.trace, options);
-      expect_equivalent(mono, sharded);
-      expect_timelines_equivalent(mono_timeline, timeline);
-      expect_event_logs_identical(mono_log, log);
-    }
+    const bool whole = world.config.redirect != RedirectMode::kNone;
+    if (!whole) ++routed_worlds;
+    expect_invariant_in_shards(
+        world, [&] { return ReplicatedPolicy(layout, world.config); }, whole);
   }
 }
 
 TEST(ShardInvariance, StripedRandomWorlds) {
   Rng rng(0x5eed0002);
   for (int world_id = 0; world_id < 50; ++world_id) {
+    SCOPED_TRACE("world " + std::to_string(world_id));
     World world = random_world(rng, /*allow_extensions=*/false);
-    // Alternate aligned (k | N, real parallelism) and staggered (one
-    // component, exercises the padded-shard merge path) layouts.
+    // Alternate aligned (k | N, disjoint stripe groups) and staggered
+    // (wrap-around) layouts.
     HybridLayout layout;
     if (world_id % 2 == 0) {
       const std::size_t k = 1 + rng.uniform_index(2);  // 1 or 2
@@ -291,33 +334,16 @@ TEST(ShardInvariance, StripedRandomWorlds) {
     } else {
       layout = make_striped_layout(world.num_videos, world.num_servers, 3);
     }
-    obs::TimeseriesCollector mono_timeline(timeline_config(),
-                                           world.num_servers);
-    obs::EventLog mono_log(kEventLogCapacity);
-    HybridPolicy policy(layout, world.config);
-    const SimResult mono = run_monolithic(policy, world.config, world.trace,
-                                          &mono_timeline, &mono_log);
-    for (const std::size_t shards : kShardCounts) {
-      SCOPED_TRACE("world " + std::to_string(world_id) + " shards " +
-                   std::to_string(shards));
-      obs::TimeseriesCollector timeline(timeline_config(), world.num_servers);
-      obs::EventLog log(kEventLogCapacity);
-      SimOptions options;
-      options.num_shards = shards;
-      options.timeline = &timeline;
-      options.event_log = &log;
-      const SimResult sharded = simulate(
-          HybridPolicy(layout, world.config), world.trace, options);
-      expect_equivalent(mono, sharded);
-      expect_timelines_equivalent(mono_timeline, timeline);
-      expect_event_logs_identical(mono_log, log);
-    }
+    expect_invariant_in_shards(
+        world, [&] { return HybridPolicy(layout, world.config); },
+        /*exact=*/true);
   }
 }
 
 TEST(ShardInvariance, HybridRandomWorlds) {
   Rng rng(0x5eed0003);
   for (int world_id = 0; world_id < 50; ++world_id) {
+    SCOPED_TRACE("world " + std::to_string(world_id));
     World world = random_world(rng, /*allow_extensions=*/false);
     HybridLayout layout;
     if (world_id % 2 == 0) {
@@ -342,65 +368,30 @@ TEST(ShardInvariance, HybridRandomWorlds) {
       }
       layout = make_hybrid_layout(world.num_videos, world.num_servers, 2, 2);
     }
-    obs::TimeseriesCollector mono_timeline(timeline_config(),
-                                           world.num_servers);
-    obs::EventLog mono_log(kEventLogCapacity);
-    HybridPolicy policy(layout, world.config);
-    const SimResult mono = run_monolithic(policy, world.config, world.trace,
-                                          &mono_timeline, &mono_log);
-    for (const std::size_t shards : kShardCounts) {
-      SCOPED_TRACE("world " + std::to_string(world_id) + " shards " +
-                   std::to_string(shards));
-      obs::TimeseriesCollector timeline(timeline_config(), world.num_servers);
-      obs::EventLog log(kEventLogCapacity);
-      SimOptions options;
-      options.num_shards = shards;
-      options.timeline = &timeline;
-      options.event_log = &log;
-      const SimResult sharded = simulate(
-          HybridPolicy(layout, world.config), world.trace, options);
-      expect_equivalent(mono, sharded);
-      expect_timelines_equivalent(mono_timeline, timeline);
-      expect_event_logs_identical(mono_log, log);
-    }
+    expect_invariant_in_shards(
+        world, [&] { return HybridPolicy(layout, world.config); },
+        /*exact=*/true);
   }
 }
 
 TEST(ShardInvariance, PrefixCacheRandomWorlds) {
   Rng rng(0x5eed0004);
   for (int world_id = 0; world_id < 50; ++world_id) {
+    SCOPED_TRACE("world " + std::to_string(world_id));
     const World world = random_world(rng, /*allow_extensions=*/false);
     const Layout layout =
         random_layout(rng, world.num_videos, world.num_servers, 3);
     PrefixCacheOptions cache;
     cache.eviction = rng.bernoulli(0.5) ? CacheEvictionPolicy::kLru
                                         : CacheEvictionPolicy::kLfu;
-    // A third of the worlds disable the tier (capacity 0): the plan then
-    // shards by the replicated per-server rules instead of fusing.
+    // A third of the worlds disable the tier (capacity 0): no tier, so the
+    // replay routes; a live tier replays whole.
     cache.capacity_bytes =
         world_id % 3 == 0 ? 0.0 : rng.uniform(2.0, 10.0) * 1e9;
     cache.uniform_prefix_fraction = rng.uniform(0.1, 0.5);
-    obs::TimeseriesCollector mono_timeline(timeline_config(),
-                                           world.num_servers);
-    obs::EventLog mono_log(kEventLogCapacity);
-    ReplicatedPolicy policy(layout, world.config, cache);
-    const SimResult mono = run_monolithic(policy, world.config, world.trace,
-                                          &mono_timeline, &mono_log);
-    for (const std::size_t shards : kShardCounts) {
-      SCOPED_TRACE("world " + std::to_string(world_id) + " shards " +
-                   std::to_string(shards));
-      obs::TimeseriesCollector timeline(timeline_config(), world.num_servers);
-      obs::EventLog log(kEventLogCapacity);
-      SimOptions options;
-      options.num_shards = shards;
-      options.timeline = &timeline;
-      options.event_log = &log;
-      const SimResult sharded = simulate(
-          ReplicatedPolicy(layout, world.config, cache), world.trace, options);
-      expect_equivalent(mono, sharded);
-      expect_timelines_equivalent(mono_timeline, timeline);
-      expect_event_logs_identical(mono_log, log);
-    }
+    expect_invariant_in_shards(
+        world, [&] { return ReplicatedPolicy(layout, world.config, cache); },
+        /*exact=*/cache.capacity_bytes > 0.0);
   }
 }
 
@@ -420,29 +411,51 @@ TEST(ShardInvariance, MoreShardsThanServersIsFine) {
   const SimResult mono = run_monolithic(policy, world.config, world.trace,
                                         nullptr, nullptr);
   SimOptions options;
-  options.num_shards = 8;  // 5 shards own no server at all
+  options.num_shards = 8;  // the plan uses 3 shards, one per server
   const SimResult sharded =
       simulate(ReplicatedPolicy(layout, world.config), world.trace, options);
   expect_equivalent(mono, sharded);
 }
 
-TEST(ShardInvariance, BackboneProxyThrowsNamedErrorAtMultipleShards) {
+TEST(ShardInvariance, PlanUsesAtMostOneShardPerServer) {
+  Rng rng(0x5eed000a);
+  const World world = random_world(rng, /*allow_extensions=*/false);
+  const Layout layout =
+      random_layout(rng, world.num_videos, world.num_servers, 3);
+  const std::size_t n = world.num_servers;
+  const RoutedPlan plan = plan_routed_replay(layout, n, world.trace, 4 * n);
+  EXPECT_EQ(plan.num_shards(), n);
+  EXPECT_EQ(plan.picks.size(), n);
+  std::size_t routed = 0;
+  for (const auto& requests : plan.requests) routed += requests.size();
+  EXPECT_EQ(routed, world.trace.size());
+  // The replay at S = 4N is therefore the replay at S = N, bit for bit.
+  SimOptions at_n;
+  at_n.num_shards = n;
+  SimOptions at_4n;
+  at_4n.num_shards = 4 * n;
+  EXPECT_EQ(
+      simulate(ReplicatedPolicy(layout, world.config), world.trace, at_n),
+      simulate(ReplicatedPolicy(layout, world.config), world.trace, at_4n));
+}
+
+TEST(ShardInvariance, BackboneProxyReplaysWholeAtMultipleShards) {
+  // The shared backbone couples every server, so kBackboneProxy replays
+  // whole and every shard count returns the one-shard result exactly.
   Rng rng(0x5eed0007);
   World world = random_world(rng, /*allow_extensions=*/false);
   world.config.redirect = RedirectMode::kBackboneProxy;
   world.config.backbone_bps = units::mbps(50.0);
   const Layout layout =
       random_layout(rng, world.num_videos, world.num_servers, 3);
+  expect_invariant_in_shards(
+      world, [&] { return ReplicatedPolicy(layout, world.config); },
+      /*exact=*/true);
   SimOptions options;
-  options.num_shards = 2;
-  EXPECT_THROW(
-      simulate(ReplicatedPolicy(layout, world.config), world.trace, options),
-      InvalidArgumentError);
-  // S == 1 takes the monolithic path and must keep working.
-  options.num_shards = 1;
-  const SimResult result =
-      simulate(ReplicatedPolicy(layout, world.config), world.trace, options);
-  EXPECT_EQ(result.total_requests, world.trace.size());
+  options.num_shards = 4;
+  EXPECT_EQ(
+      simulate(ReplicatedPolicy(layout, world.config), world.trace),
+      simulate(ReplicatedPolicy(layout, world.config), world.trace, options));
 }
 
 TEST(ShardInvariance, LiveCacheRejectsRoutedReplay) {
@@ -461,136 +474,140 @@ TEST(ShardInvariance, LiveCacheRejectsRoutedReplay) {
   EXPECT_THROW(policy.set_routed_picks({0}), InvalidArgumentError);
 }
 
-/// Checks that a shard hook's result partitions `trace` over `num_shards`
-/// shards and is closed: every server that `reach(request, pick)` says the
-/// request's dispatch can touch is owned by the request's shard.  `pick` is
-/// the routed holder index for routed plans and -1 otherwise.
-template <typename Reach>
-void expect_closed_partition(const PolicyShards& shards,
-                             const RequestTrace& trace,
-                             std::size_t num_servers, std::size_t num_shards,
-                             const Reach& reach) {
-  const ShardPlan& plan = shards.plan;
-  ASSERT_EQ(plan.num_shards, num_shards);
-  ASSERT_EQ(plan.sub_traces.size(), num_shards);
-  ASSERT_EQ(plan.shard_of_request.size(), trace.size());
-  ASSERT_EQ(plan.shard_of_server.size(), num_servers);
-  ASSERT_EQ(shards.policies.size(), num_shards);
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    EXPECT_NE(shards.policies[s], nullptr);
-    EXPECT_TRUE(plan.sub_traces[s].is_well_formed());
-    EXPECT_EQ(plan.sub_traces[s].horizon, trace.horizon);
-    if (plan.is_routed()) {
-      EXPECT_EQ(plan.routed_pick_indices[s].size(), plan.sub_traces[s].size());
-    }
-    total += plan.sub_traces[s].size();
-  }
-  EXPECT_EQ(total, trace.size());
-  // The routed sub-traces preserve the global order restricted to each
-  // shard: replaying shard_of_request must reproduce every sub-trace.
-  std::vector<std::size_t> cursor(num_shards, 0);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const std::uint32_t s = plan.shard_of_request[i];
-    ASSERT_LT(s, num_shards);
-    ASSERT_LT(cursor[s], plan.sub_traces[s].size());
-    EXPECT_EQ(trace.requests[i], plan.sub_traces[s].requests[cursor[s]]);
-    const std::int64_t pick =
-        plan.is_routed() ? std::int64_t{plan.routed_pick_indices[s][cursor[s]]}
-                         : -1;
-    for (const std::size_t server : reach(trace.requests[i], pick)) {
-      EXPECT_EQ(plan.shard_of_server[server], s)
-          << "request " << i << " reaches server " << server;
-    }
-    ++cursor[s];
-  }
-}
-
 TEST(ShardInvariance, PlanPartitionsTheTrace) {
   Rng rng(0x5eed0008);
   const World world = random_world(rng, /*allow_extensions=*/true);
   const Layout layout =
       random_layout(rng, world.num_videos, world.num_servers, 4);
   const std::size_t n = world.num_servers;
-  const std::size_t m = world.num_videos;
-  SimConfig strict = world.config;
-  strict.redirect = RedirectMode::kNone;
-  SimConfig redirecting = world.config;
-  redirecting.redirect = RedirectMode::kOtherHolders;
-  // Striping and hybrid reject the replication-only fields; their layouts
-  // live on 8 servers.
-  SimConfig plain = strict;
-  plain.batching_window_sec = 0.0;
-  plain.num_servers = 8;
-  plain.per_server_bandwidth_bps.clear();
-  plain.failures.clear();
-
-  // kNone replays the round-robin pick, and only the picked holder is
-  // touched; every other rule may touch each server named here.
-  std::vector<std::size_t> rr;
-  const auto routed_pick = [&](const Request& request, std::int64_t pick) {
-    const auto& holders = layout.assignment[request.video];
-    const std::size_t expected = rr[request.video]++ % holders.size();
-    EXPECT_EQ(pick, static_cast<std::int64_t>(expected));
-    return std::vector<std::size_t>{holders[expected]};
-  };
-  const auto all_holders = [&](const Request& request, std::int64_t pick) {
-    EXPECT_EQ(pick, -1);
-    return layout.assignment[request.video];
-  };
-  std::vector<std::size_t> all_servers(n);
-  std::iota(all_servers.begin(), all_servers.end(), 0);
-  const auto every_server = [&](const Request&, std::int64_t pick) {
-    EXPECT_EQ(pick, -1);
-    return all_servers;
-  };
-  const auto stripe_group = [](const HybridLayout& striped) {
-    return [&striped](const Request& request, std::int64_t pick) {
-      EXPECT_EQ(pick, -1);
-      return striped.groups[request.video][0];
-    };
-  };
-  const HybridLayout hybrid = make_hybrid_layout(m, 8, 2, 2);
-  const auto all_copies = [&](const Request& request, std::int64_t pick) {
-    EXPECT_EQ(pick, -1);
-    std::vector<std::size_t> members;
-    for (const auto& group : hybrid.groups[request.video]) {
-      members.insert(members.end(), group.begin(), group.end());
-    }
-    return members;
-  };
-  const HybridLayout aligned = aligned_hybrid_layout(m, 8, 2, 1);
-  const HybridLayout staggered = make_striped_layout(m, 8, 3);
-  PrefixCacheOptions no_cache;
-  PrefixCacheOptions live_cache;
-  live_cache.capacity_bytes = 5e9;
-
+  const RequestTrace& trace = world.trace;
   for (const std::size_t shards : kShardCounts) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    rr.assign(m, 0);
-    expect_closed_partition(
-        ReplicatedPolicy(layout, strict).shard(world.trace, shards),
-        world.trace, n, shards, routed_pick);
-    expect_closed_partition(
-        ReplicatedPolicy(layout, redirecting).shard(world.trace, shards),
-        world.trace, n, shards, all_holders);
-    rr.assign(m, 0);
-    expect_closed_partition(
-        ReplicatedPolicy(layout, strict, no_cache).shard(world.trace, shards),
-        world.trace, n, shards, routed_pick);
-    expect_closed_partition(ReplicatedPolicy(layout, strict, live_cache)
-                                .shard(world.trace, shards),
-                            world.trace, n, shards, every_server);
-    expect_closed_partition(
-        HybridPolicy(aligned, plain).shard(world.trace, shards), world.trace,
-        8, shards, stripe_group(aligned));
-    expect_closed_partition(
-        HybridPolicy(staggered, plain).shard(world.trace, shards),
-        world.trace, 8, shards, stripe_group(staggered));
-    expect_closed_partition(
-        HybridPolicy(hybrid, plain).shard(world.trace, shards), world.trace,
-        8, shards, all_copies);
+    const RoutedPlan plan = plan_routed_replay(layout, n, trace, shards);
+    const std::size_t num_shards = std::min(shards, n);
+    ASSERT_EQ(plan.num_shards(), num_shards);
+    ASSERT_EQ(plan.picks.size(), num_shards);
+    // Each request index appears once, in increasing order within its
+    // shard's list.
+    std::vector<std::int64_t> shard_of(trace.size(), -1);
+    std::vector<std::uint32_t> pick_of(trace.size(), 0);
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      const std::vector<std::uint32_t>& requests = plan.requests[s];
+      ASSERT_EQ(plan.picks[s].size(), requests.size());
+      for (std::size_t k = 0; k < requests.size(); ++k) {
+        ASSERT_LT(requests[k], trace.size());
+        if (k > 0) {
+          EXPECT_LT(requests[k - 1], requests[k]);
+        }
+        EXPECT_EQ(shard_of[requests[k]], -1) << "request " << requests[k];
+        shard_of[requests[k]] = static_cast<std::int64_t>(s);
+        pick_of[requests[k]] = plan.picks[s][k];
+      }
+    }
+    // ... on the shard owning the holder the round-robin picks for it.
+    std::vector<std::size_t> rr(world.num_videos, 0);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const auto& holders = layout.assignment[trace.requests[i].video];
+      const std::size_t pick = rr[trace.requests[i].video]++ % holders.size();
+      EXPECT_EQ(pick_of[i], pick) << "request " << i;
+      EXPECT_EQ(shard_of[i],
+                static_cast<std::int64_t>(holders[pick] % num_shards))
+          << "request " << i;
+    }
   }
+}
+
+TEST(ShardInvariance, SecondReplayIntoOffsetCollectorsMatchesOneShard) {
+  // What vodrep_plan --online-epochs --sim-shards does: two replays append
+  // into one timeline and event log, the second at a time offset.  The
+  // first finds fresh collectors and routes; the second finds them used and
+  // replays whole.
+  Rng rng(0x5eed000b);
+  const World world = random_world(rng, /*allow_extensions=*/false);
+  const Layout layout =
+      random_layout(rng, world.num_videos, world.num_servers, 3);
+  const double horizon = world.trace.horizon;
+  const auto replay_twice = [&](std::size_t shards,
+                                obs::TimeseriesCollector& timeline,
+                                obs::EventLog& log) {
+    SimOptions options;
+    options.num_shards = shards;
+    options.timeline = &timeline;
+    options.event_log = &log;
+    std::array<SimResult, 2> results;
+    for (std::size_t epoch = 0; epoch < 2; ++epoch) {
+      timeline.set_time_offset(static_cast<double>(epoch) * horizon);
+      log.set_time_offset(static_cast<double>(epoch) * horizon);
+      results[epoch] = simulate(ReplicatedPolicy(layout, world.config),
+                                world.trace, options);
+    }
+    return results;
+  };
+  obs::TimeseriesCollector whole_timeline(timeline_config(),
+                                          world.num_servers);
+  obs::EventLog whole_log(2 * world.trace.size());
+  const std::array<SimResult, 2> whole =
+      replay_twice(1, whole_timeline, whole_log);
+
+  obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+  recorder.clear();
+  recorder.set_enabled(true);
+  obs::TimeseriesCollector timeline(timeline_config(), world.num_servers);
+  obs::EventLog log(2 * world.trace.size());
+  const std::array<SimResult, 2> sharded = replay_twice(4, timeline, log);
+  recorder.set_enabled(false);
+  const obs::ProfileSnapshot snap = obs::profile_snapshot(recorder);
+  recorder.clear();
+  ASSERT_EQ(snap.phases.size(), 2u);  // sorted by name
+  EXPECT_EQ(snap.phases[0].name, "sim.run");
+  EXPECT_EQ(snap.phases[0].count, 1u);
+  EXPECT_EQ(snap.phases[1].name, "sim.sharded");
+  EXPECT_EQ(snap.phases[1].count, 1u);
+
+  expect_equivalent(whole[0], sharded[0]);
+  EXPECT_EQ(whole[1], sharded[1]);
+  ASSERT_EQ(whole_timeline.size(), timeline.size());
+  for (std::size_t i = 0; i < timeline.size(); ++i) {
+    SCOPED_TRACE("sample " + std::to_string(i));
+    if (whole_timeline.sample(i).time > horizon) {
+      EXPECT_TRUE(whole_timeline.sample(i) == timeline.sample(i));
+    } else {
+      expect_sample_equivalent(whole_timeline.sample(i), timeline.sample(i));
+    }
+  }
+  EXPECT_EQ(log.seen(), 2 * world.trace.size());
+  expect_event_logs_identical(whole_log, log);
+}
+
+TEST(ShardInvariance, WholeReplayAtMultipleShardsRecordsOnlySimRun) {
+  // With the trace recorder on, every replay that cannot route records the
+  // one-engine sim.run span at S = 4, and none records sim.sharded.
+  Rng rng(0x5eed000c);
+  const World world = random_world(rng, /*allow_extensions=*/false);
+  const Layout layout =
+      random_layout(rng, world.num_videos, world.num_servers, 3);
+  const HybridLayout striped =
+      make_striped_layout(world.num_videos, world.num_servers, 2);
+  SimConfig redirecting = world.config;
+  redirecting.redirect = RedirectMode::kOtherHolders;
+  PrefixCacheOptions cache;
+  cache.capacity_bytes = 5e9;
+  SimOptions options;
+  options.num_shards = 4;
+
+  obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+  recorder.clear();
+  recorder.set_enabled(true);
+  (void)simulate(HybridPolicy(striped, world.config), world.trace, options);
+  (void)simulate(ReplicatedPolicy(layout, redirecting), world.trace, options);
+  (void)simulate(ReplicatedPolicy(layout, world.config, cache), world.trace,
+                 options);
+  recorder.set_enabled(false);
+  const obs::ProfileSnapshot snap = obs::profile_snapshot(recorder);
+  recorder.clear();
+  ASSERT_EQ(snap.phases.size(), 1u);
+  EXPECT_EQ(snap.phases[0].name, "sim.run");
+  EXPECT_EQ(snap.phases[0].count, 3u);
 }
 
 TEST(ShardInvariance, TimelineSizedForAnotherServerCountIsRejected) {
@@ -640,6 +657,8 @@ TEST(ShardedEngineThreads, ReplicatedMatchesMonolithicOnAPool) {
 }
 
 TEST(ShardedEngineThreads, StripedAndHybridMatchMonolithicOnAPool) {
+  // Striped and hybrid replays run whole, so a pool changes nothing and the
+  // result equals the one-engine replay exactly.
   Rng rng(0x7ead0002);
   ThreadPool pool(4);
   World world = random_world(rng, /*allow_extensions=*/false);
@@ -647,25 +666,19 @@ TEST(ShardedEngineThreads, StripedAndHybridMatchMonolithicOnAPool) {
   world.config.num_servers = 8;
   world.config.per_server_bandwidth_bps.clear();
   for (ServerFailure& f : world.config.failures) f.server %= 8;
-
-  const HybridLayout striped = aligned_hybrid_layout(world.num_videos, 8, 2, 1);
-  HybridPolicy striped_policy(striped, world.config);
-  const SimResult striped_mono = run_monolithic(
-      striped_policy, world.config, world.trace, nullptr, nullptr);
   SimOptions options;
   options.num_shards = 4;
   options.pool = &pool;
-  expect_equivalent(striped_mono,
-                    simulate(HybridPolicy(striped, world.config),
-                             world.trace, options));
-
-  const HybridLayout hybrid = aligned_hybrid_layout(world.num_videos, 8, 2, 2);
-  HybridPolicy hybrid_policy(hybrid, world.config);
-  const SimResult hybrid_mono = run_monolithic(
-      hybrid_policy, world.config, world.trace, nullptr, nullptr);
-  expect_equivalent(hybrid_mono,
-                    simulate(HybridPolicy(hybrid, world.config), world.trace,
+  for (const std::size_t copies : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("copies " + std::to_string(copies));
+    const HybridLayout layout =
+        aligned_hybrid_layout(world.num_videos, 8, 2, copies);
+    HybridPolicy policy(layout, world.config);
+    const SimResult mono = run_monolithic(policy, world.config, world.trace,
+                                          nullptr, nullptr);
+    EXPECT_EQ(mono, simulate(HybridPolicy(layout, world.config), world.trace,
                              options));
+  }
 }
 
 TEST(ShardedEngineThreads, TimelineAndEventLogMergeUnderThreads) {

@@ -83,6 +83,32 @@ TEST(OnlineStats, Ci95ShrinksWithSampleSize) {
   EXPECT_GT(small.ci95_halfwidth(), large.ci95_halfwidth());
 }
 
+TEST(OnlineStats, Ci95UsesStudentTAtNMinusOneDegrees) {
+  OnlineStats s;
+  for (double x : {1.0, 2.0, 4.0, 8.0, 16.0}) s.add(x);
+  const double standard_error = s.stddev() / std::sqrt(5.0);
+  EXPECT_DOUBLE_EQ(s.ci95_halfwidth(), student_t975(4) * standard_error);
+  // At five runs the margin is 42% wider than the normal 1.96 one.
+  EXPECT_NEAR(s.ci95_halfwidth() / (1.96 * standard_error), 1.4166, 1e-4);
+}
+
+TEST(StudentT975, MatchesExactQuantilesAndFallsToTheNormalValue) {
+  // Exact 97.5% quantiles, from the regularized incomplete beta function.
+  EXPECT_DOUBLE_EQ(student_t975(1), 12.706204736174694);
+  EXPECT_NEAR(student_t975(4), 2.7764451051977943, 1e-12);
+  EXPECT_NEAR(student_t975(19), 2.0930240544083087, 1e-12);
+  EXPECT_NEAR(student_t975(30), 2.0422724563012364, 1e-12);
+  // Past the table, the expansion.
+  EXPECT_NEAR(student_t975(31), 2.039513446396408, 3e-8);
+  EXPECT_NEAR(student_t975(50), 2.008559112100759, 3e-9);
+  EXPECT_NEAR(student_t975(100), 1.9839715185235387, 1e-10);
+  for (std::size_t df = 1; df < 200; ++df) {
+    EXPECT_GT(student_t975(df), student_t975(df + 1)) << df;
+  }
+  EXPECT_NEAR(student_t975(1'000'000'000), 1.959963984540054, 1e-8);
+  EXPECT_THROW((void)student_t975(0), InvalidArgumentError);
+}
+
 TEST(TimeWeightedMean, ConstantSignal) {
   TimeWeightedMean twm;
   twm.add(4.0, 10.0);

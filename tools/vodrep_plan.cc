@@ -13,6 +13,7 @@
 //
 //   # inspect an existing layout
 //   vodrep_plan --inspect=layout.txt
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "src/audit/audit.h"
@@ -205,11 +207,12 @@ PrefixCacheOptions make_cache_options(const CliFlags& flags) {
 
 // Runs the evaluate/report simulation of the replicated organization,
 // fronted under --prefix-cache by an edge prefix-cache tier.
-// --sim-shards 1 (the default) is the monolithic SimEngine, bit-identical
-// to prior releases; larger values run the sharded engine across that many
-// worker threads.  The sharded replay is proven invariant in the shard
-// count (tests/sim_shard_invariance_test.cc), so the flag is purely a
-// throughput knob on multicore machines.
+// --sim-shards 1 (the default) is the monolithic SimEngine; larger values
+// route a tier-less replay over up to that many shards, one per server at
+// most, on a pool of at most one worker per hardware thread, and replay
+// everything else whole (src/sim/sharded_engine.h).  The result is
+// invariant in the shard count (tests/sim_shard_invariance_test.cc), so the
+// flag is purely a throughput knob on multicore machines.
 SimResult run_sim(const CliFlags& flags, const Layout& layout,
                   const SimConfig& config, const RequestTrace& trace,
                   obs::TimeseriesCollector* timeline,
@@ -218,9 +221,11 @@ SimResult run_sim(const CliFlags& flags, const Layout& layout,
   options.num_shards = static_cast<std::size_t>(flags.get_int("sim-shards"));
   options.timeline = timeline;
   options.event_log = event_log;
+  const std::size_t threads = std::min<std::size_t>(
+      options.num_shards, std::max(1u, std::thread::hardware_concurrency()));
   std::unique_ptr<ThreadPool> pool;
-  if (options.num_shards > 1) {
-    pool = std::make_unique<ThreadPool>(options.num_shards);
+  if (threads > 1) {
+    pool = std::make_unique<ThreadPool>(threads);
     options.pool = pool.get();
   }
   ReplicatedPolicy policy(layout, config,
@@ -286,8 +291,9 @@ int run(int argc, char** argv) {
                    "(0 = auto-size to ~90% cluster stream capacity)");
   flags.add_int("sim-seed", 2002, "report simulation trace seed");
   flags.add_int("sim-shards", 1,
-                "shard the evaluate/report simulation across this many "
-                "worker threads (1 = monolithic engine; the result is "
+                "shard the evaluate/report simulation across up to this many "
+                "worker threads (1 = monolithic engine; a replay behind a "
+                "live --prefix-cache tier runs whole; the result is "
                 "invariant in the shard count)");
   flags.add_double("timeline-interval", 0.0,
                    "report timeline sampling interval in seconds "
@@ -607,12 +613,6 @@ int run(int argc, char** argv) {
               "--prefix-cache does not compose with --online-epochs yet: the "
               "adaptive controller replans the origin layout but the edge "
               "tier's residency would carry across replans; drop one");
-      require(flags.get_int("sim-shards") <= 1,
-              "--sim-shards does not compose with --online-epochs yet: the "
-              "sharded merge fills only a freshly constructed timeline and "
-              "event log, while the online path appends every epoch into one "
-              "time-offset timeline and event log; run the online path with "
-              "--sim-shards 1");
       // Multi-epoch online path: the adaptive controller re-provisions
       // between epochs; each replan lands on the timeline as an annotation
       // at its (global-time) epoch boundary.
