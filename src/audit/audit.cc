@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <ostream>
+#include <span>
 #include <sstream>
 
 #include "src/util/error.h"
@@ -31,10 +32,11 @@ void add(AuditReport& report, ViolationKind kind, std::size_t video,
 
 /// Reports every Eq. 6/7 violation of one video's host list, in a fixed
 /// order: no replica, too many, duplicates by server, then out-of-range
-/// hosts in list order.
+/// hosts in list order.  `Hosts` is a layout's span of 32-bit ids or a
+/// scalable solution's vector.
+template <typename Hosts>
 void report_structure(AuditReport& report, std::size_t video,
-                      const std::vector<std::size_t>& servers,
-                      std::size_t num_servers) {
+                      const Hosts& servers, std::size_t num_servers) {
   if (servers.empty()) {
     add(report, ViolationKind::kNoReplica, video, Violation::kNone,
         /*actual=*/0.0, /*limit=*/1.0);
@@ -44,7 +46,7 @@ void report_structure(AuditReport& report, std::size_t video,
         static_cast<double>(servers.size()),
         static_cast<double>(num_servers));
   }
-  std::vector<std::size_t> sorted = servers;
+  std::vector<std::size_t> sorted(servers.begin(), servers.end());
   std::sort(sorted.begin(), sorted.end());
   for (std::size_t k = 1; k < sorted.size(); ++k) {
     if (sorted[k] == sorted[k - 1] && (k < 2 || sorted[k] != sorted[k - 2])) {
@@ -67,9 +69,10 @@ void report_structure(AuditReport& report, std::size_t video,
 /// one entry per server, shared by every video of one audit: the last video
 /// (plus one) that listed the server, so a clean list is checked in one
 /// pass without a copy, and only a list with a violation is sorted.
+template <typename Hosts>
 void check_structure(AuditReport& report, std::size_t video,
-                     const std::vector<std::size_t>& servers,
-                     std::size_t num_servers, std::vector<std::size_t>& stamp) {
+                     const Hosts& servers, std::size_t num_servers,
+                     std::vector<std::size_t>& stamp) {
   report.checks_performed += 3;
   bool clean = !servers.empty() && servers.size() <= num_servers;
   for (std::size_t k = 0; clean && k < servers.size(); ++k) {
@@ -250,7 +253,7 @@ AuditReport LayoutAuditor::audit(
   std::vector<double> load_share(n, 0.0);
   std::vector<std::size_t> stamp(n, 0);
   for (std::size_t i = 0; i < m; ++i) {
-    const auto& servers = layout.assignment[i];
+    const std::span<const std::uint32_t> servers = layout.hosts(i);
     if (plan != nullptr && i < plan->replicas.size() &&
         servers.size() != plan->replicas[i]) {
       add(report, ViolationKind::kPlanMismatch, i, Violation::kNone,
@@ -262,7 +265,7 @@ AuditReport LayoutAuditor::audit(
         popularity == nullptr || servers.empty()
             ? 0.0
             : (*popularity)[i] / static_cast<double>(servers.size());
-    for (std::size_t s : servers) {
+    for (const std::size_t s : servers) {
       if (s >= n) continue;  // already reported
       ++stored[s];
       load_share[s] += share;

@@ -14,8 +14,8 @@
 // `vodrep_audit` CLI can print or JSON-emit it, and solvers can end their
 // runs under the same audit (see VODREP_CONTRACTS_ENABLED in util/check.h).
 //
-// The auditor deliberately re-derives every quantity from the raw assignment
-// and problem fields — it never calls the usage/objective helpers it is
+// The auditor deliberately re-derives every quantity from the raw layout
+// arrays and problem fields — it never calls the usage/objective helpers it is
 // auditing — so a bug in the incremental bookkeeping (or in those helpers)
 // cannot hide itself.
 #pragma once

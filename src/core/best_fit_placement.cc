@@ -15,21 +15,21 @@ Layout BestFitPlacement::place(const ReplicationPlan& plan,
                                std::size_t capacity_per_server) const {
   check_placement_inputs(plan, popularity, num_servers, capacity_per_server);
   const std::vector<double> weights = plan.weights(popularity);
-  Layout layout;
-  layout.assignment.resize(plan.replicas.size());
+  Layout layout = Layout::with_slots(plan);
   std::vector<double> loads(num_servers, 0.0);
   std::vector<std::size_t> stored(num_servers, 0);
 
   for (std::size_t video : videos_by_weight(weights)) {
+    const auto slots = layout.servers.begin() +
+                       static_cast<std::ptrdiff_t>(layout.offsets[video]);
     for (std::size_t k = 0; k < plan.replicas[video]; ++k) {
       std::size_t best = num_servers;
       double best_load = std::numeric_limits<double>::infinity();
-      const auto& already = layout.assignment[video];
+      // The video's first k slots are the servers that already host it.
+      const auto already = slots + static_cast<std::ptrdiff_t>(k);
       for (std::size_t s = 0; s < num_servers; ++s) {
         if (stored[s] >= capacity_per_server) continue;
-        if (std::find(already.begin(), already.end(), s) != already.end()) {
-          continue;
-        }
+        if (std::find(slots, already, s) != already) continue;
         if (loads[s] < best_load) {
           best_load = loads[s];
           best = s;
@@ -39,7 +39,7 @@ Layout BestFitPlacement::place(const ReplicationPlan& plan,
         throw InfeasibleError(
             "best-fit placement: no feasible server for a replica");
       }
-      layout.assignment[video].push_back(best);
+      *already = static_cast<std::uint32_t>(best);
       loads[best] += weights[video];
       ++stored[best];
     }

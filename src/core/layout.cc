@@ -1,32 +1,70 @@
 #include "src/core/layout.h"
 
+#include <limits>
+
 #include "src/audit/audit.h"
 #include "src/util/error.h"
 
 namespace vodrep {
 
+Layout::Layout(const HostLists& host_lists) {
+  offsets.resize(host_lists.size() + 1);
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < host_lists.size(); ++i) {
+    total += host_lists[i].size();
+    offsets[i + 1] = total;
+  }
+  servers.reserve(static_cast<std::size_t>(total));
+  for (const auto& hosts : host_lists) {
+    for (const std::size_t s : hosts) {
+      require(s <= std::numeric_limits<std::uint32_t>::max(),
+              "Layout: server id does not fit in 32 bits");
+      servers.push_back(static_cast<std::uint32_t>(s));
+    }
+  }
+}
+
+Layout Layout::with_slots(const ReplicationPlan& plan) {
+  Layout layout;
+  layout.offsets.resize(plan.replicas.size() + 1);
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < plan.replicas.size(); ++i) {
+    total += plan.replicas[i];
+    layout.offsets[i + 1] = total;
+  }
+  layout.servers.resize(static_cast<std::size_t>(total));
+  return layout;
+}
+
+HostLists Layout::host_lists() const {
+  HostLists lists(num_videos());
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    const auto h = hosts(i);
+    lists[i].assign(h.begin(), h.end());
+  }
+  return lists;
+}
+
 std::vector<std::size_t> Layout::replicas_per_server(
     std::size_t num_servers) const {
   std::vector<std::size_t> counts(num_servers, 0);
-  for (const auto& servers : assignment) {
-    for (std::size_t s : servers) {
-      require(s < num_servers, "Layout: server index out of range");
-      ++counts[s];
-    }
+  for (const std::uint32_t s : servers) {
+    require(s < num_servers, "Layout: server index out of range");
+    ++counts[s];
   }
   return counts;
 }
 
 std::vector<double> Layout::expected_loads(
     const std::vector<double>& popularity, std::size_t num_servers) const {
-  require(popularity.size() == assignment.size(),
+  require(popularity.size() == num_videos(),
           "Layout::expected_loads: popularity size mismatch");
   std::vector<double> loads(num_servers, 0.0);
-  for (std::size_t i = 0; i < assignment.size(); ++i) {
-    const auto& servers = assignment[i];
-    require(!servers.empty(), "Layout::expected_loads: video has no replica");
-    const double w = popularity[i] / static_cast<double>(servers.size());
-    for (std::size_t s : servers) {
+  for (std::size_t i = 0; i < num_videos(); ++i) {
+    const auto h = hosts(i);
+    require(!h.empty(), "Layout::expected_loads: video has no replica");
+    const double w = popularity[i] / static_cast<double>(h.size());
+    for (const std::uint32_t s : h) {
       require(s < num_servers, "Layout::expected_loads: server out of range");
       loads[s] += w;
     }
@@ -36,8 +74,10 @@ std::vector<double> Layout::expected_loads(
 
 ReplicationPlan Layout::implied_plan() const {
   ReplicationPlan plan;
-  plan.replicas.reserve(assignment.size());
-  for (const auto& servers : assignment) plan.replicas.push_back(servers.size());
+  plan.replicas.resize(num_videos());
+  for (std::size_t i = 0; i < plan.replicas.size(); ++i) {
+    plan.replicas[i] = replicas(i);
+  }
   return plan;
 }
 

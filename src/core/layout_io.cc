@@ -35,10 +35,10 @@ void save_placement(std::ostream& os, const PlacementFile& placement) {
   os << "vodrep-layout " << placement.layout.num_videos() << " "
      << placement.num_servers << "\n";
   for (std::size_t video = 0; video < placement.layout.num_videos(); ++video) {
-    const auto& servers = placement.layout.assignment[video];
+    const auto servers = placement.layout.hosts(video);
     require(!servers.empty(), "save_placement: video has no replica");
     os << video << " " << servers.size();
-    for (std::size_t server : servers) os << " " << server;
+    for (const std::uint32_t server : servers) os << " " << server;
     os << "\n";
   }
 }
@@ -86,16 +86,21 @@ PlacementFile load_placement(std::istream& is) {
       std::size_t server = 0;
       is >> server;
       require(static_cast<bool>(is), "load_placement: truncated record");
+      // Checked here, while the id is still 64 bits wide: the layout
+      // stores 32-bit ids, and 2^32 + 1 must not load as server 1.
+      require(server < placement.num_servers,
+              "load_placement: server id out of range");
       record.servers.push_back(server);
     }
     records.push_back(std::move(record));
   }
-  placement.layout.assignment.resize(num_videos);
+  HostLists hosts(num_videos);
   for (auto& record : records) {
-    auto& slot = placement.layout.assignment[record.video];
+    auto& slot = hosts[record.video];
     require(slot.empty(), "load_placement: duplicate video record");
     slot = std::move(record.servers);
   }
+  placement.layout = Layout(hosts);
   placement.layout.validate(placement.layout.implied_plan(),
                             placement.num_servers,
                             /*capacity_per_server=*/num_videos *

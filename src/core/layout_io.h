@@ -26,7 +26,7 @@ struct PlacementFile {
   std::size_t num_servers = 0;
   Layout layout;
 
-  /// The replication plan is implied: r_i = layout.assignment[i].size().
+  /// The replication plan is implied: r_i = layout.replicas(i).
   [[nodiscard]] ReplicationPlan plan() const { return layout.implied_plan(); }
 };
 
@@ -34,7 +34,8 @@ struct PlacementFile {
 /// internally inconsistent with `num_servers`.
 void save_placement(std::ostream& os, const PlacementFile& placement);
 
-/// Parses the save_placement format; validates distinct, in-range servers.
+/// Parses the save_placement format; validates distinct, in-range servers
+/// (every id is range-checked before it narrows to the layout's 32 bits).
 /// Throws InvalidArgumentError on malformed input.
 [[nodiscard]] PlacementFile load_placement(std::istream& is);
 

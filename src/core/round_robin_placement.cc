@@ -10,15 +10,10 @@ Layout RoundRobinPlacement::place(const ReplicationPlan& plan,
                                   std::size_t num_servers,
                                   std::size_t capacity_per_server) const {
   check_placement_inputs(plan, popularity, num_servers, capacity_per_server);
-  Layout layout;
-  layout.assignment.resize(plan.replicas.size());
-  std::size_t cursor = 0;
-  for (std::size_t video = 0; video < plan.replicas.size(); ++video) {
-    layout.assignment[video].reserve(plan.replicas[video]);
-    for (std::size_t k = 0; k < plan.replicas[video]; ++k) {
-      layout.assignment[video].push_back(cursor % num_servers);
-      ++cursor;
-    }
+  // Slots are in video order, so slot j simply goes to server j mod N.
+  Layout layout = Layout::with_slots(plan);
+  for (std::size_t slot = 0; slot < layout.servers.size(); ++slot) {
+    layout.servers[slot] = static_cast<std::uint32_t>(slot % num_servers);
   }
 #if VODREP_CONTRACTS_ENABLED
   {

@@ -24,8 +24,7 @@ Layout SmallestLoadFirstPlacement::place_traced(
   check_placement_inputs(plan, popularity, num_servers, capacity_per_server);
 
   const std::vector<double> weights = plan.weights(popularity);
-  Layout layout;
-  layout.assignment.resize(plan.replicas.size());
+  Layout layout = Layout::with_slots(plan);
 
   // Storage needs no tracking: a round gives a server at most one replica,
   // so after the ceil(R / N) rounds it holds at most that many, and
@@ -47,7 +46,7 @@ Layout SmallestLoadFirstPlacement::place_traced(
   // non-increasing weight order; each round takes the next N of them.
   std::size_t placed = 0;
   for (std::size_t video : videos_by_weight(weights)) {
-    layout.assignment[video].reserve(plan.replicas[video]);
+    const std::size_t first_slot = layout.offsets[video];
     for (std::size_t k = 0; k < plan.replicas[video]; ++k, ++placed) {
       if (placed % num_servers == 0) {
         // A server's load changes only when it receives a replica, and then
@@ -80,7 +79,7 @@ Layout SmallestLoadFirstPlacement::place_traced(
       const std::size_t best = order[pos].second;
       hosting[best] = video;
       loads[best] += weights[video];
-      layout.assignment[video].push_back(best);
+      layout.servers[first_slot + k] = static_cast<std::uint32_t>(best);
       if (steps != nullptr) {
         steps->push_back(Step{video, best, weights[video], loads[best],
                               placed / num_servers});

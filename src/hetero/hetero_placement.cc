@@ -31,21 +31,21 @@ Layout weighted_greedy_place(const ReplicationPlan& plan,
   }
 
   const std::vector<double> weights = plan.weights(popularity);
-  Layout layout;
-  layout.assignment.resize(plan.replicas.size());
+  Layout layout = Layout::with_slots(plan);
   std::vector<double> loads(n, 0.0);
   std::vector<std::size_t> stored(n, 0);
 
   for (std::size_t video : videos_by_weight(weights)) {
+    const auto slots = layout.servers.begin() +
+                       static_cast<std::ptrdiff_t>(layout.offsets[video]);
     for (std::size_t k = 0; k < plan.replicas[video]; ++k) {
-      const auto& hosting = layout.assignment[video];
+      // The video's first k slots are the servers that already host it.
+      const auto hosting = slots + static_cast<std::ptrdiff_t>(k);
       std::size_t best = n;
       double best_utilization = std::numeric_limits<double>::infinity();
       for (std::size_t s = 0; s < n; ++s) {
         if (stored[s] >= capacity_slots[s]) continue;
-        if (std::find(hosting.begin(), hosting.end(), s) != hosting.end()) {
-          continue;
-        }
+        if (std::find(slots, hosting, s) != hosting) continue;
         const double utilization =
             (loads[s] + weights[video]) / bandwidth_bps[s];
         if (utilization < best_utilization) {
@@ -57,7 +57,7 @@ Layout weighted_greedy_place(const ReplicationPlan& plan,
         throw InfeasibleError(
             "weighted_greedy_place: no feasible server for a replica");
       }
-      layout.assignment[video].push_back(best);
+      *hosting = static_cast<std::uint32_t>(best);
       loads[best] += weights[video];
       ++stored[best];
     }

@@ -19,25 +19,25 @@ struct Pending {
 /// relocate to a server with free storage; perform the relocation and return
 /// s_o (now with a free slot for `video`).  Returns num_servers when no such
 /// swap exists.
-std::size_t swap_in(Layout& layout, std::vector<double>& loads,
+std::size_t swap_in(HostLists& lists, std::vector<double>& loads,
                     std::vector<std::size_t>& stored,
                     const std::vector<double>& weight, std::size_t video,
                     std::size_t num_servers,
                     std::size_t capacity_per_server) {
   const auto hosts = [&](std::size_t server, std::size_t v) {
-    const auto& servers = layout.assignment[v];
+    const auto& servers = lists[v];
     return std::find(servers.begin(), servers.end(), server) != servers.end();
   };
   for (std::size_t s_o = 0; s_o < num_servers; ++s_o) {
     if (hosts(s_o, video)) continue;
-    for (std::size_t y = 0; y < layout.assignment.size(); ++y) {
+    for (std::size_t y = 0; y < lists.size(); ++y) {
       if (y == video || !hosts(s_o, y)) continue;
       for (std::size_t s_f = 0; s_f < num_servers; ++s_f) {
         if (s_f == s_o || stored[s_f] >= capacity_per_server ||
             hosts(s_f, y)) {
           continue;
         }
-        auto& y_servers = layout.assignment[y];
+        auto& y_servers = lists[y];
         y_servers.erase(std::find(y_servers.begin(), y_servers.end(), s_o));
         y_servers.push_back(s_f);
         loads[s_o] -= weight[y];
@@ -87,16 +87,16 @@ Layout incremental_place(const Layout& previous,
                     static_cast<double>(new_plan.replicas[video]);
   }
 
-  // Phase 1: keep all previous replicas (deduplicated, in range).
-  Layout layout;
-  layout.assignment.resize(m);
+  // Phase 1: keep all previous replicas (deduplicated, in range).  The
+  // phases edit per-video host lists, packed into a Layout at the end.
+  HostLists lists(m);
   std::vector<double> loads(num_servers, 0.0);
   std::vector<std::size_t> stored(num_servers, 0);
   for (std::size_t video = 0; video < m; ++video) {
-    for (std::size_t server : previous.assignment[video]) {
+    for (const std::size_t server : previous.hosts(video)) {
       require(server < num_servers,
               "incremental_place: previous layout server out of range");
-      auto& servers = layout.assignment[video];
+      auto& servers = lists[video];
       if (std::find(servers.begin(), servers.end(), server) == servers.end()) {
         servers.push_back(server);
         loads[server] += weight[video];
@@ -106,7 +106,7 @@ Layout incremental_place(const Layout& previous,
   }
 
   auto drop_replica = [&](std::size_t video, std::size_t server) {
-    auto& servers = layout.assignment[video];
+    auto& servers = lists[video];
     servers.erase(std::find(servers.begin(), servers.end(), server));
     loads[server] -= weight[video];
     --stored[server];
@@ -115,8 +115,8 @@ Layout incremental_place(const Layout& previous,
   // Phase 2: videos that lost replicas shed them from their most-loaded
   // hosts (relieving the hottest links first).
   for (std::size_t video = 0; video < m; ++video) {
-    while (layout.assignment[video].size() > new_plan.replicas[video]) {
-      const auto& servers = layout.assignment[video];
+    while (lists[video].size() > new_plan.replicas[video]) {
+      const auto& servers = lists[video];
       const std::size_t victim = *std::max_element(
           servers.begin(), servers.end(),
           [&](std::size_t a, std::size_t b) { return loads[a] < loads[b]; });
@@ -127,7 +127,7 @@ Layout incremental_place(const Layout& previous,
   // Additions demanded by the new plan.
   std::vector<Pending> additions;
   for (std::size_t video = 0; video < m; ++video) {
-    for (std::size_t k = layout.assignment[video].size();
+    for (std::size_t k = lists[video].size();
          k < new_plan.replicas[video]; ++k) {
       additions.push_back(Pending{video, weight[video]});
     }
@@ -139,7 +139,7 @@ Layout incremental_place(const Layout& previous,
     while (stored[server] > capacity_per_server) {
       std::size_t lightest = m;
       for (std::size_t video = 0; video < m; ++video) {
-        const auto& servers = layout.assignment[video];
+        const auto& servers = lists[video];
         if (std::find(servers.begin(), servers.end(), server) ==
             servers.end()) {
           continue;
@@ -161,7 +161,7 @@ Layout incremental_place(const Layout& previous,
                      return a.weight > b.weight;
                    });
   for (const Pending& addition : additions) {
-    const auto& hosting = layout.assignment[addition.video];
+    const auto& hosting = lists[addition.video];
     std::size_t best = num_servers;
     double best_load = std::numeric_limits<double>::infinity();
     for (std::size_t server = 0; server < num_servers; ++server) {
@@ -180,18 +180,18 @@ Layout incremental_place(const Layout& previous,
       // from a non-hosting (full) server onto a free slot, then take its
       // place.  The relocation is one extra copy, captured automatically by
       // the migration diff.
-      best = swap_in(layout, loads, stored, weight, addition.video,
+      best = swap_in(lists, loads, stored, weight, addition.video,
                      num_servers, capacity_per_server);
       if (best == num_servers) {
         throw InfeasibleError(
             "incremental_place: no feasible server for an added replica");
       }
     }
-    layout.assignment[addition.video].push_back(best);
+    lists[addition.video].push_back(best);
     loads[best] += addition.weight;
     ++stored[best];
   }
-  return layout;
+  return Layout(lists);
 }
 
 }  // namespace vodrep

@@ -22,8 +22,8 @@ MigrationPlan plan_migration(const Layout& from, const Layout& to) {
           "plan_migration: layouts cover different video sets");
   MigrationPlan plan;
   for (std::size_t video = 0; video < to.num_videos(); ++video) {
-    const auto& old_servers = from.assignment[video];
-    const auto& new_servers = to.assignment[video];
+    const auto old_servers = from.hosts(video);
+    const auto new_servers = to.hosts(video);
     for (std::size_t server : new_servers) {
       if (std::find(old_servers.begin(), old_servers.end(), server) ==
           old_servers.end()) {

@@ -70,11 +70,13 @@ IdProvisioningResult provision_by_id(
 
   IdProvisioningResult result;
   result.plan.replicas.resize(m);
-  result.layout.assignment.resize(m);
+  HostLists hosts_by_id(m);
   for (std::size_t r = 0; r < m; ++r) {
     result.plan.replicas[view.id_of_rank[r]] = ranked_plan.replicas[r];
-    result.layout.assignment[view.id_of_rank[r]] = ranked_layout.assignment[r];
+    const auto hosts = ranked_layout.hosts(r);
+    hosts_by_id[view.id_of_rank[r]].assign(hosts.begin(), hosts.end());
   }
+  result.layout = Layout(hosts_by_id);
   return result;
 }
 

@@ -20,7 +20,7 @@ namespace vodrep {
 
 struct IdProvisioningResult {
   ReplicationPlan plan;  ///< replicas per video id
-  Layout layout;         ///< assignment per video id
+  Layout layout;         ///< host list per video id
 };
 
 /// Sorts `popularity_by_id` (any positive weights; normalized internally),

@@ -44,21 +44,17 @@ Dispatcher::Dispatcher(const Layout& layout, RedirectMode mode,
   if (batching_window_sec > 0.0) {
     require(stream_duration_sec > 0.0,
             "Dispatcher: batching needs the stream duration");
-    last_stream_start_.resize(layout.num_videos());
-    for (std::size_t video = 0; video < layout.num_videos(); ++video) {
-      last_stream_start_[video].assign(layout.assignment[video].size(),
-                                       kNever);
-    }
+    last_stream_start_.assign(layout.servers.size(), kNever);
   }
 }
 
 double Dispatcher::joinable_offset(std::size_t server, std::size_t video,
                                    double now) const {
   if (batching_window_sec_ <= 0.0) return -1.0;
-  const auto& holders = layout_.assignment[video];
+  const auto holders = layout_.hosts(video);
   for (std::size_t k = 0; k < holders.size(); ++k) {
     if (holders[k] != server) continue;
-    const double start = last_stream_start_[video][k];
+    const double start = last_stream_start_[layout_.offsets[video] + k];
     const bool ok = now - start <= batching_window_sec_ &&
                     start + stream_duration_sec_ > now;
     return ok ? now - start : -1.0;
@@ -70,7 +66,7 @@ std::optional<DispatchDecision> Dispatcher::dispatch(
     std::size_t video, double bitrate_bps,
     const std::vector<StreamingServer>& servers, double now) {
   require(video < layout_.num_videos(), "Dispatcher: video out of range");
-  const auto& holders = layout_.assignment[video];
+  const auto holders = layout_.hosts(video);
   require(!holders.empty(), "Dispatcher: video has no replica");
 
   // Static round-robin pick (the per-replica communication weight model of
@@ -114,7 +110,7 @@ std::optional<DispatchDecision> Dispatcher::dispatch(
 
   if (servers[pick].can_admit(bitrate_bps)) {
     if (!last_stream_start_.empty()) {
-      last_stream_start_[video][pick_index] = now;
+      last_stream_start_[layout_.offsets[video] + pick_index] = now;
     }
     return DispatchDecision{pick, false, false, false};
   }
@@ -131,7 +127,7 @@ std::optional<DispatchDecision> Dispatcher::dispatch(
     if (!last_stream_start_.empty()) {
       const auto k = static_cast<std::size_t>(
           std::find(holders.begin(), holders.end(), holder) - holders.begin());
-      last_stream_start_[video][k] = now;
+      last_stream_start_[layout_.offsets[video] + k] = now;
     }
     return DispatchDecision{holder, true, false, false};
   }
@@ -172,11 +168,8 @@ void Dispatcher::release_backbone(double bitrate_bps) {
 
 void Dispatcher::on_server_failed(std::size_t server) {
   if (last_stream_start_.empty()) return;
-  for (std::size_t video = 0; video < layout_.num_videos(); ++video) {
-    const auto& holders = layout_.assignment[video];
-    for (std::size_t k = 0; k < holders.size(); ++k) {
-      if (holders[k] == server) last_stream_start_[video][k] = kNever;
-    }
+  for (std::size_t slot = 0; slot < layout_.servers.size(); ++slot) {
+    if (layout_.servers[slot] == server) last_stream_start_[slot] = kNever;
   }
 }
 

@@ -91,7 +91,7 @@ class Dispatcher {
 
   /// Replays a precomputed holder-pick sequence instead of the internal
   /// per-video round-robin counters: element i is the holder *index* (into
-  /// layout.assignment[video]) the i-th dispatch() call must schedule.
+  /// layout.hosts(video)) the i-th dispatch() call must schedule.
   /// The routed replay (src/sim/sharded_engine.h) pre-computes every pick —
   /// the round-robin advance is unconditional, so the pick sequence is a
   /// pure function of the request order — routes each request to the shard
@@ -127,9 +127,10 @@ class Dispatcher {
   std::vector<std::uint32_t> routed_picks_;
   std::size_t routed_cursor_ = 0;
   std::vector<std::size_t> rr_counter_;  ///< per-video static RR position
-  /// last_stream_start_[video][holder-index] = start time of the newest
-  /// stream of `video` on that holder; negative infinity when none.
-  std::vector<std::vector<double>> last_stream_start_;
+  /// last_stream_start_[slot] = start time of the newest stream of the
+  /// replica in layout slot `slot` (offsets[video] + holder index);
+  /// negative infinity when none.  Empty unless batching is on.
+  std::vector<double> last_stream_start_;
 };
 
 }  // namespace vodrep

@@ -86,7 +86,7 @@ PolicyDecision ReplicatedPolicy::reject(std::size_t video,
   PolicyDecision rejected;
   rejected.reject_reason = cache_miss ? obs::RejectReason::kCacheMissOriginBusy
                                       : obs::RejectReason::kNoBandwidth;
-  for (const std::size_t holder : layout_.assignment[video]) {
+  for (const std::size_t holder : layout_.hosts(video)) {
     if (!engine_->server(holder).failed()) return rejected;
   }
   rejected.reject_reason = obs::RejectReason::kNoReplicaAlive;

@@ -1,5 +1,6 @@
 #include "src/workload/sampler.h"
 
+#include <limits>
 #include <vector>
 
 #include "src/util/error.h"
@@ -8,6 +9,8 @@ namespace vodrep {
 
 DiscreteSampler::DiscreteSampler(const std::vector<double>& probabilities) {
   require(!probabilities.empty(), "DiscreteSampler: empty distribution");
+  require(probabilities.size() <= std::numeric_limits<std::uint32_t>::max(),
+          "DiscreteSampler: more outcomes than 32-bit aliases address");
   double sum = 0.0;
   for (double p : probabilities) {
     require(p >= 0.0, "DiscreteSampler: negative probability");
@@ -15,40 +18,48 @@ DiscreteSampler::DiscreteSampler(const std::vector<double>& probabilities) {
   }
   require(sum > 0.0, "DiscreteSampler: probabilities sum to zero");
 
+  // Vose's alias construction: scale to mean 1 (in place in prob_), split
+  // into small/large piles, and pair each small bucket with a donor large
+  // bucket.  Both piles are stacks in one worklist: the small pile grows up
+  // from the front, the large pile down from the back.  Every index sits in
+  // at most one pile, so they never meet.
   const std::size_t n = probabilities.size();
-  normalized_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) normalized_[i] = probabilities[i] / sum;
-
-  // Vose's alias construction: scale to mean 1, split into small/large piles,
-  // and pair each small bucket with a donor large bucket.
-  std::vector<double> scaled(n);
+  const auto scale = static_cast<double>(n);
+  prob_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    scaled[i] = normalized_[i] * static_cast<double>(n);
+    prob_[i] = probabilities[i] / sum * scale;
   }
-  prob_.assign(n, 1.0);
   alias_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) alias_[i] = i;
-
-  std::vector<std::size_t> small;
-  std::vector<std::size_t> large;
-  small.reserve(n);
-  large.reserve(n);
+  std::vector<std::uint32_t> work(n);
+  std::size_t small = 0;  // work[0, small) is the small pile
+  std::size_t large = n;  // work[large, n) is the large pile, top at `large`
   for (std::size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(i);
-  }
-  while (!small.empty() && !large.empty()) {
-    const std::size_t s = small.back();
-    small.pop_back();
-    const std::size_t l = large.back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    if (scaled[l] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
+    if (prob_[i] < 1.0) {
+      work[small++] = static_cast<std::uint32_t>(i);
+    } else {
+      work[--large] = static_cast<std::uint32_t>(i);
     }
   }
-  // Whatever remains (numerical residue) keeps prob 1 / self-alias.
+  while (small > 0 && large < n) {
+    const std::uint32_t s = work[--small];
+    const std::uint32_t l = work[large];
+    alias_[s] = l;
+    prob_[l] = (prob_[l] + prob_[s]) - 1.0;
+    if (prob_[l] < 1.0) {
+      ++large;
+      work[small++] = l;
+    }
+  }
+  // Whatever remains (the donors, plus numerical residue) keeps prob 1 /
+  // self-alias.
+  for (std::size_t k = 0; k < small; ++k) {
+    prob_[work[k]] = 1.0;
+    alias_[work[k]] = work[k];
+  }
+  for (std::size_t k = large; k < n; ++k) {
+    prob_[work[k]] = 1.0;
+    alias_[work[k]] = work[k];
+  }
 }
 
 std::size_t DiscreteSampler::sample(Rng& rng) const {
@@ -58,8 +69,14 @@ std::size_t DiscreteSampler::sample(Rng& rng) const {
 }
 
 double DiscreteSampler::probability(std::size_t i) const {
-  require(i < normalized_.size(), "DiscreteSampler::probability: out of range");
-  return normalized_[i];
+  require(i < prob_.size(), "DiscreteSampler::probability: out of range");
+  // Bucket i keeps prob_[i] of its 1/n; every other bucket aliased to i
+  // gives it the rest of its share.
+  double mass = prob_[i];
+  for (std::size_t b = 0; b < prob_.size(); ++b) {
+    if (b != i && alias_[b] == i) mass += 1.0 - prob_[b];
+  }
+  return mass / static_cast<double>(prob_.size());
 }
 
 }  // namespace vodrep

@@ -241,8 +241,7 @@ TEST(MetricsMerge, AdversarialTraceMatchesMonolithic) {
   // cross-shard arrivals, an arrival exactly on the merge-epoch boundary,
   // departures that coincide across shards (t=1+3 and t=1+3), and enough
   // load to reject on server 0.
-  Layout layout;
-  layout.assignment = {{0}, {1}};
+  const Layout layout{{0}, {1}};
   const SimConfig config = two_server_config();
   // Horizon 20: the first of the fixed horizon/8 merge boundaries is 2.5.
   RequestTrace trace;
@@ -279,8 +278,7 @@ TEST(MetricsMerge, AdversarialTraceMatchesMonolithic) {
 }
 
 TEST(MetricsMerge, CrashExactlyOnEpochBoundaryMatchesMonolithic) {
-  Layout layout;
-  layout.assignment = {{0}, {1}};
+  const Layout layout{{0}, {1}};
   SimConfig config = two_server_config();
   config.failures = {{2.5, 0}};  // crash exactly on the boundary
   RequestTrace trace;

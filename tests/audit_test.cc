@@ -43,6 +43,15 @@ struct Fixture {
     l.capacity_per_server = capacity;
     return l;
   }
+
+  /// Rewrites the host lists through `edit` and repacks them verbatim: the
+  /// packing constructor validates nothing, so the auditor sees the damage.
+  template <typename Edit>
+  void edit_hosts(Edit edit) {
+    HostLists hosts = layout.host_lists();
+    edit(hosts);
+    layout = Layout(hosts);
+  }
 };
 
 TEST(LayoutAudit, CleanSlfLayoutPasses) {
@@ -67,7 +76,8 @@ TEST(LayoutAudit, CleanBestFitAndRoundRobinLayoutsPass) {
 
 TEST(LayoutAudit, DuplicateServerReplicaFlagged) {
   Fixture f;
-  f.layout.assignment[0] = {1, 1};  // Eq. 6: replicas must be distinct
+  // Eq. 6: replicas must be distinct
+  f.edit_hosts([](HostLists& hosts) { hosts[0] = {1, 1}; });
   const AuditReport report = LayoutAuditor(f.limits()).audit(f.layout);
   EXPECT_FALSE(report.ok());
   ASSERT_TRUE(report.has(ViolationKind::kDuplicateServer));
@@ -81,7 +91,9 @@ TEST(LayoutAudit, DuplicateServerReplicaFlagged) {
 
 TEST(LayoutAudit, OutOfRangeServerIdFlagged) {
   Fixture f;
-  f.layout.assignment[2].back() = f.servers + 3;  // Eq. 6: server id < N
+  // Eq. 6: server id < N
+  f.edit_hosts(
+      [&](HostLists& hosts) { hosts[2].back() = f.servers + 3; });
   const AuditReport report = LayoutAuditor(f.limits()).audit(f.layout);
   ASSERT_TRUE(report.has(ViolationKind::kServerOutOfRange));
   for (const Violation& v : report.violations) {
@@ -98,8 +110,8 @@ TEST(LayoutAudit, FullVideoWithTripleDuplicateAndOutOfRangeHost) {
   // that video's list is sorted and reported; the report below was recorded
   // before clean lists skipped the sort, and must not move.
   Fixture f;
-  f.layout.assignment[2] = {1, 7, 1, 1};
-  ASSERT_EQ(f.layout.assignment[2].size(), f.servers);
+  f.edit_hosts([](HostLists& hosts) { hosts[2] = {1, 7, 1, 1}; });
+  ASSERT_EQ(f.layout.replicas(2), f.servers);
   const AuditReport report =
       LayoutAuditor(f.limits()).audit(f.layout, &f.plan, &f.popularity);
   EXPECT_EQ(report.checks_performed, 34u);
@@ -119,14 +131,16 @@ TEST(LayoutAudit, FullVideoWithTripleDuplicateAndOutOfRangeHost) {
 
 TEST(LayoutAudit, MissingReplicaFlagged) {
   Fixture f;
-  f.layout.assignment[5].clear();  // Eq. 7 lower bound: r_i >= 1
+  // Eq. 7 lower bound: r_i >= 1
+  f.edit_hosts([](HostLists& hosts) { hosts[5].clear(); });
   const AuditReport report = LayoutAuditor(f.limits()).audit(f.layout);
   EXPECT_TRUE(report.has(ViolationKind::kNoReplica));
 }
 
 TEST(LayoutAudit, TooManyReplicasFlagged) {
   Fixture f;
-  f.layout.assignment[0] = {0, 1, 2, 3, 0};  // Eq. 7 upper bound: r_i <= N
+  // Eq. 7 upper bound: r_i <= N
+  f.edit_hosts([](HostLists& hosts) { hosts[0] = {0, 1, 2, 3, 0}; });
   const AuditReport report = LayoutAuditor(f.limits()).audit(f.layout);
   EXPECT_TRUE(report.has(ViolationKind::kTooManyReplicas));
   EXPECT_TRUE(report.has(ViolationKind::kDuplicateServer));
@@ -178,9 +192,11 @@ TEST(LayoutAudit, PlanMismatchFlagged) {
 
 TEST(LayoutAudit, ReportsEveryViolationNotJustTheFirst) {
   Fixture f;
-  f.layout.assignment[0] = {1, 1};
-  f.layout.assignment[1].clear();
-  f.layout.assignment[2].back() = 99;
+  f.edit_hosts([](HostLists& hosts) {
+    hosts[0] = {1, 1};
+    hosts[1].clear();
+    hosts[2].back() = 99;
+  });
   const AuditReport report = LayoutAuditor(f.limits()).audit(f.layout);
   EXPECT_TRUE(report.has(ViolationKind::kDuplicateServer));
   EXPECT_TRUE(report.has(ViolationKind::kNoReplica));
@@ -191,7 +207,7 @@ TEST(LayoutAudit, ReportsEveryViolationNotJustTheFirst) {
 
 TEST(LayoutAudit, JsonReportIsWellFormedish) {
   Fixture f;
-  f.layout.assignment[0] = {1, 1};
+  f.edit_hosts([](HostLists& hosts) { hosts[0] = {1, 1}; });
   const AuditReport report = LayoutAuditor(f.limits()).audit(f.layout);
   std::ostringstream os;
   report.write_json(os);
@@ -206,7 +222,7 @@ TEST(LayoutAudit, JsonReportIsWellFormedish) {
 
 TEST(LayoutValidate, RejectsVideoWithNoReplica) {
   Fixture f;
-  f.layout.assignment[3].clear();
+  f.edit_hosts([](HostLists& hosts) { hosts[3].clear(); });
   ReplicationPlan implied = f.layout.implied_plan();
   // The implied plan also says r_3 = 0, so this failure comes from the
   // Eq. 7 lower-bound check, not a plan mismatch.

@@ -12,8 +12,7 @@ namespace {
 constexpr double kRate = units::mbps(4);
 
 Layout single_video_layout() {
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   return layout;
 }
 
@@ -81,8 +80,7 @@ TEST(Batching, EndedStreamIsNotJoinable) {
 }
 
 TEST(Batching, DifferentVideosDoNotShare) {
-  Layout layout;
-  layout.assignment = {{0}, {0}};
+  const Layout layout{{0}, {0}};
   Dispatcher dispatcher(layout, RedirectMode::kNone, 0.0, 60.0, 1000.0);
   auto servers = make_servers(1, 3 * kRate);
   (void)dispatcher.dispatch(0, kRate, servers, 0.0);
@@ -94,8 +92,7 @@ TEST(Batching, DifferentVideosDoNotShare) {
 TEST(Batching, PerReplicaSharing) {
   // Two replicas: RR alternates; a join only happens on the scheduled
   // replica's own stream.
-  Layout layout;
-  layout.assignment = {{0, 1}};
+  const Layout layout{{0, 1}};
   Dispatcher dispatcher(layout, RedirectMode::kNone, 0.0, 60.0, 1000.0);
   auto servers = make_servers(2, 3 * kRate);
   const auto r1 = dispatcher.dispatch(0, kRate, servers, 0.0);   // server 0
@@ -122,8 +119,7 @@ TEST(Batching, FailedServerStreamsNotJoinable) {
 }
 
 TEST(Batching, SimulatorCountsBatchedAndRejectsNothingShareable) {
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   SimConfig config;
   config.num_servers = 1;
   config.bandwidth_bps_per_server = kRate;  // one stream max
@@ -142,8 +138,7 @@ TEST(Batching, SimulatorCountsBatchedAndRejectsNothingShareable) {
 }
 
 TEST(Batching, DisabledWindowNeverBatches) {
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   SimConfig config;
   config.num_servers = 1;
   config.bandwidth_bps_per_server = kRate;
@@ -158,8 +153,7 @@ TEST(Batching, DisabledWindowNeverBatches) {
 }
 
 TEST(Batching, WiderWindowNeverIncreasesRejections) {
-  Layout layout;
-  layout.assignment = {{0}, {1}};
+  const Layout layout{{0}, {1}};
   SimConfig narrow;
   narrow.num_servers = 2;
   narrow.bandwidth_bps_per_server = 3 * kRate;
@@ -221,8 +215,7 @@ TEST(Patching, FullServerCannotPatch) {
 }
 
 TEST(Patching, SimulatorReleasesPatchAfterPrefix) {
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   SimConfig config;
   config.num_servers = 1;
   config.bandwidth_bps_per_server = 2 * kRate;
@@ -242,8 +235,7 @@ TEST(Patching, SimulatorReleasesPatchAfterPrefix) {
 }
 
 TEST(Patching, CostsSitBetweenNoBatchingAndPiggyback) {
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   SimConfig base;
   base.num_servers = 1;
   base.bandwidth_bps_per_server = 3 * kRate;

@@ -26,9 +26,7 @@ TEST(BestFitPlacement, GreedyPicksLeastLoadedServer) {
   const BestFitPlacement bf;
   const Layout layout = bf.place(plan, popularity, 2, 2);
   // v0 -> s0 (0.5); v1 -> s1 (0.3); v2 -> s1 (0.3 < 0.5).
-  EXPECT_EQ(layout.assignment[0], (std::vector<std::size_t>{0}));
-  EXPECT_EQ(layout.assignment[1], (std::vector<std::size_t>{1}));
-  EXPECT_EQ(layout.assignment[2], (std::vector<std::size_t>{1}));
+  EXPECT_EQ(layout.host_lists(), (HostLists{{0}, {1}, {1}}));
 }
 
 TEST(BestFitPlacement, RespectsStorageCapacity) {

@@ -13,8 +13,7 @@ namespace {
 constexpr double kRate = 1e6;  // 1 Mb/s streams
 
 Layout two_replica_layout() {
-  Layout layout;
-  layout.assignment = {{0, 1}, {2}};
+  const Layout layout{{0, 1}, {2}};
   return layout;
 }
 

@@ -71,7 +71,7 @@ TEST(WeightedSlfPlace, ProducesValidLayout) {
   const auto counts = layout.replicas_per_server(4);
   for (std::size_t s = 0; s < 4; ++s) EXPECT_LE(counts[s], slots[s]);
   // Every video's replicas on distinct servers.
-  for (const auto& servers : layout.assignment) {
+  for (const auto& servers : layout.host_lists()) {
     std::vector<std::size_t> sorted = servers;
     std::sort(sorted.begin(), sorted.end());
     EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
@@ -117,7 +117,7 @@ TEST(WeightedSlfPlace, DegeneratesToBestFitOnEqualFleet) {
       weighted_greedy_place(plan, popularity, bandwidth, slots);
   const BestFitPlacement best_fit;
   const Layout homogeneous = best_fit.place(plan, popularity, 4, 14);
-  EXPECT_EQ(weighted.assignment, homogeneous.assignment);
+  EXPECT_EQ(weighted, homogeneous);
 }
 
 TEST(WeightedSlfPlace, ThrowsWhenPlanDoesNotFit) {
@@ -132,8 +132,7 @@ TEST(WeightedSlfPlace, ThrowsWhenPlanDoesNotFit) {
 }
 
 TEST(HeteroSimulator, PerServerBandwidthHonored) {
-  Layout layout;
-  layout.assignment = {{0}, {1}};
+  const Layout layout{{0}, {1}};
   SimConfig config;
   config.num_servers = 2;
   config.bandwidth_bps_per_server = units::mbps(8);
@@ -155,8 +154,7 @@ TEST(HeteroSimulator, PerServerBandwidthHonored) {
 TEST(HeteroSimulator, ImbalanceUsesUtilization) {
   // One stream on each server; server 1 has half the capacity, so its
   // utilization doubles and Eq. 2 over utilizations is positive.
-  Layout layout;
-  layout.assignment = {{0}, {1}};
+  const Layout layout{{0}, {1}};
   SimConfig config;
   config.num_servers = 2;
   config.bandwidth_bps_per_server = units::mbps(8);

@@ -14,12 +14,6 @@
 namespace vodrep {
 namespace {
 
-Layout layout_of(std::vector<std::vector<std::size_t>> assignment) {
-  Layout layout;
-  layout.assignment = std::move(assignment);
-  return layout;
-}
-
 ReplicationPlan plan_of(std::vector<std::size_t> replicas) {
   ReplicationPlan plan;
   plan.replicas = std::move(replicas);
@@ -27,7 +21,7 @@ ReplicationPlan plan_of(std::vector<std::size_t> replicas) {
 }
 
 TEST(IncrementalPlace, SamePlanMeansZeroMigration) {
-  const Layout previous = layout_of({{0, 1}, {2}, {3}});
+  const Layout previous{{0, 1}, {2}, {3}};
   const auto plan = plan_of({2, 1, 1});
   const std::vector<double> pop{0.5, 0.3, 0.2};
   const Layout next = incremental_place(previous, plan, pop, 4, 2);
@@ -37,7 +31,7 @@ TEST(IncrementalPlace, SamePlanMeansZeroMigration) {
 }
 
 TEST(IncrementalPlace, AddsOnlyTheNewReplicas) {
-  const Layout previous = layout_of({{0}, {1}});
+  const Layout previous{{0}, {1}};
   const auto plan = plan_of({2, 1});  // video 0 gains one replica
   const std::vector<double> pop{0.7, 0.3};
   const Layout next = incremental_place(previous, plan, pop, 3, 2);
@@ -51,11 +45,11 @@ TEST(IncrementalPlace, DropsExcessFromMostLoadedHost) {
   // Video 0 on {0, 1}; video 1 (heavy) also on server 0, making server 0
   // the loaded one.  Shrinking video 0 to one replica must drop its copy on
   // server 0.
-  const Layout previous = layout_of({{0, 1}, {0}});
+  const Layout previous{{0, 1}, {0}};
   const auto plan = plan_of({1, 1});
   const std::vector<double> pop{0.3, 0.7};
   const Layout next = incremental_place(previous, plan, pop, 2, 2);
-  EXPECT_EQ(next.assignment[0], (std::vector<std::size_t>{1}));
+  EXPECT_EQ(next.host_lists()[0], (std::vector<std::size_t>{1}));
   const MigrationPlan migration = plan_migration(previous, next);
   EXPECT_TRUE(migration.copies.empty());
   EXPECT_EQ(migration.deletions, 1u);
@@ -63,7 +57,7 @@ TEST(IncrementalPlace, DropsExcessFromMostLoadedHost) {
 
 TEST(IncrementalPlace, EvictsWhenCapacityShrinks) {
   // Three replicas on server 0, capacity now 2: one must move.
-  const Layout previous = layout_of({{0}, {0}, {0}});
+  const Layout previous{{0}, {0}, {0}};
   const auto plan = plan_of({1, 1, 1});
   const std::vector<double> pop{0.5, 0.3, 0.2};
   const Layout next = incremental_place(previous, plan, pop, 2, 2);
@@ -147,7 +141,7 @@ TEST(IncrementalPlace, BalanceStaysReasonable) {
 }
 
 TEST(IncrementalPlace, RejectsInfeasiblePlan) {
-  const Layout previous = layout_of({{0}});
+  const Layout previous{{0}};
   const auto plan = plan_of({3});
   EXPECT_THROW(
       (void)incremental_place(previous, plan, {1.0}, 2, 4),

@@ -30,7 +30,7 @@ TEST(LayoutIo, RoundTripsExactly) {
   save_placement(ss, original);
   const PlacementFile loaded = load_placement(ss);
   EXPECT_EQ(loaded.num_servers, original.num_servers);
-  EXPECT_EQ(loaded.layout.assignment, original.layout.assignment);
+  EXPECT_EQ(loaded.layout, original.layout);
   EXPECT_EQ(loaded.plan().replicas, original.plan().replicas);
 }
 
@@ -50,7 +50,7 @@ TEST(LayoutIo, HeaderCarriesDimensions) {
 TEST(LayoutIo, SaveRejectsEmptyVideo) {
   PlacementFile placement;
   placement.num_servers = 2;
-  placement.layout.assignment = {{0}, {}};
+  placement.layout = {{0}, {}};
   std::stringstream ss;
   EXPECT_THROW(save_placement(ss, placement), InvalidArgumentError);
 }
@@ -58,7 +58,7 @@ TEST(LayoutIo, SaveRejectsEmptyVideo) {
 TEST(LayoutIo, SaveRejectsDuplicateServers) {
   PlacementFile placement;
   placement.num_servers = 2;
-  placement.layout.assignment = {{0, 0}};
+  placement.layout = {{0, 0}};
   std::stringstream ss;
   EXPECT_THROW(save_placement(ss, placement), InvalidArgumentError);
 }
@@ -92,6 +92,20 @@ TEST(LayoutIo, LoadRejectsOutOfRangeServer) {
   EXPECT_THROW((void)load_placement(ss), InvalidArgumentError);
 }
 
+TEST(LayoutIo, LoadRejectsServerIdThatWrapsUint32) {
+  // 2^32 + 1 is out of range for two servers; narrowed to the layout's
+  // 32-bit ids first it would load as server 1.
+  std::stringstream ss("vodrep-layout 1 2\n0 1 4294967297\n");
+  try {
+    (void)load_placement(ss);
+    FAIL() << "a server id of 2^32 + 1 loaded";
+  } catch (const InvalidArgumentError& error) {
+    EXPECT_NE(std::string(error.what()).find("server id out of range"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(LayoutIo, LoadRejectsReplicaCountBeyondServers) {
   std::stringstream ss("vodrep-layout 1 2\n0 3 0 1 0\n");
   EXPECT_THROW((void)load_placement(ss), InvalidArgumentError);
@@ -105,9 +119,7 @@ TEST(LayoutIo, LoadRejectsDuplicateVideoRecord) {
 TEST(LayoutIo, LoadAcceptsOutOfOrderRecords) {
   std::stringstream ss("vodrep-layout 2 2\n1 1 0\n0 2 0 1\n");
   const PlacementFile placement = load_placement(ss);
-  EXPECT_EQ(placement.layout.assignment[0],
-            (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(placement.layout.assignment[1], (std::vector<std::size_t>{0}));
+  EXPECT_EQ(placement.layout.host_lists(), (HostLists{{0, 1}, {0}}));
 }
 
 }  // namespace

@@ -2,16 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "src/util/error.h"
 
 namespace vodrep {
 namespace {
 
-Layout two_video_layout() {
-  Layout layout;
-  layout.assignment = {{0, 1}, {1}};
-  return layout;
-}
+Layout two_video_layout() { return {{0, 1}, {1}}; }
 
 TEST(Layout, ReplicasPerServerCounts) {
   const Layout layout = two_video_layout();
@@ -20,8 +19,7 @@ TEST(Layout, ReplicasPerServerCounts) {
 }
 
 TEST(Layout, ReplicasPerServerRejectsOutOfRange) {
-  Layout layout;
-  layout.assignment = {{5}};
+  const Layout layout{{5}};
   EXPECT_THROW((void)layout.replicas_per_server(3), InvalidArgumentError);
 }
 
@@ -43,7 +41,9 @@ TEST(Layout, ExpectedLoadsSumToTotalPopularity) {
 TEST(Layout, ExpectedLoadsRejectBadInput) {
   Layout layout = two_video_layout();
   EXPECT_THROW((void)layout.expected_loads({1.0}, 3), InvalidArgumentError);
-  layout.assignment[1].clear();
+  HostLists hosts = layout.host_lists();
+  hosts[1].clear();
+  layout = Layout(hosts);
   EXPECT_THROW((void)layout.expected_loads({0.6, 0.4}, 3),
                InvalidArgumentError);
 }
@@ -67,16 +67,14 @@ TEST(Layout, ValidateRejectsPlanMismatch) {
 }
 
 TEST(Layout, ValidateRejectsDuplicateServers) {
-  Layout layout;
-  layout.assignment = {{0, 0}};
+  const Layout layout{{0, 0}};
   ReplicationPlan plan;
   plan.replicas = {2};
   EXPECT_THROW(layout.validate(plan, 2, 4), InvalidArgumentError);
 }
 
 TEST(Layout, ValidateRejectsOverCapacity) {
-  Layout layout;
-  layout.assignment = {{0}, {0}, {0}};
+  const Layout layout{{0}, {0}, {0}};
   ReplicationPlan plan;
   plan.replicas = {1, 1, 1};
   EXPECT_THROW(layout.validate(plan, 2, 2), InvalidArgumentError);
@@ -84,11 +82,57 @@ TEST(Layout, ValidateRejectsOverCapacity) {
 }
 
 TEST(Layout, ValidateRejectsServerOutOfRange) {
-  Layout layout;
-  layout.assignment = {{2}};
+  const Layout layout{{2}};
   ReplicationPlan plan;
   plan.replicas = {1};
   EXPECT_THROW(layout.validate(plan, 2, 2), InvalidArgumentError);
+}
+
+TEST(Layout, PacksHostListsIntoSlotArrays) {
+  const Layout layout = two_video_layout();
+  EXPECT_EQ(layout.num_videos(), 2u);
+  EXPECT_EQ(layout.offsets, (std::vector<std::uint64_t>{0, 2, 3}));
+  EXPECT_EQ(layout.servers, (std::vector<std::uint32_t>{0, 1, 1}));
+  EXPECT_EQ(layout.replicas(0), 2u);
+  EXPECT_EQ(layout.hosts(1).size(), 1u);
+  EXPECT_EQ(layout.hosts(1)[0], 1u);
+  EXPECT_EQ(layout.host_lists(), (HostLists{{0, 1}, {1}}));
+  EXPECT_EQ(Layout(layout.host_lists()), layout);
+}
+
+TEST(Layout, EmptyLayoutHasNoVideos) {
+  const Layout layout;
+  EXPECT_EQ(layout.num_videos(), 0u);
+  EXPECT_EQ(layout.offsets, (std::vector<std::uint64_t>{0}));
+  EXPECT_TRUE(layout.host_lists().empty());
+}
+
+TEST(Layout, WithSlotsSizesEveryVideoFromThePlan) {
+  ReplicationPlan plan;
+  plan.replicas = {2, 1, 3};
+  const Layout layout = Layout::with_slots(plan);
+  EXPECT_EQ(layout.offsets, (std::vector<std::uint64_t>{0, 2, 3, 6}));
+  EXPECT_EQ(layout.servers.size(), 6u);
+  EXPECT_EQ(layout.implied_plan().replicas, plan.replicas);
+}
+
+TEST(Layout, PackingKeepsInvalidIdsThatFitIn32Bits) {
+  // Empty, duplicate and out-of-range lists pack verbatim for the auditor.
+  const std::size_t max_id = std::numeric_limits<std::uint32_t>::max();
+  const Layout layout{{}, {3, 3}, {max_id}};
+  EXPECT_EQ(layout.host_lists(), (HostLists{{}, {3, 3}, {max_id}}));
+}
+
+TEST(Layout, PackingRejectsIdsBeyond32Bits) {
+  // 2^32 + 1 would wrap to server 1.
+  const std::size_t wrapping = (std::size_t{1} << 32) + 1;
+  try {
+    (void)Layout{{0}, {wrapping}};
+    FAIL() << "a server id >= 2^32 packed";
+  } catch (const InvalidArgumentError& error) {
+    EXPECT_NE(std::string(error.what()).find("32 bits"), std::string::npos)
+        << error.what();
+  }
 }
 
 }  // namespace

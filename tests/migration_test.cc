@@ -8,22 +8,16 @@
 namespace vodrep {
 namespace {
 
-Layout layout_of(std::vector<std::vector<std::size_t>> assignment) {
-  Layout layout;
-  layout.assignment = std::move(assignment);
-  return layout;
-}
-
 TEST(PlanMigration, IdenticalLayoutsNeedNothing) {
-  const Layout layout = layout_of({{0, 1}, {2}});
+  const Layout layout{{0, 1}, {2}};
   const MigrationPlan plan = plan_migration(layout, layout);
   EXPECT_TRUE(plan.copies.empty());
   EXPECT_EQ(plan.deletions, 0u);
 }
 
 TEST(PlanMigration, DetectsAddedReplicas) {
-  const Layout from = layout_of({{0}, {2}});
-  const Layout to = layout_of({{0, 1}, {2}});
+  const Layout from{{0}, {2}};
+  const Layout to{{0, 1}, {2}};
   const MigrationPlan plan = plan_migration(from, to);
   ASSERT_EQ(plan.copies.size(), 1u);
   EXPECT_EQ(plan.copies[0].video, 0u);
@@ -32,16 +26,16 @@ TEST(PlanMigration, DetectsAddedReplicas) {
 }
 
 TEST(PlanMigration, DetectsRemovedReplicas) {
-  const Layout from = layout_of({{0, 1}, {2}});
-  const Layout to = layout_of({{0}, {2}});
+  const Layout from{{0, 1}, {2}};
+  const Layout to{{0}, {2}};
   const MigrationPlan plan = plan_migration(from, to);
   EXPECT_TRUE(plan.copies.empty());
   EXPECT_EQ(plan.deletions, 1u);
 }
 
 TEST(PlanMigration, MoveIsOneCopyPlusOneDeletion) {
-  const Layout from = layout_of({{0}});
-  const Layout to = layout_of({{3}});
+  const Layout from{{0}};
+  const Layout to{{3}};
   const MigrationPlan plan = plan_migration(from, to);
   ASSERT_EQ(plan.copies.size(), 1u);
   EXPECT_EQ(plan.copies[0].to_server, 3u);
@@ -49,16 +43,16 @@ TEST(PlanMigration, MoveIsOneCopyPlusOneDeletion) {
 }
 
 TEST(PlanMigration, OrderWithinAVideoDoesNotMatter) {
-  const Layout from = layout_of({{0, 1, 2}});
-  const Layout to = layout_of({{2, 0, 1}});
+  const Layout from{{0, 1, 2}};
+  const Layout to{{2, 0, 1}};
   const MigrationPlan plan = plan_migration(from, to);
   EXPECT_TRUE(plan.copies.empty());
   EXPECT_EQ(plan.deletions, 0u);
 }
 
 TEST(PlanMigration, RejectsMismatchedVideoSets) {
-  const Layout from = layout_of({{0}});
-  const Layout to = layout_of({{0}, {1}});
+  const Layout from{{0}};
+  const Layout to{{0}, {1}};
   EXPECT_THROW((void)plan_migration(from, to), InvalidArgumentError);
 }
 

@@ -350,11 +350,10 @@ World random_world(Rng& rng) {
 /// identity permutation.
 Layout random_layout(Rng& rng, std::size_t num_videos,
                      std::size_t num_servers) {
-  Layout layout;
-  layout.assignment.resize(num_videos);
+  HostLists hosts(num_videos);
   std::vector<std::size_t> servers(num_servers);
   for (std::size_t s = 0; s < num_servers; ++s) servers[s] = s;
-  for (auto& holders : layout.assignment) {
+  for (auto& holders : hosts) {
     const std::size_t replicas = 1 + rng.uniform_index(num_servers);
     for (std::size_t k = 0; k < replicas; ++k) {
       const std::size_t j = k + rng.uniform_index(num_servers - k);
@@ -362,7 +361,7 @@ Layout random_layout(Rng& rng, std::size_t num_videos,
       holders.push_back(servers[k]);
     }
   }
-  return layout;
+  return Layout(hosts);
 }
 
 /// Bit-exact: a zero-capacity tier runs the very same code path, so even the
@@ -432,8 +431,7 @@ TEST(PrefixCachePolicyTest, RejectionAttributionIsExact) {
   config.video_duration_sec = 100.0;
   config.failures.push_back(ServerFailure{4.0, 0});
 
-  Layout layout;
-  layout.assignment = {{0}, {0}};
+  const Layout layout{{0}, {0}};
 
   RequestTrace trace;
   trace.horizon = 200.0;
@@ -488,8 +486,7 @@ TEST(PrefixCachePolicyTest, RepeatTrafficHitsTheCache) {
   config.bandwidth_bps_per_server = units::mbps(400);
   config.video_duration_sec = 100.0;
 
-  Layout layout;
-  layout.assignment = {{0, 1}, {1}};
+  const Layout layout{{0, 1}, {1}};
 
   RequestTrace trace;
   trace.horizon = 500.0;

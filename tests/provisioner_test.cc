@@ -69,7 +69,7 @@ TEST(ProvisionById, TiesBreakDeterministically) {
   const IdProvisioningResult a = provision_by_id(by_id, adams, slf, 2, 6, 3);
   const IdProvisioningResult b = provision_by_id(by_id, adams, slf, 2, 6, 3);
   EXPECT_EQ(a.plan.replicas, b.plan.replicas);
-  EXPECT_EQ(a.layout.assignment, b.layout.assignment);
+  EXPECT_EQ(a.layout, b.layout);
 }
 
 TEST(ProvisionById, RejectsBadInput) {

@@ -75,8 +75,7 @@ SimConfig base_config(std::size_t num_servers, double streams_per_server) {
 TEST(RejectionAttributionTest, ReplicatedAllHoldersCrashedIsNoReplicaAlive) {
   SimConfig config = base_config(2, 10.0);
   config.failures.push_back(ServerFailure{10.0, 0});
-  Layout layout;
-  layout.assignment = {{0}};  // video 0 only on the server that crashes
+  const Layout layout{{0}};  // video 0 only on the server that crashes
   const RequestTrace trace = two_request_trace(5.0, 20.0);
   const SimResult result = simulate(ReplicatedPolicy(layout, config), trace);
   EXPECT_EQ(result.rejected, 1u);
@@ -89,8 +88,7 @@ TEST(RejectionAttributionTest, ReplicatedFullServerIsNoBandwidth) {
   // One server, room for one stream: the overlapping second request is a
   // bandwidth rejection (the holder is alive).
   const SimConfig config = base_config(1, 1.0);
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   const RequestTrace trace = two_request_trace(1.0, 2.0);
   const SimResult result = simulate(ReplicatedPolicy(layout, config), trace);
   EXPECT_EQ(result.rejected, 1u);
@@ -104,8 +102,7 @@ TEST(RejectionAttributionTest,
   // rejection is kNoBandwidth: a replica is alive, it just has no room.
   SimConfig config = base_config(2, 1.0);
   config.failures.push_back(ServerFailure{10.0, 0});
-  Layout layout;
-  layout.assignment = {{0, 1}, {1}};
+  const Layout layout{{0, 1}, {1}};
   RequestTrace trace;
   trace.requests.push_back(Request{5.0, 1, 1.0});   // fills server 1
   trace.requests.push_back(Request{20.0, 0, 1.0});  // RR pick 0 crashed, 1 full
@@ -223,8 +220,7 @@ World random_world(Rng& rng, bool replication_extensions) {
 
 Layout random_layout(Rng& rng, std::size_t num_videos,
                      std::size_t num_servers) {
-  Layout layout;
-  layout.assignment.resize(num_videos);
+  HostLists hosts(num_videos);
   std::vector<std::size_t> pool(num_servers);
   for (std::size_t v = 0; v < num_videos; ++v) {
     for (std::size_t s = 0; s < num_servers; ++s) pool[s] = s;
@@ -232,10 +228,10 @@ Layout random_layout(Rng& rng, std::size_t num_videos,
     for (std::size_t r = 0; r < replicas; ++r) {
       const std::size_t pick = r + rng.uniform_index(num_servers - r);
       std::swap(pool[r], pool[pick]);
-      layout.assignment[v].push_back(pool[r]);
+      hosts[v].push_back(pool[r]);
     }
   }
-  return layout;
+  return Layout(hosts);
 }
 
 TEST(RejectionAttributionTest, RandomWorldsSumExactlyAcrossOrganizations) {

@@ -49,11 +49,11 @@ RunFixture run_small_world() {
   fixture.config.stream_bitrate_bps = units::mbps(4);
   fixture.config.video_duration_sec = 300.0;
 
-  Layout layout;
-  layout.assignment.resize(kVideos);
+  HostLists hosts(kVideos);
   for (std::size_t v = 0; v < kVideos; ++v) {
-    layout.assignment[v] = {v % kServers, (v + 1) % kServers};
+    hosts[v] = {v % kServers, (v + 1) % kServers};
   }
+  const Layout layout(hosts);
 
   Rng rng(0x8E7);
   TraceSpec spec;
@@ -365,11 +365,11 @@ TEST(RunReportProfileTest, ShardedRunProfileAccountsEngineWallTime) {
   config.stream_bitrate_bps = units::mbps(4);
   config.video_duration_sec = 300.0;
 
-  Layout layout;
-  layout.assignment.resize(kVideos);
+  HostLists hosts(kVideos);
   for (std::size_t v = 0; v < kVideos; ++v) {
-    layout.assignment[v] = {v % kServers, (v + 1) % kServers};
+    hosts[v] = {v % kServers, (v + 1) % kServers};
   }
+  const Layout layout(hosts);
 
   Rng rng(0x8E7);
   TraceSpec spec;
@@ -441,8 +441,7 @@ TEST(RunReportProfileTest, SingleShardRunProfilesSimRun) {
   config.bandwidth_bps_per_server = units::mbps(4) * 4.0;
   config.stream_bitrate_bps = units::mbps(4);
   config.video_duration_sec = 300.0;
-  Layout layout;
-  layout.assignment = {{0}, {1}, {0, 1}};
+  const Layout layout{{0}, {1}, {0, 1}};
   Rng rng(0x51);
   TraceSpec spec;
   spec.arrival_rate = 0.5;

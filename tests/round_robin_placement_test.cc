@@ -15,9 +15,7 @@ TEST(RoundRobinPlacement, DealsCyclically) {
   const auto popularity = normalized_popularity({3.0, 2.0, 2.0});
   const RoundRobinPlacement rr;
   const Layout layout = rr.place(plan, popularity, 3, 2);
-  EXPECT_EQ(layout.assignment[0], (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(layout.assignment[1], (std::vector<std::size_t>{2}));
-  EXPECT_EQ(layout.assignment[2], (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(layout.host_lists(), (HostLists{{0, 1}, {2}, {0, 1}}));
 }
 
 TEST(RoundRobinPlacement, LayoutIsAlwaysValid) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "src/util/error.h"
@@ -9,6 +10,92 @@
 
 namespace vodrep {
 namespace {
+
+/// The textbook construction the sampler's in-place one must reproduce:
+/// a normalized copy, a scaled copy, and separate small and large stacks.
+struct ReferenceTables {
+  std::vector<double> prob;
+  std::vector<std::size_t> alias;
+};
+
+ReferenceTables reference_tables(const std::vector<double>& probabilities) {
+  double sum = 0.0;
+  for (double p : probabilities) sum += p;
+  const std::size_t n = probabilities.size();
+  std::vector<double> normalized(n);
+  for (std::size_t i = 0; i < n; ++i) normalized[i] = probabilities[i] / sum;
+  std::vector<double> scaled(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scaled[i] = normalized[i] * static_cast<double>(n);
+  }
+  ReferenceTables tables;
+  tables.prob.assign(n, 1.0);
+  tables.alias.resize(n);
+  for (std::size_t i = 0; i < n; ++i) tables.alias[i] = i;
+  std::vector<std::size_t> small;
+  std::vector<std::size_t> large;
+  for (std::size_t i = 0; i < n; ++i) {
+    (scaled[i] < 1.0 ? small : large).push_back(i);
+  }
+  while (!small.empty() && !large.empty()) {
+    const std::size_t s = small.back();
+    small.pop_back();
+    const std::size_t l = large.back();
+    tables.prob[s] = scaled[s];
+    tables.alias[s] = l;
+    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
+    if (scaled[l] < 1.0) {
+      large.pop_back();
+      small.push_back(l);
+    }
+  }
+  return tables;
+}
+
+/// The sampler's tables equal the reference bit for bit, and so do 200,000
+/// draws against the reference's sampling rule on the same stream.
+void expect_reference_tables(const std::vector<double>& probabilities) {
+  const DiscreteSampler sampler(probabilities);
+  const ReferenceTables reference = reference_tables(probabilities);
+  ASSERT_EQ(sampler.size(), reference.prob.size());
+  for (std::size_t i = 0; i < sampler.size(); ++i) {
+    ASSERT_EQ(sampler.thresholds()[i], reference.prob[i]) << "bucket " << i;
+    ASSERT_EQ(sampler.aliases()[i], reference.alias[i]) << "bucket " << i;
+  }
+  Rng a(11);
+  Rng b(11);
+  for (int k = 0; k < 200000; ++k) {
+    const auto bucket = static_cast<std::size_t>(
+        b.uniform_index(static_cast<std::uint64_t>(reference.prob.size())));
+    const std::size_t expected =
+        b.uniform() < reference.prob[bucket] ? bucket : reference.alias[bucket];
+    ASSERT_EQ(sampler.sample(a), expected) << "draw " << k;
+  }
+}
+
+TEST(DiscreteSampler, TablesMatchReferenceConstruction) {
+  expect_reference_tables(zipf_popularity(100'000, 0.75));
+  expect_reference_tables(zipf_popularity(1000, 1.2));
+  expect_reference_tables(std::vector<double>(4096, 1.0));
+  expect_reference_tables({1.0, 0.0, 3.0, 0.0, 0.0, 2.0});
+  expect_reference_tables({5.0});
+  std::vector<double> ties(3000);
+  Rng rng(12);
+  for (double& p : ties) p = static_cast<double>(rng.uniform_index(4));
+  ties[17] = 1.0;
+  expect_reference_tables(ties);
+}
+
+TEST(DiscreteSampler, ProbabilityReadsBackFromTables) {
+  const auto p = zipf_popularity(500, 0.75);
+  const DiscreteSampler sampler(p);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    EXPECT_NEAR(sampler.probability(i), p[i], 1e-12) << "i=" << i;
+  }
+  const DiscreteSampler zeros({0.0, 2.0, 0.0, 2.0});
+  EXPECT_EQ(zeros.probability(0), 0.0);
+  EXPECT_NEAR(zeros.probability(1), 0.5, 1e-15);
+}
 
 TEST(DiscreteSampler, NormalizesInput) {
   const DiscreteSampler sampler({2.0, 6.0});

@@ -579,8 +579,7 @@ World random_world(Rng& rng, bool replication_extensions,
 /// Random replication layout: each video on 1..N distinct servers.
 Layout random_layout(Rng& rng, std::size_t num_videos,
                      std::size_t num_servers) {
-  Layout layout;
-  layout.assignment.resize(num_videos);
+  HostLists hosts(num_videos);
   std::vector<std::size_t> pool(num_servers);
   for (std::size_t v = 0; v < num_videos; ++v) {
     for (std::size_t s = 0; s < num_servers; ++s) pool[s] = s;
@@ -588,10 +587,10 @@ Layout random_layout(Rng& rng, std::size_t num_videos,
     for (std::size_t r = 0; r < replicas; ++r) {
       const std::size_t pick = r + rng.uniform_index(num_servers - r);
       std::swap(pool[r], pool[pick]);
-      layout.assignment[v].push_back(pool[r]);
+      hosts[v].push_back(pool[r]);
     }
   }
-  return layout;
+  return Layout(hosts);
 }
 
 void check_replicated(std::uint64_t seed, int trials, bool long_horizon) {

@@ -109,12 +109,12 @@ TEST(SimEquivalence, StripeWidthOneEqualsSingleReplicaReplication) {
     const HybridLayout striped =
         make_striped_layout(world.num_videos, world.num_servers, 1);
     // The same assignment expressed as one replica per video.
-    Layout replicated;
-    replicated.assignment.resize(world.num_videos);
+    HostLists holders(world.num_videos);
     for (std::size_t v = 0; v < world.num_videos; ++v) {
       ASSERT_EQ(striped.groups[v][0].size(), 1u);
-      replicated.assignment[v] = striped.groups[v][0];
+      holders[v] = striped.groups[v][0];
     }
+    const Layout replicated(holders);
     const SimResult via_striping =
         simulate(HybridPolicy(striped, world.config), world.trace);
     const SimResult via_replication =
@@ -133,14 +133,14 @@ TEST(SimEquivalence, HybridWidthOneEqualsReplicationWithSameHolders) {
         world.num_videos, world.num_servers, /*stripe_width=*/1, replicas);
     // Flatten each video's width-1 groups into a replica holder list in the
     // same rotation order the hybrid dispatcher uses.
-    Layout replicated;
-    replicated.assignment.resize(world.num_videos);
+    HostLists holders(world.num_videos);
     for (std::size_t v = 0; v < world.num_videos; ++v) {
       for (const auto& group : hybrid.groups[v]) {
         ASSERT_EQ(group.size(), 1u);
-        replicated.assignment[v].push_back(group[0]);
+        holders[v].push_back(group[0]);
       }
     }
+    const Layout replicated(holders);
     const SimResult via_hybrid =
         simulate(HybridPolicy(hybrid, world.config), world.trace);
     const SimResult via_replication =
@@ -158,11 +158,11 @@ TEST(SimEquivalence, PoliciesCopyTheirConfigSoTemporariesAreSafe) {
   const World world = random_world(rng);
   const HybridLayout striped =
       make_striped_layout(world.num_videos, world.num_servers, 1);
-  Layout replicated;
-  replicated.assignment.resize(world.num_videos);
+  HostLists holders(world.num_videos);
   for (std::size_t v = 0; v < world.num_videos; ++v) {
-    replicated.assignment[v] = striped.groups[v][0];
+    holders[v] = striped.groups[v][0];
   }
+  const Layout replicated(holders);
 
   // Builds a policy whose config argument is dead by the time it is used.
   const auto make_config = [&world] { return SimConfig(world.config); };

@@ -66,18 +66,16 @@ struct World {
 /// Random replica layout: each video on 1..max_replicas distinct servers.
 Layout random_layout(Rng& rng, std::size_t num_videos,
                      std::size_t num_servers, std::size_t max_replicas) {
-  Layout layout;
-  layout.assignment.resize(num_videos);
+  HostLists hosts(num_videos);
   std::vector<std::size_t> servers(num_servers);
   std::iota(servers.begin(), servers.end(), 0);
   for (std::size_t v = 0; v < num_videos; ++v) {
     const std::size_t r =
         1 + rng.uniform_index(std::min(max_replicas, num_servers));
     rng.shuffle(servers);
-    layout.assignment[v].assign(servers.begin(),
-                                servers.begin() + static_cast<long>(r));
+    hosts[v].assign(servers.begin(), servers.begin() + static_cast<long>(r));
   }
-  return layout;
+  return Layout(hosts);
 }
 
 /// Aligned hybrid layout: a video's group_replicas stripe groups live in one
@@ -461,8 +459,7 @@ TEST(ShardInvariance, BackboneProxyReplaysWholeAtMultipleShards) {
 TEST(ShardInvariance, LiveCacheRejectsRoutedReplay) {
   // A live cache tier must refuse a routed pick sequence: prefix hits skip
   // the dispatcher, so precomputed picks cannot stay aligned.
-  Layout layout;
-  layout.assignment = {{0}, {1}};
+  const Layout layout{{0}, {1}};
   SimConfig config;
   config.num_servers = 2;
   config.bandwidth_bps_per_server = units::mbps(100.0);
@@ -507,7 +504,7 @@ TEST(ShardInvariance, PlanPartitionsTheTrace) {
     // ... on the shard owning the holder the round-robin picks for it.
     std::vector<std::size_t> rr(world.num_videos, 0);
     for (std::size_t i = 0; i < trace.size(); ++i) {
-      const auto& holders = layout.assignment[trace.requests[i].video];
+      const auto holders = layout.hosts(trace.requests[i].video);
       const std::size_t pick = rr[trace.requests[i].video]++ % holders.size();
       EXPECT_EQ(pick_of[i], pick) << "request " << i;
       EXPECT_EQ(shard_of[i],

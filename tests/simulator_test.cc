@@ -31,8 +31,7 @@ RequestTrace trace_of(std::vector<Request> requests, double horizon) {
 }
 
 TEST(Simulator, EmptyTraceYieldsNoActivity) {
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   const SimResult result =
       simulate(ReplicatedPolicy(layout, basic_config()), trace_of({}, 50.0));
   EXPECT_EQ(result.total_requests, 0u);
@@ -42,8 +41,7 @@ TEST(Simulator, EmptyTraceYieldsNoActivity) {
 }
 
 TEST(Simulator, AdmitsWithinCapacity) {
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   // Two streams on a 2-stream server: both admitted.
   const SimResult result = simulate(
       ReplicatedPolicy(layout, basic_config(1)),
@@ -54,8 +52,7 @@ TEST(Simulator, AdmitsWithinCapacity) {
 }
 
 TEST(Simulator, RejectsBeyondCapacity) {
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   // Three overlapping streams on a 2-stream server: the third is rejected.
   const SimResult result = simulate(
       ReplicatedPolicy(layout, basic_config(1)),
@@ -65,8 +62,7 @@ TEST(Simulator, RejectsBeyondCapacity) {
 }
 
 TEST(Simulator, DeparturesFreeCapacity) {
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   // Duration 10: the first two streams end at 11/12, so the stream at t=20
   // is admitted again.
   SimConfig config = basic_config(1, 2 * kRate, 10.0);
@@ -77,8 +73,7 @@ TEST(Simulator, DeparturesFreeCapacity) {
 }
 
 TEST(Simulator, RoundRobinSplitsLoadAcrossReplicas) {
-  Layout layout;
-  layout.assignment = {{0, 1}};
+  const Layout layout{{0, 1}};
   std::vector<Request> requests;
   for (int i = 0; i < 10; ++i) {
     requests.push_back(Request{static_cast<double>(i), 0});
@@ -91,8 +86,7 @@ TEST(Simulator, RoundRobinSplitsLoadAcrossReplicas) {
 }
 
 TEST(Simulator, ImbalanceIsZeroForSymmetricLoad) {
-  Layout layout;
-  layout.assignment = {{0, 1}};
+  const Layout layout{{0, 1}};
   // Pairs of back-to-back requests keep the two servers in lockstep except
   // for the instant between the two arrivals of a pair.
   std::vector<Request> requests;
@@ -108,8 +102,7 @@ TEST(Simulator, ImbalanceIsZeroForSymmetricLoad) {
 
 TEST(Simulator, ImbalanceDetectsSkewedLayout) {
   // All load on server 0 of 2: loads {x, 0} -> Eq.2 L = (x - x/2)/(x/2) = 1.
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   SimConfig config = basic_config(2, 100 * kRate, 1000.0);
   const SimResult result = simulate(
       ReplicatedPolicy(layout, config),
@@ -122,8 +115,7 @@ TEST(Simulator, CapacityNormalizedImbalanceMatchesHandComputation) {
   // All load on server 0 of 2, capacity 100 streams: two streams held for
   // the whole window give loads {2r, 0}; (max - mean)/B = r / (100 r) after
   // both arrive.  Segment [0,1) has one stream: 0.5r / 100r.
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   SimConfig config = basic_config(2, 100 * kRate, 1000.0);
   const SimResult result = simulate(
       ReplicatedPolicy(layout, config),
@@ -137,8 +129,7 @@ TEST(Simulator, CapacityNormalizedImbalanceGrowsWithLoadUnlikeEq2) {
   // Eq. 2 stays at 1.0 for this skewed layout regardless of volume, while
   // the capacity-normalized excess scales with the offered load — the
   // distinction behind Figure 6's rise-peak-fall shape.
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   SimConfig config = basic_config(2, 100 * kRate, 1000.0);
   std::vector<Request> light{Request{0.0, 0}};
   std::vector<Request> heavy;
@@ -153,8 +144,7 @@ TEST(Simulator, CapacityNormalizedImbalanceGrowsWithLoadUnlikeEq2) {
 }
 
 TEST(Simulator, UtilizationMatchesHandComputation) {
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   // One stream of duration 10 on a 2-stream server over a 40-unit window:
   // busy integral = rate * 10, capacity integral = 2 * rate * 40 -> 0.125.
   SimConfig config = basic_config(1, 2 * kRate, 10.0);
@@ -164,8 +154,7 @@ TEST(Simulator, UtilizationMatchesHandComputation) {
 }
 
 TEST(Simulator, ConservationServedPlusRejectedEqualsTotal) {
-  Layout layout;
-  layout.assignment = {{0}, {1}, {0, 1}};
+  const Layout layout{{0}, {1}, {0, 1}};
   std::vector<Request> requests;
   for (int i = 0; i < 200; ++i) {
     requests.push_back(
@@ -183,8 +172,7 @@ TEST(Simulator, ConservationServedPlusRejectedEqualsTotal) {
 TEST(Simulator, RedirectionReducesRejections) {
   // Video 0 has replicas on both servers; static RR sends odd arrivals to a
   // server kept busy by video 1, so redirection strictly helps.
-  Layout layout;
-  layout.assignment = {{0, 1}, {1}};
+  const Layout layout{{0, 1}, {1}};
   std::vector<Request> requests;
   for (int i = 0; i < 4; ++i) {
     requests.push_back(Request{0.1 * i, 1});  // fill server 1 with video 1
@@ -205,8 +193,7 @@ TEST(Simulator, RedirectionReducesRejections) {
 }
 
 TEST(Simulator, AbandonedStreamsReleaseBandwidthEarly) {
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   // Capacity one stream; duration 100.  The first viewer abandons at 10% of
   // the video, so a request at t=15 is admitted; without abandonment it
   // would be rejected.
@@ -225,8 +212,7 @@ TEST(Simulator, AbandonedStreamsReleaseBandwidthEarly) {
 }
 
 TEST(Simulator, FailureDisruptsOnlyLocalStreams) {
-  Layout layout;
-  layout.assignment = {{0}, {1}};
+  const Layout layout{{0}, {1}};
   SimConfig config = basic_config(2, 100 * kRate, 1000.0);
   config.failures = {ServerFailure{5.0, 0}};
   const SimResult result = simulate(
@@ -239,8 +225,7 @@ TEST(Simulator, FailureDisruptsOnlyLocalStreams) {
 TEST(Simulator, FailedServerRejectsItsShareOfRequests) {
   // Single-replica video on the failed server: every later request for it
   // is rejected; the co-hosted video with a surviving replica is fine.
-  Layout layout;
-  layout.assignment = {{0}, {0, 1}};
+  const Layout layout{{0}, {0, 1}};
   SimConfig config = basic_config(2, 100 * kRate, 1000.0);
   config.failures = {ServerFailure{1.0, 0}};
   std::vector<Request> requests;
@@ -252,8 +237,7 @@ TEST(Simulator, FailedServerRejectsItsShareOfRequests) {
 }
 
 TEST(Simulator, RedirectionRecoversFailedServerTraffic) {
-  Layout layout;
-  layout.assignment = {{0, 1}};
+  const Layout layout{{0, 1}};
   SimConfig config = basic_config(2, 100 * kRate, 1000.0);
   config.redirect = RedirectMode::kOtherHolders;
   config.failures = {ServerFailure{1.0, 0}};
@@ -266,8 +250,7 @@ TEST(Simulator, RedirectionRecoversFailedServerTraffic) {
 }
 
 TEST(Simulator, ProxyRequiresALivingHolder) {
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   SimConfig config = basic_config(3, 100 * kRate, 1000.0);
   config.redirect = RedirectMode::kBackboneProxy;
   config.backbone_bps = units::gbps(10);
@@ -280,8 +263,7 @@ TEST(Simulator, ProxyRequiresALivingHolder) {
 }
 
 TEST(Simulator, UnsortedFailuresRejected) {
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   SimConfig config = basic_config(2);
   config.failures = {ServerFailure{5.0, 0}, ServerFailure{1.0, 1}};
   EXPECT_THROW(
@@ -290,8 +272,7 @@ TEST(Simulator, UnsortedFailuresRejected) {
 }
 
 TEST(Simulator, RejectsMalformedTrace) {
-  Layout layout;
-  layout.assignment = {{0}};
+  const Layout layout{{0}};
   RequestTrace bad = trace_of({Request{5.0, 0}, Request{1.0, 0}}, 50.0);
   EXPECT_THROW((void)simulate(ReplicatedPolicy(layout, basic_config(1)), bad),
                InvalidArgumentError);

@@ -78,7 +78,7 @@ TEST(SlfPlacement, AvoidsServersAlreadyHostingTheVideo) {
   const SmallestLoadFirstPlacement slf;
   const Layout layout = slf.place(plan, popularity, 2, 2);
   // v0's two replicas must be on distinct servers despite load preferences.
-  auto servers = layout.assignment[0];
+  auto servers = layout.host_lists()[0];
   std::sort(servers.begin(), servers.end());
   EXPECT_EQ(servers, (std::vector<std::size_t>{0, 1}));
 }
@@ -174,7 +174,7 @@ TEST(SlfPlacement, DeterministicAcrossCalls) {
   const auto plan = adams.replicate(popularity, 8, 75);
   const Layout a = slf.place(plan, popularity, 8, 10);
   const Layout b = slf.place(plan, popularity, 8, 10);
-  EXPECT_EQ(a.assignment, b.assignment);
+  EXPECT_EQ(a, b);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,8 +249,7 @@ Layout scan_slf(const ReplicationPlan& plan,
   check_placement_inputs(plan, popularity, num_servers, capacity_per_server);
 
   const std::vector<double> weights = plan.weights(popularity);
-  Layout layout;
-  layout.assignment.resize(plan.replicas.size());
+  HostLists layout(plan.replicas.size());
 
   std::deque<PendingReplica> pending;
   for (std::size_t video : stable_sort_order(weights)) {
@@ -263,7 +262,7 @@ Layout scan_slf(const ReplicationPlan& plan,
   std::vector<std::size_t> stored(num_servers, 0);
 
   auto hosts = [&](std::size_t server, std::size_t video) {
-    const auto& servers = layout.assignment[video];
+    const auto& servers = layout[video];
     return std::find(servers.begin(), servers.end(), server) != servers.end();
   };
 
@@ -297,7 +296,7 @@ Layout scan_slf(const ReplicationPlan& plan,
       used_this_round[best] = true;
       ++stored[best];
       loads[best] += replica.weight;
-      layout.assignment[replica.video].push_back(best);
+      layout[replica.video].push_back(best);
       ++placed_this_round;
       if (steps != nullptr) {
         steps->push_back(
@@ -314,7 +313,7 @@ Layout scan_slf(const ReplicationPlan& plan,
     }
     ++round;
   }
-  return layout;
+  return Layout(layout);
 }
 
 struct Outcome {
@@ -355,7 +354,7 @@ Outcome expect_same_as_scan(const ReplicationPlan& plan,
     return slf.place_traced(plan, popularity, num_servers, capacity, steps);
   });
   EXPECT_EQ(actual.infeasible, expected.infeasible);
-  EXPECT_EQ(actual.layout.assignment, expected.layout.assignment);
+  EXPECT_EQ(actual.layout, expected.layout);
   EXPECT_EQ(actual.steps.size(), expected.steps.size());
   for (std::size_t k = 0;
        k < std::min(actual.steps.size(), expected.steps.size()); ++k) {
@@ -371,8 +370,8 @@ Outcome expect_same_as_scan(const ReplicationPlan& plan,
     if (!same) break;
   }
   if (!expected.infeasible) {
-    EXPECT_EQ(slf.place(plan, popularity, num_servers, capacity).assignment,
-              expected.layout.assignment);
+    EXPECT_EQ(slf.place(plan, popularity, num_servers, capacity),
+              expected.layout);
   }
   return expected;
 }
