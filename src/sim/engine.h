@@ -316,6 +316,10 @@ class SimEngine {
   }
   /// Current simulation time (the time of the event being processed).
   [[nodiscard]] double now() const { return now_; }
+  /// Departures scheduled and not yet fired or cancelled.
+  [[nodiscard]] std::size_t pending_departures() const {
+    return departures_.size();
+  }
 
   [[nodiscard]] bool can_admit(std::size_t s, double bitrate_bps) const {
     return servers_[s].can_admit(bitrate_bps);

@@ -8,6 +8,10 @@
 
 namespace vodrep {
 
+std::size_t poisson_arrivals_capacity(double rate, double horizon) {
+  return static_cast<std::size_t>(rate * horizon * 1.2) + 16;
+}
+
 std::vector<double> poisson_arrivals(Rng& rng, double rate, double horizon) {
   // An infinite rate makes every gap 0 and an infinite horizon never ends:
   // either way the loop below would grow `times` without bound.
@@ -20,7 +24,7 @@ std::vector<double> poisson_arrivals(Rng& rng, double rate, double horizon) {
   require(rate * horizon <= kMaxExpectedArrivals,
           "poisson_arrivals: expected arrival count rate x horizon exceeds "
           "kMaxExpectedArrivals (1e9)");
-  times.reserve(static_cast<std::size_t>(rate * horizon * 1.2) + 16);
+  times.reserve(poisson_arrivals_capacity(rate, horizon));
   double t = rng.exponential(rate);
   while (t < horizon) {
     times.push_back(t);
@@ -41,7 +45,7 @@ std::vector<double> poisson_arrivals_block(Rng& rng, double rate,
   require(rate * horizon <= kMaxExpectedArrivals,
           "poisson_arrivals_block: expected arrival count rate x horizon "
           "exceeds kMaxExpectedArrivals (1e9)");
-  times.reserve(static_cast<std::size_t>(rate * horizon * 1.2) + 16);
+  times.reserve(poisson_arrivals_capacity(rate, horizon));
   std::vector<std::uint64_t> raw(block);
   std::vector<double> gaps(block);
   double t = 0.0;

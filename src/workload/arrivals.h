@@ -7,6 +7,7 @@
 // traffic would never reject below capacity" analysis in Section 5.3.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -18,6 +19,16 @@ namespace vodrep {
 /// about 766k requests), and below it the generators' reserve is a defined
 /// size_t and the loop ends in bounded time.
 inline constexpr double kMaxExpectedArrivals = 1e9;
+
+/// Arrival slots reserved for one realization of the Poisson process:
+/// rate × horizon plus 20% and 16, so a realization almost never regrows its
+/// buffer.  generate_trace sizes its request buffer by it too, so every trace
+/// of one spec asks the allocator for the same block and fits where the last
+/// one was freed; sized by its own count, a longer trace did not fit the
+/// hole a shorter one left and grew the heap instead.  Requires rate ×
+/// horizon <= kMaxExpectedArrivals.
+[[nodiscard]] std::size_t poisson_arrivals_capacity(double rate,
+                                                    double horizon);
 
 /// One realization of a homogeneous Poisson process: strictly increasing
 /// arrival times in [0, horizon).  `rate` is in events per unit time (the

@@ -57,7 +57,10 @@ RequestTrace generate_trace(Rng& rng, const TraceSpec& spec) {
   const std::vector<double> times = poisson_arrivals_block(
       rng, spec.arrival_rate, spec.horizon, kArrivalBlock);
   const DiscreteSampler sampler(spec.popularity);
-  trace.requests.reserve(times.size());
+  // Sized by the spec, not by this realization's count.
+  trace.requests.reserve(std::max(
+      times.size(),
+      poisson_arrivals_capacity(spec.arrival_rate, spec.horizon)));
   for (double t : times) {
     Request request;
     request.arrival_time = t;

@@ -6,6 +6,7 @@
 
 #include "src/util/error.h"
 #include "src/util/units.h"
+#include "src/workload/arrivals.h"
 #include "src/workload/popularity.h"
 
 namespace vodrep {
@@ -54,6 +55,20 @@ TEST(GenerateTrace, DeterministicGivenSeed) {
   const auto t1 = generate_trace(a, paper_like_spec());
   const auto t2 = generate_trace(b, paper_like_spec());
   EXPECT_EQ(t1.requests, t2.requests);
+}
+
+TEST(GenerateTrace, BufferSizeDependsOnTheSpecAlone) {
+  // Every trace of one spec reserves the same request buffer, so a run that
+  // replaces one trace with the next can reuse its memory.
+  Rng rng(6);
+  const TraceSpec spec = paper_like_spec();
+  const RequestTrace a = generate_trace(rng, spec);
+  const RequestTrace b = generate_trace(rng, spec);
+  ASSERT_NE(a.size(), b.size());
+  const std::size_t capacity =
+      poisson_arrivals_capacity(spec.arrival_rate, spec.horizon);
+  EXPECT_EQ(a.requests.capacity(), capacity);
+  EXPECT_EQ(b.requests.capacity(), capacity);
 }
 
 TEST(GenerateTrace, EmptyPopularityThrows) {
