@@ -15,10 +15,10 @@
 // policy compiled a second time with every obs hook compiled out, and must
 // return exactly the library's SimResult.  The engine with obs compiled in
 // but disabled must stay within 3% of it or the benchmark exits non-zero.
-// A second guard prices the *enabled* TraceRecorder on the sharded engine:
-// with every shard worker recording into its own per-thread lane, the
-// widest-S replay must stay within 10% of the trace-disabled one.  Both
-// guards time their two sides in alternation (time_paired).
+// A second guard prices the *enabled* TraceRecorder on the same whole
+// replay: with the recorder on, it must stay within 10% of the
+// trace-disabled one.  Both guards time their two sides in
+// alternation (time_paired).
 //
 // The last stdout line is machine-readable JSON.
 #include <algorithm>
@@ -29,7 +29,6 @@
 #include <iostream>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/obs_baseline.h"
@@ -38,7 +37,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/replicated_policy.h"
-#include "src/sim/sharded_engine.h"
 #include "src/util/cli.h"
 #include "src/util/error.h"
 #include "src/util/stats.h"
@@ -394,75 +392,11 @@ int main(int argc, char** argv) {
               << "  guard (<3% disabled):   "
               << (guard_pass ? "PASS" : "FAIL") << "\n\n";
 
-    // --- shards axis: sharded engine events/sec vs shard count S ----------
-    // Each point replays the identical trace through simulate() and
-    // requires the merged result equal to the monolithic engine's before it
-    // counts — the scaling curve is only worth recording if the sharded
-    // replay is still the same simulation.  hardware_threads says how much
-    // parallelism this machine could actually supply for the recorded
-    // numbers; on a single-core box the axis is expected to be flat.
-    const unsigned hardware_threads =
-        std::max(1u, std::thread::hardware_concurrency());
-    const std::vector<std::size_t> shard_counts =
-        quick ? std::vector<std::size_t>{1, 2}
-              : std::vector<std::size_t>{1, 2, 4, 8};
-    struct ShardsPoint {
-      std::size_t shards = 0;
-      std::size_t pool_threads = 0;  // pool workers used; 1 = inline replay
-      double events_per_sec = 0.0;
-      double speedup = 0.0;  // vs the S=1 point of this same axis
-    };
-    std::vector<ShardsPoint> shards_axis;
-    Table shard_table(
-        {"shards", "pool_threads", "threads", "events_per_sec", "speedup"});
-    shard_table.set_precision(3);
-    for (const std::size_t num_shards : shard_counts) {
-      ThreadPool shard_pool(num_shards);
-      SimOptions shard_options;
-      shard_options.num_shards = num_shards;
-      shard_options.pool = num_shards > 1 ? &shard_pool : nullptr;
-      const RunStats stats = time_replays(
-          [&] {
-            return simulate(ReplicatedPolicy(layout, config), trace,
-                            shard_options);
-          },
-          reps);
-      require_same(engine_stats.result, stats.result);
-      ShardsPoint point;
-      point.shards = num_shards;
-      point.pool_threads =
-          shard_options.pool != nullptr ? shard_pool.size() : 1;
-      point.events_per_sec = stats.events_per_sec;
-      point.speedup = shards_axis.empty()
-                          ? 1.0
-                          : point.events_per_sec /
-                                shards_axis.front().events_per_sec;
-      shards_axis.push_back(point);
-      shard_table.add_row({static_cast<double>(num_shards),
-                           static_cast<double>(point.pool_threads),
-                           static_cast<double>(hardware_threads),
-                           point.events_per_sec, point.speedup});
-    }
-    std::cout << "sharded engine scaling (" << hardware_threads
-              << " hardware thread(s), results verified equal at every S):\n";
-    shard_table.print(std::cout);
-    std::cout << "\n";
-
-    // --- trace overhead guard: per-thread lanes must stay <10% at S=4 -----
-    // With the TraceRecorder enabled every shard worker records into its
-    // own lock-free lane; the sharded replay at S=4 (S=2 in quick mode)
-    // must stay within 10% of the trace-disabled replay, or the per-thread
-    // buffering has stopped paying for itself.  Same best-of-rounds
+    // --- trace overhead guard: an enabled recorder must stay <10% ---------
+    // With the TraceRecorder enabled, the whole replay records its sim.run
+    // span; it must stay within 10% of the trace-disabled replay, or span
+    // recording has crept into the per-request path.  Same best-of-rounds
     // discipline as the disabled-obs guard above.
-    const std::size_t trace_shards =
-        std::min<std::size_t>(4, shard_counts.back());
-    ThreadPool trace_pool(trace_shards);
-    SimOptions trace_options;
-    trace_options.num_shards = trace_shards;
-    trace_options.pool = trace_shards > 1 ? &trace_pool : nullptr;
-    const auto sharded_replay = [&] {
-      return simulate(ReplicatedPolicy(layout, config), trace, trace_options);
-    };
     obs::TraceRecorder& recorder = obs::TraceRecorder::global();
     recorder.clear();  // disabled since the guard above
     std::array<double, 2> trace_seconds = {1e300, 1e300};
@@ -472,10 +406,10 @@ int main(int argc, char** argv) {
     };
     for (int round = 0; round < guard_rounds; ++round) {
       time_paired(
-          [&] { keep_live(sharded_replay()); },
+          [&] { keep_live(engine_replay()); },
           [&] {
             recorder.set_enabled(true);
-            keep_live(sharded_replay());
+            keep_live(engine_replay());
             recorder.set_enabled(false);
           },
           min_total_sec, max_reps, trace_seconds);
@@ -488,8 +422,7 @@ int main(int argc, char** argv) {
     const double trace_overhead_pct =
         100.0 * (1.0 - trace_on_eps / trace_off_eps);
     const bool trace_guard_pass = trace_guard_passes();
-    std::cout << "trace overhead on the sharded engine (S=" << trace_shards
-              << ", best-of-reps):\n"
+    std::cout << "trace overhead on the whole replay (best-of-reps):\n"
               << "  trace disabled:         " << trace_off_eps
               << " events/s\n"
               << "  trace enabled:          " << trace_on_eps << " events/s  ("
@@ -511,23 +444,11 @@ int main(int argc, char** argv) {
               << ",\"obs_off_events_per_sec\":" << obs_off_eps
               << ",\"obs_off_overhead_pct\":" << off_overhead_pct
               << ",\"obs_guard_pass\":" << (guard_pass ? "true" : "false")
-              << ",\"trace_shards\":" << trace_shards
               << ",\"trace_off_events_per_sec\":" << trace_off_eps
               << ",\"trace_on_events_per_sec\":" << trace_on_eps
               << ",\"trace_overhead_pct\":" << trace_overhead_pct
               << ",\"trace_guard_pass\":"
-              << (trace_guard_pass ? "true" : "false")
-              << ",\"hardware_threads\":" << hardware_threads
-              << ",\"shards_axis\":[";
-    for (std::size_t i = 0; i < shards_axis.size(); ++i) {
-      std::cout << (i == 0 ? "" : ",") << "{\"shards\":"
-                << shards_axis[i].shards
-                << ",\"pool_threads\":" << shards_axis[i].pool_threads
-                << ",\"threads\":" << hardware_threads
-                << ",\"events_per_sec\":" << shards_axis[i].events_per_sec
-                << ",\"speedup\":" << shards_axis[i].speedup << "}";
-    }
-    std::cout << "]}\n";
+              << (trace_guard_pass ? "true" : "false") << "}\n";
     if (!guard_pass) {
       std::cerr << "error: obs layer costs " << off_overhead_pct
                 << " % events/sec while disabled (budget: 3 %)\n";
@@ -535,8 +456,7 @@ int main(int argc, char** argv) {
     }
     if (!trace_guard_pass) {
       std::cerr << "error: enabled trace costs " << trace_overhead_pct
-                << " % events/sec on the S=" << trace_shards
-                << " sharded replay (budget: 10 %)\n";
+                << " % events/sec on the whole replay (budget: 10 %)\n";
       return EXIT_FAILURE;
     }
   } catch (const std::exception& error) {

@@ -105,7 +105,7 @@ template <AnnealProblem P>
           "anneal_parallel_tempering: swap_period must be positive");
   require(options.temperature_spread >= 1.0,
           "anneal_parallel_tempering: temperature_spread must be >= 1");
-  // Span layout (DESIGN.md §11): the caller thread owns the sa.pt span
+  // Span layout (DESIGN.md §10): the caller thread owns the sa.pt span
   // with construct/superstep/exchange children — superstep wall covers the
   // pool dispatch plus the barrier wait, while the workers accrue the actual
   // chain-run wall/CPU under their own sa.pt.chain_run spans, so "time the

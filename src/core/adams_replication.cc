@@ -15,8 +15,14 @@ namespace {
 // its per-replica weight while it holds j replicas.  Correctly rounded
 // division is monotone, so a video's keys never rise with j.
 
+/// 1 / t for a bracket end t >= 0, and +inf at t = 0, which is what IEEE
+/// division gives there, without dividing by zero.
+double inverse(double t) {
+  return t > 0.0 ? 1.0 / t : std::numeric_limits<double>::infinity();
+}
+
 /// How many of the keys fl(p / j), j = 1..cap, lie strictly above t >= 0
-/// (inv_t = 1 / t): the largest such j, since the keys fall with j.
+/// (inv_t = inverse(t)): the largest such j, since the keys fall with j.
 std::size_t keys_above(double p, double t, double inv_t, std::size_t cap) {
   if (!(p > t)) return 0;  // the largest key, j = 1, is p itself
   // The real count is ceil(p / t) - 1; the estimate lands within one of it,
@@ -97,7 +103,7 @@ ReplicationPlan AdamsReplication::replicate_traced(
     std::size_t width = std::numeric_limits<std::size_t>::max();
     bool tied = false;
     for (int probe = 1;; ++probe) {
-      const double inv_t = 1.0 / t;
+      const double inv_t = inverse(t);
       std::size_t keys = 0;
       next.clear();
       for_live([&](std::size_t i) {
@@ -154,8 +160,8 @@ ReplicationPlan AdamsReplication::replicate_traced(
     std::size_t left = grants - above_hi;
     std::vector<std::pair<double, std::size_t>> bracket;
     if (!tied) bracket.reserve(width);
-    const double inv_hi = 1.0 / hi;
-    const double inv_lo = 1.0 / lo;
+    const double inv_hi = inverse(hi);
+    const double inv_lo = inverse(lo);
     for_live([&](std::size_t i) {
       const double p = popularity[i];
       const std::size_t from = keys_above(p, hi, inv_hi, cap);

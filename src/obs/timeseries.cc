@@ -60,49 +60,6 @@ void TimeseriesCollector::compact() {
   downsample_factor_ *= 2;
 }
 
-void TimeseriesCollector::merge_shards(
-    const std::vector<const TimeseriesCollector*>& shards) {
-  require(!shards.empty(), "merge_shards: need at least one shard collector");
-  require(size_ == 0 && downsample_factor_ == 1 && offset_ == 0.0,
-          "merge_shards: target collector must be fresh");
-  const TimeseriesCollector& first = *shards.front();
-  require(first.num_servers_ == num_servers_,
-          "merge_shards: target collector configured unlike the shards");
-  for (const TimeseriesCollector* shard : shards) {
-    require(shard->num_servers_ == num_servers_ &&
-                shard->size_ == first.size_ &&
-                shard->interval_sec_ == first.interval_sec_ &&
-                shard->downsample_factor_ == first.downsample_factor_,
-            "merge_shards: shard collectors recorded on different grids");
-  }
-  // Adopt the (possibly compacted) shard grid, then merge slot by slot.
-  interval_sec_ = first.interval_sec_;
-  downsample_factor_ = first.downsample_factor_;
-  next_due_global_ = first.next_due_global_;
-  size_ = first.size_;
-  for (std::size_t i = 0; i < size_; ++i) {
-    TimeSample& slot = samples_[i];
-    slot = first.samples_[i];
-    for (std::size_t k = 1; k < shards.size(); ++k) {
-      const TimeSample& other = shards[k]->samples_[i];
-      require(other.time == slot.time,
-              "merge_shards: shard sample times diverge");
-      slot.mean_utilization += other.mean_utilization;
-      slot.max_utilization =
-          std::max(slot.max_utilization, other.max_utilization);
-      slot.requests += other.requests;
-      slot.rejected += other.rejected;
-      slot.cache_hits += other.cache_hits;
-      slot.cache_misses += other.cache_misses;
-      for (std::size_t s = 0; s < num_servers_; ++s) {
-        slot.utilization[s] += other.utilization[s];
-      }
-    }
-    slot.imbalance_eq2 =
-        imbalance_eq2(slot.max_utilization, slot.mean_utilization);
-  }
-}
-
 void TimeseriesCollector::annotate(double global_time, std::string label) {
   if (annotations_.size() >= kTimelineMaxAnnotations) {
     ++annotations_dropped_;

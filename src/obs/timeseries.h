@@ -35,8 +35,7 @@ namespace vodrep::obs {
 /// Eq. 2's load-imbalance degree L = (max - mean) / mean of one utilization
 /// snapshot; 0 for an idle cluster, and clamped at 0 because with equal
 /// loads the summed mean can exceed the max by a few ulps.  The engine's
-/// Eq. 2 integrand, its timeline samples and the sharded timeline merge all
-/// evaluate this one formula.
+/// Eq. 2 integrand and its timeline samples both evaluate this one formula.
 [[nodiscard]] inline double imbalance_eq2(double max_util, double mean_util) {
   return max_util > 0.0 && mean_util > 0.0
              ? std::max(0.0, (max_util - mean_util) / mean_util)
@@ -103,18 +102,6 @@ class TimeseriesCollector {
   /// Appends an annotation at *global* time (bounded; dropped-and-counted
   /// beyond kTimelineMaxAnnotations).
   void annotate(double global_time, std::string label);
-
-  /// Sharded-merge support (src/sim/sharded_engine.h): fills this *fresh*
-  /// collector (size 0, factor 1, zero offset, same config as the shards)
-  /// with the elementwise merge of per-shard collectors recorded on
-  /// identical grids.  Because every shard records the same number of
-  /// samples on the same schedule and compaction is a pure function of the
-  /// record sequence, the shards' retained grids coincide — and match what
-  /// a monolithic run would have retained.  Per sample: counters and the
-  /// per-server utilizations sum (foreign servers contribute exact zeros),
-  /// max is the max of maxes, mean is the sum of means, and the imbalance
-  /// is imbalance_eq2 of the merged max and mean.
-  void merge_shards(const std::vector<const TimeseriesCollector*>& shards);
 
   /// Shifts subsequent record() calls by `offset` (epoch concatenation).
   void set_time_offset(double offset) noexcept { offset_ = offset; }

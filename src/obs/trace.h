@@ -21,8 +21,8 @@
 // assigned in first-use order.  Each lane has exactly one writer, which
 // publishes events with a release store of the lane's count; readers take an
 // acquire load and only touch the published prefix.  Recording therefore
-// never contends on a lock — the recorder is usable *on* the sharded
-// simulation hot path without serializing the shards.  A lane is allocated
+// never contends on a lock — parallel-tempering chains on a thread pool
+// record their spans without serializing on one another.  A lane is allocated
 // to the configured capacity once, on the owning thread's first record after
 // set_enabled (the enabling thread's lane is allocated eagerly inside
 // set_enabled), and never grows; events beyond a lane's capacity are dropped

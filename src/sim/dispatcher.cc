@@ -70,19 +70,9 @@ std::optional<DispatchDecision> Dispatcher::dispatch(
   require(!holders.empty(), "Dispatcher: video has no replica");
 
   // Static round-robin pick (the per-replica communication weight model of
-  // Eq. 5: each replica serves a 1/r_i share of the video's requests), or
-  // the precomputed pick when a routed sub-trace replay is installed.
-  std::size_t pick_index;
-  if (routed_) {
-    require(routed_cursor_ < routed_picks_.size(),
-            "Dispatcher: routed pick sequence exhausted");
-    pick_index = routed_picks_[routed_cursor_++];
-    require(pick_index < holders.size(),
-            "Dispatcher: routed pick index out of range");
-  } else {
-    pick_index = rr_counter_[video] % holders.size();
-    ++rr_counter_[video];
-  }
+  // Eq. 5: each replica serves a 1/r_i share of the video's requests).
+  const std::size_t pick_index = rr_counter_[video] % holders.size();
+  ++rr_counter_[video];
   const std::size_t pick = holders[pick_index];
 
   // Batching: join a fresh-enough stream of the same video on the scheduled
@@ -151,15 +141,6 @@ std::optional<DispatchDecision> Dispatcher::dispatch(
   if (proxy == servers.size()) return std::nullopt;
   backbone_busy_bps_ += bitrate_bps;
   return DispatchDecision{proxy, true, true, false};
-}
-
-void Dispatcher::set_routed_picks(std::vector<std::uint32_t> picks) {
-  require(mode_ == RedirectMode::kNone,
-          "Dispatcher: routed pick replay requires RedirectMode::kNone — "
-          "redirect retries read every holder's load");
-  routed_ = true;
-  routed_picks_ = std::move(picks);
-  routed_cursor_ = 0;
 }
 
 void Dispatcher::release_backbone(double bitrate_bps) {

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -89,18 +88,6 @@ class Dispatcher {
       std::size_t video, double bitrate_bps,
       const std::vector<StreamingServer>& servers, double now = 0.0);
 
-  /// Replays a precomputed holder-pick sequence instead of the internal
-  /// per-video round-robin counters: element i is the holder *index* (into
-  /// layout.hosts(video)) the i-th dispatch() call must schedule.
-  /// The routed replay (src/sim/sharded_engine.h) pre-computes every pick —
-  /// the round-robin advance is unconditional, so the pick sequence is a
-  /// pure function of the request order — routes each request to the shard
-  /// owning its picked holder, and replays the picks there; everything
-  /// downstream of the pick (batching join, admission, the joinable-stream
-  /// window) runs unchanged.  kNone redirect mode only: redirect retries
-  /// read every holder's live load, which a routed shard does not own.
-  void set_routed_picks(std::vector<std::uint32_t> picks);
-
   /// Frees the backbone reservation of one finished proxied stream.
   void release_backbone(double bitrate_bps);
 
@@ -123,9 +110,6 @@ class Dispatcher {
   double stream_duration_sec_;
   BatchingMode batching_mode_;
   double backbone_busy_bps_ = 0.0;
-  bool routed_ = false;  ///< replay routed_picks_ instead of rr_counter_
-  std::vector<std::uint32_t> routed_picks_;
-  std::size_t routed_cursor_ = 0;
   std::vector<std::size_t> rr_counter_;  ///< per-video static RR position
   /// last_stream_start_[slot] = start time of the newest stream of the
   /// replica in layout slot `slot` (offsets[video] + holder index);

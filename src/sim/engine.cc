@@ -29,18 +29,36 @@ SimEngine::SimEngine(const SimConfig& config) : config_(config) {
 SimResult SimEngine::run(StoragePolicy& policy, const RequestTrace& trace) {
   require(trace.is_well_formed(), "SimEngine::run: malformed trace");
   VODREP_TRACE_SCOPE("sim.run");
-  begin_stepping(policy);
+  require(!ran_, "SimEngine: one engine instance replays one trace");
+  ran_ = true;
+  policy.bind(*this);
+  cache_stats_ = policy.cache_stats();
   result_.total_requests = trace.size();
   for (const Request& request : trace.requests) {
-    step_request(policy, request);
+    advance_events(policy, request.arrival_time);
+    const PolicyDecision decision = policy.dispatch(request);
+    ++requests_dispatched_;
+    if (!decision.admitted) {
+      ++result_.rejected;
+      // Attribution is part of the result, not optional observability: the
+      // per-reason entries always sum exactly to `rejected`.
+      VODREP_DCHECK(decision.reject_reason != obs::RejectReason::kNone,
+                    "StoragePolicy rejected a request without a reason");
+      ++result_.rejected_by_reason[static_cast<std::size_t>(
+          decision.reject_reason)];
+    } else if (decision.batched) {
+      ++result_.batched;
+    } else {
+      if (decision.redirected) ++result_.redirected;
+      if (decision.via_backbone) ++result_.proxied;
+    }
+    if (obs::kHooks && event_log_ != nullptr) log_request(request, decision);
   }
   // Close the books at the end of the peak period; streams outliving it keep
   // their bandwidth (they are not torn down) but the metrics window ends.
   advance_events(policy, trace.horizon);
   const SimResult out = finalize(trace.horizon);
-  if (obs::kHooks && obs::metrics_enabled()) {
-    export_metrics(out, event_stats(), cache_stats_ != nullptr);
-  }
+  if (obs::kHooks && obs::metrics_enabled()) export_metrics(out);
   return out;
 }
 
@@ -48,48 +66,6 @@ void SimEngine::attach_timeline(obs::TimeseriesCollector* timeline) {
   require(timeline == nullptr || timeline->num_servers() == servers_.size(),
           "SimEngine: timeline collector sized for a different server count");
   timeline_ = timeline;
-}
-
-void SimEngine::begin_stepping(StoragePolicy& policy) {
-  require(!ran_, "SimEngine: one engine instance replays one trace");
-  ran_ = true;
-  policy.bind(*this);
-  cache_stats_ = policy.cache_stats();
-}
-
-void SimEngine::step(StoragePolicy& policy, const Request& request) {
-  step_request(policy, request);
-}
-
-void SimEngine::advance_to(StoragePolicy& policy, double time) {
-  advance_events(policy, time);
-}
-
-SimResult SimEngine::finish_stepping(StoragePolicy& policy, double horizon) {
-  advance_events(policy, horizon);
-  result_.total_requests = requests_dispatched_;
-  return finalize(horizon);
-}
-
-void SimEngine::step_request(StoragePolicy& policy, const Request& request) {
-  advance_events(policy, request.arrival_time);
-  const PolicyDecision decision = policy.dispatch(request);
-  ++requests_dispatched_;
-  if (!decision.admitted) {
-    ++result_.rejected;
-    // Attribution is part of the result, not optional observability: the
-    // per-reason entries always sum exactly to `rejected`.
-    VODREP_DCHECK(decision.reject_reason != obs::RejectReason::kNone,
-                  "StoragePolicy rejected a request without a reason");
-    ++result_.rejected_by_reason[static_cast<std::size_t>(
-        decision.reject_reason)];
-  } else if (decision.batched) {
-    ++result_.batched;
-  } else {
-    if (decision.redirected) ++result_.redirected;
-    if (decision.via_backbone) ++result_.proxied;
-  }
-  if (obs::kHooks && event_log_ != nullptr) log_request(request, decision);
 }
 
 void SimEngine::log_request(const Request& request,
@@ -140,8 +116,7 @@ SimResult SimEngine::finalize(double horizon) {
   return result_;
 }
 
-void SimEngine::export_metrics(const SimResult& result,
-                               const EventStats& events, bool has_cache_tier) {
+void SimEngine::export_metrics(const SimResult& result) const {
   obs::MetricsRegistry& registry = obs::metrics();
   registry.counter("sim.runs").inc();
   registry.counter("sim.requests").add(result.total_requests);
@@ -158,16 +133,16 @@ void SimEngine::export_metrics(const SimResult& result,
   registry.counter("sim.proxied").add(result.proxied);
   registry.counter("sim.batched").add(result.batched);
   registry.counter("sim.disrupted").add(result.disrupted);
-  registry.counter("sim.events.departure").add(events.departures_fired);
-  registry.counter("sim.events.failure").add(events.failures_applied);
-  registry.counter("sim.events.cancelled").add(events.departures_cancelled);
+  registry.counter("sim.events.departure").add(departures_fired_);
+  registry.counter("sim.events.failure").add(failures_applied_);
+  registry.counter("sim.events.cancelled").add(departures_cancelled_);
   registry.gauge("sim.heap_high_water")
-      .set_max(static_cast<double>(events.heap_high_water));
+      .set_max(static_cast<double>(heap_high_water_));
   registry.gauge("sim.mean_imbalance_eq2").set(result.mean_imbalance_eq2);
   registry.gauge("sim.mean_utilization").set(result.mean_utilization());
   // Cache counters fold only for runs that actually had a cache tier, so a
   // cache-less process never grows sim.cache.* series.
-  if (has_cache_tier) {
+  if (cache_stats_ != nullptr) {
     registry.counter("sim.cache.hits").add(result.cache_hits);
     registry.counter("sim.cache.misses").add(result.cache_misses);
     registry.counter("sim.cache.evictions").add(result.cache_evictions);
@@ -235,7 +210,7 @@ void SimEngine::advance_events(StoragePolicy& policy, double now) {
 void SimEngine::integrate_to(double t) {
   const double dt = t - now_;
   if (dt <= 0.0) return;
-  if (obs::kHooks && (timeline_ != nullptr || segment_log_ != nullptr)) {
+  if (obs::kHooks && timeline_ != nullptr) {
     integrate_observed_to(t, dt);
     return;
   }
@@ -252,18 +227,11 @@ void SimEngine::integrate_observed_to(double t, double dt) {
   // the timeline test and loses no samples: a zero-dt call leaves now_
   // unchanged, so a due sample simply fires on the next advancing call,
   // reading the state that actually holds over the sampled interval.
-  if (timeline_ != nullptr) sample_timeline_to(t);
-  const double max = current_max_utilization();
-  load_.add_span(utilization_sum_, utilization_sumsq_, max,
+  sample_timeline_to(t);
+  load_.add_span(utilization_sum_, utilization_sumsq_,
+                 current_max_utilization(),
                  static_cast<double>(servers_.size()), dt);
-  if (segment_log_ != nullptr) log_segment(t, max);
   now_ = t;
-}
-
-void SimEngine::log_segment(double t, double max) {
-  // The (post-flush) accumulators held these values over [now_, t); the
-  // sharded merge sweeps these spans chronologically across shards.
-  segment_log_->push_back({t, utilization_sum_, utilization_sumsq_, max});
 }
 
 void SimEngine::sample_timeline_to(double t) {

@@ -33,9 +33,8 @@
 // event log and load timeline, each behind a pointer test.
 //
 // Callers replay a trace through simulate() (src/sim/sharded_engine.h),
-// which builds the engine from the policy's own SimConfig.  Only a
-// ReplicatedPolicy under static round-robin dispatch shards (the routed
-// replay); every other replay runs whole on one engine.
+// which builds the engine from the policy's own SimConfig and runs the
+// whole trace on it.
 #pragma once
 
 #include <algorithm>
@@ -124,25 +123,8 @@ struct CacheTierStats {
   }
 };
 
-/// One piecewise-constant span of the cluster-wide load state, appended by
-/// the engine when a segment log is attached (attach_segment_log): the
-/// running accumulators held these values over [previous end_time,
-/// end_time).  The sharded runner (src/sim/sharded_engine.h) sweeps the
-/// per-shard segment streams chronologically to rebuild the global Eq. 2/3
-/// integrals, because those metrics are nonlinear in the per-server loads
-/// and cannot be summed per shard after the fact.
-struct LoadSegment {
-  double end_time = 0.0;
-  /// Running per-server utilization sum/sum-of-squares (post idle-flush,
-  /// exactly as integrate_to saw them) and the current max utilization.
-  double utilization_sum = 0.0;
-  double utilization_sumsq = 0.0;
-  double max_utilization = 0.0;
-};
-
-/// The time-weighted Eq. 2/3 integrals of one replay.  SimEngine folds its
-/// own spans into one; the sharded runner folds the merged per-shard spans
-/// into another (merge_load_segments), through the same add_span.
+/// The time-weighted Eq. 2/3 integrals of one replay: SimEngine folds
+/// every span of constant load into one through add_span.
 struct LoadIntegrals {
   TimeWeightedMean imbalance_eq2;
   TimeWeightedMean imbalance_cv;
@@ -260,50 +242,6 @@ class SimEngine {
   [[nodiscard]] SimResult run(StoragePolicy& policy,
                               const RequestTrace& trace);
 
-  // --- stepping interface ---
-  // run() is composed of exactly these four calls, so a driver that feeds
-  // requests incrementally (the sharded runner replaying one shard's
-  // routed requests epoch by epoch, src/sim/sharded_engine.h) produces the
-  // same state transitions as a monolithic run() over the same request
-  // sequence.  Call order: begin_stepping once, then step()/advance_to()
-  // with non-decreasing times, then finish_stepping once.
-
-  /// Binds the policy and opens the (single-shot) replay.
-  void begin_stepping(StoragePolicy& policy);
-  /// Advances the clock to the request's arrival (applying due departures
-  /// and failures) and dispatches it.
-  void step(StoragePolicy& policy, const Request& request);
-  /// Applies every departure/failure due by `time` and integrates the load
-  /// signals up to it (an epoch barrier with no arrival attached).
-  void advance_to(StoragePolicy& policy, double time);
-  /// Closes the metrics window at `horizon` and returns the result.
-  /// Unlike run(), does NOT fold into the global metrics registry — a
-  /// sharded driver merges first and exports the merged tallies once.
-  [[nodiscard]] SimResult finish_stepping(StoragePolicy& policy,
-                                          double horizon);
-
-  /// Tallies of the event-loop counters, for merged observability export.
-  struct EventStats {
-    std::size_t heap_high_water = 0;
-    std::size_t departures_fired = 0;
-    std::size_t failures_applied = 0;
-    std::size_t departures_cancelled = 0;
-  };
-  [[nodiscard]] EventStats event_stats() const {
-    return {heap_high_water_, departures_fired_, failures_applied_,
-            departures_cancelled_};
-  }
-
-  /// Folds one replay's tallies into the global metrics registry: the
-  /// result's counters, the event tallies, and the tier's counters only
-  /// when `has_cache_tier`.  run() exports its own replay; the sharded
-  /// runner exports the merged result once (bit-exact with the returned
-  /// SimResult; see tests/obs_integration_test.cc).  Cold: once-per-run
-  /// hook code stays out of the replay loop's text.
-  [[gnu::cold]] static void export_metrics(const SimResult& result,
-                                           const EventStats& events,
-                                           bool has_cache_tier);
-
   [[nodiscard]] const SimConfig& config() const { return config_; }
   [[nodiscard]] std::size_t num_servers() const { return servers_.size(); }
   /// Read-only server state for dispatch decisions; all mutations must go
@@ -316,10 +254,6 @@ class SimEngine {
   }
   /// Current simulation time (the time of the event being processed).
   [[nodiscard]] double now() const { return now_; }
-  /// Departures scheduled and not yet fired or cancelled.
-  [[nodiscard]] std::size_t pending_departures() const {
-    return departures_.size();
-  }
 
   [[nodiscard]] bool can_admit(std::size_t s, double bitrate_bps) const {
     return servers_[s].can_admit(bitrate_bps);
@@ -346,38 +280,28 @@ class SimEngine {
   void attach_timeline(obs::TimeseriesCollector* timeline);
   void attach_event_log(obs::EventLog* event_log) { event_log_ = event_log; }
 
-  /// Attaches a per-run load-segment log: integrate_to appends one
-  /// LoadSegment per advancing integration step.  Borrowed (must outlive
-  /// the replay); the caller may drain and clear the vector between epochs
-  /// (the sharded runner does, to bound memory).  When absent the hot path
-  /// pays one pointer test per integration, like the timeline hook.
-  void attach_segment_log(std::vector<LoadSegment>* log) {
-    segment_log_ = log;
-  }
-
  private:
-  /// Shared per-request body of run() and step(): advance, dispatch,
-  /// tally, log.  Inlined into both so the replay loop pays no call per
-  /// request; the dormant observability hooks below stay out of line, so
-  /// the hot path carries only a pointer test for each (the
-  /// vodrep_sim_hotpath <3% guard prices exactly this against the
-  /// hook-free build of this file, src/obs/hooks.h).
-  [[gnu::always_inline]] inline void step_request(StoragePolicy& policy,
-                                                  const Request& request);
+  /// The per-request event-log hook of run()'s loop.  Out of line, like
+  /// every dormant observability hook, so the hot path carries only a
+  /// pointer test for it (the vodrep_sim_hotpath <3% guard prices exactly
+  /// this against the hook-free build of this file, src/obs/hooks.h).
   [[gnu::noinline]] void log_request(const Request& request,
                                      const PolicyDecision& decision);
-  [[gnu::noinline]] void log_segment(double t, double max);
   /// The metrics epilogue of run(): finalizes the time-weighted means and
   /// per-server tallies at `horizon` and returns the result.
   SimResult finalize(double horizon);
+  /// Folds the replay's result, event tallies and, with a cache tier, the
+  /// tier's counters into the global metrics registry.  Cold: once-per-run
+  /// hook code stays out of the replay loop's text.
+  [[gnu::cold]] void export_metrics(const SimResult& result) const;
   /// Applies departures and injected failures up to `now` in time order
   /// (failures win ties) and integrates the load signals.
   void advance_events(StoragePolicy& policy, double now);
   /// Accounts for the current utilization state holding over [now_, t).
   void integrate_to(double t);
-  /// integrate_to's body when a timeline or segment log is attached: the
-  /// same span, plus the samples due in it and its segment record.  Out of
-  /// line, so the unobserved path keeps no hook state live across its calls.
+  /// integrate_to's body when a timeline is attached: the same span, plus
+  /// the samples due in it.  Out of line, so the unobserved path keeps no
+  /// hook state live across its calls.
   [[gnu::noinline]] void integrate_observed_to(double t, double dt);
   /// Emits every timeline sample due in (now_, t]; the signals are
   /// piecewise constant over that span, so boundary samples are exact.
@@ -396,7 +320,6 @@ class SimEngine {
   std::size_t requests_dispatched_ = 0;  ///< arrivals processed so far
   obs::TimeseriesCollector* timeline_ = nullptr;
   obs::EventLog* event_log_ = nullptr;
-  std::vector<LoadSegment>* segment_log_ = nullptr;
   /// Borrowed from the policy in run() (nullptr for cache-less policies);
   /// read for timeline samples and snapshotted in the epilogue.
   const CacheTierStats* cache_stats_ = nullptr;

@@ -71,13 +71,6 @@ const CacheTierStats* ReplicatedPolicy::cache_stats() const {
   return tier_ ? &tier_->cache.stats() : nullptr;
 }
 
-void ReplicatedPolicy::set_routed_picks(std::vector<std::uint32_t> picks) {
-  require(!tier_,
-          "ReplicatedPolicy: routed replay requires no cache tier (prefix "
-          "hits skip the dispatcher)");
-  dispatcher_.set_routed_picks(std::move(picks));
-}
-
 PolicyDecision ReplicatedPolicy::reject(std::size_t video,
                                         bool cache_miss) const {
   // If every holder of the video is down the request could not have been

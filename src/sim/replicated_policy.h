@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -60,13 +59,6 @@ class ReplicatedPolicy final : public StoragePolicy {
   [[nodiscard]] const CacheTierStats* cache_stats() const override;
 
   [[nodiscard]] const Layout& layout() const { return layout_; }
-
-  /// Installs a precomputed holder-pick sequence for one shard of a routed
-  /// replay (src/sim/sharded_engine.h; see Dispatcher::set_routed_picks).
-  /// Only valid without a tier: a prefix hit that ends inside the prefix
-  /// never consults the dispatcher, so a pick sequence cannot stay aligned
-  /// with the dispatch calls.
-  void set_routed_picks(std::vector<std::uint32_t> picks);
 
  private:
   /// One origin reservation with a scheduled departure: a full stream, a

@@ -330,6 +330,21 @@ TEST(AdamsDifferential, WideTies) {
   }
 }
 
+TEST(AdamsDifferential, OneHotPopularity) {
+  // Every request on one video, as an online controller sees after an
+  // epoch of single-title traffic: every other key is 0, so the bracket
+  // search probes t = 0 and both bracket ends can reach 0.
+  for (const std::size_t m : {1u, 2u, 8u}) {
+    std::vector<double> popularity(m, 0.0);
+    popularity[0] = 1.0;
+    for (const std::size_t n : {1u, 2u, 4u, 8u}) {
+      for (std::size_t budget = m; budget <= m * n + 2; ++budget) {
+        expect_same_as_heap(popularity, n, budget);
+      }
+    }
+  }
+}
+
 TEST(AdamsDifferential, LargeCatalogue) {
   // M = 100k, N = 32, degree 3: 200,000 grants.
   expect_same_as_heap(zipf_popularity(100'000, 0.75), 32, 300'000);

@@ -1,11 +1,9 @@
 // End-to-end reconciliation of the obs layer with the library's own result
 // structs: the counters a run folds into the global registry must agree
-// bit-exactly with the AnnealResult / SimResult the same run returns, and a
-// sharded replay must export what the monolithic replay exports.
+// bit-exactly with the AnnealResult / SimResult the same run returns.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -157,21 +155,18 @@ TEST_F(ObsIntegrationTest, SimCountersReconcileWithSimResult) {
   EXPECT_EQ(snap.counters.at("sim.events.cancelled"), 0u);
 }
 
-/// One replay through simulate() at `num_shards`, exported into the
-/// cleared global registry: the returned result and what the run folded.
+/// One replay through simulate(), exported into the cleared global
+/// registry: the returned result and what the run folded.
 struct ExportedReplay {
   SimResult result;
   obs::MetricsSnapshot snap;
 };
 
 ExportedReplay replay_and_export(StoragePolicy&& policy,
-                                 const RequestTrace& trace,
-                                 std::size_t num_shards) {
+                                 const RequestTrace& trace) {
   obs::metrics().clear();
-  SimOptions options;
-  options.num_shards = num_shards;
   ExportedReplay out;
-  out.result = simulate(policy, trace, options);
+  out.result = simulate(policy, trace);
   out.snap = obs::metrics().snapshot();
   return out;
 }
@@ -193,31 +188,7 @@ void expect_export_matches_result(const ExportedReplay& run) {
   }
 }
 
-/// The sharded export against the monolithic one: the same sim.* counter
-/// names with equal values, the float gauges within the shard tier's 1e-7,
-/// and the heap high water (a sum of per-shard peaks when sharded) no lower.
-void expect_sharded_export_matches(const obs::MetricsSnapshot& mono,
-                                   const obs::MetricsSnapshot& sharded) {
-  const auto sim_counters = [](const obs::MetricsSnapshot& snap) {
-    std::map<std::string, std::uint64_t> out;
-    for (const auto& [name, value] : snap.counters) {
-      if (name.starts_with("sim.")) out.emplace(name, value);
-    }
-    return out;
-  };
-  const std::map<std::string, std::uint64_t> expected = sim_counters(mono);
-  EXPECT_TRUE(expected.contains("sim.events.departure"));
-  EXPECT_TRUE(expected.contains("sim.rejected.no_bandwidth"));
-  EXPECT_EQ(sim_counters(sharded), expected);
-  EXPECT_NEAR(sharded.gauges.at("sim.mean_imbalance_eq2"),
-              mono.gauges.at("sim.mean_imbalance_eq2"), 1e-7);
-  EXPECT_NEAR(sharded.gauges.at("sim.mean_utilization"),
-              mono.gauges.at("sim.mean_utilization"), 1e-7);
-  EXPECT_GE(sharded.gauges.at("sim.heap_high_water"),
-            mono.gauges.at("sim.heap_high_water"));
-}
-
-TEST_F(ObsIntegrationTest, ShardedSimExportMatchesMonolithic) {
+TEST_F(ObsIntegrationTest, CrashingReplaysExportTheirResults) {
   // 16 servers of five 4 Mbps streams each, two mid-peak crashes, and an
   // offered load (~120 streams) above the 80-stream cluster capacity, so
   // the replay rejects for several reasons and crashes drop streams.
@@ -254,38 +225,26 @@ TEST_F(ObsIntegrationTest, ShardedSimExportMatchesMonolithic) {
     hybrid.groups[v] = {{block, block + 1}, {block + 2, block + 3}};
   }
 
-  const ExportedReplay replicated_mono =
-      replay_and_export(ReplicatedPolicy(layout, config), trace, 1);
-  const ExportedReplay replicated_sharded =
-      replay_and_export(ReplicatedPolicy(layout, config), trace, 4);
-  const ExportedReplay hybrid_mono =
-      replay_and_export(HybridPolicy(hybrid, config), trace, 1);
-  const ExportedReplay hybrid_sharded =
-      replay_and_export(HybridPolicy(hybrid, config), trace, 4);
+  const ExportedReplay replicated =
+      replay_and_export(ReplicatedPolicy(layout, config), trace);
+  const ExportedReplay hybrid_run =
+      replay_and_export(HybridPolicy(hybrid, config), trace);
 
-  for (const ExportedReplay* run : {&replicated_mono, &replicated_sharded,
-                                    &hybrid_mono, &hybrid_sharded}) {
+  for (const ExportedReplay* run : {&replicated, &hybrid_run}) {
     expect_export_matches_result(*run);
     EXPECT_GT(run->result.disrupted, 0u);
     EXPECT_EQ(run->snap.counters.at("sim.events.failure"), 2u);
   }
   // Hybrid crashes cancel the dropped streams' departures.
-  EXPECT_GT(hybrid_mono.snap.counters.at("sim.events.cancelled"), 0u);
+  EXPECT_GT(hybrid_run.snap.counters.at("sim.events.cancelled"), 0u);
   using obs::RejectReason;
   const auto rejected_for = [](const ExportedReplay& run, RejectReason r) {
     return run.result.rejected_by_reason[static_cast<std::size_t>(r)];
   };
-  EXPECT_GT(rejected_for(replicated_mono, RejectReason::kNoBandwidth), 0u);
-  EXPECT_GT(rejected_for(replicated_mono, RejectReason::kNoReplicaAlive), 0u);
-  EXPECT_GT(rejected_for(hybrid_mono, RejectReason::kNoBandwidth), 0u);
-  EXPECT_GT(rejected_for(hybrid_mono, RejectReason::kStripeUnavailable), 0u);
-
-  expect_sharded_export_matches(replicated_mono.snap, replicated_sharded.snap);
-  // A hybrid replay runs whole at any shard count: its export is the
-  // one-shard export exactly.
-  EXPECT_EQ(hybrid_sharded.result, hybrid_mono.result);
-  EXPECT_EQ(hybrid_sharded.snap.counters, hybrid_mono.snap.counters);
-  EXPECT_EQ(hybrid_sharded.snap.gauges, hybrid_mono.snap.gauges);
+  EXPECT_GT(rejected_for(replicated, RejectReason::kNoBandwidth), 0u);
+  EXPECT_GT(rejected_for(replicated, RejectReason::kNoReplicaAlive), 0u);
+  EXPECT_GT(rejected_for(hybrid_run, RejectReason::kNoBandwidth), 0u);
+  EXPECT_GT(rejected_for(hybrid_run, RejectReason::kStripeUnavailable), 0u);
 }
 
 TEST_F(ObsIntegrationTest, ControllerCountersReconcileWithAdaptCalls) {

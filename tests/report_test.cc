@@ -347,94 +347,9 @@ TEST(RunReportValidatorTest, FlagsProfileSectionShapeProblems) {
                                    "'wall_ns' is not a non-negative integer"));
 }
 
-// Acceptance bar for the span instrumentation: a sharded run must
-// attribute >= 95% of the engine's wall time to the named phases under the
-// "sim.sharded" root (plan / setup / shard_run / epoch_merge / finish), and
-// the resulting report with an embedded profile must validate and
-// round-trip.
-TEST(RunReportProfileTest, ShardedRunProfileAccountsEngineWallTime) {
-  obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-  recorder.clear();
-  recorder.set_enabled(true);
-
-  constexpr std::size_t kServers = 4;
-  constexpr std::size_t kVideos = 12;
-  SimConfig config;
-  config.num_servers = kServers;
-  config.bandwidth_bps_per_server = units::mbps(4) * 6.0;
-  config.stream_bitrate_bps = units::mbps(4);
-  config.video_duration_sec = 300.0;
-
-  HostLists hosts(kVideos);
-  for (std::size_t v = 0; v < kVideos; ++v) {
-    hosts[v] = {v % kServers, (v + 1) % kServers};
-  }
-  const Layout layout(hosts);
-
-  Rng rng(0x8E7);
-  TraceSpec spec;
-  // Large enough (~48k requests, >= 5 ms of engine work) that the phase
-  // scopes' own clock-read overhead — the only wall time between named
-  // children — amortizes well under the 5% slack.
-  spec.arrival_rate = 20.0;
-  spec.horizon = 2400.0;
-  spec.popularity = zipf_popularity(kVideos, 0.75);
-  const RequestTrace trace = generate_trace(rng, spec);
-
-  ThreadPool pool(2);
-  SimOptions options;
-  options.num_shards = 4;
-  options.pool = &pool;
-  const SimResult result =
-      simulate(ReplicatedPolicy(layout, config), trace, options);
-  recorder.set_enabled(false);
-
-  const obs::ProfileSnapshot snap = obs::profile_snapshot(recorder);
-  const obs::PhaseStats* root = nullptr;
-  for (const obs::PhaseStats& phase : snap.phases) {
-    if (phase.name == "sim.sharded") root = &phase;
-  }
-  ASSERT_NE(root, nullptr) << "no sim.sharded root phase recorded";
-  EXPECT_EQ(root->count, 1u);
-  ASSERT_GT(root->wall_ns, 0u);
-
-  std::uint64_t child_wall = 0;
-  bool saw_plan = false, saw_shard_run = false, saw_epoch_merge = false;
-  for (const obs::PhaseStats& child : root->children) {
-    child_wall += child.wall_ns;
-    if (child.name == "plan") saw_plan = true;
-    if (child.name == "shard_run") saw_shard_run = true;
-    if (child.name == "epoch_merge") saw_epoch_merge = true;
-  }
-  EXPECT_TRUE(saw_plan);
-  EXPECT_TRUE(saw_shard_run);
-  EXPECT_TRUE(saw_epoch_merge);
-  std::string breakdown;
-  for (const obs::PhaseStats& child : root->children) {
-    breakdown += child.name + "=" + std::to_string(child.wall_ns) + "ns ";
-  }
-  EXPECT_GE(static_cast<double>(child_wall),
-            0.95 * static_cast<double>(root->wall_ns))
-      << "named phases cover only " << child_wall << " of " << root->wall_ns
-      << " ns of engine wall time: " << breakdown;
-
-  // The exported profile embeds cleanly into a run report and round-trips.
-  const JsonValue report =
-      build_run_report(config, result, /*timeline=*/nullptr,
-                       /*events=*/nullptr, JsonValue::object(),
-                       obs::profile_json(recorder));
-  const std::vector<std::string> problems = obs::validate_run_report(report);
-  EXPECT_TRUE(problems.empty()) << (problems.empty() ? "" : problems.front());
-  EXPECT_EQ(report.at("profile").at("profile_version").as_int(),
-            obs::kRunProfileVersion);
-  const JsonValue reparsed = obs::parse_json(report.dump());
-  EXPECT_TRUE(obs::validate_run_report(reparsed).empty());
-  EXPECT_EQ(reparsed.at("profile"), report.at("profile"));
-  recorder.clear();
-}
-
-// The monolithic engine's run is a span too, so a profiled simulate() at
-// one shard is never an empty profile.
+// Every simulate() is one sim.run span, so a profiled replay is never an
+// empty profile, and that profile embeds into a run report that validates
+// and round-trips.
 TEST(RunReportProfileTest, SingleShardRunProfilesSimRun) {
   SimConfig config;
   config.num_servers = 2;
@@ -452,14 +367,26 @@ TEST(RunReportProfileTest, SingleShardRunProfilesSimRun) {
   obs::TraceRecorder& recorder = obs::TraceRecorder::global();
   recorder.clear();
   recorder.set_enabled(true);
-  (void)simulate(ReplicatedPolicy(layout, config), trace, SimOptions{});
+  const SimResult result = simulate(ReplicatedPolicy(layout, config), trace);
   recorder.set_enabled(false);
   const obs::ProfileSnapshot snap = obs::profile_snapshot(recorder);
-  recorder.clear();
   ASSERT_EQ(snap.phases.size(), 1u);
   EXPECT_EQ(snap.phases[0].name, "sim.run");
   EXPECT_EQ(snap.phases[0].count, 1u);
   EXPECT_GT(snap.phases[0].wall_ns, 0u);
+
+  const JsonValue report =
+      build_run_report(config, result, /*timeline=*/nullptr,
+                       /*events=*/nullptr, JsonValue::object(),
+                       obs::profile_json(recorder));
+  recorder.clear();
+  const std::vector<std::string> problems = obs::validate_run_report(report);
+  EXPECT_TRUE(problems.empty()) << (problems.empty() ? "" : problems.front());
+  EXPECT_EQ(report.at("profile").at("profile_version").as_int(),
+            obs::kRunProfileVersion);
+  const JsonValue reparsed = obs::parse_json(report.dump());
+  EXPECT_TRUE(obs::validate_run_report(reparsed).empty());
+  EXPECT_EQ(reparsed.at("profile"), report.at("profile"));
 }
 
 TEST(AggregateResultsTest, SumsCountersAveragesMeansAndTakesPeaks) {

@@ -4,9 +4,13 @@
 
 #include <numeric>
 
+#include "src/obs/event_log.h"
+#include "src/obs/timeseries.h"
 #include "src/sim/replicated_policy.h"
 #include "src/util/error.h"
+#include "src/util/rng.h"
 #include "src/util/units.h"
+#include "src/workload/popularity.h"
 
 namespace vodrep {
 namespace {
@@ -283,6 +287,107 @@ TEST(Simulator, ConfigValidation) {
   EXPECT_THROW(config.validate(), InvalidArgumentError);
   config = basic_config();
   EXPECT_NO_THROW(config.validate());
+}
+
+// ---- the borrowed timeline and event log ----
+
+/// Four servers of three streams, a crash at t = 90 and about 100 requests
+/// over 200 s for 40 s videos: departures, rejections and a disruption all
+/// land inside the horizon.
+struct ObservedWorld {
+  SimConfig config = basic_config(4, 3 * kRate, 40.0);
+  Layout layout{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}};
+  RequestTrace trace;
+
+  ObservedWorld() {
+    config.failures = {ServerFailure{90.0, 2}};
+    TraceSpec spec;
+    spec.arrival_rate = 0.5;
+    spec.horizon = 200.0;
+    spec.popularity = zipf_popularity(5, 0.75);
+    Rng rng(0x5eed0009);
+    trace = generate_trace(rng, spec);
+  }
+};
+
+TEST(Simulator, SimulateIsOneEngineRun) {
+  // simulate() replays the whole trace on one SimEngine built from the
+  // policy's config: result, timeline and event log equal a hand-driven
+  // run's bit for bit.  The 0.25 s interval compacts the timeline, and the
+  // event log keeps only its first 40 records.
+  const ObservedWorld world;
+  const std::size_t n = world.config.num_servers;
+  obs::TimeseriesCollector run_timeline({0.25}, n);
+  obs::EventLog run_log(40);
+  SimEngine engine(world.config);
+  engine.attach_timeline(&run_timeline);
+  engine.attach_event_log(&run_log);
+  ReplicatedPolicy policy(world.layout, world.config);
+  const SimResult expected = engine.run(policy, world.trace);
+
+  obs::TimeseriesCollector timeline({0.25}, n);
+  obs::EventLog log(40);
+  const SimResult result =
+      simulate(ReplicatedPolicy(world.layout, world.config), world.trace,
+               {&timeline, &log});
+  EXPECT_EQ(result, expected);
+  EXPECT_GT(result.rejected, 0u);
+  EXPECT_GT(result.disrupted, 0u);
+  EXPECT_GT(timeline.downsample_factor(), 1u);
+  EXPECT_EQ(timeline.downsample_factor(), run_timeline.downsample_factor());
+  EXPECT_EQ(timeline.samples(), run_timeline.samples());
+  EXPECT_GT(log.dropped(), 0u);
+  EXPECT_EQ(log.seen(), run_log.seen());
+  EXPECT_EQ(log.dropped(), run_log.dropped());
+  EXPECT_EQ(log.records(), run_log.records());
+}
+
+TEST(Simulator, SecondReplayAppendsIntoOffsetCollectors) {
+  // What vodrep_plan --online-epochs does: two replays append into one
+  // timeline and event log, the second at a time offset of one horizon.
+  // The collectors never change a result, and the second epoch's samples
+  // and records are the first's, shifted by the horizon: the 1 s grid
+  // divides the horizon, and 401 samples need no compaction.
+  const ObservedWorld world;
+  const double horizon = world.trace.horizon;
+  const SimResult alone =
+      simulate(ReplicatedPolicy(world.layout, world.config), world.trace);
+  obs::TimeseriesCollector timeline({1.0}, world.config.num_servers);
+  obs::EventLog log(2 * world.trace.size());
+  std::size_t first_samples = 0;
+  for (const double offset : {0.0, horizon}) {
+    timeline.set_time_offset(offset);
+    log.set_time_offset(offset);
+    EXPECT_EQ(simulate(ReplicatedPolicy(world.layout, world.config),
+                       world.trace, {&timeline, &log}),
+              alone);
+    if (offset == 0.0) first_samples = timeline.size();
+  }
+  ASSERT_EQ(timeline.downsample_factor(), 1u);
+  ASSERT_EQ(timeline.size(), 2 * first_samples - 1);
+  for (std::size_t i = first_samples; i < timeline.size(); ++i) {
+    obs::TimeSample shifted = timeline.sample(i - first_samples + 1);
+    shifted.time += horizon;
+    EXPECT_TRUE(timeline.sample(i) == shifted) << "sample " << i;
+  }
+  const std::size_t n = world.trace.size();
+  ASSERT_EQ(log.records().size(), 2 * n);
+  for (std::size_t k = 0; k < n; ++k) {
+    obs::RequestRecord shifted = log.records()[k];
+    shifted.arrival_time += horizon;
+    EXPECT_EQ(log.records()[n + k], shifted) << "record " << k;
+  }
+}
+
+TEST(Simulator, TimelineSizedForAnotherServerCountIsRejected) {
+  // Every sample copies all N utilizations into the collector, so one
+  // built for fewer servers would be written past its end.
+  const ObservedWorld world;
+  obs::TimeseriesCollector timeline({1.0}, world.config.num_servers - 1);
+  EXPECT_THROW(
+      (void)simulate(ReplicatedPolicy(world.layout, world.config), world.trace,
+                     {&timeline, nullptr}),
+      InvalidArgumentError);
 }
 
 }  // namespace

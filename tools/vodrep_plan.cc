@@ -13,7 +13,6 @@
 //
 //   # inspect an existing layout
 //   vodrep_plan --inspect=layout.txt
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -21,7 +20,6 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "src/audit/audit.h"
@@ -170,7 +168,7 @@ class ObsExports {
 // count, and a zero --bitrate-mbps sizes the report's arrival rate to
 // infinity.
 void validate_numeric_flags(const CliFlags& flags) {
-  for (const char* name : {"servers", "videos", "event-log-cap", "sim-shards",
+  for (const char* name : {"servers", "videos", "event-log-cap",
                            "sa-temp-steps", "sa-moves", "sa-swap-period"}) {
     require(flags.get_int(name) >= 1,
             [&] { return std::string("--") + name + " must be >= 1"; });
@@ -207,32 +205,15 @@ PrefixCacheOptions make_cache_options(const CliFlags& flags) {
 
 // Runs the evaluate/report simulation of the replicated organization,
 // fronted under --prefix-cache by an edge prefix-cache tier.
-// --sim-shards 1 (the default) is the monolithic SimEngine; larger values
-// route a tier-less replay over up to that many shards, one per server at
-// most, on a pool of at most one worker per hardware thread, and replay
-// everything else whole (src/sim/sharded_engine.h).  The result is
-// invariant in the shard count (tests/sim_shard_invariance_test.cc), so the
-// flag is purely a throughput knob on multicore machines.
 SimResult run_sim(const CliFlags& flags, const Layout& layout,
                   const SimConfig& config, const RequestTrace& trace,
                   obs::TimeseriesCollector* timeline,
                   obs::EventLog* event_log) {
-  SimOptions options;
-  options.num_shards = static_cast<std::size_t>(flags.get_int("sim-shards"));
-  options.timeline = timeline;
-  options.event_log = event_log;
-  const std::size_t threads = std::min<std::size_t>(
-      options.num_shards, std::max(1u, std::thread::hardware_concurrency()));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    options.pool = pool.get();
-  }
   ReplicatedPolicy policy(layout, config,
                           flags.get_bool("prefix-cache")
                               ? make_cache_options(flags)
                               : PrefixCacheOptions{});
-  return simulate(policy, trace, options);
+  return simulate(policy, trace, {timeline, event_log});
 }
 
 void print_cache_summary(const CliFlags& flags, const SimResult& result) {
@@ -290,11 +271,6 @@ int run(int argc, char** argv) {
                    "report simulation arrival rate in requests/sec "
                    "(0 = auto-size to ~90% cluster stream capacity)");
   flags.add_int("sim-seed", 2002, "report simulation trace seed");
-  flags.add_int("sim-shards", 1,
-                "shard the evaluate/report simulation across up to this many "
-                "worker threads (1 = monolithic engine; a replay behind a "
-                "live --prefix-cache tier runs whole; the result is "
-                "invariant in the shard count)");
   flags.add_double("timeline-interval", 0.0,
                    "report timeline sampling interval in seconds "
                    "(0 = horizon / 64)");
