@@ -1,7 +1,9 @@
 // Compiled only with VODREP_NO_OBS_HOOKS (see obs_baseline.h): SimEngine,
-// ReplicatedPolicy and anneal() below resolve to the hook-free build.
+// ReplicatedPolicy and anneal_parallel_tempering() below resolve to the
+// hook-free build.
 #include "bench/obs_baseline.h"
 
+#include "src/anneal/parallel_tempering.h"
 #include "src/sim/replicated_policy.h"
 
 #if !defined(VODREP_NO_OBS_HOOKS)
@@ -18,8 +20,9 @@ SimResult replay_without_hooks(const Layout& layout, const SimConfig& config,
 }
 
 AnnealResult<ScalableSolution> anneal_without_hooks(
-    const ScalableSaProblem& problem, Rng& rng, const AnnealOptions& options) {
-  return anneal(problem, rng, options);
+    const ScalableSaProblem& problem, std::uint64_t seed,
+    const AnnealOptions& options) {
+  return anneal_parallel_tempering(problem, seed, 1, options);
 }
 
 }  // namespace vodrep

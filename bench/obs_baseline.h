@@ -3,7 +3,8 @@
 // bench/CMakeLists.txt compiles obs_baseline.cc together with the library's
 // src/sim/engine.cc and src/sim/replicated_policy.cc a second time with
 // VODREP_NO_OBS_HOOKS, which also strips the trace scopes from
-// src/anneal/annealer.h (src/obs/hooks.h).  replay_without_hooks and
+// src/anneal/annealer.h and src/anneal/parallel_tempering.h
+// (src/obs/hooks.h).  replay_without_hooks and
 // anneal_without_hooks are that build's entry points.  Their signatures use
 // only types both builds share, so vodrep_sim_hotpath and vodrep_sa_hotpath
 // call them next to the library and time both in one process with
@@ -14,12 +15,12 @@
 #include <array>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 
 #include "src/anneal/annealer.h"
 #include "src/core/layout.h"
 #include "src/core/sa_solver.h"
 #include "src/sim/engine.h"
-#include "src/util/rng.h"
 #include "src/workload/trace.h"
 
 namespace vodrep {
@@ -29,9 +30,11 @@ namespace vodrep {
                                              const SimConfig& config,
                                              const RequestTrace& trace);
 
-/// anneal(problem, rng, options), built without hooks.
+/// anneal_parallel_tempering(problem, seed, 1, options), the one chain
+/// solve_scalable runs at chains = 1, built without hooks.
 [[nodiscard]] AnnealResult<ScalableSolution> anneal_without_hooks(
-    const ScalableSaProblem& problem, Rng& rng, const AnnealOptions& options);
+    const ScalableSaProblem& problem, std::uint64_t seed,
+    const AnnealOptions& options);
 
 /// The guards' timing discipline: times `side0` against `side1`, two runs
 /// of the same work.  Every rep runs both back to back and swaps which goes

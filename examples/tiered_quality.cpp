@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
     problem.expected_peak_requests = 30.0 * 90.0;  // 30 req/min peak
 
     SaSolverOptions options;
-    options.anneal.initial_temperature = 1.0;
     options.anneal.moves_per_temperature = 150;
     options.anneal.stall_steps = 30;
 

@@ -1,4 +1,5 @@
-// Parallel tempering (replica exchange) on top of the AnnealChain engine.
+// Parallel tempering (replica exchange) on top of the AnnealChain engine:
+// the engine's one driver.  One chain is K = 1, which runs no exchange.
 //
 // K Metropolis chains run the same problem at staggered initial temperatures
 // (chain k starts at T0 * temperature_spread^k).  Every `swap_period`
@@ -38,9 +39,9 @@
 
 namespace vodrep {
 
-/// Deterministic per-chain seed.  Chain 0 reuses `base_seed` verbatim so a
-/// one-chain tempering run reproduces anneal(problem, Rng(base_seed), ...)
-/// bit for bit (the K=1 equivalence tests pin this).
+/// Deterministic per-chain seed.  Chain 0 reuses `base_seed` verbatim, so a
+/// one-chain run is an AnnealChain driven by hand on Rng(base_seed), bit
+/// for bit (the K=1 equivalence tests pin this).
 [[nodiscard]] inline std::uint64_t pt_chain_seed(std::uint64_t base_seed,
                                                  std::size_t chain) {
   return base_seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(chain));
@@ -93,8 +94,8 @@ VODREP_OBS_HOOKS_NS_BEGIN
 /// Runs `num_chains` tempering chains (on `pool` when provided) and returns
 /// the deterministic reduction: minimum best cost, ties to the lowest chain
 /// index.  Top-level move counters aggregate across chains;
-/// `temperature_steps`, `final_temperature`, and `trajectory` are the
-/// winning chain's own, and `chains` holds every chain's stats.
+/// `temperature_steps` and `final_temperature` are the winning chain's own,
+/// and `chains` holds every chain's stats and trajectory.
 template <AnnealProblem P>
 [[nodiscard]] AnnealResult<typename P::State> anneal_parallel_tempering(
     const P& problem, std::uint64_t base_seed, std::size_t num_chains,
@@ -178,36 +179,25 @@ template <AnnealProblem P>
     }
   }
 
-  std::vector<std::size_t> swaps_by_chain(k);
-  std::vector<AnnealResult<typename P::State>> results;
-  results.reserve(k);
-  for (std::size_t c = 0; c < k; ++c) {
-    swaps_by_chain[c] = chains[c]->swaps_accepted();
-    results.push_back(chains[c]->take_result());
-  }
-  std::size_t winner = 0;
-  for (std::size_t c = 1; c < k; ++c) {
-    if (results[c].best_cost < results[winner].best_cost) winner = c;
-  }
-
   AnnealResult<typename P::State> out;
-  out.best_cost = results[winner].best_cost;
-  out.final_temperature = results[winner].final_temperature;
-  out.temperature_steps = results[winner].temperature_steps;
-  out.trajectory = results[winner].trajectory;
-  out.winning_chain = winner;
-  out.swap_attempts = ledger.attempts();
-  out.swap_accepts = ledger.accepts();
   out.chains.reserve(k);
   for (std::size_t c = 0; c < k; ++c) {
-    out.moves_proposed += results[c].moves_proposed;
-    out.moves_accepted += results[c].moves_accepted;
-    out.moves_noop += results[c].moves_noop;
-    AnnealChainStats stats = chain_stats_of(results[c], swaps_by_chain[c]);
-    stats.trajectory = std::move(results[c].trajectory);
-    out.chains.push_back(std::move(stats));
+    out.chains.push_back(chains[c]->take_stats());
+    const AnnealChainStats& stats = out.chains.back();
+    out.moves_proposed += stats.moves_proposed;
+    out.moves_accepted += stats.moves_accepted;
+    out.moves_noop += stats.moves_noop;
+    if (stats.best_cost < out.chains[out.winning_chain].best_cost) {
+      out.winning_chain = c;
+    }
   }
-  out.best_state = std::move(results[winner].best_state);
+  const AnnealChainStats& winner = out.chains[out.winning_chain];
+  out.best_cost = winner.best_cost;
+  out.final_temperature = winner.final_temperature;
+  out.temperature_steps = winner.temperature_steps;
+  out.swap_attempts = ledger.attempts();
+  out.swap_accepts = ledger.accepts();
+  out.best_state = chains[out.winning_chain]->take_best_state();
   return out;
 }
 

@@ -13,10 +13,7 @@
 
 namespace vodrep {
 
-// The whole point of this solver is the delta-evaluation path; a silent
-// fallback to the copy-based engine loop would be a perf regression.
-static_assert(InPlaceAnnealProblem<ScalableSaProblem>);
-static_assert(DeferredBestAnnealProblem<ScalableSaProblem>);
+static_assert(AnnealProblem<ScalableSaProblem>);
 
 namespace {
 
@@ -45,9 +42,6 @@ ScalableSolution ScalableSaProblem::initial(Rng& rng) const {
 }
 
 double ScalableSaProblem::cost(const State& state) const {
-  if (obs::metrics_enabled()) {
-    full_evaluations_.fetch_add(1, std::memory_order_relaxed);
-  }
   const ServerUsage usage = compute_usage(problem_, state);
   double overflow = 0.0;
   const double capacity = problem_.cluster.bandwidth_bps_per_server;
@@ -209,18 +203,6 @@ bool ScalableSaProblem::propose_move(IncrementalState& inc,
   return try_add_replica() || try_increase_rate();
 }
 
-ScalableSolution ScalableSaProblem::neighbor(const State& state,
-                                             Rng& rng) const {
-  // Copy-based entry point (kept for the AnnealProblem concept, calibration,
-  // and tests): runs the same move + repair as the in-place path against a
-  // freshly built incremental state.
-  IncrementalState inc(problem_, state);
-  std::vector<std::uint32_t> candidates;
-  if (!propose_move(inc, candidates, rng)) return state;  // saturated server
-  if (!repair_incremental(inc)) return state;             // irreparable
-  return inc.to_solution();
-}
-
 ScalableSaProblem::Scratch ScalableSaProblem::make_scratch(State state) const {
   Scratch scratch{IncrementalState(problem_, std::move(state)), 0, 0.0, 0.0,
                   0,   0.0, {}, {}};
@@ -294,36 +276,25 @@ void ScalableSaProblem::revert(Scratch& scratch) const {
   scratch.state.rollback(scratch.mark);
 }
 
-ScalableSolution ScalableSaProblem::extract(const Scratch& scratch) const {
-  return scratch.state.to_solution();
-}
-
 ScalableSolution ScalableSaProblem::extract_best(Scratch& scratch) const {
   if (scratch.best_snapshot) return std::move(*scratch.best_snapshot);
   scratch.state.rollback(scratch.best_mark);
   return scratch.state.to_solution();
 }
 
-ScalableSaProblem::EvalCounts ScalableSaProblem::eval_counts() const {
-  return EvalCounts{full_evaluations_.load(std::memory_order_relaxed),
-                    repairs_.load(std::memory_order_relaxed)};
+std::uint64_t ScalableSaProblem::repairs() const {
+  return repairs_.load(std::memory_order_relaxed);
 }
 
 SaSolverResult solve_scalable(const ScalableProblem& problem,
                               std::uint64_t seed,
                               const SaSolverOptions& options,
                               ThreadPool* pool) {
-  require(options.chains >= 1, "solve_scalable: need at least one chain");
   VODREP_TRACE_SCOPE("sa.solve");
   const ScalableSaProblem sa_problem(problem, options);
   SaSolverResult result;
-  if (options.chains == 1) {
-    Rng rng(seed);
-    result.anneal = anneal(sa_problem, rng, options.anneal);
-  } else {
-    result.anneal = anneal_parallel_tempering(sa_problem, seed, options.chains,
-                                              options.anneal, pool);
-  }
+  result.anneal = anneal_parallel_tempering(sa_problem, seed, options.chains,
+                                            options.anneal, pool);
   {
     VODREP_TRACE_SCOPE("extract");
     result.solution = result.anneal.best_state;
@@ -344,9 +315,7 @@ SaSolverResult solve_scalable(const ScalableProblem& problem,
     registry.counter("sa.moves_noop").add(result.anneal.moves_noop);
     registry.counter("sa.temperature_steps")
         .add(result.anneal.temperature_steps);
-    const ScalableSaProblem::EvalCounts evals = sa_problem.eval_counts();
-    registry.counter("sa.evaluations_full").add(evals.full_evaluations);
-    registry.counter("sa.repairs").add(evals.repairs);
+    registry.counter("sa.repairs").add(sa_problem.repairs());
     registry.gauge("sa.best_objective").set(result.objective);
     registry.gauge("sa.final_temperature")
         .set(result.anneal.final_temperature);

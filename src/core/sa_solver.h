@@ -48,11 +48,11 @@ inline constexpr std::size_t kSaJournalTrimEntries = std::size_t{1} << 16;
 
 struct SaSolverOptions {
   AnnealOptions anneal;
-  /// Annealing chains.  With chains > 1 solve_scalable runs parallel
-  /// tempering — coupled chains at staggered temperatures with periodic
-  /// replica exchanges every anneal.swap_period steps (see
-  /// src/anneal/parallel_tempering.h) — on `pool` when provided.  Output is
-  /// deterministic in the seed regardless of thread count.
+  /// Parallel-tempering chains: coupled chains at staggered temperatures
+  /// with periodic replica exchanges every anneal.swap_period steps (see
+  /// src/anneal/parallel_tempering.h), on `pool` when provided.  One chain
+  /// runs no exchange.  Output is deterministic in the seed regardless of
+  /// thread count.
   std::size_t chains = 1;
   /// Probability of proposing an explicit shrink move (lower one hosted
   /// video's rate or drop one of its replicas) instead of a growth move.
@@ -72,9 +72,9 @@ struct SaSolverResult {
   AnnealResult<ScalableSolution> anneal;  ///< engine instrumentation
 };
 
-/// Mutable per-chain working set for the in-place annealing path: the live
-/// incremental state plus the transaction bookkeeping of the tentatively
-/// applied move and reusable candidate buffers (no per-move allocation).
+/// Mutable per-chain working set of the annealer: the live incremental
+/// state plus the transaction bookkeeping of the tentatively applied move
+/// and reusable candidate buffers (no per-move allocation).
 /// `cost_before` caches the cost of the committed configuration across
 /// moves — make_scratch seeds it and commit() refreshes it from the move's
 /// own delta evaluation, so the engine pays exactly one cost evaluation per
@@ -86,10 +86,10 @@ struct SaScratch {
   /// The tentative move's cost, written by delta_cost() (const in the
   /// engine's concept, hence mutable) and promoted to cost_before on commit.
   mutable double cost_after = 0.0;
-  /// Deferred best tracking (DeferredBestAnnealProblem): the journal is kept
-  /// alive across commits, best_mark points at the best configuration seen
-  /// by this walker, and extract_best() rolls back to it once at the end —
-  /// so a new best costs O(1) instead of an O(M) solution snapshot.
+  /// Deferred best tracking: the journal is kept alive across commits,
+  /// best_mark points at the best configuration seen by this walker, and
+  /// extract_best() rolls back to it once at the end — so a new best costs
+  /// O(1) instead of an O(M) solution snapshot.
   /// commit() bounds the journal (kSaJournalTrimEntries,
   /// kSaJournalTailPerVideo): a tail that grows too long behind best_mark
   /// becomes `best_snapshot` and the journal is dropped.  A replica
@@ -102,11 +102,8 @@ struct SaScratch {
   std::vector<std::uint32_t> candidates;
 };
 
-/// The AnnealProblem adapter; exposed so tests can exercise the neighborhood
-/// and repair logic directly.  Implements both the classic copy-based
-/// concept (initial/cost/neighbor) and the in-place move API
-/// (make_scratch/propose/delta_cost/commit/revert/extract) the engine
-/// prefers — see InPlaceAnnealProblem in src/anneal/annealer.h.
+/// The AnnealProblem adapter (src/anneal/annealer.h); exposed so tests can
+/// exercise the neighborhood and repair logic directly.
 class ScalableSaProblem {
  public:
   using State = ScalableSolution;
@@ -116,8 +113,9 @@ class ScalableSaProblem {
                     const SaSolverOptions& options);
 
   [[nodiscard]] State initial(Rng& rng) const;
+  /// Full recompute of a solution's cost: a chain's starting cost, and the
+  /// tests' reference for delta_cost().
   [[nodiscard]] double cost(const State& state) const;
-  [[nodiscard]] State neighbor(const State& state, Rng& rng) const;
 
   /// Brings `state` back within the storage constraint (hard) and as far
   /// within the bandwidth constraint as possible (soft), touching only
@@ -135,23 +133,16 @@ class ScalableSaProblem {
   [[nodiscard]] double delta_cost(const Scratch& scratch) const;
   void commit(Scratch& scratch) const;
   void revert(Scratch& scratch) const;
-  [[nodiscard]] State extract(const Scratch& scratch) const;
-  /// DeferredBestAnnealProblem hook: returns the best snapshot, or rolls
-  /// the scratch back to the best configuration its journal has seen and
-  /// materializes it.  Consumes the scratch (call once, at the end of a
-  /// chain).
+  /// Returns the best snapshot, or rolls the scratch back to the best
+  /// configuration its journal has seen and materializes it.  Consumes the
+  /// scratch (call once, at the end of a chain).
   [[nodiscard]] State extract_best(Scratch& scratch) const;
 
-  /// Evaluation-path instrumentation, summed across every chain driving this
-  /// problem: full cost() recomputes and repair invocations.  Counted only
-  /// while obs::metrics_enabled().  delta_cost() is not counted: the
-  /// in-place engine evaluates exactly one delta per proposed move, which
-  /// AnnealResult::moves_proposed already reports.
-  struct EvalCounts {
-    std::uint64_t full_evaluations = 0;
-    std::uint64_t repairs = 0;
-  };
-  [[nodiscard]] EvalCounts eval_counts() const;
+  /// Repair invocations, summed across every chain driving this problem;
+  /// counted only while obs::metrics_enabled().  Evaluations are not
+  /// counted: each chain computes one full cost() at its start and one
+  /// delta per proposed move, which AnnealResult::moves_proposed reports.
+  [[nodiscard]] std::uint64_t repairs() const;
 
  private:
   [[nodiscard]] double incremental_cost(const IncrementalState& inc) const;
@@ -165,16 +156,15 @@ class ScalableSaProblem {
 
   const ScalableProblem& problem_;
   SaSolverOptions options_;
-  // Shared across chains; relaxed atomics (counts, no ordering needed).
-  // Note these make the problem non-copyable, which solve_scalable and the
-  // benches never need.
-  mutable std::atomic<std::uint64_t> full_evaluations_{0};
+  // Shared across chains; a relaxed atomic (a count, no ordering needed).
+  // It makes the problem non-copyable, which solve_scalable and the benches
+  // never need.
   mutable std::atomic<std::uint64_t> repairs_{0};
 };
 
-/// Runs the annealer with `seed` and returns the best configuration found.
-/// With options.chains > 1 the chains run parallel tempering on `pool` when
-/// given; output is deterministic in `seed` regardless of thread count.
+/// Runs parallel tempering with `seed` over options.chains chains (on `pool`
+/// when given) and returns the best configuration found; output is
+/// deterministic in `seed` regardless of thread count.
 [[nodiscard]] SaSolverResult solve_scalable(const ScalableProblem& problem,
                                             std::uint64_t seed,
                                             const SaSolverOptions& options = {},

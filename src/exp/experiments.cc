@@ -351,7 +351,6 @@ std::vector<Section> sa_scalable(Grid grid, ThreadPool& pool) {
   problem.weights.beta = 1.0;
 
   SaSolverOptions options;
-  options.anneal.initial_temperature = 1.0;
   options.anneal.moves_per_temperature = quick ? 60 : 400;
   options.anneal.final_temperature = 1e-3;
   options.anneal.stall_steps = quick ? 15 : 60;

@@ -98,9 +98,7 @@ struct PrefixCacheOptions {
   CacheEvictionPolicy eviction = CacheEvictionPolicy::kLru;
   /// Total edge capacity in bytes; 0 (the default) means no tier at all.
   double capacity_bytes = 0.0;
-  /// Per-video stored prefix fraction in (0, 1]; empty applies
-  /// `uniform_prefix_fraction` to every video.
-  std::vector<double> prefix_fraction;
+  /// Stored prefix fraction of every video, in (0, 1].
   double uniform_prefix_fraction = 0.25;
 };
 

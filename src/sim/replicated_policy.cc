@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "src/util/error.h"
 #include "src/util/units.h"
@@ -13,24 +12,13 @@ VODREP_OBS_HOOKS_NS_BEGIN
 
 namespace {
 
-bool valid_fraction(double f) {
-  return std::isfinite(f) && f > 0.0 && f <= 1.0;
-}
-
-/// Validates the tier options against the catalogue without allocating.
-void validate_tier(const PrefixCacheOptions& options, std::size_t num_videos) {
+/// Validates the tier options without allocating.
+void validate_tier(const PrefixCacheOptions& options) {
   require(std::isfinite(options.capacity_bytes) &&
               options.capacity_bytes >= 0.0,
           "ReplicatedPolicy: cache capacity must be finite and non-negative");
-  if (options.prefix_fraction.empty()) {
-    require(valid_fraction(options.uniform_prefix_fraction),
-            "ReplicatedPolicy: prefix fraction must be in (0, 1]");
-    return;
-  }
-  require(options.prefix_fraction.size() == num_videos,
-          "ReplicatedPolicy: prefix-fraction size mismatch");
-  require(std::all_of(options.prefix_fraction.begin(),
-                      options.prefix_fraction.end(), valid_fraction),
+  const double fraction = options.uniform_prefix_fraction;
+  require(std::isfinite(fraction) && fraction > 0.0 && fraction <= 1.0,
           "ReplicatedPolicy: prefix fraction must be in (0, 1]");
 }
 
@@ -44,21 +32,15 @@ ReplicatedPolicy::ReplicatedPolicy(const Layout& layout,
       dispatcher_(layout, config.redirect, config.backbone_bps,
                   config.batching_window_sec, config.video_duration_sec,
                   config.batching_mode) {
-  const std::size_t num_videos = layout.num_videos();
-  validate_tier(cache, num_videos);
+  validate_tier(cache);
   if (cache.capacity_bytes <= 0.0) return;
-  std::vector<double> fractions = cache.prefix_fraction;
-  if (fractions.empty()) {
-    fractions.assign(num_videos, cache.uniform_prefix_fraction);
-  }
+  const double fraction = cache.uniform_prefix_fraction;
   const double whole = units::video_bytes(config_.video_duration_sec,
                                           config_.stream_bitrate_bps);
-  std::vector<double> entry_bytes;
-  entry_bytes.reserve(num_videos);
-  for (const double f : fractions) entry_bytes.push_back(whole * f);
-  tier_.emplace(std::move(fractions),
+  tier_.emplace(fraction,
                 PrefixCache(cache.eviction, cache.capacity_bytes,
-                            std::move(entry_bytes)));
+                            std::vector<double>(layout.num_videos(),
+                                                whole * fraction)));
 }
 
 void ReplicatedPolicy::bind(SimEngine& engine) {
@@ -96,8 +78,7 @@ PolicyDecision ReplicatedPolicy::dispatch(const Request& request) {
     cache_miss = !tier_->cache.lookup(request.video);
     if (!cache_miss) {
       const double past_prefix =
-          std::max(0.0, request.watch_fraction -
-                            tier_->prefix_fraction[request.video]);
+          std::max(0.0, request.watch_fraction - tier_->prefix_fraction);
       origin_sec = past_prefix * config_.video_duration_sec;
       if (origin_sec <= 0.0) {
         // The viewer stopped inside the cached prefix: served entirely from

@@ -70,7 +70,7 @@ class ReplicatedPolicy final : public StoragePolicy {
 
   /// The edge tier, present only with a positive capacity.
   struct EdgeTier {
-    std::vector<double> prefix_fraction;  ///< size M, each in (0, 1]
+    double prefix_fraction = 0.0;  ///< of every video, in (0, 1]
     PrefixCache cache;
   };
 

@@ -76,7 +76,6 @@ TEST_F(ObsIntegrationTest, SaCountersReconcileWithAnnealResult) {
             result.anneal.temperature_steps);
   EXPECT_LE(snap.counters.at("sa.moves_accepted"),
             snap.counters.at("sa.moves_proposed"));
-  EXPECT_GE(snap.counters.at("sa.evaluations_full"), 1u);
   EXPECT_DOUBLE_EQ(snap.gauges.at("sa.best_objective"), result.objective);
   EXPECT_DOUBLE_EQ(snap.gauges.at("sa.final_temperature"),
                    result.anneal.final_temperature);
@@ -326,15 +325,16 @@ TEST_F(ObsIntegrationTest, TraceCapturesSolveAndSimSpans) {
   options.anneal.moves_per_temperature = 20;
   options.anneal.final_temperature = 0.1;
   (void)solve_scalable(small_problem(), 4, options);
+  // A single-chain solve runs the one driver, so its span is sa.pt.
   bool saw_solve = false;
-  bool saw_anneal = false;
+  bool saw_pt = false;
   for (const obs::TraceEvent& event :
        obs::TraceRecorder::global().events()) {
     if (std::string_view(event.name) == "sa.solve") saw_solve = true;
-    if (std::string_view(event.name) == "anneal.run") saw_anneal = true;
+    if (std::string_view(event.name) == "sa.pt") saw_pt = true;
   }
   EXPECT_TRUE(saw_solve);
-  EXPECT_TRUE(saw_anneal);
+  EXPECT_TRUE(saw_pt);
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/audit/audit.h"
@@ -15,60 +16,10 @@
 #include "src/util/thread_pool.h"
 #include "src/util/units.h"
 #include "src/workload/popularity.h"
+#include "tests/anneal_toy_problems.h"
 
 namespace vodrep {
 namespace {
-
-/// Same rugged 1-D landscape as annealer_test.cc: a deep global minimum at
-/// 80 hidden behind a local minimum at 20.  The hot chains of a tempering
-/// ladder cross the barrier; the cold chains refine.
-struct RuggedProblem {
-  using State = int;
-
-  State initial(Rng&) const { return 15; }
-  double cost(const State& x) const {
-    const double local = 0.5 * (x - 20.0) * (x - 20.0);
-    const double global = (x - 80.0) * (x - 80.0) - 500.0;
-    return std::min(local, global);
-  }
-  State neighbor(const State& x, Rng& rng) const {
-    const int step = static_cast<int>(rng.uniform_index(21)) - 10;
-    return x + step;
-  }
-};
-
-/// In-place quadratic with a floor at 0 (same as annealer_test.cc) to cover
-/// the scratch-owning exchange path.
-struct InPlaceQuadratic {
-  using State = int;
-  struct Scratch {
-    int committed = 0;
-    int tentative = 0;
-  };
-
-  State initial(Rng&) const { return 60; }
-  double cost(const State& x) const {
-    const double d = static_cast<double>(x);
-    return d * d;
-  }
-  State neighbor(const State& x, Rng& rng) const {
-    return rng.bernoulli(0.5) ? x + 1 : x - 1;
-  }
-
-  Scratch make_scratch(State s) const { return {s, s}; }
-  bool propose(Scratch& s, Rng& rng) const {
-    const int candidate = s.committed + (rng.bernoulli(0.5) ? 1 : -1);
-    if (candidate < 0) return false;
-    s.tentative = candidate;
-    return true;
-  }
-  double delta_cost(const Scratch& s) const {
-    return cost(s.tentative) - cost(s.committed);
-  }
-  void commit(Scratch& s) const { s.committed = s.tentative; }
-  void revert(Scratch& s) const { s.tentative = s.committed; }
-  State extract(const Scratch& s) const { return s.committed; }
-};
 
 AnnealOptions rugged_options() {
   AnnealOptions options;
@@ -100,35 +51,47 @@ SaSolverOptions small_sa_options(std::size_t chains) {
   return options;
 }
 
-// --- K = 1 equivalence: one tempering chain IS the plain annealer ---------
+// --- K = 1 equivalence: one tempering chain IS a hand-driven chain -------
+
+/// Drives one AnnealChain on Rng(seed) to its end by hand, as the driver
+/// does for K = 1, and returns its stats and best state.
+template <typename P>
+std::pair<AnnealChainStats, typename P::State> run_by_hand(
+    const P& problem, std::uint64_t seed, const AnnealOptions& options) {
+  Rng rng(seed);  // pt_chain_seed(seed, 0) == seed
+  AnnealChain<P> chain(problem, rng, options);
+  while (chain.step()) {
+  }
+  AnnealChainStats stats = chain.take_stats();
+  return {std::move(stats), chain.take_best_state()};
+}
 
 TEST(ParallelTempering, SingleChainReproducesAnneal) {
   RuggedProblem problem;
   const AnnealOptions options = rugged_options();
-  Rng rng(0x600D);  // pt_chain_seed(base, 0) == base
-  const auto single = anneal(problem, rng, options);
+  const auto [single, best_state] = run_by_hand(problem, 0x600D, options);
   const auto tempered = anneal_parallel_tempering(problem, 0x600D, 1, options);
-  EXPECT_EQ(tempered.best_state, single.best_state);
+  EXPECT_EQ(tempered.best_state, best_state);
   EXPECT_EQ(tempered.best_cost, single.best_cost);
   EXPECT_EQ(tempered.moves_proposed, single.moves_proposed);
   EXPECT_EQ(tempered.moves_accepted, single.moves_accepted);
   EXPECT_EQ(tempered.temperature_steps, single.temperature_steps);
   EXPECT_EQ(tempered.final_temperature, single.final_temperature);
-  EXPECT_EQ(tempered.trajectory, single.trajectory);
+  ASSERT_EQ(tempered.chains.size(), 1u);
+  EXPECT_EQ(tempered.chains[0].trajectory, single.trajectory);
   EXPECT_EQ(tempered.winning_chain, 0u);
   EXPECT_EQ(tempered.swap_attempts, 0u);
 }
 
 TEST(ParallelTempering, SingleChainReproducesAnnealInPlace) {
-  InPlaceQuadratic problem;
+  FlooredProblem problem;
   AnnealOptions options;
   options.initial_temperature = 50.0;
   options.stall_steps = 0;
   options.max_temperature_steps = 150;
-  Rng rng(42);
-  const auto single = anneal(problem, rng, options);
+  const auto [single, best_state] = run_by_hand(problem, 42, options);
   const auto tempered = anneal_parallel_tempering(problem, 42, 1, options);
-  EXPECT_EQ(tempered.best_state, single.best_state);
+  EXPECT_EQ(tempered.best_state, best_state);
   EXPECT_EQ(tempered.best_cost, single.best_cost);
   EXPECT_EQ(tempered.moves_proposed, single.moves_proposed);
   EXPECT_EQ(tempered.moves_noop, single.moves_noop);
@@ -229,13 +192,17 @@ TEST(ParallelTempering, RejectsBadOptions) {
   AnnealOptions options = rugged_options();
   EXPECT_THROW((void)anneal_parallel_tempering(problem, 1, 0, options),
                InvalidArgumentError);
-  options.swap_period = 0;
-  EXPECT_THROW((void)anneal_parallel_tempering(problem, 1, 2, options),
-               InvalidArgumentError);
-  options.swap_period = 8;
-  options.temperature_spread = 0.5;
-  EXPECT_THROW((void)anneal_parallel_tempering(problem, 1, 2, options),
-               InvalidArgumentError);
+  // The ladder options are checked at every chain count, one included.
+  for (const std::size_t chains : {1u, 2u}) {
+    AnnealOptions bad = options;
+    bad.swap_period = 0;
+    EXPECT_THROW((void)anneal_parallel_tempering(problem, 1, chains, bad),
+                 InvalidArgumentError);
+    bad = options;
+    bad.temperature_spread = 0.5;
+    EXPECT_THROW((void)anneal_parallel_tempering(problem, 1, chains, bad),
+                 InvalidArgumentError);
+  }
 }
 
 TEST(ParallelTempering, ChainSeedsAreStable) {

@@ -162,28 +162,42 @@ class ObsExports {
   std::string profile_path_;
 };
 
+// Upper bound on --sa-chains.  Each chain owns an Rng and a whole
+// incremental state, so the count sizes the solve's memory; the bound sits
+// far above the 32-chain ladder DESIGN.md §5a plans with.
+constexpr long long kMaxSaChains = 256;
+
 // Rejects bad numeric flags before anything divides by or casts them: a
 // zero --servers divides by zero, a negative --degree is undefined when
 // cast to a replica budget, a negative --sa-moves wraps to an endless move
-// count, and a zero --bitrate-mbps sizes the report's arrival rate to
-// infinity.
+// count, a zero --bitrate-mbps sizes the report's arrival rate to
+// infinity, and a NaN --storage-gb passes every capacity comparison.
 void validate_numeric_flags(const CliFlags& flags) {
   for (const char* name : {"servers", "videos", "event-log-cap",
                            "sa-temp-steps", "sa-moves", "sa-swap-period"}) {
     require(flags.get_int(name) >= 1,
             [&] { return std::string("--") + name + " must be >= 1"; });
   }
-  for (const char* name :
-       {"degree", "bandwidth-gbps", "bitrate-mbps", "duration-min"}) {
+  for (const char* name : {"degree", "bandwidth-gbps", "bitrate-mbps",
+                           "duration-min", "storage-gb"}) {
     const double value = flags.get_double(name);
     require(std::isfinite(value) && value > 0.0, [&] {
       return std::string("--") + name + " must be finite and positive";
     });
   }
-  const double lambda = flags.get_double("sim-lambda");
-  require(std::isfinite(lambda) && lambda >= 0.0,
-          "--sim-lambda must be finite and non-negative");
-  require(flags.get_int("sa-chains") >= 0, "--sa-chains must be >= 0");
+  for (const char* name : {"sim-lambda", "sa-lambda"}) {
+    const double value = flags.get_double(name);
+    require(std::isfinite(value) && value >= 0.0, [&] {
+      return std::string("--") + name + " must be finite and non-negative";
+    });
+  }
+  const double spread = flags.get_double("sa-temp-spread");
+  require(std::isfinite(spread) && spread >= 1.0,
+          "--sa-temp-spread must be finite and >= 1");
+  const long long chains = flags.get_int("sa-chains");
+  require(chains >= 0 && chains <= kMaxSaChains, [&] {
+    return "--sa-chains must be in [0, " + std::to_string(kMaxSaChains) + "]";
+  });
 }
 
 // Parses the --cache-* flags into prefix-cache tier options.
@@ -437,7 +451,6 @@ int run(int argc, char** argv) {
     problem.weights.beta = 1.0;
 
     SaSolverOptions options;
-    options.anneal.initial_temperature = 1.0;
     options.anneal.final_temperature = 1e-3;
     options.anneal.max_temperature_steps =
         static_cast<std::size_t>(flags.get_int("sa-temp-steps"));

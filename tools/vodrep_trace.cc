@@ -87,6 +87,7 @@ int run(int argc, char** argv) {
     return EXIT_SUCCESS;
   }
 
+  require(flags.get_int("videos") >= 1, "--videos must be >= 1");
   TraceSpec spec;
   spec.arrival_rate = units::per_minute(flags.get_double("lambda"));
   spec.horizon = units::minutes(flags.get_double("duration-min"));
