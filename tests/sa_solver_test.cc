@@ -334,6 +334,36 @@ std::uint64_t fingerprint(const SaSolverResult& result) {
   return f.hash;
 }
 
+/// E7's problem (src/exp/experiments.cc) at any size: a 90-minute Zipf(0.75)
+/// catalogue on 1.8 Gb/s servers over a six-rate ladder.
+ScalableProblem golden_problem(std::size_t videos, std::size_t servers,
+                               double storage_gb, double peak_requests) {
+  ScalableProblem problem;
+  problem.videos.duration_sec = units::minutes(90);
+  problem.videos.popularity = zipf_popularity(videos, 0.75);
+  problem.cluster.num_servers = servers;
+  problem.cluster.bandwidth_bps_per_server = units::gbps(1.8);
+  problem.cluster.storage_bytes_per_server = units::gigabytes(storage_gb);
+  problem.ladder.rates_bps = {units::mbps(1), units::mbps(2), units::mbps(3),
+                              units::mbps(4), units::mbps(6), units::mbps(8)};
+  problem.expected_peak_requests = peak_requests;
+  problem.weights.alpha = 1.0;
+  problem.weights.beta = 1.0;
+  return problem;
+}
+
+/// E7's annealing budget: 60 moves per temperature step, stall stop at 15.
+SaSolverOptions golden_options(std::size_t chains, double shrink_probability) {
+  SaSolverOptions options;
+  options.anneal.initial_temperature = 1.0;
+  options.anneal.moves_per_temperature = 60;
+  options.anneal.final_temperature = 1e-3;
+  options.anneal.stall_steps = 15;
+  options.chains = chains;
+  options.shrink_probability = shrink_probability;
+  return options;
+}
+
 TEST(SolveScalable, GoldenFingerprints) {
   // E7's quick shape (src/exp/experiments.cc) at two storage points, one
   // chain and four, with and without explicit shrink moves.  Recorded
@@ -355,27 +385,12 @@ TEST(SolveScalable, GoldenFingerprints) {
       {120.0, 0.0, 1, 0x53a134764dea84fbULL},
       {120.0, 0.0, 4, 0x9bcee4d68dfd94f9ULL},
   };
-  ScalableProblem problem;
-  problem.videos.duration_sec = units::minutes(90);
-  problem.videos.popularity = zipf_popularity(40, 0.75);
-  problem.cluster.num_servers = 8;
-  problem.cluster.bandwidth_bps_per_server = units::gbps(1.8);
-  problem.ladder.rates_bps = {units::mbps(1), units::mbps(2), units::mbps(3),
-                              units::mbps(4), units::mbps(6), units::mbps(8)};
-  problem.expected_peak_requests = 30.0 * 90.0;
-  problem.weights.alpha = 1.0;
-  problem.weights.beta = 1.0;
   ThreadPool pool(2);
   for (const Golden& golden : goldens) {
-    problem.cluster.storage_bytes_per_server =
-        units::gigabytes(golden.storage_gb);
-    SaSolverOptions options;
-    options.anneal.initial_temperature = 1.0;
-    options.anneal.moves_per_temperature = 60;
-    options.anneal.final_temperature = 1e-3;
-    options.anneal.stall_steps = 15;
-    options.chains = golden.chains;
-    options.shrink_probability = golden.shrink_probability;
+    const ScalableProblem problem =
+        golden_problem(40, 8, golden.storage_gb, 30.0 * 90.0);
+    const SaSolverOptions options =
+        golden_options(golden.chains, golden.shrink_probability);
     for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
       const SaSolverResult result = solve_scalable(problem, 2002, options, p);
       EXPECT_EQ(fingerprint(result), golden.fingerprint)
@@ -385,6 +400,58 @@ TEST(SolveScalable, GoldenFingerprints) {
           << " chain(s), pool " << (p != nullptr);
     }
   }
+}
+
+TEST(SolveScalable, MultiBlockGoldenFingerprints) {
+  // Shapes whose servers host more than 64 videos, at E7's budget:
+  // sa-scalable's problem (benchmark/vodrep_benchmark.cc; M = 2000, N = 32,
+  // lambda*T = 14,400) and M = 400 on N = 6 at the same load per server.
+  // Recorded before the neighbourhood read per-server position sets; every
+  // solve must stay bit-identical, with and without a pool.
+  struct Golden {
+    std::size_t videos;
+    std::size_t servers;
+    double storage_gb;
+    std::size_t chains;
+    std::uint64_t fingerprint;
+  };
+  const Golden goldens[] = {
+      {2000, 32, 200.0, 1, 0x7beee87bcd9a851dULL},
+      {2000, 32, 200.0, 4, 0x23d9d1a720516b79ULL},
+      {400, 6, 200.0, 1, 0x9ce1ffb3d2177991ULL},
+      {400, 6, 200.0, 4, 0x573b4544e9e7b8d8ULL},
+      {400, 6, 400.0, 1, 0x44b726b5ca7b6083ULL},
+      {400, 6, 400.0, 4, 0x030bdef4d2a2bae9ULL},
+  };
+  ThreadPool pool(2);
+  std::size_t most_hosted = 0;
+  std::size_t most_replicas = 0;
+  for (const Golden& golden : goldens) {
+    const ScalableProblem problem =
+        golden_problem(golden.videos, golden.servers, golden.storage_gb,
+                       450.0 * static_cast<double>(golden.servers));
+    const SaSolverOptions options = golden_options(golden.chains, 0.2);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const SaSolverResult result = solve_scalable(problem, 2002, options, p);
+      EXPECT_EQ(fingerprint(result), golden.fingerprint)
+          << std::hex << "0x" << fingerprint(result) << std::dec << " at M = "
+          << golden.videos << ", N = " << golden.servers << ", "
+          << golden.storage_gb << " GB, " << golden.chains
+          << " chain(s), pool " << (p != nullptr);
+      std::vector<std::size_t> hosted(golden.servers, 0);
+      for (const std::vector<std::size_t>& servers :
+           result.solution.placement) {
+        most_replicas = std::max(most_replicas, servers.size());
+        for (const std::size_t s : servers) ++hosted[s];
+      }
+      most_hosted = std::max(
+          most_hosted, *std::max_element(hosted.begin(), hosted.end()));
+    }
+  }
+  // The goldens cross a second 64-position block boundary and the inline
+  // replica strip.
+  EXPECT_GT(most_hosted, 128u);
+  EXPECT_GT(most_replicas, std::size_t{IncrementalState::kInlineReplicas});
 }
 
 }  // namespace
