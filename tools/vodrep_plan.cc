@@ -171,7 +171,8 @@ constexpr long long kMaxSaChains = 256;
 // zero --servers divides by zero, a negative --degree is undefined when
 // cast to a replica budget, a negative --sa-moves wraps to an endless move
 // count, a zero --bitrate-mbps sizes the report's arrival rate to
-// infinity, and a NaN --storage-gb passes every capacity comparison.
+// infinity, a NaN --storage-gb passes every capacity comparison, and a
+// negative --timeline-interval would pass for its 0 default.
 void validate_numeric_flags(const CliFlags& flags) {
   for (const char* name : {"servers", "videos", "event-log-cap",
                            "sa-temp-steps", "sa-moves", "sa-swap-period"}) {
@@ -185,7 +186,7 @@ void validate_numeric_flags(const CliFlags& flags) {
       return std::string("--") + name + " must be finite and positive";
     });
   }
-  for (const char* name : {"sim-lambda", "sa-lambda"}) {
+  for (const char* name : {"sim-lambda", "sa-lambda", "timeline-interval"}) {
     const double value = flags.get_double(name);
     require(std::isfinite(value) && value >= 0.0, [&] {
       return std::string("--") + name + " must be finite and non-negative";
