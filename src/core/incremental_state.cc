@@ -1,6 +1,7 @@
 #include "src/core/incremental_state.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "src/util/check.h"
@@ -11,6 +12,12 @@ namespace vodrep {
 
 namespace {
 constexpr std::size_t kIndexLimit = 0xffffffffULL;
+
+/// Index of the k-th (0-based) set bit of `word`, which has more than k.
+int select_bit(std::uint64_t word, std::size_t k) {
+  for (; k > 0; --k) word &= word - 1;
+  return std::countr_zero(word);
+}
 }  // namespace
 
 IncrementalState::IncrementalState(const ScalableProblem& problem,
@@ -70,6 +77,20 @@ IncrementalState::IncrementalState(const ScalableProblem& problem,
     }
     rate_sum_mbps_ += slot_mbps_[idx];
     replica_sum_ += servers.size();
+  }
+
+  block_words_ = problem.ladder.size() + 1;
+  position_bits_.resize(num_servers_);
+  for (std::uint32_t s = 0; s < num_servers_; ++s) {
+    const std::vector<std::uint32_t>& hosted = server_videos_[s];
+    position_bits_[s].assign((hosted.size() + 63) / 64 * block_words_, 0);
+    for (std::uint32_t p = 0; p < hosted.size(); ++p) {
+      const std::uint32_t video = hosted[p];
+      flip_position(s, p, bitrate_index_[video]);
+      if (bitrate_index_[video] == 0 && replica_count_[video] == 1) {
+        flip_position(s, p, pinned_word());
+      }
+    }
   }
 
   for (std::size_t s = 0; s < num_servers_; ++s) {
@@ -195,6 +216,62 @@ void IncrementalState::remove_replica_at(std::uint32_t video,
   replica_count_[video] = count - 1;
 }
 
+void IncrementalState::flip_position(std::uint32_t server, std::uint32_t pos,
+                                     std::size_t word) {
+  position_bits_[server][pos / 64 * block_words_ + word] ^= std::uint64_t{1}
+                                                            << (pos % 64);
+}
+
+std::size_t IncrementalState::count_clear(std::size_t server,
+                                          std::size_t word) const {
+  const std::vector<std::uint64_t>& bits = position_bits_[server];
+  std::size_t set = 0;
+  for (std::size_t w = word; w < bits.size(); w += block_words_) {
+    set += static_cast<std::size_t>(std::popcount(bits[w]));
+  }
+  return server_videos_[server].size() - set;
+}
+
+std::uint32_t IncrementalState::kth_clear(std::size_t server,
+                                          std::size_t word,
+                                          std::size_t k) const {
+  VODREP_DCHECK_LT(k, count_clear(server, word),
+                   "position set: pick index out of range");
+  const std::vector<std::uint64_t>& bits = position_bits_[server];
+  const std::vector<std::uint32_t>& hosted = server_videos_[server];
+  for (std::size_t base = 0;; base += 64) {
+    std::uint64_t clear = ~bits[base / 64 * block_words_ + word];
+    const std::size_t size = hosted.size() - base;
+    if (size < 64) clear &= (std::uint64_t{1} << size) - 1;
+    const auto count = static_cast<std::size_t>(std::popcount(clear));
+    if (k < count) {
+      return hosted[base + static_cast<std::size_t>(select_bit(clear, k))];
+    }
+    k -= count;
+  }
+}
+
+std::uint32_t IncrementalState::cheapest_sheddable(std::size_t server) const {
+  const std::vector<std::uint64_t>& bits = position_bits_[server];
+  const std::vector<std::uint32_t>& hosted = server_videos_[server];
+  const std::size_t pinned = pinned_word();
+  for (std::size_t slot = 0; slot < pinned; ++slot) {
+    bool found = false;
+    std::uint32_t pick = 0;
+    for (std::size_t b = 0; b < bits.size(); b += block_words_) {
+      const std::size_t base = b / block_words_ * 64;
+      for (std::uint64_t w = bits[b + slot] & ~bits[b + pinned]; w != 0;
+           w &= w - 1) {
+        pick = std::max(pick, hosted[base + static_cast<std::size_t>(
+                                                std::countr_zero(w))]);
+        found = true;
+      }
+    }
+    if (found) return pick;
+  }
+  return kNoVideo;
+}
+
 void IncrementalState::add_load(std::size_t server, double delta) {
   const double cap = bandwidth_cap_bps_;
   const double before = bandwidth_bps_[server];
@@ -250,15 +327,20 @@ void IncrementalState::apply_set_bitrate(std::uint32_t video,
   if (prev == ladder_index) return;
   if (journal) journal_.push_back({Op::kSetBitrate, video, prev});
 
-  const std::span<const std::uint32_t> servers = replicas_of(video);
-  const auto replicas = static_cast<double>(servers.size());
+  const std::uint32_t count = replica_count_[video];
+  const auto [servers, positions] = replica_arrays(video);
   const double delta_bytes = slot_bytes_[ladder_index] - slot_bytes_[prev];
-  const double delta_bps = peak_requests_[video] / replicas *
+  const double delta_bps = peak_requests_[video] / static_cast<double>(count) *
                            (problem_->ladder.rates_bps[ladder_index] -
                             problem_->ladder.rates_bps[prev]);
-  for (std::uint32_t s : servers) {
-    add_storage(s, delta_bytes);
-    add_load(s, delta_bps);
+  // A lone replica is pinned exactly while it sits at slot 0.
+  const bool repin = count == 1 && (prev == 0 || ladder_index == 0);
+  for (std::uint32_t j = 0; j < count; ++j) {
+    add_storage(servers[j], delta_bytes);
+    add_load(servers[j], delta_bps);
+    flip_position(servers[j], positions[j], prev);
+    flip_position(servers[j], positions[j], ladder_index);
+    if (repin) flip_position(servers[j], positions[j], pinned_word());
   }
   rate_sum_mbps_ += slot_mbps_[ladder_index] - slot_mbps_[prev];
   bitrate_index_[video] = ladder_index;
@@ -278,8 +360,16 @@ void IncrementalState::apply_add_replica(std::uint32_t video,
   for (std::uint32_t s : replicas_of(video)) add_load(s, per_new - per_old);
   add_storage(server, slot_bytes_[idx]);
   add_load(server, per_new);
-  push_replica(video, server,
-               static_cast<std::uint32_t>(server_videos_[server].size()));
+  if (replica_count_[video] == 1 && idx == 0) {
+    // The lone replica gains a sibling, so it can be dropped now.
+    const auto [servers, positions] = replica_arrays(video);
+    flip_position(servers[0], positions[0], pinned_word());
+  }
+  const auto pos = static_cast<std::uint32_t>(server_videos_[server].size());
+  std::vector<std::uint64_t>& bits = position_bits_[server];
+  if (pos % 64 == 0) bits.resize(bits.size() + block_words_, 0);
+  flip_position(server, pos, idx);
+  push_replica(video, server, pos);
   server_videos_[server].push_back(video);
   ++replica_sum_;
 }
@@ -309,9 +399,14 @@ void IncrementalState::apply_drop_replica(std::uint32_t video,
                    "drop_replica: reverse index position out of range");
   VODREP_DCHECK_EQ(hosted[pos], video,
                    "drop_replica: reverse index points at the wrong video");
-  const std::uint32_t moved = hosted.back();
+  const auto last = static_cast<std::uint32_t>(hosted.size() - 1);
+  const std::uint32_t moved = hosted[last];
   hosted[pos] = moved;
   hosted.pop_back();
+  // The position sets mirror the swap-remove: clear the hole (a video with
+  // two or more replicas is never pinned), then move the last position's
+  // bits into it.
+  flip_position(server, pos, idx);
   if (moved != video) {
     // Tell the moved video's replica entry about its new position.
     auto [servers, positions] = replica_arrays(moved);
@@ -321,6 +416,20 @@ void IncrementalState::apply_drop_replica(std::uint32_t video,
                      "drop_replica: swap-removed video not hosted here");
     positions[moved_index] = pos;
     (void)servers;
+    const std::uint32_t moved_slot = bitrate_index_[moved];
+    flip_position(server, last, moved_slot);
+    flip_position(server, pos, moved_slot);
+    if (moved_slot == 0 && replica_count_[moved] == 1) {
+      flip_position(server, last, pinned_word());
+      flip_position(server, pos, pinned_word());
+    }
+  }
+  std::vector<std::uint64_t>& bits = position_bits_[server];
+  if (last % 64 == 0) bits.resize(bits.size() - block_words_);
+  if (replica_count_[video] == 1 && idx == 0) {
+    // The remaining replica is the video's last: pinned.
+    const auto [servers, positions] = replica_arrays(video);
+    flip_position(servers[0], positions[0], pinned_word());
   }
   if (hosted.empty()) {
     // An empty server's usage is exactly zero; snap there so add/sub drift

@@ -20,6 +20,11 @@
 //     be 8 GB at the north-star scale);
 //   * a server -> hosted-videos reverse index (swap-remove, O(1) updates) so
 //     neighborhood generation never rescans the placement of all M videos;
+//   * per-server position sets over that index, one bitset per ladder slot
+//     and one of the pinned videos (slot 0 with a single replica: nothing
+//     left to shed), so the SA's raise, shrink and repair picks are popcount
+//     and select over ceil(hosted / 64) words instead of hosted-list scans;
+//     a move updates them with O(r) bit flips;
 //   * the objective's running sums (encoding-rate sum, replica count, total
 //     cluster load), the Eq. 2 max term via a branchless lazy max, and the
 //     soft bandwidth-overflow penalty with an overflowing-server count so
@@ -129,6 +134,34 @@ class IncrementalState {
     return server_videos_[server];
   }
 
+  // --- Position-set queries, in videos_on(server) order ---
+
+  /// cheapest_sheddable() of a server with nothing to shed.
+  static constexpr std::uint32_t kNoVideo = 0xffffffffu;
+  /// Videos on `server` below the top ladder slot (a rate left to raise).
+  [[nodiscard]] std::size_t count_below_top(std::size_t server) const {
+    return count_clear(server, pinned_word() - 1);
+  }
+  /// The k-th of them in videos_on(server) order; k < count_below_top().
+  [[nodiscard]] std::uint32_t below_top_at(std::size_t server,
+                                           std::size_t k) const {
+    return kth_clear(server, pinned_word() - 1, k);
+  }
+  /// Videos on `server` that are not pinned: a rate above slot 0 to lower
+  /// or a replica that is not the video's last.
+  [[nodiscard]] std::size_t count_sheddable(std::size_t server) const {
+    return count_clear(server, pinned_word());
+  }
+  /// The k-th of them in videos_on(server) order; k < count_sheddable().
+  [[nodiscard]] std::uint32_t sheddable_at(std::size_t server,
+                                           std::size_t k) const {
+    return kth_clear(server, pinned_word(), k);
+  }
+  /// The sheddable video on `server` at the lowest ladder slot, ties to the
+  /// highest video id (a strict total order, so the answer does not depend
+  /// on the list order); kNoVideo when nothing is sheddable.
+  [[nodiscard]] std::uint32_t cheapest_sheddable(std::size_t server) const;
+
   /// True while any server exceeds its storage (resp. bandwidth) capacity;
   /// O(1), maintained alongside the usage arrays.  Lets repair loops skip
   /// their per-server scan in the common nothing-overflowing case.
@@ -200,6 +233,19 @@ class IncrementalState {
   [[nodiscard]] std::pair<std::uint32_t*, std::uint32_t*> replica_arrays(
       std::uint32_t video);
 
+  /// Word of a position block holding the pinned set; words below it are
+  /// the ladder slots, so the top slot is pinned_word() - 1.
+  [[nodiscard]] std::size_t pinned_word() const { return block_words_ - 1; }
+  /// Toggles bit `pos` of set `word` on `server`.
+  void flip_position(std::uint32_t server, std::uint32_t pos,
+                     std::size_t word);
+  /// Positions on `server` whose bit in set `word` is clear.
+  [[nodiscard]] std::size_t count_clear(std::size_t server,
+                                        std::size_t word) const;
+  /// The video at the k-th of those positions, in list order.
+  [[nodiscard]] std::uint32_t kth_clear(std::size_t server, std::size_t word,
+                                        std::size_t k) const;
+
   const ScalableProblem* problem_;
   std::size_t num_servers_ = 0;
   double bandwidth_cap_bps_ = 0.0;
@@ -223,6 +269,12 @@ class IncrementalState {
   std::vector<double> storage_bytes_;
   std::vector<double> bandwidth_bps_;
   std::vector<std::vector<std::uint32_t>> server_videos_;
+  // Position sets: per server, one block of block_words_ words (ladder size
+  // + 1) per 64 positions of server_videos_; bit p % 64 of word k of block
+  // p / 64 is set iff the video at position p sits at ladder slot k, and of
+  // word pinned_word() iff it is pinned.  Blocks come and go with the list.
+  std::size_t block_words_ = 0;
+  std::vector<std::vector<std::uint64_t>> position_bits_;
 
   double rate_sum_mbps_ = 0.0;
   std::size_t replica_sum_ = 0;

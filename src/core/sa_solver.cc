@@ -23,6 +23,42 @@ namespace {
 /// triggers when the server is nearly full — a state worth the scan.
 constexpr std::size_t kAddReplicaRejectionAttempts = 32;
 
+#if VODREP_CONTRACTS_ENABLED
+/// The position sets of `server` against scans of its hosted list: both
+/// counts, every k-th pick and the cheapest sheddable video.
+void check_position_sets(const IncrementalState& inc, std::size_t server) {
+  const std::size_t top = inc.problem().ladder.size() - 1;
+  std::vector<std::uint32_t> below_top;
+  std::vector<std::uint32_t> sheddable;
+  std::uint32_t cheapest = IncrementalState::kNoVideo;
+  for (std::uint32_t video : inc.videos_on(server)) {
+    const std::size_t slot = inc.bitrate_index(video);
+    if (slot < top) below_top.push_back(video);
+    if (slot == 0 && inc.replica_count(video) <= 1) continue;
+    sheddable.push_back(video);
+    if (cheapest == IncrementalState::kNoVideo ||
+        slot < inc.bitrate_index(cheapest) ||
+        (slot == inc.bitrate_index(cheapest) && video > cheapest)) {
+      cheapest = video;
+    }
+  }
+  VODREP_DCHECK_EQ(inc.count_below_top(server), below_top.size(),
+                   "position sets: below-top count");
+  for (std::size_t k = 0; k < below_top.size(); ++k) {
+    VODREP_DCHECK_EQ(inc.below_top_at(server, k), below_top[k],
+                     "position sets: below-top pick");
+  }
+  VODREP_DCHECK_EQ(inc.count_sheddable(server), sheddable.size(),
+                   "position sets: sheddable count");
+  for (std::size_t k = 0; k < sheddable.size(); ++k) {
+    VODREP_DCHECK_EQ(inc.sheddable_at(server, k), sheddable[k],
+                     "position sets: sheddable pick");
+  }
+  VODREP_DCHECK_EQ(inc.cheapest_sheddable(server), cheapest,
+                   "position sets: cheapest sheddable pick");
+}
+#endif
+
 }  // namespace
 
 ScalableSaProblem::ScalableSaProblem(const ScalableProblem& problem,
@@ -94,28 +130,18 @@ bool ScalableSaProblem::repair_incremental(IncrementalState& inc) const {
     // Prefer the cheapest quality loss: among videos on the server that can
     // still shed something (rate above the floor, or a droppable replica),
     // pick the lowest-rate one, ties to the colder (higher-index) video.
-    // One O(hosted) min scan per action — the seed implementation sorted
-    // the whole hosted list per action, which dominated the repair profile.
     // The key is a strict total order, so the shed order does not depend on
-    // the reverse index's swap-remove permutation.
-    constexpr std::uint32_t kNone = 0xffffffffu;
-    std::uint32_t pick = kNone;
-    std::size_t pick_rate = 0;
-    for (std::uint32_t video : inc.videos_on(worst)) {
-      const std::size_t rate = inc.bitrate_index(video);
-      if (rate == 0 && inc.replica_count(video) <= 1) continue;
-      if (pick == kNone || rate < pick_rate ||
-          (rate == pick_rate && video > pick)) {
-        pick = video;
-        pick_rate = rate;
-      }
-    }
-    if (pick == kNone) {
+    // the reverse index's swap-remove permutation.  The state's position
+    // sets answer it from the lowest non-empty slot, without a scan of the
+    // hosted list.
+    const std::uint32_t pick = inc.cheapest_sheddable(worst);
+    if (pick == IncrementalState::kNoVideo) {
       // Everything on the server is at the floor rate with a single replica:
       // storage overflow is then unfixable; bandwidth overflow is tolerated
       // (soft constraint, penalized in the cost).
       return !inc.any_storage_overflow();
     }
+    const std::size_t pick_rate = inc.bitrate_index(pick);
     if (pick_rate > 0) {
       inc.set_bitrate(pick, pick_rate - 1);
     } else {
@@ -132,21 +158,20 @@ bool ScalableSaProblem::repair(State& state) const {
 }
 
 bool ScalableSaProblem::propose_move(IncrementalState& inc,
+                                     std::size_t server,
                                      std::vector<std::uint32_t>& candidates,
                                      Rng& rng) const {
   const std::size_t n = problem_.cluster.num_servers;
   const std::size_t m = problem_.videos.count();
-  const auto server = static_cast<std::size_t>(rng.uniform_index(n));
 
+  // The raise and shrink picks are uniform over the server's candidates in
+  // videos_on() order; the position sets count and select them in
+  // O(hosted / 64).
   auto try_increase_rate = [&]() {
-    candidates.clear();
-    for (std::uint32_t v : inc.videos_on(server)) {
-      if (inc.bitrate_index(v) + 1 < problem_.ladder.size()) {
-        candidates.push_back(v);
-      }
-    }
-    if (candidates.empty()) return false;
-    const std::uint32_t pick = candidates[rng.uniform_index(candidates.size())];
+    const std::size_t count = inc.count_below_top(server);
+    if (count == 0) return false;
+    const std::uint32_t pick =
+        inc.below_top_at(server, rng.uniform_index(count));
     inc.set_bitrate(pick, inc.bitrate_index(pick) + 1);
     return true;
   };
@@ -176,15 +201,10 @@ bool ScalableSaProblem::propose_move(IncrementalState& inc,
     // Lower a hosted video's rate, or drop its replica here (never the last
     // one).  Uphill in objective, but it frees storage so later growth
     // moves can re-pack — the escape hatch from the storage-full plateau.
-    candidates.clear();
-    for (std::uint32_t v : inc.videos_on(server)) {
-      if (inc.bitrate_index(v) == 0 && inc.replica_count(v) <= 1) {
-        continue;
-      }
-      candidates.push_back(v);
-    }
-    if (candidates.empty()) return false;
-    const std::uint32_t pick = candidates[rng.uniform_index(candidates.size())];
+    const std::size_t count = inc.count_sheddable(server);
+    if (count == 0) return false;
+    const std::uint32_t pick =
+        inc.sheddable_at(server, rng.uniform_index(count));
     if (inc.bitrate_index(pick) > 0 &&
         (inc.replica_count(pick) <= 1 || rng.bernoulli(0.5))) {
       inc.set_bitrate(pick, inc.bitrate_index(pick) - 1);
@@ -218,7 +238,11 @@ bool ScalableSaProblem::propose(Scratch& scratch, Rng& rng) const {
   // (seeded by make_scratch, refreshed by commit), so the pre-move
   // evaluation the seed implementation paid here is free.
   scratch.mark = scratch.state.checkpoint();
-  if (!propose_move(scratch.state, scratch.candidates, rng)) return false;
+  const auto server = static_cast<std::size_t>(
+      rng.uniform_index(problem_.cluster.num_servers));
+  if (!propose_move(scratch.state, server, scratch.candidates, rng)) {
+    return false;
+  }
   if (!repair_incremental(scratch.state)) {
     scratch.state.rollback(scratch.mark);
     return false;
@@ -231,6 +255,7 @@ bool ScalableSaProblem::propose(Scratch& scratch, Rng& rng) const {
                      problem_.cluster.storage_bytes_per_server * (1.0 + 1e-9),
                      "propose: repair left a server over storage capacity");
   }
+  check_position_sets(scratch.state, server);
 #endif
   return true;
 }
@@ -297,7 +322,7 @@ SaSolverResult solve_scalable(const ScalableProblem& problem,
                                             options.anneal, pool);
   {
     VODREP_TRACE_SCOPE("extract");
-    result.solution = result.anneal.best_state;
+    result.solution = std::move(result.anneal.best_state);
     result.objective = solution_objective(problem, result.solution);
     result.feasible = is_feasible(problem, result.solution);
   }

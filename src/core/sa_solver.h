@@ -69,12 +69,15 @@ struct SaSolverResult {
   ScalableSolution solution;
   double objective = 0.0;        ///< Eq. 1 value of the returned solution
   bool feasible = false;         ///< hard-feasible (Eqs. 4-7) at return
-  AnnealResult<ScalableSolution> anneal;  ///< engine instrumentation
+  /// Engine instrumentation.  Its best_state is moved into `solution`, so
+  /// it is left empty.
+  AnnealResult<ScalableSolution> anneal;
 };
 
 /// Mutable per-chain working set of the annealer: the live incremental
 /// state plus the transaction bookkeeping of the tentatively applied move
-/// and reusable candidate buffers (no per-move allocation).
+/// and a reusable candidate buffer for the add move's exact fallback (no
+/// per-move allocation).
 /// `cost_before` caches the cost of the committed configuration across
 /// moves — make_scratch seeds it and commit() refreshes it from the move's
 /// own delta evaluation, so the engine pays exactly one cost evaluation per
@@ -146,8 +149,9 @@ class ScalableSaProblem {
 
  private:
   [[nodiscard]] double incremental_cost(const IncrementalState& inc) const;
-  /// The neighborhood action (no repair); false when the server is saturated.
-  [[nodiscard]] bool propose_move(IncrementalState& inc,
+  /// The neighborhood action on `server` (no repair); false when the server
+  /// is saturated.
+  [[nodiscard]] bool propose_move(IncrementalState& inc, std::size_t server,
                                   std::vector<std::uint32_t>& candidates,
                                   Rng& rng) const;
   /// repair() on the live incremental state; false on irreparable storage

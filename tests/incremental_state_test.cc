@@ -85,13 +85,44 @@ void verify_hosting_index(const ScalableProblem& problem,
   }
 }
 
-/// Applies one random legal primitive mutation; returns false if the drawn
-/// op had no legal target this time.
+/// The position-set queries against scans of videos_on(), on every server:
+/// both counts, every k-th pick and the cheapest sheddable video.
+void verify_position_sets(const IncrementalState& inc) {
+  const std::size_t top = inc.problem().ladder.size() - 1;
+  for (std::size_t s = 0; s < inc.problem().cluster.num_servers; ++s) {
+    std::vector<std::uint32_t> below_top;
+    std::vector<std::uint32_t> sheddable;
+    std::uint32_t cheapest = IncrementalState::kNoVideo;
+    for (const std::uint32_t v : inc.videos_on(s)) {
+      const std::size_t slot = inc.bitrate_index(v);
+      if (slot < top) below_top.push_back(v);
+      if (slot == 0 && inc.replica_count(v) == 1) continue;
+      sheddable.push_back(v);
+      if (cheapest == IncrementalState::kNoVideo ||
+          slot < inc.bitrate_index(cheapest) ||
+          (slot == inc.bitrate_index(cheapest) && v > cheapest)) {
+        cheapest = v;
+      }
+    }
+    ASSERT_EQ(inc.count_below_top(s), below_top.size()) << "server " << s;
+    for (std::size_t k = 0; k < below_top.size(); ++k) {
+      ASSERT_EQ(inc.below_top_at(s, k), below_top[k])
+          << "server " << s << " k " << k;
+    }
+    ASSERT_EQ(inc.count_sheddable(s), sheddable.size()) << "server " << s;
+    for (std::size_t k = 0; k < sheddable.size(); ++k) {
+      ASSERT_EQ(inc.sheddable_at(s, k), sheddable[k])
+          << "server " << s << " k " << k;
+    }
+    ASSERT_EQ(inc.cheapest_sheddable(s), cheapest) << "server " << s;
+  }
+}
+
+/// Applies one random legal primitive mutation to `video`; returns false if
+/// the drawn op had no legal target this time.
 bool random_mutation(const ScalableProblem& problem, IncrementalState& inc,
-                     Rng& rng) {
-  const std::size_t m = problem.videos.count();
+                     Rng& rng, std::size_t video) {
   const std::size_t n = problem.cluster.num_servers;
-  const auto video = static_cast<std::size_t>(rng.uniform_index(m));
   switch (rng.uniform_index(3)) {
     case 0: {
       const auto idx =
@@ -115,6 +146,14 @@ bool random_mutation(const ScalableProblem& problem, IncrementalState& inc,
       return true;
     }
   }
+}
+
+/// random_mutation of a uniformly drawn video.
+bool random_mutation(const ScalableProblem& problem, IncrementalState& inc,
+                     Rng& rng) {
+  const auto video =
+      static_cast<std::size_t>(rng.uniform_index(problem.videos.count()));
+  return random_mutation(problem, inc, rng, video);
 }
 
 std::vector<std::vector<std::size_t>> sorted_placement(
@@ -269,6 +308,68 @@ TEST(IncrementalState, EmptiedServerReportsExactlyZeroUsage) {
   EXPECT_TRUE(inc.videos_on(0).empty());
   EXPECT_EQ(inc.storage_bytes()[0], 0.0);
   EXPECT_EQ(inc.bandwidth_bps()[0], 0.0);
+  EXPECT_EQ(inc.count_below_top(0), 0u);
+  EXPECT_EQ(inc.count_sheddable(0), 0u);
+  EXPECT_EQ(inc.cheapest_sheddable(0), IncrementalState::kNoVideo);
+  verify_against_recompute(p, inc);
+  verify_position_sets(inc);
+}
+
+// The position sets agree with scans of videos_on() after each of 10k random
+// set_bitrate, add, drop, checkpoint, rollback and commit operations.  The
+// servers host about 133 videos each (three 64-position blocks), and half
+// the mutations hit eight hot videos, whose replica sets cross the inline
+// strip both ways.
+TEST(IncrementalState, PositionSetsMatchHostedListScans) {
+  ScalableProblem p = test_problem();
+  p.videos.popularity = zipf_popularity(800, 0.75);
+  IncrementalState inc(p, lowest_rate_round_robin(p));
+  verify_position_sets(inc);
+  constexpr std::size_t kHot = 8;
+  std::vector<bool> spilled(kHot, false);
+  bool crossed_up = false;
+  bool crossed_down = false;
+  std::size_t most_hosted = 0;
+  IncrementalState::Checkpoint mark = 0;
+  Rng rng(53);
+  for (int op = 0; op < 10'000; ++op) {
+    switch (rng.uniform_index(8)) {
+      case 0:
+        mark = inc.checkpoint();
+        break;
+      case 1:
+        inc.rollback(mark);
+        break;
+      case 2:
+        inc.commit();
+        mark = 0;
+        break;
+      default: {
+        const std::size_t video =
+            rng.bernoulli(0.5)
+                ? static_cast<std::size_t>(rng.uniform_index(kHot))
+                : static_cast<std::size_t>(rng.uniform_index(800));
+        (void)random_mutation(p, inc, rng, video);
+      }
+    }
+    verify_position_sets(inc);
+    if (HasFatalFailure()) {
+      ADD_FAILURE() << "after operation " << op;
+      return;
+    }
+    for (std::size_t v = 0; v < kHot; ++v) {
+      const bool now = inc.replica_count(v) > IncrementalState::kInlineReplicas;
+      crossed_up = crossed_up || (now && !spilled[v]);
+      crossed_down = crossed_down || (!now && spilled[v]);
+      spilled[v] = now;
+    }
+    for (std::size_t s = 0; s < p.cluster.num_servers; ++s) {
+      most_hosted = std::max(most_hosted, inc.videos_on(s).size());
+    }
+  }
+  EXPECT_GT(most_hosted, 128u);
+  EXPECT_TRUE(crossed_up);
+  EXPECT_TRUE(crossed_down);
   verify_against_recompute(p, inc);
 }
 
@@ -288,6 +389,7 @@ TEST(IncrementalState, ReplicaSetSpillsAndUnspillsAcrossInlineBoundary) {
     inc.commit();
     verify_against_recompute(p, inc);
     verify_hosting_index(p, inc);
+    verify_position_sets(inc);
   }
   EXPECT_EQ(inc.replica_count(0), p.cluster.num_servers);
   // Shrink back down to 1 (crossing 5 -> 4 un-spill), verifying each step.
@@ -297,6 +399,7 @@ TEST(IncrementalState, ReplicaSetSpillsAndUnspillsAcrossInlineBoundary) {
     inc.commit();
     verify_against_recompute(p, inc);
     verify_hosting_index(p, inc);
+    verify_position_sets(inc);
   }
   EXPECT_EQ(inc.replica_count(0), 1u);
   EXPECT_EQ(inc.replicas_of(0)[0], home);
