@@ -115,8 +115,10 @@ void BM_SlfPlacement(benchmark::State& state) {
 BENCHMARK(BM_SlfPlacement)->ArgsProduct(sweep_to(8192))->Complexity();
 BENCHMARK(BM_SlfPlacement)->Args(kCatalogPoint)->Unit(benchmark::kMillisecond);
 
-// The server-count axis BM_SlfPlacement holds fixed: one (load, index) sort
-// per round of N replicas makes placement O(R log N) at a fixed catalogue.
+// The server-count axis BM_SlfPlacement holds fixed.  One radix sort of the
+// servers per round of N replicas costs O(D (N + 256)) for its D varying
+// byte digits, so at a fixed catalogue placement costs O(R D (1 + 256 / N)):
+// the per-digit counters dominate at small N.
 void BM_SlfPlacementServers(benchmark::State& state) {
   constexpr std::size_t kVideos = 16384;
   const auto n = static_cast<std::size_t>(state.range(0));

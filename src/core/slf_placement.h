@@ -12,10 +12,11 @@
 // last round and no replica is ever left without a feasible server, so
 // nothing is deferred to a later round.
 //
-// Cost: one (load, index) sort of the servers per round, then a walk that
-// skips at most a video's earlier holders: O(C N log N + R r) for C rounds
-// and r mean replicas per video, not a scan of all N servers per replica
-// (DESIGN.md §1, item 5).
+// Cost: per round, one (load, index) sort of the servers, a stable radix sort
+// on the loads' bits that runs only the D <= 8 byte digits on which the loads
+// differ; then per replica a walk that skips at most the video's earlier
+// holders.  O(C D (N + 256) + R r) for C rounds and r mean replicas per
+// video, not a scan of all N servers per replica (DESIGN.md §1, item 5).
 //
 // Theorem 4.2: the resulting absolute load spread max_j l_j - min_j l_j is
 // bounded by max_i w_i - min_i w_i; Theorem 4.3: this bound is

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -455,6 +456,78 @@ TEST(SlfPlacementDifferential, MatchesScanOnRandomWorlds) {
   // pre-check, every full round places one replica on every server.
   // SmallestLoadFirstPlacement relies on this and has no deferral queue.
   EXPECT_EQ(deferring, 0u);
+}
+
+// Each round orders the servers by a radix sort of their loads' bits.  These
+// worlds reach its edge cases at large N: server ids above 255, every load
+// tied (uniform popularity and replication), zero-weight tails whose rounds
+// leave every load as it was, and first-round loads spread over many
+// binades.  Round 0 of every world has all loads +0.0, so no digit varies.
+TEST(SlfPlacementDifferential, MatchesScanAtLargeServerCounts) {
+  const AdamsReplication adams;
+  const UniformReplication uniform;
+  Rng rng(0x51F1);
+  std::size_t above_byte = 0;
+  std::size_t all_tied = 0;
+  std::size_t zero_tail = 0;
+  std::size_t wide_span = 0;
+  for (int trial = 0; trial < 96; ++trial) {
+    const std::size_t n = 25 + rng.uniform_index(276);
+    const std::size_t m = n / 2 + rng.uniform_index(3 * n);
+    const double degree = rng.uniform(1.0, 2.5);
+    auto budget = std::min(
+        m * n, static_cast<std::size_t>(degree * static_cast<double>(m)));
+    std::vector<double> popularity;
+    const ReplicationPolicy* policy = &adams;
+    switch (trial % 4) {
+      case 0:
+        popularity = zipf_popularity(m, rng.uniform(0.0, 1.2));
+        break;
+      case 1:
+        // The same replica count for every video: every weight is equal,
+        // and so is every load at the start of each round after the first.
+        popularity = zipf_popularity(m, 0.0);
+        policy = &uniform;
+        budget = m * (1 + rng.uniform_index(3));
+        break;
+      case 2:
+        // Only the first third of the catalogue is ever requested.
+        popularity = zipf_popularity(m / 3 + 1, rng.uniform(0.5, 1.0));
+        popularity.resize(m, 0.0);
+        break;
+      default:
+        popularity = zipf_popularity(m, rng.uniform(2.0, 4.0));
+        break;
+    }
+    const ReplicationPlan plan = policy->replicate(popularity, n, budget);
+    const std::size_t total = plan.total_replicas();
+    const std::size_t capacity = (total + n - 1) / n + rng.uniform_index(3);
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " M=" << m
+                                    << " N=" << n << " R=" << total
+                                    << " C=" << capacity);
+    const Outcome expected = expect_same_as_scan(plan, popularity, n, capacity);
+    if (testing::Test::HasFailure()) return;
+    ASSERT_FALSE(expected.infeasible);
+    if (n > 256 && total > n) ++above_byte;
+    if (trial % 4 == 1 && total >= 2 * n) ++all_tied;
+    if (trial % 4 == 2 && total > n) ++zero_tail;
+    if (trial % 4 == 3 && total > n) {
+      // The loads the second round starts from: one weight per server.
+      const auto first_round = std::minmax_element(
+          expected.steps.begin(),
+          expected.steps.begin() + static_cast<std::ptrdiff_t>(n),
+          [](const Step& a, const Step& b) { return a.weight < b.weight; });
+      if (std::ilogb(first_round.second->weight) -
+              std::ilogb(first_round.first->weight) >=
+          8) {
+        ++wide_span;
+      }
+    }
+  }
+  EXPECT_GT(above_byte, 0u);
+  EXPECT_GT(all_tied, 0u);
+  EXPECT_GT(zero_tail, 0u);
+  EXPECT_GT(wide_span, 0u);
 }
 
 TEST(SlfPlacementDifferential, MatchesScanAtCatalogueScale) {

@@ -19,6 +19,7 @@
 //
 // Exit status: 0 when every check passes, 1 when any constraint is violated
 // (the report still prints), 2 on usage or I/O errors.
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -49,6 +50,23 @@ std::vector<double> read_weights(const std::string& path) {
   return weights;
 }
 
+// Rejects limits the audit would otherwise misread: a negative capacity cast
+// to a huge slot count, or a NaN, infinite or negative load-model value that
+// makes every Eq. 5 comparison pass.  0 keeps its meaning for --capacity
+// (derive it) and --bandwidth-gbps (skip Eq. 5).
+void validate_numeric_flags(const CliFlags& flags) {
+  require(flags.get_int("capacity") >= 0, "--capacity must be >= 0");
+  for (const char* name : {"bandwidth-gbps", "peak-requests"}) {
+    const double value = flags.get_double(name);
+    require(std::isfinite(value) && value >= 0.0, [&] {
+      return std::string("--") + name + " must be finite and non-negative";
+    });
+  }
+  const double bitrate = flags.get_double("bitrate-mbps");
+  require(std::isfinite(bitrate) && bitrate > 0.0,
+          "--bitrate-mbps must be finite and positive");
+}
+
 int run(int argc, char** argv) {
   CliFlags flags("vodrep_audit",
                  "Audit a layout file against the paper's Eq. 4-7 constraints");
@@ -66,6 +84,7 @@ int run(int argc, char** argv) {
   flags.add_double("bitrate-mbps", 4.0, "common stream bit rate for Eq. 5");
   flags.add_bool("json", false, "emit the report as JSON instead of text");
   if (!flags.parse(argc, argv)) return EXIT_SUCCESS;
+  validate_numeric_flags(flags);
 
   const std::string path = flags.get_string("layout");
   require(!path.empty(), "--layout=<file> is required");

@@ -192,6 +192,8 @@ void validate_numeric_flags(const CliFlags& flags) {
       return std::string("--") + name + " must be finite and non-negative";
     });
   }
+  require(flags.get_int("online-epochs") >= 0,
+          "--online-epochs must be >= 0");
   const double spread = flags.get_double("sa-temp-spread");
   require(std::isfinite(spread) && spread >= 1.0,
           "--sa-temp-spread must be finite and >= 1");
