@@ -32,7 +32,6 @@
 #include "src/anneal/parallel_tempering.h"
 #include "src/core/incremental_state.h"
 #include "src/core/sa_solver.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
@@ -361,7 +360,6 @@ int main(int argc, char** argv) {
     const auto library_run = [&] {
       return anneal_parallel_tempering(incremental, seed, 1, options.anneal);
     };
-    obs::set_metrics_enabled(false);
     obs::TraceRecorder::global().set_enabled(false);
     {
       const auto hookless = hookless_run();
@@ -386,12 +384,10 @@ int main(int argc, char** argv) {
     }
     const double hookless_mps = moves_per_sec(hook_seconds[0]);
     const double obs_off_mps = moves_per_sec(hook_seconds[1]);
-    obs::set_metrics_enabled(true);
     obs::TraceRecorder::global().set_enabled(true);
     const double obs_on_mps =
         run_annealer(incremental, problem, options.anneal, seed, max_reps)
             .moves_per_sec;
-    obs::set_metrics_enabled(false);
     obs::TraceRecorder::global().set_enabled(false);
     obs::TraceRecorder::global().clear();
 

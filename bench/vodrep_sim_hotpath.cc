@@ -34,7 +34,6 @@
 #include "bench/obs_baseline.h"
 #include "src/core/objective.h"
 #include "src/core/pipeline.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/replicated_policy.h"
 #include "src/util/cli.h"
@@ -362,7 +361,6 @@ int main(int argc, char** argv) {
       return static_cast<double>(engine_stats.events / reps) /
              std::max(seconds, 1e-12);
     };
-    obs::set_metrics_enabled(false);
     obs::TraceRecorder::global().set_enabled(false);
     // Several measurement rounds, each side keeping its fastest rep over
     // all of them; stop as soon as the guard passes.  Quick mode's

@@ -5,7 +5,7 @@
 // equal a from-scratch evaluation of the Eq. 1 objective.  This target
 // decodes arbitrary bytes into a structured sequence of primitive moves and
 // transactions — set_bitrate / add_replica / drop_replica / checkpoint /
-// rollback / commit / forget_history — against a fixed small instance whose
+// rollback / commit — against a fixed small instance whose
 // N=6 servers straddle the kInlineReplicas=4 spill boundary, then
 // periodically cross-checks:
 //
@@ -89,7 +89,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     const std::uint8_t b = data[i + 2];
     i += 3;
     const std::size_t video = a % kNumVideos;
-    switch (op % 7) {
+    switch (op % 6) {
       case 0:
         state.set_bitrate(video, b % problem.ladder.size());
         break;
@@ -123,15 +123,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       case 5:
         state.commit();
         marks.clear();
-        break;
-      case 6:
-        if (!marks.empty()) {
-          // Trim history up to the oldest live mark; every remaining mark
-          // shifts down by the trimmed amount (the oldest becomes 0).
-          const auto trimmed = marks.front();
-          state.forget_history(trimmed);
-          for (auto& mark : marks) mark -= trimmed;
-        }
         break;
     }
     if (++ops % 8 == 0) cross_check(state);

@@ -72,15 +72,6 @@ class IncrementalState {
   void rollback(Checkpoint mark);
   /// Accepts all journaled mutations (empties the undo journal).
   void commit() { journal_.clear(); }
-  /// Drops journal entries before `mark` (undo beyond it is no longer
-  /// possible) and shifts later checkpoints down by `mark`.  Lets a caller
-  /// that keeps the journal alive across commits — to roll back to a marked
-  /// best configuration later — bound the journal's memory: trim to the
-  /// mark it still cares about, then treat that mark as 0.
-  void forget_history(Checkpoint mark) {
-    journal_.erase(journal_.begin(),
-                   journal_.begin() + static_cast<std::ptrdiff_t>(mark));
-  }
 
   // --- Observers ---
 

@@ -1,12 +1,10 @@
 #include "src/core/sa_solver.h"
 
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/anneal/parallel_tempering.h"
 #include "src/audit/audit.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
 #include "src/util/error.h"
@@ -101,9 +99,6 @@ bool ScalableSaProblem::repair_incremental(IncrementalState& inc) const {
   // the common nothing-to-fix case costs two loads instead of an O(N) scan.
   if (!inc.any_storage_overflow() && !inc.any_bandwidth_overflow()) {
     return true;
-  }
-  if (obs::metrics_enabled()) {
-    repairs_.fetch_add(1, std::memory_order_relaxed);
   }
   const double storage_cap = problem_.cluster.storage_bytes_per_server;
   const double bandwidth_cap = problem_.cluster.bandwidth_bps_per_server;
@@ -225,11 +220,10 @@ bool ScalableSaProblem::propose_move(IncrementalState& inc,
 
 ScalableSaProblem::Scratch ScalableSaProblem::make_scratch(State state) const {
   Scratch scratch{IncrementalState(problem_, std::move(state)), 0, 0.0, 0.0,
-                  0,   0.0, {}, {}};
+                  0.0, {}, {}};
   scratch.cost_before = incremental_cost(scratch.state);
   scratch.cost_after = scratch.cost_before;
   scratch.best_cost = scratch.cost_before;
-  scratch.best_mark = 0;
   return scratch;
 }
 
@@ -266,32 +260,22 @@ double ScalableSaProblem::delta_cost(const Scratch& scratch) const {
 }
 
 void ScalableSaProblem::commit(Scratch& scratch) const {
-  // Deferred best tracking: the journal stays alive across commits so the
-  // best configuration remains reachable by rollback.  A new best is one
-  // mark assignment; extract_best() pays the single O(M) materialization at
-  // the end of the chain.
+  // Deferred best tracking: a new best drops the journal (nothing ever rolls
+  // back past it), so rolling the whole journal back reaches the best, and
+  // extract_best() pays the single O(M) materialization at the end of the
+  // chain.
   scratch.cost_before = scratch.cost_after;
   IncrementalState& state = scratch.state;
   if (scratch.cost_after < scratch.best_cost) {
     scratch.best_cost = scratch.cost_after;
-    scratch.best_mark = state.checkpoint();
     scratch.best_snapshot.reset();
-    // The prefix behind the best mark can never be rolled back to again;
-    // dropping it (rarely — the erase is O(journal)) bounds the journal to
-    // the since-best tail.
-    if (scratch.best_mark >= kSaJournalTrimEntries) {
-      state.forget_history(scratch.best_mark);
-      scratch.best_mark = 0;
-    }
-  } else if (state.checkpoint() - scratch.best_mark >
+    state.commit();
+  } else if (state.checkpoint() >
              kSaJournalTailPerVideo * problem_.videos.count()) {
     // A walker on a plateau: materialize the best (once per best), then
     // drop the whole journal.
-    if (!scratch.best_snapshot) {
-      scratch.best_snapshot = state.solution_at(scratch.best_mark);
-    }
+    if (!scratch.best_snapshot) scratch.best_snapshot = state.solution_at(0);
     state.commit();
-    scratch.best_mark = 0;
   }
 }
 
@@ -303,12 +287,8 @@ void ScalableSaProblem::revert(Scratch& scratch) const {
 
 ScalableSolution ScalableSaProblem::extract_best(Scratch& scratch) const {
   if (scratch.best_snapshot) return std::move(*scratch.best_snapshot);
-  scratch.state.rollback(scratch.best_mark);
+  scratch.state.rollback(0);
   return scratch.state.to_solution();
-}
-
-std::uint64_t ScalableSaProblem::repairs() const {
-  return repairs_.load(std::memory_order_relaxed);
 }
 
 SaSolverResult solve_scalable(const ScalableProblem& problem,
@@ -327,38 +307,6 @@ SaSolverResult solve_scalable(const ScalableProblem& problem,
     result.feasible = is_feasible(problem, result.solution);
   }
 
-  if (obs::metrics_enabled()) {
-    // End-of-solve fold into the metrics registry: bulk adds of the engine's
-    // own instrumentation, so the Metropolis hot loop itself never touches
-    // the registry and the exported counters reconcile bit-exactly with the
-    // returned AnnealResult (tests/obs_integration_test.cc).
-    obs::MetricsRegistry& registry = obs::metrics();
-    registry.counter("sa.solves").inc();
-    registry.counter("sa.chains").add(options.chains);
-    registry.counter("sa.moves_proposed").add(result.anneal.moves_proposed);
-    registry.counter("sa.moves_accepted").add(result.anneal.moves_accepted);
-    registry.counter("sa.moves_noop").add(result.anneal.moves_noop);
-    registry.counter("sa.temperature_steps")
-        .add(result.anneal.temperature_steps);
-    registry.counter("sa.repairs").add(sa_problem.repairs());
-    registry.gauge("sa.best_objective").set(result.objective);
-    registry.gauge("sa.final_temperature")
-        .set(result.anneal.final_temperature);
-    // Tempering instrumentation: exchange-phase totals plus a per-chain
-    // breakdown keyed sa.chain.<k>.* so runs can see which rung of the
-    // temperature ladder did the work.
-    registry.counter("sa.swap_attempts").add(result.anneal.swap_attempts);
-    registry.counter("sa.swap_accepts").add(result.anneal.swap_accepts);
-    for (std::size_t k = 0; k < result.anneal.chains.size(); ++k) {
-      const AnnealChainStats& chain = result.anneal.chains[k];
-      const std::string prefix = "sa.chain." + std::to_string(k) + ".";
-      registry.counter(prefix + "moves_proposed").add(chain.moves_proposed);
-      registry.counter(prefix + "moves_accepted").add(chain.moves_accepted);
-      registry.counter(prefix + "moves_noop").add(chain.moves_noop);
-      registry.counter(prefix + "swaps_accepted").add(chain.swaps_accepted);
-      registry.gauge(prefix + "best_cost").set(chain.best_cost);
-    }
-  }
 #if VODREP_CONTRACTS_ENABLED
   {
     const AuditReport report =

@@ -15,7 +15,6 @@
 //     lowering the bit rate of (or evicting) its lowest-rate videos.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -36,15 +35,12 @@ inline constexpr double kSaBandwidthPenalty = 100.0;
 /// (otherwise it tries to add a replica first; each falls back to the other
 /// when its preconditions fail).
 inline constexpr double kSaIncreaseRateProbability = 0.5;
-/// A chain's undo journal holds at most this many entries per video behind
-/// its best configuration: past that, commit() materializes the best as a
-/// ScalableSolution and drops the journal.  A snapshot costs O(M), so one
-/// per kSaJournalTailPerVideo * M commits keeps the cost per commit O(1).
+/// A chain's undo journal holds at most this many entries per video, all
+/// committed since its best configuration (a new best drops the journal):
+/// past that, commit() materializes the best as a ScalableSolution and
+/// drops the journal again.  A snapshot costs O(M), so one per
+/// kSaJournalTailPerVideo * M commits keeps the cost per commit O(1).
 inline constexpr std::size_t kSaJournalTailPerVideo = 8;
-/// A new best past this many journal entries drops the prefix behind it, so
-/// a chain's journal never exceeds kSaJournalTrimEntries +
-/// kSaJournalTailPerVideo * M entries.
-inline constexpr std::size_t kSaJournalTrimEntries = std::size_t{1} << 16;
 
 struct SaSolverOptions {
   AnnealOptions anneal;
@@ -89,18 +85,17 @@ struct SaScratch {
   /// The tentative move's cost, written by delta_cost() (const in the
   /// engine's concept, hence mutable) and promoted to cost_before on commit.
   mutable double cost_after = 0.0;
-  /// Deferred best tracking: the journal is kept alive across commits,
-  /// best_mark points at the best configuration seen by this walker, and
-  /// extract_best() rolls back to it once at the end — so a new best costs
-  /// O(1) instead of an O(M) solution snapshot.
-  /// commit() bounds the journal (kSaJournalTrimEntries,
-  /// kSaJournalTailPerVideo): a tail that grows too long behind best_mark
-  /// becomes `best_snapshot` and the journal is dropped.  A replica
-  /// exchange swaps whole scratches, so the snapshot travels with its walker.
-  IncrementalState::Checkpoint best_mark = 0;
+  /// Deferred best tracking: commit() drops the journal at every new best,
+  /// so the journal holds only moves committed since the best
+  /// configuration this walker has seen, and extract_best() rolls it back
+  /// to its start once at the end — a new best costs O(1) instead of an
+  /// O(M) solution snapshot.  A journal that grows past
+  /// kSaJournalTailPerVideo * M entries becomes `best_snapshot` and is
+  /// dropped.  A replica exchange swaps whole scratches, so the snapshot
+  /// travels with its walker.
   double best_cost = 0.0;
   /// The best configuration once the journal behind it was dropped; empty
-  /// while best_mark still reaches it by rollback.
+  /// while a rollback of the whole journal still reaches it.
   std::optional<ScalableSolution> best_snapshot;
   std::vector<std::uint32_t> candidates;
 };
@@ -141,12 +136,6 @@ class ScalableSaProblem {
   /// scratch (call once, at the end of a chain).
   [[nodiscard]] State extract_best(Scratch& scratch) const;
 
-  /// Repair invocations, summed across every chain driving this problem;
-  /// counted only while obs::metrics_enabled().  Evaluations are not
-  /// counted: each chain computes one full cost() at its start and one
-  /// delta per proposed move, which AnnealResult::moves_proposed reports.
-  [[nodiscard]] std::uint64_t repairs() const;
-
  private:
   [[nodiscard]] double incremental_cost(const IncrementalState& inc) const;
   /// The neighborhood action on `server` (no repair); false when the server
@@ -160,10 +149,6 @@ class ScalableSaProblem {
 
   const ScalableProblem& problem_;
   SaSolverOptions options_;
-  // Shared across chains; a relaxed atomic (a count, no ordering needed).
-  // It makes the problem non-copyable, which solve_scalable and the benches
-  // never need.
-  mutable std::atomic<std::uint64_t> repairs_{0};
 };
 
 /// Runs parallel tempering with `seed` over options.chains chains (on `pool`

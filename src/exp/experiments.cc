@@ -701,9 +701,12 @@ std::vector<Section> abandonment(Grid grid, ThreadPool& pool) {
            std::move(table)}};
 }
 
-/// The cluster is a loss system, so Erlang-B applies exactly: the pooled
-/// formula is ideal wide striping, the balanced split (N systems fed
-/// lambda/N) is perfectly balanced replication.
+/// Erlang-B, the steady-state loss of an M/G/c/c system, against the
+/// simulated peak, which starts empty and lasts one holding time (every
+/// arrival comes before every departure), so the formula bounds the
+/// simulation from one side only: the pooled formula is ideal wide
+/// striping, the balanced split (N systems fed lambda/N) is perfectly
+/// balanced replication.
 std::vector<Section> erlang_validation(Grid grid, ThreadPool& pool) {
   const bool quick = grid == Grid::kQuick;
   PaperScenario scenario;

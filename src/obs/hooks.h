@@ -1,15 +1,13 @@
 // The compile-time switch for every dormant observability hook.
 //
 // Hooks are always compiled in, and while disabled at run time each costs a
-// relaxed load, a pointer test or a counter increment: trace spans
-// (VODREP_TRACE_SCOPE, which also feed the run profile), and in SimEngine the
-// timeline and event-log pointer tests, the event tallies and the
-// once-per-run metrics export; no hook writes the metrics registry per
-// event.  Defining VODREP_NO_OBS_HOOKS compiles all of them out.  No library
-// target sets it: the hot-path benches compile src/sim/engine.cc,
-// src/sim/replicated_policy.cc and src/anneal/annealer.h a second time with
-// it, so their overhead guards time the library against a hook-free build
-// of the same source, in the same process.
+// relaxed load or a pointer test: trace spans (VODREP_TRACE_SCOPE, which
+// also feed the run profile), and in SimEngine the timeline and event-log
+// pointer tests.  Defining VODREP_NO_OBS_HOOKS compiles all of them out.
+// No library target sets it: the hot-path benches compile
+// src/sim/engine.cc, src/sim/replicated_policy.cc and src/anneal/annealer.h
+// a second time with it, so their overhead guards time the library against
+// a hook-free build of the same source, in the same process.
 //
 // For both builds to link into one binary, every class and template whose
 // definition changes under the define opens VODREP_OBS_HOOKS_NS_BEGIN.  In

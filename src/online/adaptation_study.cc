@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/core/pipeline.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/replicated_policy.h"
 #include "src/sim/sharded_engine.h"
@@ -101,22 +100,6 @@ Table run_adaptation_study(const AdaptationStudyConfig& config,
         units::to_gigabytes(step.migration.bytes_moved(replica_bytes));
     const double copy_minutes = units::to_minutes(
         step.migration.copy_time_sec(replica_bytes, config.backbone_bps));
-    if (obs::metrics_enabled()) {
-      obs::MetricsRegistry& registry = obs::metrics();
-      registry.counter("online.migration_bytes")
-          .add(static_cast<std::uint64_t>(
-              step.migration.bytes_moved(replica_bytes)));
-      // Estimator error against the (normalized) epoch truth the controller
-      // never sees directly — the adaptation-quality signal of Section 6.
-      double truth_sum = 0.0;
-      for (double p : truth) truth_sum += p;
-      const std::vector<double> estimate = controller.estimate();
-      double err_l1 = 0.0;
-      for (std::size_t v = 0; v < m; ++v) {
-        err_l1 += std::fabs(estimate[v] - truth[v] / truth_sum);
-      }
-      registry.gauge("online.estimator_error_l1").set(err_l1);
-    }
 
     table.add_row({static_cast<long long>(epoch),
                    ranking_churn(initial_truth, truth),

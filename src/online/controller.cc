@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/core/pipeline.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/online/incremental_placement.h"
 #include "src/util/error.h"
@@ -53,9 +52,6 @@ void AdaptiveController::observe_epoch(
   require(video_counts.size() == layout_.num_videos(),
           "AdaptiveController: count vector size mismatch");
   VODREP_TRACE_SCOPE("online.observe_epoch");
-  if (obs::metrics_enabled()) {
-    obs::metrics().counter("online.epochs_observed").inc();
-  }
   for (std::size_t video = 0; video < video_counts.size(); ++video) {
     if (video_counts[video] > 0) {
       estimator_.observe(video, video_counts[video]);
@@ -69,14 +65,7 @@ AdaptationStep AdaptiveController::adapt(double now) {
   AdaptationStep step;
   const std::vector<double> estimate = estimator_.estimate();
   step.estimate_shift_l1 = l1_distance(estimate, acted_estimate_);
-  if (obs::metrics_enabled()) {
-    obs::metrics().gauge("online.estimate_shift_l1")
-        .set(step.estimate_shift_l1);
-  }
   if (step.estimate_shift_l1 < config_.replan_threshold) {
-    if (obs::metrics_enabled()) {
-      obs::metrics().counter("online.replans_skipped").inc();
-    }
     if (timeline_ != nullptr) timeline_->annotate(now, "replan_skipped");
     return step;
   }
@@ -99,14 +88,6 @@ AdaptationStep AdaptiveController::adapt(double now) {
   layout_ = std::move(next.layout);
   plan_ = std::move(next.plan);
   acted_estimate_ = estimate;
-  if (obs::metrics_enabled()) {
-    obs::MetricsRegistry& registry = obs::metrics();
-    registry.counter("online.replans").inc();
-    registry.counter("online.migration_copies")
-        .add(step.migration.copies.size());
-    registry.counter("online.migration_deletions")
-        .add(step.migration.deletions);
-  }
   return step;
 }
 

@@ -1,9 +1,7 @@
 #include "src/sim/engine.h"
 
 #include <algorithm>
-#include <string>
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
 #include "src/util/error.h"
@@ -57,9 +55,7 @@ SimResult SimEngine::run(StoragePolicy& policy, const RequestTrace& trace) {
   // Close the books at the end of the peak period; streams outliving it keep
   // their bandwidth (they are not torn down) but the metrics window ends.
   advance_events(policy, trace.horizon);
-  const SimResult out = finalize(trace.horizon);
-  if (obs::kHooks && obs::metrics_enabled()) export_metrics(out);
-  return out;
+  return finalize(trace.horizon);
 }
 
 void SimEngine::attach_timeline(obs::TimeseriesCollector* timeline) {
@@ -116,40 +112,6 @@ SimResult SimEngine::finalize(double horizon) {
   return result_;
 }
 
-void SimEngine::export_metrics(const SimResult& result) const {
-  obs::MetricsRegistry& registry = obs::metrics();
-  registry.counter("sim.runs").inc();
-  registry.counter("sim.requests").add(result.total_requests);
-  registry.counter("sim.admitted").add(result.total_requests - result.rejected);
-  registry.counter("sim.rejected").add(result.rejected);
-  for (std::size_t r = 0; r < obs::kNumRejectReasons; ++r) {
-    registry
-        .counter("sim.rejected." +
-                 std::string(obs::reject_reason_name(
-                     static_cast<obs::RejectReason>(r))))
-        .add(result.rejected_by_reason[r]);
-  }
-  registry.counter("sim.redirected").add(result.redirected);
-  registry.counter("sim.proxied").add(result.proxied);
-  registry.counter("sim.batched").add(result.batched);
-  registry.counter("sim.disrupted").add(result.disrupted);
-  registry.counter("sim.events.departure").add(departures_fired_);
-  registry.counter("sim.events.failure").add(failures_applied_);
-  registry.counter("sim.events.cancelled").add(departures_cancelled_);
-  registry.gauge("sim.heap_high_water")
-      .set_max(static_cast<double>(heap_high_water_));
-  registry.gauge("sim.mean_imbalance_eq2").set(result.mean_imbalance_eq2);
-  registry.gauge("sim.mean_utilization").set(result.mean_utilization());
-  // Cache counters fold only for runs that actually had a cache tier, so a
-  // cache-less process never grows sim.cache.* series.
-  if (cache_stats_ != nullptr) {
-    registry.counter("sim.cache.hits").add(result.cache_hits);
-    registry.counter("sim.cache.misses").add(result.cache_misses);
-    registry.counter("sim.cache.evictions").add(result.cache_evictions);
-    registry.gauge("sim.cache.hit_ratio").set(result.cache_hit_ratio());
-  }
-}
-
 void SimEngine::admit(std::size_t s, double bitrate_bps) {
   pre_load_change(s);
   servers_[s].admit(bitrate_bps);
@@ -170,17 +132,10 @@ std::size_t SimEngine::fail(std::size_t s) {
 }
 
 EventHeap::Id SimEngine::schedule_departure(double time, std::size_t stream) {
-  const EventHeap::Id id = departures_.push(time, stream);
-  if (obs::kHooks) {
-    heap_high_water_ = std::max(heap_high_water_, departures_.size());
-  }
-  return id;
+  return departures_.push(time, stream);
 }
 
-void SimEngine::cancel_departure(EventHeap::Id id) {
-  departures_.cancel(id);
-  if (obs::kHooks) ++departures_cancelled_;
-}
+void SimEngine::cancel_departure(EventHeap::Id id) { departures_.cancel(id); }
 
 void SimEngine::advance_events(StoragePolicy& policy, double now) {
   const auto& failures = config_.failures;
@@ -194,14 +149,12 @@ void SimEngine::advance_events(StoragePolicy& policy, double now) {
          failures[next_failure_].time <= departures_.min_time())) {
       const ServerFailure& failure = failures[next_failure_++];
       integrate_to(failure.time);
-      if (obs::kHooks) ++failures_applied_;
       result_.disrupted += policy.on_crash(failure.server);
       continue;
     }
     if (!have_departure) break;
     const EventHeap::Event event = departures_.pop_min();
     integrate_to(event.time);
-    if (obs::kHooks) ++departures_fired_;
     policy.on_departure(event.payload);
   }
   integrate_to(now);

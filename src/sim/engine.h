@@ -27,10 +27,9 @@
 // admit/release/fail so the incremental state stays consistent; the engine
 // exposes servers() read-only.
 //
-// Observability never touches the metrics registry per event: the engine
-// keeps plain tallies and folds them, with the SimResult, into the registry
-// once per replay (export_metrics).  Per-request observation is the opt-in
-// event log and load timeline, each behind a pointer test.
+// Observability writes nothing per event: the SimResult is the replay's
+// whole account, and per-request observation is the opt-in event log and
+// load timeline, each behind a pointer test.
 //
 // Callers replay a trace through simulate() (src/sim/sharded_engine.h),
 // which builds the engine from the policy's own SimConfig and runs the
@@ -290,10 +289,6 @@ class SimEngine {
   /// The metrics epilogue of run(): finalizes the time-weighted means and
   /// per-server tallies at `horizon` and returns the result.
   SimResult finalize(double horizon);
-  /// Folds the replay's result, event tallies and, with a cache tier, the
-  /// tier's counters into the global metrics registry.  Cold: once-per-run
-  /// hook code stays out of the replay loop's text.
-  [[gnu::cold]] void export_metrics(const SimResult& result) const;
   /// Applies departures and injected failures up to `now` in time order
   /// (failures win ties) and integrates the load signals.
   void advance_events(StoragePolicy& policy, double now);
@@ -323,14 +318,6 @@ class SimEngine {
   /// Borrowed from the policy in run() (nullptr for cache-less policies);
   /// read for timeline samples and snapshotted in the epilogue.
   const CacheTierStats* cache_stats_ = nullptr;
-
-  // --- observability tallies (plain counters; the engine is single-threaded
-  // per run, and the fold into the global obs::MetricsRegistry happens once
-  // in the run() epilogue, only when obs::metrics_enabled()) ---
-  std::size_t heap_high_water_ = 0;      ///< max departure-heap size seen
-  std::size_t departures_fired_ = 0;     ///< departure events applied
-  std::size_t failures_applied_ = 0;     ///< injected crashes applied
-  std::size_t departures_cancelled_ = 0; ///< departures cancelled by crashes
 
   // --- incrementally maintained metric state ---
   double now_ = 0.0;                      ///< last integration time

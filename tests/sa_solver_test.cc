@@ -143,8 +143,7 @@ TEST(ScalableSaProblem, JournalStaysBoundedOnAPlateau) {
   const ScalableSaProblem sa(p, quick_options());
   Rng rng(8);
   ScalableSaProblem::Scratch scratch = sa.make_scratch(sa.initial(rng));
-  const std::size_t bound =
-      kSaJournalTrimEntries + kSaJournalTailPerVideo * p.videos.count();
+  const std::size_t bound = kSaJournalTailPerVideo * p.videos.count();
   auto sorted = [](ScalableSolution s) {
     for (auto& servers : s.placement) std::sort(servers.begin(), servers.end());
     return s;

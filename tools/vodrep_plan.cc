@@ -18,8 +18,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/audit/audit.h"
@@ -29,7 +32,6 @@
 #include "src/core/sa_solver.h"
 #include "src/core/scalable.h"
 #include "src/obs/event_log.h"
-#include "src/obs/metrics.h"
 #include "src/obs/profile.h"
 #include "src/obs/timeseries.h"
 #include "src/obs/trace.h"
@@ -93,12 +95,104 @@ void require_writable(const std::string& path, const char* what) {
   });
 }
 
-// Enables the obs layer when an export flag is set, and writes the
-// requested JSON files on the way out of every code path (plan / inspect /
-// evaluate).  The metrics file reconciles bit-exactly with the printed
-// summary because both read the same result structs.  --trace-out and
-// --profile-out both arm the one trace recorder: the trace file is its
-// spans, the profile their per-path aggregate.
+// The --metrics-out file: named counters and gauges, each read from a
+// result the run already holds (the plan, the SaSolverResult, the
+// aggregated SimResult the run report also reads, the controller's
+// AdaptationSteps), so the file agrees with the printed summary and the
+// report by construction.
+struct RunMetrics {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, double> gauges;
+};
+
+void add_plan_metrics(RunMetrics& metrics, const ReplicationPlan& plan,
+                      const Layout& layout,
+                      const std::vector<double>& popularity,
+                      std::size_t servers) {
+  metrics.counters["plan.videos"] = layout.num_videos();
+  metrics.counters["plan.replicas"] = plan.total_replicas();
+  metrics.gauges["plan.degree"] = plan.degree();
+  metrics.gauges["plan.expected_imbalance_eq2"] =
+      imbalance_max_relative(layout.expected_loads(popularity, servers));
+}
+
+void add_sa_metrics(RunMetrics& metrics, const SaSolverResult& result) {
+  const AnnealResult<ScalableSolution>& anneal = result.anneal;
+  metrics.counters["sa.solves"] = 1;
+  metrics.counters["sa.chains"] = anneal.chains.size();
+  metrics.counters["sa.moves_proposed"] = anneal.moves_proposed;
+  metrics.counters["sa.moves_accepted"] = anneal.moves_accepted;
+  metrics.counters["sa.moves_noop"] = anneal.moves_noop;
+  metrics.counters["sa.temperature_steps"] = anneal.temperature_steps;
+  metrics.counters["sa.swap_attempts"] = anneal.swap_attempts;
+  metrics.counters["sa.swap_accepts"] = anneal.swap_accepts;
+  metrics.gauges["sa.best_objective"] = result.objective;
+  metrics.gauges["sa.final_temperature"] = anneal.final_temperature;
+  for (std::size_t k = 0; k < anneal.chains.size(); ++k) {
+    const AnnealChainStats& chain = anneal.chains[k];
+    const std::string prefix = "sa.chain." + std::to_string(k) + ".";
+    metrics.counters[prefix + "moves_proposed"] = chain.moves_proposed;
+    metrics.counters[prefix + "moves_accepted"] = chain.moves_accepted;
+    metrics.counters[prefix + "moves_noop"] = chain.moves_noop;
+    metrics.counters[prefix + "swaps_accepted"] = chain.swaps_accepted;
+    metrics.gauges[prefix + "best_cost"] = chain.best_cost;
+  }
+}
+
+// `result` aggregates `replays` replays, as the run report's `final` does.
+void add_sim_metrics(RunMetrics& metrics, const SimResult& result,
+                     std::size_t replays, bool prefix_cache) {
+  metrics.counters["sim.runs"] = replays;
+  metrics.counters["sim.requests"] = result.total_requests;
+  metrics.counters["sim.admitted"] = result.total_requests - result.rejected;
+  metrics.counters["sim.rejected"] = result.rejected;
+  for (std::size_t r = 0; r < obs::kNumRejectReasons; ++r) {
+    const std::string_view reason =
+        obs::reject_reason_name(static_cast<obs::RejectReason>(r));
+    metrics.counters["sim.rejected." + std::string(reason)] =
+        result.rejected_by_reason[r];
+  }
+  metrics.counters["sim.redirected"] = result.redirected;
+  metrics.counters["sim.proxied"] = result.proxied;
+  metrics.counters["sim.batched"] = result.batched;
+  metrics.counters["sim.disrupted"] = result.disrupted;
+  metrics.gauges["sim.mean_imbalance_eq2"] = result.mean_imbalance_eq2;
+  metrics.gauges["sim.mean_utilization"] = result.mean_utilization();
+  if (prefix_cache) {
+    metrics.counters["sim.cache.hits"] = result.cache_hits;
+    metrics.counters["sim.cache.misses"] = result.cache_misses;
+    metrics.counters["sim.cache.evictions"] = result.cache_evictions;
+    metrics.gauges["sim.cache.hit_ratio"] = result.cache_hit_ratio();
+  }
+}
+
+// One step per epoch: the controller observes each epoch, then adapts.
+void add_online_metrics(RunMetrics& metrics,
+                        const std::vector<AdaptationStep>& steps) {
+  std::uint64_t replans = 0;
+  std::uint64_t copies = 0;
+  std::uint64_t deletions = 0;
+  for (const AdaptationStep& step : steps) {
+    if (!step.replanned) continue;
+    ++replans;
+    copies += step.migration.copies.size();
+    deletions += step.migration.deletions;
+  }
+  metrics.counters["online.epochs_observed"] = steps.size();
+  metrics.counters["online.replans"] = replans;
+  metrics.counters["online.replans_skipped"] = steps.size() - replans;
+  metrics.counters["online.migration_copies"] = copies;
+  metrics.counters["online.migration_deletions"] = deletions;
+  if (!steps.empty()) {
+    metrics.gauges["online.estimate_shift_l1"] =
+        steps.back().estimate_shift_l1;
+  }
+}
+
+// Writes the requested JSON files on the way out of every code path (plan /
+// inspect / evaluate).  --trace-out and --profile-out both arm the one
+// trace recorder: the trace file is its spans, the profile their per-path
+// aggregate.
 class ObsExports {
  public:
   ObsExports(std::string metrics_path, std::string trace_path,
@@ -106,7 +200,6 @@ class ObsExports {
       : metrics_path_(std::move(metrics_path)),
         trace_path_(std::move(trace_path)),
         profile_path_(std::move(profile_path)) {
-    if (!metrics_path_.empty()) obs::set_metrics_enabled(true);
     if (!trace_path_.empty() || !profile_path_.empty()) {
       obs::TraceRecorder::global().set_enabled(true);
     }
@@ -120,12 +213,30 @@ class ObsExports {
     return obs::profile_json(obs::TraceRecorder::global());
   }
 
-  void write() const {
+  /// Writes `metrics`, plus the trace recorder's own health counters (how
+  /// much of the trace survived its bounded lanes), as
+  /// {"counters":{...},"gauges":{...}} with names sorted.
+  void write(RunMetrics metrics) const {
     if (!metrics_path_.empty()) {
+      const obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+      metrics.counters["trace.events_recorded"] = recorder.events_recorded();
+      metrics.counters["trace.events_dropped"] = recorder.events_dropped();
+      obs::JsonValue counters = obs::JsonValue::object();
+      for (const auto& [name, value] : metrics.counters) {
+        counters.set(name, obs::JsonValue::integer_u64(value));
+      }
+      obs::JsonValue gauges = obs::JsonValue::object();
+      for (const auto& [name, value] : metrics.gauges) {
+        gauges.set(name, obs::JsonValue::number(value));
+      }
+      obs::JsonValue root = obs::JsonValue::object();
+      root.set("counters", std::move(counters));
+      root.set("gauges", std::move(gauges));
       std::ofstream out(metrics_path_);
       require(out.good(),
               [&] { return "cannot write metrics file: " + metrics_path_; });
-      obs::metrics().write_json(out);
+      root.write(out);
+      out << "\n";
       out.flush();
       require(out.good(),
               [&] { return "cannot write metrics file: " + metrics_path_; });
@@ -167,6 +278,13 @@ class ObsExports {
 // far above the 32-chain ladder DESIGN.md §5a plans with.
 constexpr long long kMaxSaChains = 256;
 
+// Upper bound on --event-log-cap.  The event log reserves its whole
+// capacity up front, 24 bytes a record (240 MB at the bound), and the run
+// report writes every record it keeps; the bound sits a hundred times above
+// the 100,000-record log CI writes for a saturated peak, so a typo fails
+// here instead of in the allocator after the whole plan ran.
+constexpr long long kMaxEventLogCap = 10'000'000;
+
 // Rejects bad numeric flags before anything divides by or casts them: a
 // zero --servers divides by zero, a negative --degree is undefined when
 // cast to a replica budget, a negative --sa-moves wraps to an endless move
@@ -192,6 +310,9 @@ void validate_numeric_flags(const CliFlags& flags) {
       return std::string("--") + name + " must be finite and non-negative";
     });
   }
+  require(flags.get_int("event-log-cap") <= kMaxEventLogCap, [&] {
+    return "--event-log-cap must be <= " + std::to_string(kMaxEventLogCap);
+  });
   require(flags.get_int("online-epochs") >= 0,
           "--online-epochs must be >= 0");
   const double spread = flags.get_double("sa-temp-spread");
@@ -271,7 +392,7 @@ int run(int argc, char** argv) {
   flags.add_double("bitrate-mbps", 4.0, "stream bit rate for --evaluate");
   flags.add_double("duration-min", 90.0, "video duration for --evaluate");
   flags.add_string("metrics-out", "",
-                   "enable metrics and write the registry JSON here");
+                   "write the run's counters and gauges as JSON here");
   flags.add_string("trace-out", "",
                    "enable tracing and write chrome://tracing JSON here");
   flags.add_string("profile-out", "",
@@ -395,7 +516,9 @@ int run(int argc, char** argv) {
               << "mean link utilization: "
               << 100.0 * result.mean_utilization() << " %\n";
     print_cache_summary(flags, result);
-    exports.write();
+    RunMetrics metrics;
+    add_sim_metrics(metrics, result, 1, flags.get_bool("prefix-cache"));
+    exports.write(std::move(metrics));
     return EXIT_SUCCESS;
   }
 
@@ -416,7 +539,7 @@ int run(int argc, char** argv) {
     std::cout << "\n(expected loads shown under uniform popularity; re-run "
                  "with the original\n popularity file for the provisioning "
                  "view)\n";
-    exports.write();
+    exports.write({});
     return EXIT_SUCCESS;
   }
 
@@ -511,7 +634,9 @@ int run(int argc, char** argv) {
                            stats.best_cost});
     }
     chain_table.print(std::cout);
-    exports.write();
+    RunMetrics metrics;
+    add_sa_metrics(metrics, result);
+    exports.write(std::move(metrics));
     return EXIT_SUCCESS;
   }
 
@@ -530,15 +655,8 @@ int run(int argc, char** argv) {
     plan = replication->replicate(popularity, servers, budget);
     layout = placement_policy->place(plan, popularity, servers, capacity);
   }
-  if (obs::metrics_enabled()) {
-    obs::MetricsRegistry& registry = obs::metrics();
-    registry.counter("plan.videos").add(layout.num_videos());
-    registry.counter("plan.replicas").add(plan.total_replicas());
-    registry.gauge("plan.degree").set(plan.degree());
-    registry.gauge("plan.expected_imbalance_eq2")
-        .set(imbalance_max_relative(
-            layout.expected_loads(popularity, servers)));
-  }
+  RunMetrics metrics;
+  add_plan_metrics(metrics, plan, layout, popularity, servers);
 
   std::cout << "== plan: " << flags.get_string("replication") << " + "
             << flags.get_string("placement") << " ==\n";
@@ -597,6 +715,7 @@ int run(int argc, char** argv) {
     const auto epochs =
         static_cast<std::size_t>(flags.get_int("online-epochs"));
     std::vector<SimResult> results;
+    std::vector<AdaptationStep> steps;
     if (epochs == 0) {
       results.push_back(run_sim(flags, layout, sim, generate_trace(rng, spec),
                                 &timeline, &event_log));
@@ -624,10 +743,14 @@ int run(int argc, char** argv) {
         results.push_back(run_sim(flags, controller.layout(), sim, trace,
                                   &timeline, &event_log));
         controller.observe_epoch(trace.video_counts(popularity.size()));
-        (void)controller.adapt(static_cast<double>(epoch + 1) * horizon);
+        steps.push_back(
+            controller.adapt(static_cast<double>(epoch + 1) * horizon));
       }
     }
     const SimResult result = aggregate_results(results);
+    add_sim_metrics(metrics, result, results.size(),
+                    flags.get_bool("prefix-cache"));
+    if (epochs > 0) add_online_metrics(metrics, steps);
 
     obs::JsonValue extra = obs::JsonValue::object();
     extra.set("num_videos", obs::JsonValue::integer_u64(popularity.size()));
@@ -651,7 +774,7 @@ int run(int argc, char** argv) {
               << timeline.size() << " timeline samples\n";
     print_cache_summary(flags, result);
   }
-  exports.write();
+  exports.write(std::move(metrics));
   return EXIT_SUCCESS;
 }
 
